@@ -1,0 +1,505 @@
+"""Command line front end.
+
+Subcommands: ``prolong`` evaluates a prolonged matrix at a tangent element
+given in exponential coordinates, ``check`` runs verification suites on a
+single representation, ``catalog`` lists the built-in entries, ``report``
+runs every suite over the whole catalog.  Reports are emitted as json,
+csv, or text; json output is canonical (sorted keys, no timestamps) so
+identical configurations produce byte-identical documents.
+
+Exit codes: 0 when every check passes or is inconclusive, 1 when any
+check fails its tolerance, 2 for malformed input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import dataclasses
+import io
+import json
+import os
+import re
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from . import __version__
+from .catalog import (
+    CatalogEntry,
+    DescriptorError,
+    catalog_entry,
+    catalog_list,
+    load_representation,
+    read_descriptor,
+)
+from .groups import (
+    ChartError,
+    ExponentOverflowError,
+    MembershipError,
+    TangentGroupElement,
+    algebra_basis,
+    algebra_from_coordinates,
+    mat_exp,
+)
+from .prolongation import (
+    Representation,
+    apply_prolonged,
+    differential_report,
+    prolong,
+    prolonged,
+    tangent_action_oracle,
+)
+from .rep_algebra import (
+    CheckReport,
+    Verdict,
+    check_action_oracle,
+    check_direct_sum_commutation,
+    check_equivalence_transfer,
+    check_homomorphism,
+    check_invariance_transfer,
+    faithfulness_probe,
+    is_invariant_subspace,
+    vertical_subspace,
+)
+from .tangent_space import TangentVector
+
+__all__ = ["RunConfig", "build_parser", "main"]
+
+SEED_ENV_VAR = "LIEPROLONG_SEED"
+
+_SUITE_NAMES = (
+    "homomorphism",
+    "oracle",
+    "equivalence",
+    "invariance",
+    "directsum",
+    "faithfulness",
+)
+
+_SUITE_DEFAULT_TOL = {
+    "homomorphism": 1e-9,
+    "oracle": 1e-5,
+    "equivalence": 1e-9,
+    "invariance": 1e-9,
+    "directsum": 1e-12,
+    "faithfulness": 1e-12,
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Echo of one invocation; serialized verbatim into every report."""
+
+    command: str
+    rep_source: Optional[str] = None
+    samples: int = 200
+    seed: int = 0
+    tol: Optional[float] = None
+    output: Optional[str] = None
+    format: str = "json"
+    suite: Optional[str] = None
+    a_coords: Optional[str] = None
+    fiber: Optional[str] = None
+    kind: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+class _InputError(Exception):
+    """Bad user input that should exit with status 2."""
+
+
+def _parse_floats(text: str, label: str) -> np.ndarray:
+    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
+    if not parts:
+        raise _InputError(f"{label} must contain at least one number")
+    try:
+        return np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise _InputError(f"cannot parse {label}: {exc}") from None
+
+
+def _resolve_rep(source: str) -> tuple[Representation, Optional[CatalogEntry]]:
+    """A rep source is a catalog name first, a descriptor path second."""
+    try:
+        entry = catalog_entry(source)
+        return entry.rep, entry
+    except KeyError:
+        pass
+    if os.path.exists(source):
+        return load_representation(read_descriptor(source)), None
+    raise _InputError(
+        f"{source!r} is neither a catalog entry nor a descriptor file"
+    )
+
+
+def _check_payload(report: CheckReport) -> dict:
+    payload = {
+        "name": report.name,
+        "verdict": report.verdict.value,
+        "max_residual": float(report.max_residual),
+    }
+    if report.witness is not None:
+        payload["witness"] = report.witness
+    return payload
+
+
+def _exit_code(checks: list[CheckReport]) -> int:
+    return 1 if any(c.verdict is Verdict.FAIL for c in checks) else 0
+
+
+def _write(text: str, output: Optional[str]) -> None:
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
+def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
+    if config.format == "json":
+        _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", config.output)
+        return
+    if config.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        if "entries" in envelope:
+            writer.writerow(
+                ["name", "group", "target_dim", "known_faithful", "invariant_subspaces"]
+            )
+            for entry in envelope["entries"]:
+                writer.writerow(
+                    [
+                        entry["name"],
+                        entry["group"],
+                        entry["target_dim"],
+                        entry["known_faithful"],
+                        entry["invariant_subspace_count"],
+                    ]
+                )
+        else:
+            writer.writerow(["name", "verdict", "max_residual", "witness"])
+            for report in checks:
+                writer.writerow(
+                    [
+                        report.name,
+                        report.verdict.value,
+                        repr(float(report.max_residual)),
+                        json.dumps(report.witness, sort_keys=True)
+                        if report.witness is not None
+                        else "",
+                    ]
+                )
+        _write(buffer.getvalue(), config.output)
+        return
+    lines = []
+    if "entries" in envelope:
+        for entry in envelope["entries"]:
+            faithful = "faithful" if entry["known_faithful"] else "not faithful"
+            lines.append(
+                f"{entry['name']:<24} {entry['group']:<22} target dim "
+                f"{entry['target_dim']}  {faithful}; {entry['notes']}"
+            )
+    if "result" in envelope:
+        lines.append("top-left block (R):")
+        lines.append(np.array2string(np.array(envelope["result"]["top_left"])))
+        lines.append("bottom-left block (K R):")
+        lines.append(np.array2string(np.array(envelope["result"]["bottom_left"])))
+    for report in checks:
+        lines.append(
+            f"{report.name}: {report.verdict.value.upper()} "
+            f"(max residual {report.max_residual:.3e})"
+        )
+    _write("\n".join(lines) + "\n", config.output)
+
+
+def _suite_tol(config: RunConfig, suite: str) -> float:
+    return config.tol if config.tol is not None else _SUITE_DEFAULT_TOL[suite]
+
+
+def _run_suite(
+    suite: str,
+    rep: Representation,
+    entry: Optional[CatalogEntry],
+    config: RunConfig,
+) -> list[CheckReport]:
+    samples, seed = config.samples, config.seed
+    tol = _suite_tol(config, suite)
+    rename = dataclasses.replace
+    if suite == "homomorphism":
+        return [
+            rename(check_homomorphism(rep, samples, seed, tol), name="homomorphism(base)"),
+            rename(
+                check_homomorphism(prolonged(rep), samples, seed, tol),
+                name="homomorphism(prolonged)",
+            ),
+        ]
+    if suite == "oracle":
+        return [check_action_oracle(rep, samples, seed, tol)]
+    if suite == "equivalence":
+        return [check_equivalence_transfer(rep, 20, samples, seed, tol)]
+    if suite == "invariance":
+        checks = []
+        subspaces = entry.known_invariant_subspaces if entry is not None else ()
+        for k, subspace in enumerate(subspaces):
+            checks.append(
+                rename(
+                    check_invariance_transfer(rep, subspace, samples, seed, tol),
+                    name=f"invariance_transfer[{k}]",
+                )
+            )
+        checks.append(
+            rename(
+                is_invariant_subspace(
+                    prolonged(rep), vertical_subspace(rep.target_dim), samples, seed, tol
+                ),
+                name="vertical_invariance",
+            )
+        )
+        return checks
+    if suite == "directsum":
+        return [check_direct_sum_commutation(rep, rep, samples, seed, tol)]
+    if suite == "faithfulness":
+        witness = entry.kernel_witness if entry is not None else None
+        return [faithfulness_probe(rep, samples, seed, kernel_witness=witness)]
+    raise _InputError(f"unknown suite {suite!r}")
+
+
+def cmd_check(config: RunConfig) -> int:
+    rep, entry = _resolve_rep(config.rep_source)
+    suites = _SUITE_NAMES if config.suite == "all" else (config.suite,)
+    checks: list[CheckReport] = []
+    for suite in suites:
+        checks.extend(_run_suite(suite, rep, entry, config))
+    envelope = {
+        "command": "check",
+        "config": config.to_dict(),
+        "checks": [_check_payload(c) for c in checks],
+        "version": __version__,
+    }
+    _emit(envelope, checks, config)
+    return _exit_code(checks)
+
+
+def cmd_prolong(config: RunConfig) -> int:
+    rep, _entry = _resolve_rep(config.rep_source)
+    spec = rep.group
+    basis_size = len(algebra_basis(spec))
+    a_coords = _parse_floats(config.a_coords, "--a-coords")
+    fiber_coords = _parse_floats(config.fiber, "--fiber")
+    if a_coords.shape[0] != basis_size or fiber_coords.shape[0] != basis_size:
+        raise _InputError(
+            f"{spec.describe()} takes {basis_size} coordinates per flag; got "
+            f"{a_coords.shape[0]} for --a-coords and {fiber_coords.shape[0]} for --fiber"
+        )
+    try:
+        base = mat_exp(algebra_from_coordinates(a_coords, spec))
+        algebra = algebra_from_coordinates(fiber_coords, spec)
+    except (MembershipError, ExponentOverflowError, ValueError) as exc:
+        raise _InputError(str(exc)) from None
+    X = TangentGroupElement(base, algebra)
+    matrix = prolong(rep, X)
+
+    tol = config.tol if config.tol is not None else 1e-5
+    diff = differential_report(rep, algebra)
+    checks = [
+        CheckReport(
+            "differential_consistency",
+            Verdict.PASS if diff.discrepancy < tol else Verdict.FAIL,
+            diff.discrepancy,
+            None
+            if diff.discrepancy < tol
+            else {"discrepancy": diff.discrepancy, "analytic": diff.analytic is not None},
+        )
+    ]
+    rng = np.random.default_rng(config.seed % 2**63)
+    worst = 0.0
+    n = rep.target_dim
+    for _ in range(5):
+        probe = TangentVector(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        direct = apply_prolonged(matrix, probe).coordinates
+        oracle = tangent_action_oracle(rep, X, probe).coordinates
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        worst = max(worst, float(np.max(np.abs(direct - oracle))) / scale)
+    checks.append(
+        CheckReport(
+            "action_oracle",
+            Verdict.PASS if worst < tol else Verdict.FAIL,
+            worst,
+            None if worst < tol else {"residual": worst, "probes": 5},
+        )
+    )
+    envelope = {
+        "command": "prolong",
+        "config": config.to_dict(),
+        "checks": [_check_payload(c) for c in checks],
+        "result": {
+            "top_left": matrix.top_left.tolist(),
+            "bottom_left": matrix.bottom_left.tolist(),
+            "dense": matrix.dense().tolist(),
+        },
+        "version": __version__,
+    }
+    _emit(envelope, checks, config)
+    return _exit_code(checks)
+
+
+def cmd_catalog(config: RunConfig) -> int:
+    entries = catalog_list()
+    if config.kind is not None:
+        entries = [e for e in entries if e.rep.group.kind.value == config.kind]
+    payload = [
+        {
+            "name": e.name,
+            "group": e.rep.group.describe(),
+            "target_dim": e.rep.target_dim,
+            "known_faithful": e.known_faithful,
+            "has_kernel_witness": e.kernel_witness is not None,
+            "invariant_subspace_count": len(e.known_invariant_subspaces),
+            "notes": e.notes,
+        }
+        for e in entries
+    ]
+    envelope = {
+        "command": "catalog",
+        "config": config.to_dict(),
+        "checks": [],
+        "entries": payload,
+        "version": __version__,
+    }
+    _emit(envelope, [], config)
+    return 0
+
+
+def cmd_report(config: RunConfig) -> int:
+    checks: list[CheckReport] = []
+    for entry in catalog_list():
+        for suite in _SUITE_NAMES:
+            for report in _run_suite(suite, entry.rep, entry, config):
+                checks.append(
+                    dataclasses.replace(report, name=f"{entry.name}::{report.name}")
+                )
+    envelope = {
+        "command": "report",
+        "config": config.to_dict(),
+        "checks": [_check_payload(c) for c in checks],
+        "version": __version__,
+    }
+    _emit(envelope, checks, config)
+    return _exit_code(checks)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lieprolong",
+        description="Prolong representations of matrix groups to tangent bundles "
+        "and verify the structure numerically.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, with_rep: bool = True) -> None:
+        if with_rep:
+            p.add_argument(
+                "--rep",
+                required=True,
+                help="catalog entry name or path to a descriptor file",
+            )
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help=f"sampling seed (default 0, or ${SEED_ENV_VAR} when set)",
+        )
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            help="override the per-suite default tolerance",
+        )
+        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        p.add_argument("--output", default=None, help="write the report to a file")
+
+    p_prolong = sub.add_parser(
+        "prolong", help="evaluate a prolonged matrix at one tangent element"
+    )
+    common(p_prolong)
+    p_prolong.add_argument(
+        "--a-coords",
+        required=True,
+        help="exponential coordinates of the base point, canonical basis order",
+    )
+    p_prolong.add_argument(
+        "--fiber",
+        required=True,
+        help="coordinates of the fiber direction, canonical basis order",
+    )
+
+    p_check = sub.add_parser("check", help="run a verification suite")
+    common(p_check)
+    p_check.add_argument(
+        "--suite",
+        required=True,
+        choices=list(_SUITE_NAMES) + ["all"],
+    )
+
+    p_catalog = sub.add_parser("catalog", help="list the built-in representations")
+    common(p_catalog, with_rep=False)
+    p_catalog.add_argument("--kind", default=None, help="filter by group kind")
+
+    p_report = sub.add_parser(
+        "report", help="run every suite over the whole catalog"
+    )
+    common(p_report, with_rep=False)
+    return parser
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    return RunConfig(
+        command=args.command,
+        rep_source=getattr(args, "rep", None),
+        samples=args.samples,
+        seed=seed,
+        tol=args.tol,
+        output=args.output,
+        format=args.format,
+        suite=getattr(args, "suite", None),
+        a_coords=getattr(args, "a_coords", None),
+        fiber=getattr(args, "fiber", None),
+        kind=getattr(args, "kind", None),
+    )
+
+
+_COMMANDS = {
+    "prolong": cmd_prolong,
+    "check": cmd_check,
+    "catalog": cmd_catalog,
+    "report": cmd_report,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _config_from_args(args)
+        return _COMMANDS[args.command](config)
+    except (_InputError, DescriptorError, ChartError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,340 @@
+"""Prolonging a representation on R^n to one on its tangent bundle.
+
+A representation ``rep`` sends group elements ``a`` to invertible matrices
+``R = rep.apply(a)``.  Its prolongation sends the tangent pair ``[a, B]``
+to the block matrix
+
+    [[ R,    0 ],
+     [ K R,  R ]]        with  K = d(rep)(B),
+
+acting on trivialized tangent coordinates (base, fiber).  The same block
+shape with ``rep`` the identity map, :func:`jn_embed`, embeds the tangent
+group of GL(n) into GL(2n) and serves as the arithmetic oracle for the
+tangent group law.
+
+Two independent ways to compute the action are provided.  The direct one,
+:func:`apply_prolonged`, multiplies blocks.  The oracle,
+:func:`tangent_action_oracle`, differentiates the curve
+
+    t  |->  rep.apply(exp(t B) a) @ (p + t v)
+
+at t = 0 with a central difference and never looks at the block formula.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from .groups import (
+    AlgebraElement,
+    GroupElement,
+    GroupSpec,
+    SpecMismatchError,
+    group_multiply,
+    identity_element,
+    mat_exp,
+    relative_residual,
+)
+from .tangent_space import TangentVector
+
+__all__ = [
+    "DifferentialReport",
+    "ProlongedMatrix",
+    "ProlongedRepresentation",
+    "Representation",
+    "StepSizeError",
+    "apply_prolonged",
+    "differential_rep",
+    "differential_report",
+    "finite_difference_differential",
+    "jn_embed",
+    "prolong",
+    "prolonged",
+    "rep_image",
+    "tangent_action_oracle",
+]
+
+# A representation must send the identity to the identity this tightly.
+IDENTITY_TOL = 1e-12
+
+_FD_STEP = 1e-6
+
+
+class StepSizeError(FloatingPointError):
+    """A finite-difference quotient came out non-finite."""
+
+
+@dataclass(frozen=True, eq=False)
+class Representation:
+    """A matrix representation of a group spec on R^{target_dim}.
+
+    ``apply`` maps a :class:`GroupElement` to its (invertible) image
+    matrix.  ``differential``, when present, is the analytic derivative at
+    the identity: it maps an :class:`AlgebraElement` ``B`` to
+    d/dt exp-image of ``tB`` at t = 0.  When absent, a central finite
+    difference stands in (see :func:`finite_difference_differential`).
+    """
+
+    group: GroupSpec
+    target_dim: int
+    apply: Callable[[GroupElement], np.ndarray]
+    differential: Optional[Callable[[AlgebraElement], np.ndarray]] = None
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if self.target_dim < 1:
+            raise ValueError("target_dim must be positive")
+        image = rep_image(self, identity_element(self.group))
+        gap = float(np.max(np.abs(image - np.eye(self.target_dim))))
+        if gap > IDENTITY_TOL:
+            raise ValueError(
+                f"representation {self.name or '<anonymous>'} sends the identity to a "
+                f"matrix {gap:.3e} away from the identity"
+            )
+
+
+def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
+    """Evaluate ``rep.apply`` and validate the result's shape and finiteness."""
+    if a.spec != rep.group:
+        raise SpecMismatchError(
+            f"representation is over {rep.group.describe()}, element lies in "
+            f"{a.spec.describe()}"
+        )
+    out = np.asarray(rep.apply(a), dtype=float)
+    n = rep.target_dim
+    if out.shape != (n, n):
+        raise ValueError(f"apply returned shape {out.shape}, expected ({n}, {n})")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("apply returned non-finite entries")
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ProlongedMatrix:
+    """The lower block-triangular image of a prolonged representation.
+
+    Only the repeated diagonal block and the bottom-left block are stored;
+    the top-right block is zero by construction and :meth:`dense` always
+    materializes it as exact zeros.
+    """
+
+    top_left: np.ndarray
+    bottom_left: np.ndarray
+
+    def __post_init__(self) -> None:
+        tl = np.array(self.top_left, dtype=float)
+        bl = np.array(self.bottom_left, dtype=float)
+        if tl.ndim != 2 or tl.shape[0] != tl.shape[1]:
+            raise ValueError(f"blocks must be square, got {tl.shape}")
+        if bl.shape != tl.shape:
+            raise ValueError(f"block shapes differ: {tl.shape} vs {bl.shape}")
+        if not (np.all(np.isfinite(tl)) and np.all(np.isfinite(bl))):
+            raise ValueError("block entries must be finite")
+        cond = np.linalg.cond(tl)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise ValueError("the diagonal block must be invertible")
+        tl.flags.writeable = False
+        bl.flags.writeable = False
+        object.__setattr__(self, "top_left", tl)
+        object.__setattr__(self, "bottom_left", bl)
+
+    @property
+    def n(self) -> int:
+        return self.top_left.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The full 2n x 2n matrix [[R, 0], [L, R]]."""
+        n = self.n
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, :n] = self.top_left
+        out[n:, :n] = self.bottom_left
+        out[n:, n:] = self.top_left
+        return out
+
+    def __matmul__(self, other: "ProlongedMatrix") -> "ProlongedMatrix":
+        if not isinstance(other, ProlongedMatrix):
+            return NotImplemented
+        return ProlongedMatrix(
+            self.top_left @ other.top_left,
+            self.bottom_left @ other.top_left + self.top_left @ other.bottom_left,
+        )
+
+
+def jn_embed(X) -> ProlongedMatrix:
+    """Embed the tangent pair [a, B] as [[a, 0], [B a, a]].
+
+    This is the prolongation of the identity representation and the ground
+    truth for the tangent group law: the embedding turns tg multiplication
+    into plain matrix multiplication.
+    """
+    a = X.base.matrix
+    return ProlongedMatrix(a, X.algebra.matrix @ a)
+
+
+def finite_difference_differential(
+    rep: Representation,
+    B: AlgebraElement,
+    step: float = _FD_STEP,
+    richardson: bool = False,
+) -> np.ndarray:
+    """Central-difference derivative of t |-> rep.apply(exp(tB)) at t = 0.
+
+    With ``richardson`` the quotient is extrapolated from steps h and h/2,
+    cancelling the leading error term.
+    """
+    if step <= 0 or not np.isfinite(step):
+        raise ValueError("step must be positive and finite")
+
+    def quotient(h: float) -> np.ndarray:
+        plus = rep_image(rep, mat_exp(B, h))
+        minus = rep_image(rep, mat_exp(B, -h))
+        return (plus - minus) / (2.0 * h)
+
+    out = quotient(step)
+    if richardson:
+        out = (4.0 * quotient(step / 2.0) - out) / 3.0
+    if not np.all(np.isfinite(out)):
+        raise StepSizeError(
+            f"difference quotient at step {step:.1e} is non-finite; "
+            "adjust the step size"
+        )
+    return out
+
+
+def differential_rep(
+    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
+) -> np.ndarray:
+    """The derivative of ``rep`` at the identity in direction ``B``.
+
+    Analytic when the representation carries one, otherwise the central
+    finite difference.
+    """
+    if B.spec != rep.group:
+        raise SpecMismatchError(
+            f"representation is over {rep.group.describe()}, algebra element over "
+            f"{B.spec.describe()}"
+        )
+    if rep.differential is not None:
+        out = np.asarray(rep.differential(B), dtype=float)
+        n = rep.target_dim
+        if out.shape != (n, n):
+            raise ValueError(f"differential returned shape {out.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("differential returned non-finite entries")
+        return out
+    return finite_difference_differential(rep, B, step)
+
+
+@dataclass(frozen=True, eq=False)
+class DifferentialReport:
+    """Analytic and numeric derivatives side by side.
+
+    When the representation has no analytic differential, ``analytic`` is
+    None and ``discrepancy`` compares the quotient at two step sizes
+    instead, as a self-consistency estimate.
+    """
+
+    analytic: Optional[np.ndarray]
+    numeric: np.ndarray
+    discrepancy: float
+
+
+def differential_report(
+    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
+) -> DifferentialReport:
+    numeric = finite_difference_differential(rep, B, step)
+    if rep.differential is not None:
+        analytic = differential_rep(rep, B)
+        gap = float(np.max(np.abs(analytic - numeric)))
+        return DifferentialReport(analytic, numeric, gap)
+    halved = finite_difference_differential(rep, B, step / 2.0)
+    return DifferentialReport(None, numeric, float(np.max(np.abs(numeric - halved))))
+
+
+def prolong(rep: Representation, X) -> ProlongedMatrix:
+    """Image of the tangent pair [a, B] under the prolonged representation.
+
+    R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
+    left, with K the differential of ``rep`` in direction B.
+    """
+    if X.spec != rep.group:
+        raise SpecMismatchError(
+            f"representation is over {rep.group.describe()}, tangent element over "
+            f"{X.spec.describe()}"
+        )
+    R = rep_image(rep, X.base)
+    K = differential_rep(rep, X.algebra)
+    return ProlongedMatrix(R, K @ R)
+
+
+def apply_prolonged(M: ProlongedMatrix, Y: TangentVector) -> TangentVector:
+    """Act on a tangent vector: (p, v) |-> (R p, L p + R v)."""
+    if Y.dim != M.n:
+        raise ValueError(f"vector dimension {Y.dim} does not match block size {M.n}")
+    base = M.top_left @ Y.base
+    fiber = M.bottom_left @ Y.base + M.top_left @ Y.fiber
+    return TangentVector(base, fiber)
+
+
+def tangent_action_oracle(
+    rep: Representation, X, Y: TangentVector, step: float = _FD_STEP
+) -> TangentVector:
+    """Differentiate the action curve directly, bypassing the block formula.
+
+    The base output is rep.apply(a) @ p.  The fiber output is the central
+    difference of t |-> rep.apply(exp(tB) a) @ (p + t v) at t = 0.
+    """
+    if X.spec != rep.group:
+        raise SpecMismatchError(
+            f"representation is over {rep.group.describe()}, tangent element over "
+            f"{X.spec.describe()}"
+        )
+    if Y.dim != rep.target_dim:
+        raise ValueError(
+            f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"
+        )
+    if step <= 0 or not np.isfinite(step):
+        raise ValueError("step must be positive and finite")
+    B = X.algebra
+    base = rep_image(rep, X.base) @ Y.base
+
+    def curve(t: float) -> np.ndarray:
+        at = group_multiply(mat_exp(B, t), X.base)
+        return rep_image(rep, at) @ (Y.base + t * Y.fiber)
+
+    fiber = (curve(step) - curve(-step)) / (2.0 * step)
+    if not np.all(np.isfinite(fiber)):
+        raise StepSizeError(
+            f"difference quotient at step {step:.1e} is non-finite; "
+            "adjust the step size"
+        )
+    return TangentVector(base, fiber)
+
+
+@dataclass(frozen=True, eq=False)
+class ProlongedRepresentation:
+    """A representation's prolongation, viewed as a map on tangent pairs."""
+
+    base: Representation
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.base.group
+
+    @property
+    def target_dim(self) -> int:
+        return 2 * self.base.target_dim
+
+    @property
+    def name(self) -> str:
+        return f"prolonged({self.base.name})" if self.base.name else "prolonged"
+
+    def apply(self, X) -> np.ndarray:
+        return prolong(self.base, X).dense()
+
+
+def prolonged(rep: Representation) -> ProlongedRepresentation:
+    return ProlongedRepresentation(rep)

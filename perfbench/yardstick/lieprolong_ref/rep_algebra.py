@@ -1,0 +1,909 @@
+"""Structural checks on representations and their prolongations.
+
+Every check in this module is sampling-based and deterministic: callers
+pass an integer seed, each sampled element is derived from (seed, sample
+index), and any reported witness carries that provenance so a failure can
+be replayed exactly.
+
+Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
+always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
+that are allowed to give up, such as :func:`reducibility_probe` when the
+commutant splitting heuristic finds nothing it can certify.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from enum import Enum
+from typing import Optional, Sequence, Union
+
+import numpy as np
+import scipy.linalg
+import scipy.spatial.distance
+
+from .groups import (
+    GroupElement,
+    GroupSpec,
+    SpecMismatchError,
+    TangentGroupElement,
+    identity_tangent,
+    relative_residual,
+    sample_group_element,
+    sample_tangent_element,
+    zero_algebra,
+)
+from .prolongation import (
+    ProlongedRepresentation,
+    Representation,
+    apply_prolonged,
+    prolong,
+    prolonged,
+    rep_image,
+    tangent_action_oracle,
+)
+from .tangent_space import TangentVector
+
+__all__ = [
+    "CheckReport",
+    "Intertwiner",
+    "RANK_RTOL",
+    "SubspaceBasis",
+    "Verdict",
+    "certify_irreducible_lines_2d",
+    "check_action_oracle",
+    "check_direct_sum_commutation",
+    "check_equivalence_transfer",
+    "check_homomorphism",
+    "check_invariance_transfer",
+    "commutant_basis",
+    "conjugate_representation",
+    "direct_sum",
+    "extract_base_subspace",
+    "faithfulness_probe",
+    "interleave_permutation",
+    "is_intertwiner",
+    "is_invariant_subspace",
+    "permutation_matrix",
+    "prolong_intertwiner",
+    "prolong_subspace",
+    "random_conjugator",
+    "reducibility_probe",
+    "vertical_subspace",
+]
+
+# Relative threshold for rank and nullspace decisions: a singular value
+# counts as zero when it is below RANK_RTOL times the largest one.
+RANK_RTOL = 1e-8
+
+RepLike = Union[Representation, ProlongedRepresentation]
+
+
+class Verdict(str, Enum):
+    PASS = "pass"
+    FAIL = "fail"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one check: verdict, worst residual, optional witness."""
+
+    name: str
+    verdict: Verdict
+    max_residual: float
+    witness: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        if self.verdict is Verdict.FAIL and self.witness is None:
+            raise ValueError("a failing report must carry a witness")
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict is Verdict.PASS
+
+
+def _payload(value):
+    """Make a witness value JSON-serializable."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+def _derive(seed, *indices: int) -> tuple[int, ...]:
+    if isinstance(seed, (int, np.integer)):
+        head: tuple[int, ...] = (int(seed) % 2**63,)
+    else:
+        head = tuple(int(s) % 2**63 for s in seed)
+    return head + tuple(int(i) % 2**63 for i in indices)
+
+
+@functools.lru_cache(maxsize=50_000)
+def _group_sample(spec: GroupSpec, key: tuple[int, ...]) -> GroupElement:
+    return sample_group_element(spec, key)
+
+
+@functools.lru_cache(maxsize=50_000)
+def _tangent_sample(spec: GroupSpec, key: tuple[int, ...]) -> TangentGroupElement:
+    return sample_tangent_element(spec, key)
+
+
+def _is_prolonged(rep: RepLike) -> bool:
+    return isinstance(rep, ProlongedRepresentation)
+
+
+def _target_dim(rep: RepLike) -> int:
+    return rep.target_dim
+
+
+def _sample(rep: RepLike, key: tuple[int, ...]):
+    if _is_prolonged(rep):
+        return _tangent_sample(rep.group, key)
+    return _group_sample(rep.group, key)
+
+
+def _image(rep: RepLike, element) -> np.ndarray:
+    if _is_prolonged(rep):
+        return prolong(rep.base, element).dense()
+    return rep_image(rep, element)
+
+
+def _compose(rep: RepLike, x, y):
+    from .groups import group_multiply, tg_multiply
+
+    if _is_prolonged(rep):
+        return tg_multiply(x, y)
+    return group_multiply(x, y)
+
+
+def check_homomorphism(
+    rep: RepLike,
+    sample_count: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Sample pairs and compare the image of the product with the product
+    of the images.  Works on plain representations and on prolongations;
+    for a prolongation the pairs are tangent elements composed with the
+    tangent group law.
+    """
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
+    worst = 0.0
+    witness = None
+    for i in range(sample_count):
+        x = _sample(rep, _derive(seed, 2 * i))
+        y = _sample(rep, _derive(seed, 2 * i + 1))
+        combined = _image(rep, _compose(rep, x, y))
+        split = _image(rep, x) @ _image(rep, y)
+        residual = relative_residual(combined, split)
+        if residual > worst:
+            worst = residual
+            witness = {
+                "seed": _payload(seed),
+                "sample_index": i,
+                "residual": residual,
+            }
+    if worst < tol:
+        return CheckReport("homomorphism", Verdict.PASS, worst)
+    return CheckReport("homomorphism", Verdict.FAIL, worst, witness)
+
+
+def check_action_oracle(
+    rep: Representation,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-5,
+) -> CheckReport:
+    """Compare the block-matrix action with the differentiated action curve.
+
+    The two sides share only the representation itself: one goes through
+    the prolonged blocks, the other through a central difference of the
+    full action.  The default tolerance reflects the finite-difference
+    error floor.
+    """
+    from .groups import _rng
+
+    worst = 0.0
+    witness = None
+    n = rep.target_dim
+    for i in range(samples):
+        X = _tangent_sample(rep.group, _derive(seed, 53, i))
+        rng = _rng(_derive(seed, 59, i))
+        Y = TangentVector(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+        direct = apply_prolonged(prolong(rep, X), Y)
+        oracle = tangent_action_oracle(rep, X, Y)
+        residual = relative_residual(direct.coordinates, oracle.coordinates)
+        if residual > worst:
+            worst = residual
+            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
+    if worst < tol:
+        return CheckReport("action_oracle", Verdict.PASS, worst)
+    return CheckReport("action_oracle", Verdict.FAIL, worst, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class Intertwiner:
+    """A linear map asserted to commute with a pair of representations."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.array(self.matrix, dtype=float)
+        if m.ndim != 2:
+            raise ValueError(f"an intertwiner must be a matrix, got ndim {m.ndim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("intertwiner entries must be finite")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def full_rank(self) -> bool:
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        if s.size == 0 or s[0] == 0.0:
+            return False
+        return bool(np.sum(s > RANK_RTOL * s[0]) == min(self.matrix.shape))
+
+
+def _intertwiner_matrix(A) -> np.ndarray:
+    if isinstance(A, Intertwiner):
+        return A.matrix
+    return Intertwiner(A).matrix
+
+
+def is_intertwiner(
+    A,
+    rep1: RepLike,
+    rep2: RepLike,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Check A @ rho1(x) = rho2(x) @ A on sampled elements.
+
+    Both representations must live over the same group and at the same
+    level (both plain or both prolonged) so that a single sampled element
+    can be pushed through each side.
+    """
+    matrix = _intertwiner_matrix(A)
+    if rep1.group != rep2.group:
+        raise SpecMismatchError("intertwined representations must share a group")
+    if _is_prolonged(rep1) != _is_prolonged(rep2):
+        raise SpecMismatchError(
+            "cannot intertwine a plain representation with a prolonged one"
+        )
+    if matrix.shape != (rep2.target_dim, rep1.target_dim):
+        raise ValueError(
+            f"intertwiner shape {matrix.shape} does not map dim {rep1.target_dim} "
+            f"to dim {rep2.target_dim}"
+        )
+    worst = 0.0
+    witness = None
+    for i in range(samples):
+        x = _sample(rep1, _derive(seed, i))
+        left = matrix @ _image(rep1, x)
+        right = _image(rep2, x) @ matrix
+        residual = relative_residual(left, right)
+        if residual > worst:
+            worst = residual
+            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
+    if worst < tol:
+        return CheckReport("intertwiner", Verdict.PASS, worst)
+    return CheckReport("intertwiner", Verdict.FAIL, worst, witness)
+
+
+def prolong_intertwiner(A) -> Intertwiner:
+    """Lift an intertwiner to tangent coordinates: block-diag(A, A).
+
+    The lift is returned regardless of rank; callers asserting an
+    equivalence should consult :attr:`Intertwiner.full_rank` first.
+    """
+    matrix = _intertwiner_matrix(A)
+    return Intertwiner(scipy.linalg.block_diag(matrix, matrix))
+
+
+def random_conjugator(n: int, seed=0) -> np.ndarray:
+    """A deterministic random invertible matrix with moderate conditioning."""
+    from .groups import _rng
+
+    rng = _rng(_derive(seed))
+    return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
+
+
+def conjugate_representation(rep: Representation, A) -> Representation:
+    """The equivalent representation a |-> A rho(a) A^{-1}."""
+    matrix = np.asarray(A, dtype=float)
+    if matrix.shape != (rep.target_dim, rep.target_dim):
+        raise ValueError("conjugator shape does not match the representation")
+    inverse = np.linalg.inv(matrix)
+    differential = None
+    if rep.differential is not None:
+        differential = lambda B: matrix @ rep.differential(B) @ inverse  # noqa: E731
+    return Representation(
+        group=rep.group,
+        target_dim=rep.target_dim,
+        apply=lambda a: matrix @ rep.apply(a) @ inverse,
+        differential=differential,
+        name=f"conj({rep.name})" if rep.name else "conj",
+    )
+
+
+def check_equivalence_transfer(
+    rep: Representation,
+    conjugations: int = 20,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Conjugating a representation conjugates its prolongation.
+
+    For random invertible A the lift block-diag(A, A) must intertwine the
+    prolongation of ``rep`` with the prolongation of the conjugated
+    representation, to the same tolerance.
+    """
+    worst = 0.0
+    witness = None
+    sample_seed = _derive(seed, 1)
+    for c in range(conjugations):
+        A = random_conjugator(rep.target_dim, _derive(seed, 2, c))
+        lifted = prolong_intertwiner(A)
+        if not lifted.full_rank:
+            return CheckReport(
+                "equivalence_transfer",
+                Verdict.INCONCLUSIVE,
+                worst,
+                {"conjugation_index": c, "reason": "conjugator not full rank"},
+            )
+        other = conjugate_representation(rep, A)
+        report = is_intertwiner(
+            lifted, prolonged(rep), prolonged(other), samples, sample_seed, tol
+        )
+        if report.max_residual > worst:
+            worst = report.max_residual
+            witness = {"conjugation_index": c, **(report.witness or {})}
+    if worst < tol:
+        return CheckReport("equivalence_transfer", Verdict.PASS, worst)
+    return CheckReport("equivalence_transfer", Verdict.FAIL, worst, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class SubspaceBasis:
+    """Rows spanning a linear subspace of R^{ambient_dim}.
+
+    Vectors must be linearly independent (rank-checked by SVD).  A basis
+    with zero rows is allowed and denotes the zero subspace.
+    """
+
+    ambient_dim: int
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.ambient_dim < 1:
+            raise ValueError("ambient dimension must be positive")
+        v = np.array(self.vectors, dtype=float)
+        if v.size == 0:
+            v = v.reshape(0, self.ambient_dim)
+        if v.ndim == 1:
+            v = v.reshape(1, -1)
+        if v.ndim != 2 or v.shape[1] != self.ambient_dim:
+            raise ValueError(
+                f"expected vectors of length {self.ambient_dim}, got shape {v.shape}"
+            )
+        if v.shape[0] > self.ambient_dim:
+            raise ValueError("more vectors than the ambient dimension")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("basis entries must be finite")
+        if v.shape[0] > 0:
+            s = np.linalg.svd(v, compute_uv=False)
+            if s[0] == 0.0 or np.sum(s > RANK_RTOL * s[0]) < v.shape[0]:
+                raise ValueError("basis vectors are linearly dependent")
+        v.flags.writeable = False
+        object.__setattr__(self, "vectors", v)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[0]
+
+    def orthonormal(self) -> np.ndarray:
+        """Orthonormal rows spanning the same subspace."""
+        if self.dimension == 0:
+            return self.vectors
+        _, _, vh = np.linalg.svd(self.vectors, full_matrices=False)
+        return vh
+
+
+def is_invariant_subspace(
+    rep: RepLike,
+    U: SubspaceBasis,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Least-squares membership of the images of U's basis in span(U).
+
+    The residual for a sampled element is the worst projection defect of
+    an image vector, scaled by max(1, its magnitude).  The zero subspace
+    passes vacuously.
+    """
+    if U.ambient_dim != _target_dim(rep):
+        raise ValueError(
+            f"subspace lives in R^{U.ambient_dim}, representation acts on "
+            f"R^{_target_dim(rep)}"
+        )
+    if U.dimension == 0:
+        return CheckReport("invariant_subspace", Verdict.PASS, 0.0)
+    q = U.orthonormal()
+    worst = 0.0
+    witness = None
+    for i in range(samples):
+        element = _sample(rep, _derive(seed, i))
+        images = _image(rep, element) @ q.T
+        defect = images - q.T @ (q @ images)
+        scale = max(1.0, float(np.max(np.abs(images))))
+        residual = float(np.max(np.abs(defect))) / scale
+        if residual > worst:
+            worst = residual
+            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
+    if worst < tol:
+        return CheckReport("invariant_subspace", Verdict.PASS, worst)
+    return CheckReport("invariant_subspace", Verdict.FAIL, worst, witness)
+
+
+def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
+    """Lift span{u_i} to tangent coordinates: span{(u_i, 0)} + span{(0, u_i)}.
+
+    Base-direction vectors come first, in the order of U, then the fiber
+    copies in the same order.
+    """
+    k, n = U.vectors.shape
+    lifted = np.zeros((2 * k, 2 * n))
+    lifted[:k, :n] = U.vectors
+    lifted[k:, n:] = U.vectors
+    return SubspaceBasis(2 * n, lifted)
+
+
+def extract_base_subspace(W: SubspaceBasis) -> SubspaceBasis:
+    """Span of the base components of vectors in a tangent-space subspace."""
+    if W.ambient_dim % 2 != 0:
+        raise ValueError("a tangent-space subspace must have even ambient dimension")
+    n = W.ambient_dim // 2
+    base = W.vectors[:, :n]
+    if base.size == 0:
+        return SubspaceBasis(n, np.zeros((0, n)))
+    _, s, vh = np.linalg.svd(base, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return SubspaceBasis(n, np.zeros((0, n)))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    return SubspaceBasis(n, vh[:rank])
+
+
+def vertical_subspace(n: int) -> SubspaceBasis:
+    """The fiber directions {(0, v)} inside trivialized tangent coordinates."""
+    rows = np.zeros((n, 2 * n))
+    rows[:, n:] = np.eye(n)
+    return SubspaceBasis(2 * n, rows)
+
+
+def check_invariance_transfer(
+    rep: Representation,
+    U: SubspaceBasis,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Invariance of U transfers to its lift, and back.
+
+    Three residuals are combined: U under the base representation, the
+    lifted subspace under the prolongation, and the base components of
+    prolonged images of (u, 0) against span(U), which is the executable
+    form of the reverse implication.
+    """
+    base_report = is_invariant_subspace(rep, U, samples, _derive(seed, 3), tol)
+    lifted = prolong_subspace(U)
+    lifted_report = is_invariant_subspace(
+        prolonged(rep), lifted, samples, _derive(seed, 5), tol
+    )
+    extraction_worst = 0.0
+    extraction_witness = None
+    if U.dimension > 0:
+        q = U.orthonormal()
+        horizontal = np.zeros((2 * U.ambient_dim, U.dimension))
+        horizontal[: U.ambient_dim] = q.T
+        for i in range(samples):
+            X = _tangent_sample(rep.group, _derive(seed, 5, i))
+            images = prolong(rep, X).dense() @ horizontal
+            base_part = images[: U.ambient_dim]
+            defect = base_part - q.T @ (q @ base_part)
+            scale = max(1.0, float(np.max(np.abs(base_part))))
+            residual = float(np.max(np.abs(defect))) / scale
+            if residual > extraction_worst:
+                extraction_worst = residual
+                extraction_witness = {"sample_index": i, "residual": residual}
+    parts = {
+        "base": base_report.max_residual,
+        "prolonged": lifted_report.max_residual,
+        "base_extraction": extraction_worst,
+    }
+    worst = max(parts.values())
+    if worst < tol:
+        return CheckReport("invariance_transfer", Verdict.PASS, worst)
+    failing = max(parts, key=parts.get)
+    detail = {
+        "base": base_report.witness,
+        "prolonged": lifted_report.witness,
+        "base_extraction": extraction_witness,
+    }[failing]
+    return CheckReport(
+        "invariance_transfer",
+        Verdict.FAIL,
+        worst,
+        {"direction": failing, "residuals": parts, **(detail or {})},
+    )
+
+
+def commutant_basis(
+    rep: RepLike,
+    samples: int = 8,
+    seed: int = 0,
+    rank_tol: float = RANK_RTOL,
+) -> list[np.ndarray]:
+    """Orthonormal basis of matrices commuting with all sampled images.
+
+    Stacks the linear constraints M X = X M over sampled images M and
+    returns the nullspace, reshaped to matrices.  At least two samples are
+    required for the span to be generically meaningful.
+    """
+    if samples < 2:
+        raise ValueError("commutant_basis needs at least 2 generator samples")
+    n = _target_dim(rep)
+    eye = np.eye(n)
+    rows = []
+    for i in range(samples):
+        m = _image(rep, _sample(rep, _derive(seed, 11, i)))
+        rows.append(np.kron(eye, m.T) - np.kron(m, eye))
+    stacked = np.vstack(rows)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= cutoff]
+
+
+def reducibility_probe(
+    rep: RepLike,
+    samples: int = 8,
+    seed: int = 0,
+    rank_tol: float = RANK_RTOL,
+    invariance_samples: int = 100,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Try to certify irreducibility or produce an invariant subspace.
+
+    Commutant of dimension one certifies irreducibility.  Otherwise a
+    random commutant element is symmetrized and its eigenspaces are tested
+    for invariance; a verified proper eigenspace certifies reducibility.
+    Everything else is inconclusive by design: the commutant can be larger
+    than the scalars without yielding a real splitting.
+    """
+    from .groups import _rng
+
+    try:
+        commutant = commutant_basis(rep, samples, seed, rank_tol)
+    except ValueError as exc:
+        return CheckReport(
+            "reducibility_probe",
+            Verdict.INCONCLUSIVE,
+            0.0,
+            {"classification": "inconclusive", "reason": str(exc)},
+        )
+    dim = len(commutant)
+    if dim == 0:
+        return CheckReport(
+            "reducibility_probe",
+            Verdict.INCONCLUSIVE,
+            0.0,
+            {
+                "classification": "inconclusive",
+                "reason": "numerical commutant came out empty",
+            },
+        )
+    if dim == 1:
+        return CheckReport(
+            "reducibility_probe",
+            Verdict.PASS,
+            0.0,
+            {"classification": "irreducible", "commutant_dimension": 1},
+        )
+    n = _target_dim(rep)
+    rng = _rng(_derive(seed, 23))
+    element = np.tensordot(rng.normal(size=dim), np.stack(commutant), axes=1)
+    symmetric = (element + element.T) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    gap = RANK_RTOL * max(1.0, float(np.max(np.abs(eigenvalues))))
+    clusters: list[list[int]] = [[0]]
+    for j in range(1, n):
+        if eigenvalues[j] - eigenvalues[j - 1] > gap:
+            clusters.append([j])
+        else:
+            clusters[-1].append(j)
+    for cluster in clusters:
+        if not 0 < len(cluster) < n:
+            continue
+        candidate = SubspaceBasis(n, eigenvectors[:, cluster].T)
+        verdict = is_invariant_subspace(
+            rep, candidate, invariance_samples, _derive(seed, 31), tol
+        )
+        if verdict.passed:
+            return CheckReport(
+                "reducibility_probe",
+                Verdict.PASS,
+                verdict.max_residual,
+                {
+                    "classification": "reducible",
+                    "commutant_dimension": dim,
+                    "invariant_subspace": _payload(candidate.vectors),
+                    "subspace_dimension": len(cluster),
+                },
+            )
+    return CheckReport(
+        "reducibility_probe",
+        Verdict.INCONCLUSIVE,
+        0.0,
+        {"classification": "inconclusive", "commutant_dimension": dim},
+    )
+
+
+def certify_irreducible_lines_2d(
+    rep: RepLike,
+    angles: int = 1024,
+    samples: int = 32,
+    seed: int = 0,
+    margin: float = 1e-2,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Exhaustive sweep over lines through the origin of R^2.
+
+    Only for two-dimensional representations, where every proper invariant
+    subspace is a line.  If every line on a fine angular grid is moved off
+    itself by some sampled image (by at least ``margin``), irreducibility
+    is certified.  If the sweep finds a line that the sampled images
+    preserve, that line is re-verified and reported as a reducibility
+    witness.
+    """
+    if _target_dim(rep) != 2:
+        raise ValueError("the line sweep applies to two-dimensional representations only")
+    grid = np.linspace(0.0, np.pi, angles, endpoint=False)
+    directions = np.stack([np.cos(grid), np.sin(grid)])
+    perps = np.stack([-np.sin(grid), np.cos(grid)])
+    worst_per_angle = np.zeros(angles)
+    for i in range(samples):
+        m = _image(rep, _sample(rep, _derive(seed, 37, i)))
+        images = m @ directions
+        off_line = np.abs(np.sum(perps * images, axis=0))
+        scale = np.maximum(1.0, np.max(np.abs(images), axis=0))
+        worst_per_angle = np.maximum(worst_per_angle, off_line / scale)
+    weakest = int(np.argmin(worst_per_angle))
+    floor = float(worst_per_angle[weakest])
+    if floor > margin:
+        return CheckReport(
+            "line_sweep",
+            Verdict.PASS,
+            0.0,
+            {
+                "classification": "irreducible",
+                "min_line_residual": floor,
+                "angles": angles,
+                "samples": samples,
+            },
+        )
+    candidate = SubspaceBasis(2, directions[:, weakest])
+    verdict = is_invariant_subspace(rep, candidate, 200, _derive(seed, 43), tol)
+    if verdict.passed:
+        return CheckReport(
+            "line_sweep",
+            Verdict.PASS,
+            verdict.max_residual,
+            {
+                "classification": "reducible",
+                "invariant_line_angle": float(grid[weakest]),
+                "invariant_subspace": _payload(candidate.vectors),
+            },
+        )
+    return CheckReport(
+        "line_sweep",
+        Verdict.INCONCLUSIVE,
+        0.0,
+        {
+            "classification": "inconclusive",
+            "min_line_residual": floor,
+            "angle": float(grid[weakest]),
+        },
+    )
+
+
+def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
+    """Block-diagonal sum of two representations of the same group."""
+    if rep1.group != rep2.group:
+        raise SpecMismatchError(
+            f"direct sum needs a common group, got {rep1.group.describe()} and "
+            f"{rep2.group.describe()}"
+        )
+
+    def apply(a: GroupElement) -> np.ndarray:
+        return scipy.linalg.block_diag(rep_image(rep1, a), rep_image(rep2, a))
+
+    differential = None
+    if rep1.differential is not None and rep2.differential is not None:
+
+        def differential(B):  # noqa: F811
+            return scipy.linalg.block_diag(rep1.differential(B), rep2.differential(B))
+
+    return Representation(
+        group=rep1.group,
+        target_dim=rep1.target_dim + rep2.target_dim,
+        apply=apply,
+        differential=differential,
+        name=f"{rep1.name or 'rep'}+{rep2.name or 'rep'}",
+    )
+
+
+def interleave_permutation(n1: int, n2: int) -> np.ndarray:
+    """Gather indices sending (p1, p2, v1, v2) to (p1, v1, p2, v2).
+
+    Conjugating the prolongation of a direct sum by this permutation
+    yields the direct sum of the prolongations; see
+    :func:`check_direct_sum_commutation`.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("summand dimensions must be positive")
+    total = n1 + n2
+    return np.concatenate(
+        [
+            np.arange(n1),
+            np.arange(total, total + n1),
+            np.arange(n1, total),
+            np.arange(total + n1, 2 * total),
+        ]
+    )
+
+
+def permutation_matrix(perm) -> np.ndarray:
+    """Matrix P with P @ x = x[perm]."""
+    perm = np.asarray(perm, dtype=int)
+    if sorted(perm.tolist()) != list(range(perm.shape[0])):
+        raise ValueError("not a permutation of 0..len-1")
+    return np.eye(perm.shape[0])[perm]
+
+
+def check_direct_sum_commutation(
+    rep1: Representation,
+    rep2: Representation,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-12,
+) -> CheckReport:
+    """Prolonging a direct sum equals the direct sum of prolongations.
+
+    The two sides differ only by the coordinate interleaving, so the
+    conjugated matrices are compared entry by entry at a tolerance near
+    machine precision.  The permutation is applied by index shuffling,
+    which is exact.
+    """
+    summed = direct_sum(rep1, rep2)
+    perm = interleave_permutation(rep1.target_dim, rep2.target_dim)
+    worst = 0.0
+    witness = None
+    for i in range(samples):
+        X = _tangent_sample(rep1.group, _derive(seed, 41, i))
+        joint = prolong(summed, X).dense()[np.ix_(perm, perm)]
+        split = scipy.linalg.block_diag(
+            prolong(rep1, X).dense(), prolong(rep2, X).dense()
+        )
+        residual = relative_residual(joint, split)
+        if residual > worst:
+            worst = residual
+            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
+    if worst < tol:
+        return CheckReport("direct_sum_commutation", Verdict.PASS, worst)
+    return CheckReport("direct_sum_commutation", Verdict.FAIL, worst, witness)
+
+
+def faithfulness_probe(
+    rep: Representation,
+    samples: int = 1000,
+    seed: int = 0,
+    *,
+    kernel_witness: Optional[GroupElement] = None,
+    collision_tol: float = 1e-12,
+    distinct_tol: float = 1e-9,
+) -> CheckReport:
+    """Look for distinct tangent elements with equal prolonged images.
+
+    All sampled images are compared pairwise.  A declared kernel element
+    (catalog metadata for representations known not to be injective) is
+    checked first: if the base representation sends it to the identity,
+    the prolongation collides on it and the probe fails with that witness.
+    A failure here certifies non-injectivity of the prolongation; it is
+    the expected outcome for non-faithful inputs, not a defect.
+    """
+    spec = rep.group
+    images = []
+    inputs = []
+    for i in range(samples):
+        X = _tangent_sample(spec, _derive(seed, 47, i))
+        images.append(prolong(rep, X).dense().reshape(-1))
+        inputs.append(
+            np.concatenate([X.base.matrix.reshape(-1), X.algebra.matrix.reshape(-1)])
+        )
+    image_array = np.stack(images)
+    input_array = np.stack(inputs)
+    scale = max(1.0, float(np.max(np.abs(image_array))))
+
+    if kernel_witness is not None:
+        if kernel_witness.spec != spec:
+            raise SpecMismatchError("kernel witness lies in a different group")
+        witness_tangent = TangentGroupElement(kernel_witness, zero_algebra(spec))
+        witness_image = prolong(rep, witness_tangent).dense()
+        identity_image = prolong(rep, identity_tangent(spec)).dense()
+        gap = float(np.max(np.abs(witness_image - identity_image)))
+        element_gap = float(
+            np.max(np.abs(kernel_witness.matrix - np.eye(spec.dim)))
+        )
+        if element_gap > distinct_tol and gap <= distinct_tol * scale:
+            return CheckReport(
+                "faithfulness_probe",
+                Verdict.FAIL,
+                gap,
+                {
+                    "kind": "kernel_collision",
+                    "kernel_element": _payload(kernel_witness.matrix),
+                    "image_gap": gap,
+                    "note": (
+                        "the base representation sends this non-identity element "
+                        "to the identity, so the prolongation cannot be injective"
+                    ),
+                },
+            )
+        return CheckReport(
+            "faithfulness_probe",
+            Verdict.INCONCLUSIVE,
+            gap,
+            {
+                "kind": "kernel_witness_mismatch",
+                "note": "declared kernel element did not collide; metadata suspect",
+                "image_gap": gap,
+            },
+        )
+
+    distances = scipy.spatial.distance.squareform(
+        scipy.spatial.distance.pdist(image_array, "chebyshev")
+    )
+    np.fill_diagonal(distances, np.inf)
+    threshold = collision_tol * scale
+    colliding = np.argwhere(distances <= threshold)
+    for i, j in colliding:
+        if i >= j:
+            continue
+        input_gap = float(np.max(np.abs(input_array[i] - input_array[j])))
+        if input_gap > distinct_tol:
+            return CheckReport(
+                "faithfulness_probe",
+                Verdict.FAIL,
+                float(distances[i, j]),
+                {
+                    "kind": "random_collision",
+                    "seed": _payload(seed),
+                    "first_index": int(i),
+                    "second_index": int(j),
+                    "image_gap": float(distances[i, j]),
+                    "input_gap": input_gap,
+                },
+            )
+    return CheckReport(
+        "faithfulness_probe",
+        Verdict.PASS,
+        0.0,
+        {"min_image_separation": float(np.min(distances)), "samples": samples},
+    )
