@@ -37,6 +37,7 @@ from .groups import (
     algebra_element,
     algebra_from_coordinates,
     algebra_membership_residual,
+    block_diag,
     circle,
     circle_element,
     general_linear,
@@ -53,7 +54,9 @@ from .groups import (
     relative_residual,
     sample_algebra_element,
     sample_group_element,
+    sample_group_elements,
     sample_tangent_element,
+    sample_tangent_elements,
     special_linear,
     special_orthogonal,
     tg_inverse,

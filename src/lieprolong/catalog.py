@@ -92,14 +92,13 @@ class CatalogEntry:
     notes: str
 
 
+def _stackable_rep(spec: GroupSpec, target_dim: int, apply, differential, name: str):
+    """A representation whose ``apply`` maps single and stacked elements alike."""
+    return Representation(spec, target_dim, apply, differential, name, apply_batch=apply)
+
+
 def _identity_map_rep(spec: GroupSpec, name: str) -> Representation:
-    return Representation(
-        group=spec,
-        target_dim=spec.dim,
-        apply=lambda a: a.matrix,
-        differential=lambda B: B.matrix,
-        name=name,
-    )
+    return _stackable_rep(spec, spec.dim, lambda a: a.matrix, lambda B: B.matrix, name)
 
 
 def _circle_rotation() -> CatalogEntry:
@@ -114,13 +113,12 @@ def _circle_rotation() -> CatalogEntry:
 
 
 def _circle_winding_2() -> CatalogEntry:
-    spec = circle()
-    rep = Representation(
-        group=spec,
-        target_dim=2,
-        apply=lambda a: a.matrix @ a.matrix,
-        differential=lambda B: 2.0 * B.matrix,
-        name="circle_winding_2",
+    rep = _stackable_rep(
+        circle(),
+        2,
+        lambda a: a.matrix @ a.matrix,
+        lambda B: 2.0 * B.matrix,
+        "circle_winding_2",
     )
     return CatalogEntry(
         name="circle_winding_2",
@@ -166,15 +164,14 @@ def _so3_standard() -> CatalogEntry:
 
 
 def _trivial(n: int) -> CatalogEntry:
-    spec = circle()
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    rep = Representation(
-        group=spec,
-        target_dim=n,
-        apply=lambda a: eye,
-        differential=lambda B: zero,
-        name=f"trivial({n})",
+    rep = _stackable_rep(
+        circle(),
+        n,
+        lambda a: np.broadcast_to(eye, a.matrix.shape[:-2] + (n, n)),
+        lambda B: zero,
+        f"trivial({n})",
     )
     return CatalogEntry(
         name=f"trivial({n})",
@@ -396,6 +393,7 @@ def _override_differential(
         apply=rep.apply,
         differential=differential,
         name=rep.name,
+        apply_batch=rep.apply_batch,
     )
     for k, B in enumerate(algebra_basis(spec)):
         element = AlgebraElement(B, spec)

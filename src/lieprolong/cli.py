@@ -43,9 +43,11 @@ from .groups import (
     algebra_basis,
     algebra_from_coordinates,
     mat_exp,
+    relative_residual,
 )
 from .prolongation import (
     Representation,
+    StepSizeError,
     apply_prolonged,
     differential_report,
     prolong,
@@ -162,7 +164,8 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
     if config.format == "json":
-        _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", config.output)
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+        _write(text + "\n", config.output)
         return
     if config.format == "csv":
         buffer = io.StringIO()
@@ -265,7 +268,9 @@ def _run_suite(
         return [check_direct_sum_commutation(rep, rep, samples, seed, tol)]
     if suite == "faithfulness":
         witness = entry.kernel_witness if entry is not None else None
-        return [faithfulness_probe(rep, samples, seed, kernel_witness=witness)]
+        return [
+            faithfulness_probe(rep, samples, seed, kernel_witness=witness, collision_tol=tol)
+        ]
     raise _InputError(f"unknown suite {suite!r}")
 
 
@@ -302,10 +307,19 @@ def cmd_prolong(config: RunConfig) -> int:
     except (MembershipError, ExponentOverflowError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     X = TangentGroupElement(base, algebra)
-    matrix = prolong(rep, X)
+    rng = np.random.default_rng(config.seed % 2**63)
+    probes = rng.uniform(-1, 1, (5, 2, rep.target_dim))
+    Y = TangentVector(probes[:, 0], probes[:, 1])
+    try:
+        matrix = prolong(rep, X)
+        diff = differential_report(rep, algebra)
+        direct = apply_prolonged(matrix, Y).coordinates
+        oracle = tangent_action_oracle(rep, X, Y).coordinates
+    except (ExponentOverflowError, StepSizeError, ValueError) as exc:
+        raise _InputError(f"cannot evaluate the prolongation there: {exc}") from None
+    worst = float(np.max(relative_residual(direct, oracle, axis=-1)))
 
     tol = config.tol if config.tol is not None else 1e-5
-    diff = differential_report(rep, algebra)
     checks = [
         CheckReport(
             "differential_consistency",
@@ -316,15 +330,6 @@ def cmd_prolong(config: RunConfig) -> int:
             else {"discrepancy": diff.discrepancy, "analytic": diff.analytic is not None},
         )
     ]
-    rng = np.random.default_rng(config.seed % 2**63)
-    worst = 0.0
-    n = rep.target_dim
-    for _ in range(5):
-        probe = TangentVector(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-        direct = apply_prolonged(matrix, probe).coordinates
-        oracle = tangent_action_oracle(rep, X, probe).coordinates
-        scale = max(1.0, float(np.max(np.abs(oracle))))
-        worst = max(worst, float(np.max(np.abs(direct - oracle))) / scale)
     checks.append(
         CheckReport(
             "action_oracle",
@@ -467,6 +472,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             seed = int(raw)
         except ValueError:
             raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    if args.samples < 1:
+        raise _InputError(f"--samples must be at least 1, got {args.samples}")
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+        raise _InputError(f"--tol must be positive and finite, got {args.tol}")
     return RunConfig(
         command=args.command,
         rep_source=getattr(args, "rep", None),

@@ -11,6 +11,13 @@ Lie algebra; the collection of all such pairs is itself a group under
 
 which is what :func:`tg_multiply` implements.  The correctness of this law
 is pinned down by the block embedding in :mod:`lieprolong.prolongation`.
+
+Elements may also be stacks: a matrix of shape ``(S, n, n)`` holds ``S``
+elements of the same spec, validated together once.  Multiplication,
+inversion and the exponential act slice by slice, with the same floating
+point operations as on a single element, so a stacked computation gives
+the same bits as a loop over its slices.  :func:`sample_group_elements`
+and :func:`sample_tangent_elements` draw such stacks.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +47,7 @@ __all__ = [
     "algebra_element",
     "algebra_from_coordinates",
     "algebra_membership_residual",
+    "block_diag",
     "circle",
     "circle_element",
     "general_linear",
@@ -56,7 +64,9 @@ __all__ = [
     "relative_residual",
     "sample_algebra_element",
     "sample_group_element",
+    "sample_group_elements",
     "sample_tangent_element",
+    "sample_tangent_elements",
     "special_linear",
     "special_orthogonal",
     "tg_multiply",
@@ -156,48 +166,69 @@ def product_group(*factors: GroupSpec) -> GroupSpec:
 
 
 def _as_square(matrix, dim: int | None = None) -> np.ndarray:
+    """A read-only float copy of a square matrix or of a stack of them."""
     out = np.array(matrix, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
-    if dim is not None and out.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {out.shape[0]}x{out.shape[0]}")
+    if dim is not None and out.shape[-1] != dim:
+        raise ValueError(f"expected a {dim}x{dim} matrix, got {out.shape[-1]}x{out.shape[-1]}")
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     out.flags.writeable = False
     return out
 
 
-def relative_residual(actual, reference) -> float:
+def relative_residual(actual, reference, axis=None):
     """Max-abs difference scaled by max(1, max-abs of the reference).
 
     Behaves like an absolute residual for order-one matrices and like a
     relative one for large matrices; safe on blocks that are exactly zero.
+    With ``axis`` both maxima are taken over those axes only, giving one
+    residual per remaining index (one per slice of a stack).
     """
     actual = np.asarray(actual, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(reference))) if reference.size else 0.0)
     if actual.shape != reference.shape:
         raise ValueError(f"shape mismatch {actual.shape} vs {reference.shape}")
+    if axis is not None:
+        scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis))
+        return np.max(np.abs(actual - reference), axis=axis) / scale
+    scale = max(1.0, float(np.max(np.abs(reference))) if reference.size else 0.0)
     diff = float(np.max(np.abs(actual - reference))) if actual.size else 0.0
     return diff / scale
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of square blocks; leading stack axes broadcast."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    stack = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    total = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(stack + (total, total))
+    offset = 0
+    for b in blocks:
+        size = b.shape[-1]
+        out[..., offset : offset + size, offset : offset + size] = b
+        offset += size
+    return out
 
 
 def _split_blocks(matrix: np.ndarray, spec: GroupSpec) -> list[np.ndarray]:
     blocks = []
     offset = 0
     for factor in spec.factors:
-        blocks.append(matrix[offset : offset + factor.dim, offset : offset + factor.dim])
+        blocks.append(matrix[..., offset : offset + factor.dim, offset : offset + factor.dim])
         offset += factor.dim
     return blocks
 
 
 def _off_block_residual(matrix: np.ndarray, spec: GroupSpec) -> float:
-    mask = np.ones_like(matrix, dtype=bool)
+    mask = np.ones(matrix.shape[-2:], dtype=bool)
     offset = 0
     for factor in spec.factors:
         mask[offset : offset + factor.dim, offset : offset + factor.dim] = False
         offset += factor.dim
-    return float(np.max(np.abs(matrix[mask]))) if mask.any() else 0.0
+    off = matrix[..., mask]
+    return float(np.max(np.abs(off))) if off.size else 0.0
 
 
 def group_membership_residual(matrix, spec: GroupSpec) -> float:
@@ -206,17 +237,17 @@ def group_membership_residual(matrix, spec: GroupSpec) -> float:
     Zero for the general linear group (invertibility is checked separately),
     ``|det - 1|`` for the special linear group, and the max-abs deviation of
     ``a^T a`` from the identity (plus the determinant residual) for the
-    special orthogonal and circle groups.
+    special orthogonal and circle groups.  For a stack, the worst slice.
     """
     m = np.asarray(matrix, dtype=float)
     kind = spec.kind
     if kind is GroupKind.GENERAL_LINEAR:
         return 0.0
     if kind is GroupKind.SPECIAL_LINEAR:
-        return abs(float(np.linalg.det(m)) - 1.0)
+        return float(np.abs(np.linalg.det(m) - 1.0).max())
     if kind in (GroupKind.SPECIAL_ORTHOGONAL, GroupKind.CIRCLE):
-        ortho = float(np.max(np.abs(m.T @ m - np.eye(spec.dim))))
-        det = abs(float(np.linalg.det(m)) - 1.0)
+        ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim))))
+        det = float(np.abs(np.linalg.det(m) - 1.0).max())
         return max(ortho, det)
     if kind is GroupKind.PRODUCT:
         residual = _off_block_residual(m, spec)
@@ -227,15 +258,18 @@ def group_membership_residual(matrix, spec: GroupSpec) -> float:
 
 
 def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
-    """Defining residual of ``matrix`` as a Lie algebra element of ``spec``."""
+    """Defining residual of ``matrix`` as a Lie algebra element of ``spec``.
+
+    For a stack, the worst slice.
+    """
     m = np.asarray(matrix, dtype=float)
     kind = spec.kind
     if kind is GroupKind.GENERAL_LINEAR:
         return 0.0
     if kind is GroupKind.SPECIAL_LINEAR:
-        return abs(float(np.trace(m)))
+        return float(np.abs(np.trace(m, axis1=-2, axis2=-1)).max())
     if kind in (GroupKind.SPECIAL_ORTHOGONAL, GroupKind.CIRCLE):
-        return float(np.max(np.abs(m + m.T)))
+        return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
     if kind is GroupKind.PRODUCT:
         residual = _off_block_residual(m, spec)
         for block, factor in zip(_split_blocks(m, spec), spec.factors):
@@ -245,16 +279,42 @@ def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
 
 
 def _require_invertible(matrix: np.ndarray) -> None:
-    cond = np.linalg.cond(matrix)
+    cond = np.linalg.cond(matrix).max()
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise MembershipError(
             f"matrix is singular or too ill-conditioned to invert (cond={cond:.3e})"
         )
 
 
+class _Stackable:
+    """Shared by group and algebra elements: ``matrix`` may hold a stack."""
+
+    matrix: np.ndarray
+    spec: GroupSpec
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    def unstack(self) -> list:
+        """The single elements of a stack, in order, without validating
+        each one again: the stack was validated as a whole."""
+        out = []
+        for m in self.matrix.reshape(-1, self.dim, self.dim):
+            element = object.__new__(type(self))
+            object.__setattr__(element, "matrix", m)
+            object.__setattr__(element, "spec", self.spec)
+            out.append(element)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class GroupElement:
-    """An invertible matrix tagged with the group it belongs to."""
+class GroupElement(_Stackable):
+    """An invertible matrix tagged with the group it belongs to.
+
+    ``matrix`` may also be a stack of shape ``(..., n, n)``; every slice is
+    then validated by one array reduction.
+    """
 
     matrix: np.ndarray
     spec: GroupSpec
@@ -270,14 +330,10 @@ class GroupElement:
         _require_invertible(m)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
 
 @dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """A matrix in the Lie algebra of a group spec."""
+class AlgebraElement(_Stackable):
+    """A matrix, or a stack of matrices, in the Lie algebra of a group spec."""
 
     matrix: np.ndarray
     spec: GroupSpec
@@ -291,10 +347,6 @@ class AlgebraElement:
                 f"residual {residual:.3e} exceeds {MEMBERSHIP_TOL:.0e}"
             )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,18 +411,21 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
     if not np.isfinite(t):
         raise ValueError("the scale t must be finite")
     scaled = t * B.matrix
-    norm = float(np.linalg.norm(scaled, 2)) if scaled.size else 0.0
-    if norm > _EXP_NORM_LIMIT:
-        raise ExponentOverflowError(
-            f"||tB|| = {norm:.3e} exceeds the overflow guard {_EXP_NORM_LIMIT:.0f}"
-        )
+    # An n x n slice's 2-norm is at most n times its largest entry, so the
+    # SVDs are only needed near the guard.
+    if scaled.size and float(np.max(np.abs(scaled))) * B.dim > _EXP_NORM_LIMIT:
+        norm = float(np.max(np.linalg.norm(scaled, 2, axis=(-2, -1))))
+        if norm > _EXP_NORM_LIMIT:
+            raise ExponentOverflowError(
+                f"||tB|| = {norm:.3e} exceeds the overflow guard {_EXP_NORM_LIMIT:.0f}"
+            )
     spec = B.spec
     if spec.kind is GroupKind.PRODUCT:
         blocks = [
             mat_exp(AlgebraElement(block, factor), 1.0).matrix
             for block, factor in zip(_split_blocks(scaled, spec), spec.factors)
         ]
-        return GroupElement(scipy.linalg.block_diag(*blocks), spec)
+        return GroupElement(block_diag(*blocks), spec)
     return GroupElement(scipy.linalg.expm(scaled), spec)
 
 
@@ -416,6 +471,23 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng([int(s) % 2**63 for s in seed])
 
 
+def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    kind = spec.kind
+    if kind is GroupKind.CIRCLE:
+        theta = rng.uniform(-1.0, 1.0)
+        return theta * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    if kind is GroupKind.PRODUCT:
+        return block_diag(*(_draw_algebra(f, rng) for f in spec.factors))
+    raw = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
+    if kind is GroupKind.GENERAL_LINEAR:
+        return raw
+    if kind is GroupKind.SPECIAL_LINEAR:
+        return raw - (np.trace(raw) / spec.dim) * np.eye(spec.dim)
+    if kind is GroupKind.SPECIAL_ORTHOGONAL:
+        return (raw - raw.T) / 2.0
+    raise ValueError(f"unknown group kind {kind!r}")
+
+
 def sample_algebra_element(spec: GroupSpec, seed: SeedLike = 0) -> AlgebraElement:
     """Deterministic random algebra element with raw entries in [-1, 1].
 
@@ -423,22 +495,7 @@ def sample_algebra_element(spec: GroupSpec, seed: SeedLike = 0) -> AlgebraElemen
     orthogonal kinds, trace-centered for the special linear kind.  Same
     spec and seed always produce the same element.
     """
-    rng = _rng(seed)
-    kind = spec.kind
-    if kind is GroupKind.CIRCLE:
-        theta = rng.uniform(-1.0, 1.0)
-        return AlgebraElement(theta * np.array([[0.0, 1.0], [-1.0, 0.0]]), spec)
-    if kind is GroupKind.PRODUCT:
-        blocks = [sample_algebra_element(f, rng).matrix for f in spec.factors]
-        return AlgebraElement(scipy.linalg.block_diag(*blocks), spec)
-    raw = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
-    if kind is GroupKind.GENERAL_LINEAR:
-        return AlgebraElement(raw, spec)
-    if kind is GroupKind.SPECIAL_LINEAR:
-        return AlgebraElement(raw - (np.trace(raw) / spec.dim) * np.eye(spec.dim), spec)
-    if kind is GroupKind.SPECIAL_ORTHOGONAL:
-        return AlgebraElement((raw - raw.T) / 2.0, spec)
-    raise ValueError(f"unknown group kind {kind!r}")
+    return AlgebraElement(_draw_algebra(spec, _rng(seed)), spec)
 
 
 def sample_group_element(spec: GroupSpec, seed: SeedLike = 0) -> GroupElement:
@@ -447,10 +504,34 @@ def sample_group_element(spec: GroupSpec, seed: SeedLike = 0) -> GroupElement:
 
 
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:
+    """Base drawn first, then the fiber, from one generator per seed."""
     rng = _rng(seed)
     base = sample_group_element(spec, rng)
     fiber = sample_algebra_element(spec, rng)
     return TangentGroupElement(base, fiber)
+
+
+def sample_group_elements(spec: GroupSpec, seeds: Iterable[SeedLike]) -> GroupElement:
+    """Stack of :func:`sample_group_element` over ``seeds``, bit for bit.
+
+    The draws are made per seed; the exponential and every membership,
+    overflow and conditioning check run once over the whole stack.
+    """
+    algebra = np.stack([_draw_algebra(spec, _rng(seed)) for seed in seeds])
+    return mat_exp(AlgebraElement(algebra, spec))
+
+
+def sample_tangent_elements(
+    spec: GroupSpec, seeds: Iterable[SeedLike]
+) -> TangentGroupElement:
+    """Stack of :func:`sample_tangent_element` over ``seeds``, bit for bit."""
+    bases, fibers = [], []
+    for seed in seeds:
+        rng = _rng(seed)
+        bases.append(_draw_algebra(spec, rng))
+        fibers.append(_draw_algebra(spec, rng))
+    base = mat_exp(AlgebraElement(np.stack(bases), spec))
+    return TangentGroupElement(base, AlgebraElement(np.stack(fibers), spec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,6 +616,8 @@ def principal_log(a: GroupElement) -> AlgebraElement:
     outside that chart raise :class:`ChartError`.
     """
     spec = a.spec
+    if a.matrix.ndim != 2:
+        raise ValueError("principal_log takes a single element, not a stack")
     if spec.kind is GroupKind.CIRCLE:
         theta = math.atan2(a.matrix[0, 1], a.matrix[0, 0])
         return AlgebraElement(theta * np.array([[0.0, 1.0], [-1.0, 0.0]]), spec)
@@ -543,8 +626,8 @@ def principal_log(a: GroupElement) -> AlgebraElement:
             principal_log(GroupElement(block, factor)).matrix
             for block, factor in zip(_split_blocks(a.matrix, spec), spec.factors)
         ]
-        return AlgebraElement(scipy.linalg.block_diag(*blocks), spec)
-    log, _err = scipy.linalg.logm(a.matrix, disp=False)
+        return AlgebraElement(block_diag(*blocks), spec)
+    log = scipy.linalg.logm(a.matrix)
     if np.max(np.abs(np.imag(log))) > 1e-9:
         raise ChartError(
             "element has no real principal logarithm; supply exponential "

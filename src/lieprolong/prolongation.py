@@ -19,6 +19,11 @@ Two independent ways to compute the action are provided.  The direct one,
     t  |->  rep.apply(exp(t B) a) @ (p + t v)
 
 at t = 0 with a central difference and never looks at the block formula.
+
+Every function here also takes stacked elements (see :mod:`lieprolong.groups`)
+and returns stacked results, validated once per stack.  A representation
+opts into evaluating a whole stack at once through ``apply_batch``; without
+it, ``apply`` runs once per slice.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ class Representation:
     the identity: it maps an :class:`AlgebraElement` ``B`` to
     d/dt exp-image of ``tB`` at t = 0.  When absent, a central finite
     difference stands in (see :func:`finite_difference_differential`).
+    Both are only ever called on single elements.
+
+    ``apply_batch``, when present, maps a stacked :class:`GroupElement`
+    (matrix shape ``(S, n, n)``) to the ``(S, target_dim, target_dim)``
+    stack of images, and must agree with ``apply`` slice by slice.
     """
 
     group: GroupSpec
@@ -83,6 +93,7 @@ class Representation:
     apply: Callable[[GroupElement], np.ndarray]
     differential: Optional[Callable[[AlgebraElement], np.ndarray]] = None
     name: str = ""
+    apply_batch: Optional[Callable[[GroupElement], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.target_dim < 1:
@@ -96,20 +107,33 @@ class Representation:
             )
 
 
+def _evaluate(fn, element, n: int, what: str, batch=None) -> np.ndarray:
+    """``fn`` on a single element; on a stack, ``batch`` or else ``fn`` per
+    slice.  The n x n shape and finiteness are checked once either way."""
+    stack = element.matrix.shape[:-2]
+    if not stack:
+        out = np.asarray(fn(element), dtype=float)
+    elif batch is not None:
+        out = np.asarray(batch(element), dtype=float)
+    else:
+        out = np.stack([np.asarray(fn(x), dtype=float) for x in element.unstack()])
+        out = out.reshape(stack + out.shape[1:])
+    if out.shape != stack + (n, n):
+        raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} returned non-finite entries")
+    return out
+
+
 def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
-    """Evaluate ``rep.apply`` and validate the result's shape and finiteness."""
+    """Evaluate ``rep`` at ``a`` (one element or a stack) and validate the
+    result's shape and finiteness."""
     if a.spec != rep.group:
         raise SpecMismatchError(
             f"representation is over {rep.group.describe()}, element lies in "
             f"{a.spec.describe()}"
         )
-    out = np.asarray(rep.apply(a), dtype=float)
-    n = rep.target_dim
-    if out.shape != (n, n):
-        raise ValueError(f"apply returned shape {out.shape}, expected ({n}, {n})")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("apply returned non-finite entries")
-    return out
+    return _evaluate(rep.apply, a, rep.target_dim, "apply", rep.apply_batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +142,8 @@ class ProlongedMatrix:
 
     Only the repeated diagonal block and the bottom-left block are stored;
     the top-right block is zero by construction and :meth:`dense` always
-    materializes it as exact zeros.
+    materializes it as exact zeros.  The blocks may be stacks of shape
+    ``(..., n, n)``, validated together.
     """
 
     top_left: np.ndarray
@@ -127,13 +152,13 @@ class ProlongedMatrix:
     def __post_init__(self) -> None:
         tl = np.array(self.top_left, dtype=float)
         bl = np.array(self.bottom_left, dtype=float)
-        if tl.ndim != 2 or tl.shape[0] != tl.shape[1]:
+        if tl.ndim < 2 or tl.shape[-1] != tl.shape[-2]:
             raise ValueError(f"blocks must be square, got {tl.shape}")
         if bl.shape != tl.shape:
             raise ValueError(f"block shapes differ: {tl.shape} vs {bl.shape}")
         if not (np.all(np.isfinite(tl)) and np.all(np.isfinite(bl))):
             raise ValueError("block entries must be finite")
-        cond = np.linalg.cond(tl)
+        cond = np.linalg.cond(tl).max()
         if not np.isfinite(cond) or cond > 1e12:
             raise ValueError("the diagonal block must be invertible")
         tl.flags.writeable = False
@@ -143,15 +168,16 @@ class ProlongedMatrix:
 
     @property
     def n(self) -> int:
-        return self.top_left.shape[0]
+        return self.top_left.shape[-1]
 
     def dense(self) -> np.ndarray:
-        """The full 2n x 2n matrix [[R, 0], [L, R]]."""
+        """The full 2n x 2n matrix [[R, 0], [L, R]] (a stack of them for
+        stacked blocks)."""
         n = self.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = self.top_left
-        out[n:, :n] = self.bottom_left
-        out[n:, n:] = self.top_left
+        out = np.zeros(self.top_left.shape[:-2] + (2 * n, 2 * n))
+        out[..., :n, :n] = self.top_left
+        out[..., n:, :n] = self.bottom_left
+        out[..., n:, n:] = self.top_left
         return out
 
     def __matmul__(self, other: "ProlongedMatrix") -> "ProlongedMatrix":
@@ -218,13 +244,7 @@ def differential_rep(
             f"{B.spec.describe()}"
         )
     if rep.differential is not None:
-        out = np.asarray(rep.differential(B), dtype=float)
-        n = rep.target_dim
-        if out.shape != (n, n):
-            raise ValueError(f"differential returned shape {out.shape}, expected ({n}, {n})")
-        if not np.all(np.isfinite(out)):
-            raise ValueError("differential returned non-finite entries")
-        return out
+        return _evaluate(rep.differential, B, rep.target_dim, "differential")
     return finite_difference_differential(rep, B, step)
 
 
@@ -270,12 +290,17 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     return ProlongedMatrix(R, K @ R)
 
 
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector, slice by slice over any leading stack axes."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
 def apply_prolonged(M: ProlongedMatrix, Y: TangentVector) -> TangentVector:
     """Act on a tangent vector: (p, v) |-> (R p, L p + R v)."""
     if Y.dim != M.n:
         raise ValueError(f"vector dimension {Y.dim} does not match block size {M.n}")
-    base = M.top_left @ Y.base
-    fiber = M.bottom_left @ Y.base + M.top_left @ Y.fiber
+    base = _matvec(M.top_left, Y.base)
+    fiber = _matvec(M.bottom_left, Y.base) + _matvec(M.top_left, Y.fiber)
     return TangentVector(base, fiber)
 
 
@@ -299,11 +324,11 @@ def tangent_action_oracle(
     if step <= 0 or not np.isfinite(step):
         raise ValueError("step must be positive and finite")
     B = X.algebra
-    base = rep_image(rep, X.base) @ Y.base
+    base = _matvec(rep_image(rep, X.base), Y.base)
 
     def curve(t: float) -> np.ndarray:
         at = group_multiply(mat_exp(B, t), X.base)
-        return rep_image(rep, at) @ (Y.base + t * Y.fiber)
+        return _matvec(rep_image(rep, at), Y.base + t * Y.fiber)
 
     fiber = (curve(step) - curve(-step)) / (2.0 * step)
     if not np.all(np.isfinite(fiber)):

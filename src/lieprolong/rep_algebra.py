@@ -5,6 +5,12 @@ pass an integer seed, each sampled element is derived from (seed, sample
 index), and any reported witness carries that provenance so a failure can
 be replayed exactly.
 
+The sampled checks share one driver: samples are drawn as stacks of at
+most ``_CHUNK`` elements, the representation is evaluated on the whole
+stack, and the check is a reduction over it.  The witness is the first
+sample index attaining the worst residual.  A check over zero samples
+raises instead of passing.
+
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
 that are allowed to give up, such as :func:`reducibility_probe` when the
@@ -13,24 +19,26 @@ commutant splitting heuristic finds nothing it can certify.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
+import scipy.spatial
 
 from .groups import (
     GroupElement,
-    GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
+    _rng,
+    block_diag,
+    group_multiply,
     identity_tangent,
     relative_residual,
-    sample_group_element,
-    sample_tangent_element,
+    sample_group_elements,
+    sample_tangent_elements,
+    tg_multiply,
     zero_algebra,
 )
 from .prolongation import (
@@ -75,6 +83,10 @@ __all__ = [
 # Relative threshold for rank and nullspace decisions: a singular value
 # counts as zero when it is below RANK_RTOL times the largest one.
 RANK_RTOL = 1e-8
+
+# Samples are drawn and evaluated in stacks of at most this many, which
+# bounds the memory a check needs whatever the sample count.
+_CHUNK = 256
 
 RepLike = Union[Representation, ProlongedRepresentation]
 
@@ -122,42 +134,72 @@ def _derive(seed, *indices: int) -> tuple[int, ...]:
     return head + tuple(int(i) % 2**63 for i in indices)
 
 
-@functools.lru_cache(maxsize=50_000)
-def _group_sample(spec: GroupSpec, key: tuple[int, ...]) -> GroupElement:
-    return sample_group_element(spec, key)
+def _keys(seed, indices, *prefix: int) -> list[tuple[int, ...]]:
+    """Per-sample keys ``_derive(seed, *prefix, i)`` for each index ``i``."""
+    head = _derive(seed, *prefix)
+    return [head + (int(i) % 2**63,) for i in indices]
 
 
-@functools.lru_cache(maxsize=50_000)
-def _tangent_sample(spec: GroupSpec, key: tuple[int, ...]) -> TangentGroupElement:
-    return sample_tangent_element(spec, key)
-
-
-def _is_prolonged(rep: RepLike) -> bool:
-    return isinstance(rep, ProlongedRepresentation)
-
-
-def _target_dim(rep: RepLike) -> int:
-    return rep.target_dim
-
-
-def _sample(rep: RepLike, key: tuple[int, ...]):
-    if _is_prolonged(rep):
-        return _tangent_sample(rep.group, key)
-    return _group_sample(rep.group, key)
+def _sample(rep: RepLike, keys):
+    if isinstance(rep, ProlongedRepresentation):
+        return sample_tangent_elements(rep.group, keys)
+    return sample_group_elements(rep.group, keys)
 
 
 def _image(rep: RepLike, element) -> np.ndarray:
-    if _is_prolonged(rep):
-        return prolong(rep.base, element).dense()
+    if isinstance(rep, ProlongedRepresentation):
+        return rep.apply(element)
     return rep_image(rep, element)
 
 
 def _compose(rep: RepLike, x, y):
-    from .groups import group_multiply, tg_multiply
-
-    if _is_prolonged(rep):
+    if isinstance(rep, ProlongedRepresentation):
         return tg_multiply(x, y)
     return group_multiply(x, y)
+
+
+def _chunks(samples: int) -> Iterator[np.ndarray]:
+    """Sample indices 0..samples-1 in stacks of at most ``_CHUNK``."""
+    if samples < 1:
+        raise ValueError("a sampled check needs at least one sample")
+    for start in range(0, samples, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, samples))
+
+
+def _scan(
+    samples: int, residuals: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst residual over all samples and the first index attaining it.
+
+    ``residuals(indices)`` returns an array whose last axis runs over
+    ``indices``; leading axes, if any, are scanned independently.
+    """
+    worst = index = None
+    for indices in _chunks(samples):
+        chunk = residuals(indices)
+        k = np.argmax(chunk, axis=-1)
+        top = np.take_along_axis(chunk, k[..., None], axis=-1)[..., 0]
+        if worst is None:
+            worst, index = top, indices[k]
+        else:
+            better = top > worst
+            worst, index = np.where(better, top, worst), np.where(better, indices[k], index)
+    return worst, index
+
+
+def _sampled_check(
+    name: str,
+    samples: int,
+    seed,
+    tol: float,
+    residuals: Callable[[np.ndarray], np.ndarray],
+) -> CheckReport:
+    worst, index = _scan(samples, residuals)
+    worst = float(worst)
+    if worst < tol:
+        return CheckReport(name, Verdict.PASS, worst)
+    witness = {"seed": _payload(seed), "sample_index": int(index), "residual": worst}
+    return CheckReport(name, Verdict.FAIL, worst, witness)
 
 
 def check_homomorphism(
@@ -171,26 +213,15 @@ def check_homomorphism(
     for a prolongation the pairs are tangent elements composed with the
     tangent group law.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    worst = 0.0
-    witness = None
-    for i in range(sample_count):
-        x = _sample(rep, _derive(seed, 2 * i))
-        y = _sample(rep, _derive(seed, 2 * i + 1))
+
+    def residuals(indices):
+        x = _sample(rep, _keys(seed, 2 * indices))
+        y = _sample(rep, _keys(seed, 2 * indices + 1))
         combined = _image(rep, _compose(rep, x, y))
         split = _image(rep, x) @ _image(rep, y)
-        residual = relative_residual(combined, split)
-        if residual > worst:
-            worst = residual
-            witness = {
-                "seed": _payload(seed),
-                "sample_index": i,
-                "residual": residual,
-            }
-    if worst < tol:
-        return CheckReport("homomorphism", Verdict.PASS, worst)
-    return CheckReport("homomorphism", Verdict.FAIL, worst, witness)
+        return relative_residual(combined, split, axis=(-2, -1))
+
+    return _sampled_check("homomorphism", sample_count, seed, tol, residuals)
 
 
 def check_action_oracle(
@@ -206,24 +237,18 @@ def check_action_oracle(
     full action.  The default tolerance reflects the finite-difference
     error floor.
     """
-    from .groups import _rng
-
-    worst = 0.0
-    witness = None
     n = rep.target_dim
-    for i in range(samples):
-        X = _tangent_sample(rep.group, _derive(seed, 53, i))
-        rng = _rng(_derive(seed, 59, i))
-        Y = TangentVector(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+
+    def residuals(indices):
+        X = sample_tangent_elements(rep.group, _keys(seed, indices, 53))
+        keys = _keys(seed, indices, 59)
+        draws = np.stack([_rng(key).uniform(-1.0, 1.0, (2, n)) for key in keys])
+        Y = TangentVector(draws[:, 0], draws[:, 1])
         direct = apply_prolonged(prolong(rep, X), Y)
         oracle = tangent_action_oracle(rep, X, Y)
-        residual = relative_residual(direct.coordinates, oracle.coordinates)
-        if residual > worst:
-            worst = residual
-            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
-    if worst < tol:
-        return CheckReport("action_oracle", Verdict.PASS, worst)
-    return CheckReport("action_oracle", Verdict.FAIL, worst, witness)
+        return relative_residual(direct.coordinates, oracle.coordinates, axis=-1)
+
+    return _sampled_check("action_oracle", samples, seed, tol, residuals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +297,9 @@ def is_intertwiner(
     matrix = _intertwiner_matrix(A)
     if rep1.group != rep2.group:
         raise SpecMismatchError("intertwined representations must share a group")
-    if _is_prolonged(rep1) != _is_prolonged(rep2):
+    if isinstance(rep1, ProlongedRepresentation) != isinstance(
+        rep2, ProlongedRepresentation
+    ):
         raise SpecMismatchError(
             "cannot intertwine a plain representation with a prolonged one"
         )
@@ -281,19 +308,17 @@ def is_intertwiner(
             f"intertwiner shape {matrix.shape} does not map dim {rep1.target_dim} "
             f"to dim {rep2.target_dim}"
         )
-    worst = 0.0
-    witness = None
-    for i in range(samples):
-        x = _sample(rep1, _derive(seed, i))
-        left = matrix @ _image(rep1, x)
-        right = _image(rep2, x) @ matrix
-        residual = relative_residual(left, right)
-        if residual > worst:
-            worst = residual
-            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
-    if worst < tol:
-        return CheckReport("intertwiner", Verdict.PASS, worst)
-    return CheckReport("intertwiner", Verdict.FAIL, worst, witness)
+
+    def residuals(indices):
+        x = _sample(rep1, _keys(seed, indices))
+        return _intertwining_residuals(matrix, _image(rep1, x), _image(rep2, x))
+
+    return _sampled_check("intertwiner", samples, seed, tol, residuals)
+
+
+def _intertwining_residuals(A: np.ndarray, images1, images2) -> np.ndarray:
+    """Per stacked image: relative residual of A rho1(x) = rho2(x) A."""
+    return relative_residual(A @ images1, images2 @ A, axis=(-2, -1))
 
 
 def prolong_intertwiner(A) -> Intertwiner:
@@ -308,8 +333,6 @@ def prolong_intertwiner(A) -> Intertwiner:
 
 def random_conjugator(n: int, seed=0) -> np.ndarray:
     """A deterministic random invertible matrix with moderate conditioning."""
-    from .groups import _rng
-
     rng = _rng(_derive(seed))
     return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
 
@@ -329,6 +352,7 @@ def conjugate_representation(rep: Representation, A) -> Representation:
         apply=lambda a: matrix @ rep.apply(a) @ inverse,
         differential=differential,
         name=f"conj({rep.name})" if rep.name else "conj",
+        apply_batch=lambda a: matrix @ rep_image(rep, a) @ inverse,
     )
 
 
@@ -343,30 +367,50 @@ def check_equivalence_transfer(
 
     For random invertible A the lift block-diag(A, A) must intertwine the
     prolongation of ``rep`` with the prolongation of the conjugated
-    representation, to the same tolerance.
+    representation, to the same tolerance.  Every conjugation is tested on
+    the same samples, so ``rep`` is sampled and prolonged once per stack;
+    each conjugated side is prolonged on its own.
     """
-    worst = 0.0
-    witness = None
-    sample_seed = _derive(seed, 1)
+    if conjugations < 1:
+        raise ValueError("conjugations must be positive")
+    lifts, others = [], []
     for c in range(conjugations):
         A = random_conjugator(rep.target_dim, _derive(seed, 2, c))
         lifted = prolong_intertwiner(A)
         if not lifted.full_rank:
-            return CheckReport(
-                "equivalence_transfer",
-                Verdict.INCONCLUSIVE,
-                worst,
-                {"conjugation_index": c, "reason": "conjugator not full rank"},
-            )
-        other = conjugate_representation(rep, A)
-        report = is_intertwiner(
-            lifted, prolonged(rep), prolonged(other), samples, sample_seed, tol
+            break
+        lifts.append(lifted.matrix)
+        others.append(prolonged(conjugate_representation(rep, A)))
+    sample_seed = _derive(seed, 1)
+
+    def residuals(indices):
+        X = sample_tangent_elements(rep.group, _keys(sample_seed, indices))
+        images = prolong(rep, X).dense()
+        return np.stack(
+            [
+                _intertwining_residuals(L, images, other.apply(X))
+                for L, other in zip(lifts, others)
+            ]
         )
-        if report.max_residual > worst:
-            worst = report.max_residual
-            witness = {"conjugation_index": c, **(report.witness or {})}
+
+    per_conjugation, indices = _scan(samples, residuals) if lifts else ([0.0], [0])
+    c = int(np.argmax(per_conjugation))
+    worst = float(per_conjugation[c])
+    if len(lifts) < conjugations:
+        return CheckReport(
+            "equivalence_transfer",
+            Verdict.INCONCLUSIVE,
+            worst,
+            {"conjugation_index": len(lifts), "reason": "conjugator not full rank"},
+        )
     if worst < tol:
         return CheckReport("equivalence_transfer", Verdict.PASS, worst)
+    witness = {
+        "conjugation_index": c,
+        "seed": _payload(sample_seed),
+        "sample_index": int(indices[c]),
+        "residual": worst,
+    }
     return CheckReport("equivalence_transfer", Verdict.FAIL, worst, witness)
 
 
@@ -429,28 +473,28 @@ def is_invariant_subspace(
     an image vector, scaled by max(1, its magnitude).  The zero subspace
     passes vacuously.
     """
-    if U.ambient_dim != _target_dim(rep):
+    if U.ambient_dim != rep.target_dim:
         raise ValueError(
             f"subspace lives in R^{U.ambient_dim}, representation acts on "
-            f"R^{_target_dim(rep)}"
+            f"R^{rep.target_dim}"
         )
     if U.dimension == 0:
         return CheckReport("invariant_subspace", Verdict.PASS, 0.0)
     q = U.orthonormal()
-    worst = 0.0
-    witness = None
-    for i in range(samples):
-        element = _sample(rep, _derive(seed, i))
-        images = _image(rep, element) @ q.T
-        defect = images - q.T @ (q @ images)
-        scale = max(1.0, float(np.max(np.abs(images))))
-        residual = float(np.max(np.abs(defect))) / scale
-        if residual > worst:
-            worst = residual
-            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
-    if worst < tol:
-        return CheckReport("invariant_subspace", Verdict.PASS, worst)
-    return CheckReport("invariant_subspace", Verdict.FAIL, worst, witness)
+
+    def residuals(indices):
+        images = _image(rep, _sample(rep, _keys(seed, indices))) @ q.T
+        return _projection_defects(images, q)
+
+    return _sampled_check("invariant_subspace", samples, seed, tol, residuals)
+
+
+def _projection_defects(images: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per stacked image block: distance of its columns from span(q's rows),
+    scaled by max(1, the block's magnitude)."""
+    defect = images - q.T @ (q @ images)
+    scale = np.maximum(1.0, np.max(np.abs(images), axis=(-2, -1)))
+    return np.max(np.abs(defect), axis=(-2, -1)) / scale
 
 
 def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
@@ -513,16 +557,15 @@ def check_invariance_transfer(
         q = U.orthonormal()
         horizontal = np.zeros((2 * U.ambient_dim, U.dimension))
         horizontal[: U.ambient_dim] = q.T
-        for i in range(samples):
-            X = _tangent_sample(rep.group, _derive(seed, 5, i))
+
+        def residuals(indices):
+            X = sample_tangent_elements(rep.group, _keys(seed, indices, 5))
             images = prolong(rep, X).dense() @ horizontal
-            base_part = images[: U.ambient_dim]
-            defect = base_part - q.T @ (q @ base_part)
-            scale = max(1.0, float(np.max(np.abs(base_part))))
-            residual = float(np.max(np.abs(defect))) / scale
-            if residual > extraction_worst:
-                extraction_worst = residual
-                extraction_witness = {"sample_index": i, "residual": residual}
+            return _projection_defects(images[..., : U.ambient_dim, :], q)
+
+        worst, index = _scan(samples, residuals)
+        extraction_worst = float(worst)
+        extraction_witness = {"sample_index": int(index), "residual": extraction_worst}
     parts = {
         "base": base_report.max_residual,
         "prolonged": lifted_report.max_residual,
@@ -559,13 +602,10 @@ def commutant_basis(
     """
     if samples < 2:
         raise ValueError("commutant_basis needs at least 2 generator samples")
-    n = _target_dim(rep)
+    n = rep.target_dim
     eye = np.eye(n)
-    rows = []
-    for i in range(samples):
-        m = _image(rep, _sample(rep, _derive(seed, 11, i)))
-        rows.append(np.kron(eye, m.T) - np.kron(m, eye))
-    stacked = np.vstack(rows)
+    images = _image(rep, _sample(rep, _keys(seed, range(samples), 11)))
+    stacked = np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in images])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = rank_tol * (s[0] if s.size else 0.0)
     return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= cutoff]
@@ -587,8 +627,6 @@ def reducibility_probe(
     Everything else is inconclusive by design: the commutant can be larger
     than the scalars without yielding a real splitting.
     """
-    from .groups import _rng
-
     try:
         commutant = commutant_basis(rep, samples, seed, rank_tol)
     except ValueError as exc:
@@ -616,7 +654,7 @@ def reducibility_probe(
             0.0,
             {"classification": "irreducible", "commutant_dimension": 1},
         )
-    n = _target_dim(rep)
+    n = rep.target_dim
     rng = _rng(_derive(seed, 23))
     element = np.tensordot(rng.normal(size=dim), np.stack(commutant), axes=1)
     symmetric = (element + element.T) / 2.0
@@ -672,18 +710,17 @@ def certify_irreducible_lines_2d(
     preserve, that line is re-verified and reported as a reducibility
     witness.
     """
-    if _target_dim(rep) != 2:
+    if rep.target_dim != 2:
         raise ValueError("the line sweep applies to two-dimensional representations only")
     grid = np.linspace(0.0, np.pi, angles, endpoint=False)
     directions = np.stack([np.cos(grid), np.sin(grid)])
     perps = np.stack([-np.sin(grid), np.cos(grid)])
     worst_per_angle = np.zeros(angles)
-    for i in range(samples):
-        m = _image(rep, _sample(rep, _derive(seed, 37, i)))
-        images = m @ directions
-        off_line = np.abs(np.sum(perps * images, axis=0))
-        scale = np.maximum(1.0, np.max(np.abs(images), axis=0))
-        worst_per_angle = np.maximum(worst_per_angle, off_line / scale)
+    for indices in _chunks(samples):
+        images = _image(rep, _sample(rep, _keys(seed, indices, 37))) @ directions
+        off_line = np.abs(np.sum(perps * images, axis=-2))
+        scale = np.maximum(1.0, np.max(np.abs(images), axis=-2))
+        worst_per_angle = np.maximum(worst_per_angle, np.max(off_line / scale, axis=0))
     weakest = int(np.argmin(worst_per_angle))
     floor = float(worst_per_angle[weakest])
     if floor > margin:
@@ -732,13 +769,13 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         )
 
     def apply(a: GroupElement) -> np.ndarray:
-        return scipy.linalg.block_diag(rep_image(rep1, a), rep_image(rep2, a))
+        return block_diag(rep_image(rep1, a), rep_image(rep2, a))
 
     differential = None
     if rep1.differential is not None and rep2.differential is not None:
 
         def differential(B):  # noqa: F811
-            return scipy.linalg.block_diag(rep1.differential(B), rep2.differential(B))
+            return block_diag(rep1.differential(B), rep2.differential(B))
 
     return Representation(
         group=rep1.group,
@@ -746,6 +783,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         apply=apply,
         differential=differential,
         name=f"{rep1.name or 'rep'}+{rep2.name or 'rep'}",
+        apply_batch=apply,
     )
 
 
@@ -793,21 +831,14 @@ def check_direct_sum_commutation(
     """
     summed = direct_sum(rep1, rep2)
     perm = interleave_permutation(rep1.target_dim, rep2.target_dim)
-    worst = 0.0
-    witness = None
-    for i in range(samples):
-        X = _tangent_sample(rep1.group, _derive(seed, 41, i))
-        joint = prolong(summed, X).dense()[np.ix_(perm, perm)]
-        split = scipy.linalg.block_diag(
-            prolong(rep1, X).dense(), prolong(rep2, X).dense()
-        )
-        residual = relative_residual(joint, split)
-        if residual > worst:
-            worst = residual
-            witness = {"seed": _payload(seed), "sample_index": i, "residual": residual}
-    if worst < tol:
-        return CheckReport("direct_sum_commutation", Verdict.PASS, worst)
-    return CheckReport("direct_sum_commutation", Verdict.FAIL, worst, witness)
+
+    def residuals(indices):
+        X = sample_tangent_elements(rep1.group, _keys(seed, indices, 41))
+        joint = prolong(summed, X).dense()[..., perm[:, None], perm]
+        split = block_diag(prolong(rep1, X).dense(), prolong(rep2, X).dense())
+        return relative_residual(joint, split, axis=(-2, -1))
+
+    return _sampled_check("direct_sum_commutation", samples, seed, tol, residuals)
 
 
 def faithfulness_probe(
@@ -821,24 +852,30 @@ def faithfulness_probe(
 ) -> CheckReport:
     """Look for distinct tangent elements with equal prolonged images.
 
-    All sampled images are compared pairwise.  A declared kernel element
-    (catalog metadata for representations known not to be injective) is
-    checked first: if the base representation sends it to the identity,
-    the prolongation collides on it and the probe fails with that witness.
-    A failure here certifies non-injectivity of the prolongation; it is
-    the expected outcome for non-faithful inputs, not a defect.
+    Sampled images closer than ``collision_tol`` (scaled by the largest
+    image entry) in the max norm are found with a k-d tree, in memory
+    linear in the sample count.  A declared kernel element (catalog
+    metadata for representations known not to be injective) is checked
+    instead when given: if the base representation sends it to the
+    identity, the prolongation collides on it and the probe fails with that
+    witness.  A failure here certifies non-injectivity of the prolongation;
+    it is the expected outcome for non-faithful inputs, not a defect.
     """
     spec = rep.group
     images = []
     inputs = []
-    for i in range(samples):
-        X = _tangent_sample(spec, _derive(seed, 47, i))
-        images.append(prolong(rep, X).dense().reshape(-1))
+    for indices in _chunks(samples):
+        X = sample_tangent_elements(spec, _keys(seed, indices, 47))
+        count = len(indices)
+        images.append(prolong(rep, X).dense().reshape(count, -1))
         inputs.append(
-            np.concatenate([X.base.matrix.reshape(-1), X.algebra.matrix.reshape(-1)])
+            np.concatenate(
+                [X.base.matrix.reshape(count, -1), X.algebra.matrix.reshape(count, -1)],
+                axis=1,
+            )
         )
-    image_array = np.stack(images)
-    input_array = np.stack(inputs)
+    image_array = np.concatenate(images)
+    input_array = np.concatenate(inputs)
     scale = max(1.0, float(np.max(np.abs(image_array))))
 
     if kernel_witness is not None:
@@ -877,33 +914,41 @@ def faithfulness_probe(
             },
         )
 
-    distances = scipy.spatial.distance.squareform(
-        scipy.spatial.distance.pdist(image_array, "chebyshev")
-    )
-    np.fill_diagonal(distances, np.inf)
+    if samples < 2:
+        return CheckReport(
+            "faithfulness_probe",
+            Verdict.PASS,
+            0.0,
+            {"min_image_separation": None, "samples": samples},
+        )
+    tree = scipy.spatial.cKDTree(image_array)
+    separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]
     threshold = collision_tol * scale
-    colliding = np.argwhere(distances <= threshold)
-    for i, j in colliding:
-        if i >= j:
-            continue
-        input_gap = float(np.max(np.abs(input_array[i] - input_array[j])))
-        if input_gap > distinct_tol:
-            return CheckReport(
-                "faithfulness_probe",
-                Verdict.FAIL,
-                float(distances[i, j]),
-                {
-                    "kind": "random_collision",
-                    "seed": _payload(seed),
-                    "first_index": int(i),
-                    "second_index": int(j),
-                    "image_gap": float(distances[i, j]),
-                    "input_gap": input_gap,
-                },
-            )
+    # Pairs (i, j), i < j, in lexicographic order; only points whose nearest
+    # neighbour lies within the threshold can start one.
+    for i in np.flatnonzero(separation <= threshold):
+        for j in sorted(tree.query_ball_point(image_array[i], threshold, p=np.inf)):
+            if j <= i:
+                continue
+            input_gap = float(np.max(np.abs(input_array[i] - input_array[j])))
+            if input_gap > distinct_tol:
+                image_gap = float(np.max(np.abs(image_array[i] - image_array[j])))
+                return CheckReport(
+                    "faithfulness_probe",
+                    Verdict.FAIL,
+                    image_gap,
+                    {
+                        "kind": "random_collision",
+                        "seed": _payload(seed),
+                        "first_index": int(i),
+                        "second_index": int(j),
+                        "image_gap": image_gap,
+                        "input_gap": input_gap,
+                    },
+                )
     return CheckReport(
         "faithfulness_probe",
         Verdict.PASS,
         0.0,
-        {"min_image_separation": float(np.min(distances)), "samples": samples},
+        {"min_image_separation": float(np.min(separation)), "samples": samples},
     )

@@ -26,10 +26,10 @@ __all__ = [
 ]
 
 
-def _as_vector(values, dim: int | None = None) -> np.ndarray:
-    out = np.array(values, dtype=float).reshape(-1)
-    if dim is not None and out.shape[0] != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {out.shape[0]}")
+def _as_vector(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    if out.ndim == 0:
+        out = out.reshape(1)
     if not np.all(np.isfinite(out)):
         raise ValueError("vector entries must be finite")
     out.flags.writeable = False
@@ -38,26 +38,32 @@ def _as_vector(values, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """A point of TR^n: base point plus fiber velocity, same length."""
+    """A point of TR^n: base point plus fiber velocity, same length.
+
+    ``base`` and ``fiber`` may also be stacks of shape ``(..., n)``, one
+    tangent vector per leading index.
+    """
 
     base: np.ndarray
     fiber: np.ndarray
 
     def __post_init__(self) -> None:
         base = _as_vector(self.base)
-        fiber = _as_vector(self.fiber, base.shape[0])
+        fiber = _as_vector(self.fiber)
+        if fiber.shape != base.shape:
+            raise ValueError(f"fiber shape {fiber.shape} differs from base shape {base.shape}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fiber", fiber)
 
     @property
     def dim(self) -> int:
         """Dimension n of the underlying space (the vector lives in R^{2n})."""
-        return self.base.shape[0]
+        return self.base.shape[-1]
 
     @property
     def coordinates(self) -> np.ndarray:
         """Trivialized coordinates: base stacked before fiber."""
-        return np.concatenate([self.base, self.fiber])
+        return np.concatenate([self.base, self.fiber], axis=-1)
 
     @classmethod
     def from_coordinates(cls, coords) -> "TangentVector":

@@ -185,6 +185,24 @@ class TestGeneratorDescriptors:
             gap = np.max(np.abs(rep_image(rep, a) - rep_image(builtin, a)))
             assert gap < 1e-9
 
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_generator_path_calls_no_deprecated_library_argument(self):
+        document = {
+            "group": {"kind": "SpecialOrthogonal", "dim": 3},
+            "target_dim": 3,
+            "map": {
+                "kind": "generators",
+                "generator_images": [
+                    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+                    [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                ],
+            },
+        }
+        rep = load_representation(document)
+        assert check_homomorphism(rep, 20, seed=3).passed
+        assert rep_image(rep, sample_group_element(rep.group, 4)).shape == (3, 3)
+
     def test_open_loop_is_rejected_with_witness(self):
         with pytest.raises(DescriptorError) as info:
             load_representation(winding_generator_descriptor(scale=2.01))

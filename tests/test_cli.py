@@ -401,3 +401,61 @@ class TestVersionFlag:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert __version__ in out
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("suite", ["homomorphism", "oracle"])
+    def test_zero_samples_exit_2(self, capsys, suite):
+        code, out, err = run_cli(
+            capsys, "check", "--rep", "circle_rotation", "--suite", suite, "--samples", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_fiber_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "prolong", "--rep", "gl_identity(1)", "--a-coords", "0", "--fiber", "1e308"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_unusable_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "check", "--rep", "circle_rotation", "--suite", "homomorphism", f"--tol={tol}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
+class TestStrictReports:
+    def test_single_sample_faithfulness_is_strict_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--rep", "circle_rotation", "--suite", "faithfulness",
+            "--samples", "1",
+        )
+        assert code == 0
+        (check,) = strict_json(out)["checks"]
+        assert check["witness"]["min_image_separation"] is None
+
+    def test_tolerance_reaches_the_faithfulness_threshold(self, capsys):
+        argv = ["check", "--rep", "so3_standard", "--suite", "faithfulness", "--samples", "50"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--tol", "10")
+        assert code == 1
+        document = strict_json(out)
+        assert document["config"]["tol"] == 10.0
+        assert document["checks"][0]["witness"]["kind"] == "random_collision"

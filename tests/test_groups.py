@@ -16,6 +16,7 @@ from lieprolong import (
     algebra_element,
     algebra_from_coordinates,
     algebra_membership_residual,
+    block_diag,
     circle,
     circle_element,
     general_linear,
@@ -32,7 +33,9 @@ from lieprolong import (
     relative_residual,
     sample_algebra_element,
     sample_group_element,
+    sample_group_elements,
     sample_tangent_element,
+    sample_tangent_elements,
     special_linear,
     special_orthogonal,
     tg_inverse,
@@ -317,3 +320,73 @@ class TestResidualHelper:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             relative_residual(np.eye(2), np.eye(3))
+
+
+class TestStacks:
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_stacked_samplers_match_the_scalar_ones_bit_for_bit(self, spec):
+        seeds = [(71, i) for i in range(7)] + [5]
+        groups = sample_group_elements(spec, seeds)
+        tangents = sample_tangent_elements(spec, seeds)
+        assert groups.matrix.shape == (len(seeds), spec.dim, spec.dim)
+        for k, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                groups.matrix[k], sample_group_element(spec, seed).matrix
+            )
+            X = sample_tangent_element(spec, seed)
+            np.testing.assert_array_equal(tangents.base.matrix[k], X.base.matrix)
+            np.testing.assert_array_equal(tangents.algebra.matrix[k], X.algebra.matrix)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_stacked_arithmetic_matches_slices_bit_for_bit(self, spec):
+        X = sample_tangent_elements(spec, range(6))
+        Y = sample_tangent_elements(spec, range(6, 12))
+        product = tg_multiply(X, Y)
+        inverse = tg_inverse(X)
+        for k in range(6):
+            x = sample_tangent_element(spec, k)
+            y = sample_tangent_element(spec, 6 + k)
+            single = tg_multiply(x, y)
+            np.testing.assert_array_equal(product.base.matrix[k], single.base.matrix)
+            np.testing.assert_array_equal(product.algebra.matrix[k], single.algebra.matrix)
+            np.testing.assert_array_equal(
+                inverse.algebra.matrix[k], tg_inverse(x).algebra.matrix
+            )
+            np.testing.assert_array_equal(
+                mat_exp(X.algebra, 0.3).matrix[k], mat_exp(x.algebra, 0.3).matrix
+            )
+
+    def test_one_bad_slice_rejects_the_whole_stack(self):
+        with pytest.raises(MembershipError):
+            GroupElement(np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])]), special_orthogonal(3))
+        with pytest.raises(MembershipError):
+            GroupElement(np.stack([np.eye(2), [[1.0, 0.0], [0.0, 0.0]]]), general_linear(2))
+        with pytest.raises(MembershipError):
+            AlgebraElement(np.stack([np.zeros((2, 2)), np.eye(2)]), special_linear(2))
+        with pytest.raises(ValueError):
+            GroupElement(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]), general_linear(2))
+        big = AlgebraElement(np.stack([np.zeros((2, 2)), 800.0 * np.eye(2)]), general_linear(2))
+        with pytest.raises(ExponentOverflowError):
+            mat_exp(big)
+
+    def test_unstack_yields_the_slices_in_order(self):
+        stack = sample_group_elements(circle(), range(3))
+        parts = stack.unstack()
+        assert len(parts) == 3
+        for k, part in enumerate(parts):
+            assert isinstance(part, GroupElement)
+            assert part.spec == circle()
+            np.testing.assert_array_equal(part.matrix, stack.matrix[k])
+
+    def test_block_diag_fills_blocks_slice_by_slice(self):
+        a = np.arange(8.0).reshape(2, 2, 2)
+        out = block_diag(a, np.ones((1, 1)))
+        assert out.shape == (2, 3, 3)
+        for k in range(2):
+            np.testing.assert_array_equal(out[k, :2, :2], a[k])
+            np.testing.assert_array_equal(out[k, 2, :], [0.0, 0.0, 1.0])
+            np.testing.assert_array_equal(out[k, :2, 2], [0.0, 0.0])
+
+    def test_principal_log_takes_single_elements_only(self):
+        with pytest.raises(ValueError):
+            principal_log(sample_group_elements(special_orthogonal(3), range(2)))

@@ -13,6 +13,7 @@ from lieprolong import (
     algebra_element,
     apply_prolonged,
     catalog_entry,
+    catalog_names,
     circle,
     circle_element,
     differential_rep,
@@ -26,7 +27,9 @@ from lieprolong import (
     prolonged,
     rep_image,
     relative_residual,
+    sample_group_elements,
     sample_tangent_element,
+    sample_tangent_elements,
     special_orthogonal,
     tangent_action_oracle,
     tg_multiply,
@@ -327,3 +330,67 @@ class TestProlongedRepresentation:
         spec = general_linear(1)
         with pytest.raises(ValueError):
             Representation(spec, 1, lambda a: 2.0 * np.eye(1))
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("name", sorted(catalog_names()))
+    def test_prolong_of_a_stack_matches_single_elements_bit_for_bit(self, name):
+        rep = catalog_entry(name).rep
+        seeds = [(83, i) for i in range(6)]
+        stack = prolong(rep, sample_tangent_elements(rep.group, seeds)).dense()
+        assert stack.shape == (6, 2 * rep.target_dim, 2 * rep.target_dim)
+        for k, seed in enumerate(seeds):
+            single = prolong(rep, sample_tangent_element(rep.group, seed)).dense()
+            np.testing.assert_array_equal(stack[k], single)
+
+    def test_without_apply_batch_apply_runs_once_per_slice(self):
+        base = catalog_entry("so3_standard").rep
+        shapes = []
+
+        def apply(a):
+            shapes.append(a.matrix.shape)
+            return a.matrix
+
+        rep = Representation(base.group, 3, apply, base.differential, name="per_slice")
+        stack = sample_group_elements(rep.group, range(4))
+        shapes.clear()
+        images = rep_image(rep, stack)
+        assert shapes == [(3, 3)] * 4
+        np.testing.assert_array_equal(images, stack.matrix)
+
+    def test_batched_images_are_validated_once_per_stack(self):
+        stack = sample_group_elements(circle(), range(3))
+        narrow = Representation(
+            circle(), 2, lambda a: a.matrix, apply_batch=lambda a: a.matrix[..., :1]
+        )
+        with pytest.raises(ValueError, match="shape"):
+            rep_image(narrow, stack)
+        poisoned = Representation(
+            circle(), 2, lambda a: a.matrix, apply_batch=lambda a: a.matrix * np.inf
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            rep_image(poisoned, stack)
+
+    def test_stacked_singular_diagonal_block_rejected(self):
+        with pytest.raises(ValueError):
+            ProlongedMatrix(np.stack([np.eye(2), [[1.0, 0.0], [0.0, 0.0]]]), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("name", ["circle_winding_2", "circle_plus_trivial", "gl_identity(3)"])
+    def test_action_and_oracle_on_stacks_match_single_vectors(self, name):
+        rep = catalog_entry(name).rep
+        n = rep.target_dim
+        X = sample_tangent_elements(rep.group, range(4))
+        rng = np.random.default_rng(9)
+        bases, fibers = rng.uniform(-1, 1, (4, n)), rng.uniform(-1, 1, (4, n))
+        Y = TangentVector(bases, fibers)
+        direct = apply_prolonged(prolong(rep, X), Y)
+        oracle = tangent_action_oracle(rep, X, Y)
+        for k in range(4):
+            x = sample_tangent_element(rep.group, k)
+            y = TangentVector(bases[k], fibers[k])
+            np.testing.assert_array_equal(
+                direct.coordinates[k], apply_prolonged(prolong(rep, x), y).coordinates
+            )
+            np.testing.assert_array_equal(
+                oracle.coordinates[k], tangent_action_oracle(rep, x, y).coordinates
+            )

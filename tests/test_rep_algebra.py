@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
 
 from lieprolong import (
     CheckReport,
@@ -27,13 +30,18 @@ from lieprolong import (
     is_intertwiner,
     is_invariant_subspace,
     permutation_matrix,
+    prolong,
     prolong_intertwiner,
     prolong_subspace,
     prolonged,
     random_conjugator,
     reducibility_probe,
+    relative_residual,
     rep_image,
     sample_group_element,
+    sample_tangent_element,
+    sample_tangent_elements,
+    tg_multiply,
     vertical_subspace,
 )
 
@@ -505,3 +513,101 @@ class TestFaithfulnessProbe:
                 10,
                 kernel_witness=circle_element(1.0),
             )
+
+
+class TestSharedDriver:
+    """The stacked checks against plain loops over single elements."""
+
+    def test_homomorphism_matches_a_per_pair_loop(self):
+        rep = prolonged(skewed_identity(general_linear(2)))
+        seed, count = 31, 300
+        residuals = []
+        for i in range(count):
+            x = sample_tangent_element(rep.group, (seed, 2 * i))
+            y = sample_tangent_element(rep.group, (seed, 2 * i + 1))
+            residuals.append(
+                relative_residual(rep.apply(tg_multiply(x, y)), rep.apply(x) @ rep.apply(y))
+            )
+        report = check_homomorphism(rep, count, seed)
+        assert report.verdict is Verdict.FAIL
+        assert report.max_residual == max(residuals)
+        assert report.witness["sample_index"] == int(np.argmax(residuals))
+
+    def test_equivalence_is_the_worst_intertwiner_over_conjugations(self):
+        rep = rep_of("circle_plus_trivial")
+        seed, conjugations, samples = 12, 4, 40
+        per_conjugation = []
+        for c in range(conjugations):
+            A = random_conjugator(rep.target_dim, (seed, 2, c))
+            other = conjugate_representation(rep, A)
+            per_conjugation.append(
+                is_intertwiner(
+                    prolong_intertwiner(A), prolonged(rep), prolonged(other), samples, (seed, 1)
+                ).max_residual
+            )
+        report = check_equivalence_transfer(rep, conjugations, samples, seed)
+        assert report.max_residual == max(per_conjugation)
+
+    def test_failing_equivalence_names_conjugation_and_sample(self):
+        report = check_equivalence_transfer(
+            rep_of("sl2_standard"), conjugations=5, samples=300, seed=6, tol=1e-17
+        )
+        assert report.verdict is Verdict.FAIL
+        assert set(report.witness) == {"conjugation_index", "seed", "sample_index", "residual"}
+        assert report.witness["residual"] == report.max_residual
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda rep: check_action_oracle(rep, 0),
+            lambda rep: check_equivalence_transfer(rep, 3, 0),
+            lambda rep: check_equivalence_transfer(rep, 0, 10),
+            lambda rep: is_intertwiner(np.eye(2), rep, rep, 0),
+            lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.eye(2)), 0),
+            lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.eye(2)), 0),
+            lambda rep: check_direct_sum_commutation(rep, rep, 0),
+            lambda rep: faithfulness_probe(rep, 0),
+        ],
+    )
+    def test_no_check_passes_over_zero_samples(self, run):
+        with pytest.raises(ValueError):
+            run(rep_of("circle_rotation"))
+
+
+class TestFaithfulnessNeighbours:
+    @pytest.mark.parametrize("name", ["gl_identity(2)", "so3_standard", "circle_double"])
+    def test_min_separation_equals_the_pairwise_distance_minimum(self, name):
+        rep = rep_of(name)
+        samples, seed = 120, 4
+        X = sample_tangent_elements(rep.group, [(seed, 47, i) for i in range(samples)])
+        images = prolong(rep, X).dense().reshape(samples, -1)
+        expected = float(np.min(scipy.spatial.distance.pdist(images, "chebyshev")))
+        report = faithfulness_probe(rep, samples, seed)
+        assert report.passed
+        assert report.witness["min_image_separation"] == expected
+
+    def test_single_sample_has_no_separation(self):
+        report = faithfulness_probe(rep_of("gl_identity(2)"), 1, seed=2)
+        assert report.passed
+        assert report.witness["min_image_separation"] is None
+
+    def test_collision_tolerance_sets_the_threshold(self):
+        rep = rep_of("so3_standard")
+        assert faithfulness_probe(rep, 60, seed=5).passed
+        report = faithfulness_probe(rep, 60, seed=5, collision_tol=10.0)
+        assert report.witness["kind"] == "random_collision"
+        assert (report.witness["first_index"], report.witness["second_index"]) == (0, 1)
+
+    def test_peak_memory_grows_linearly_with_the_sample_count(self):
+        rep = rep_of("gl_identity(1)")
+        peaks = {}
+        for samples in (1000, 4000):
+            tracemalloc.start()
+            try:
+                assert faithfulness_probe(rep, samples, seed=8).passed
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A dense S x S distance matrix alone would be 128 MB at S = 4000.
+        assert peaks[4000] < 5 * peaks[1000]
+        assert peaks[4000] < 16 * 2**20
