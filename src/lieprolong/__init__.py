@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .catalog import (
     CatalogEntry,
-    CatalogError,
     DescriptorError,
     catalog_entry,
     catalog_list,
@@ -94,12 +93,10 @@ from .rep_algebra import (
     commutant_basis,
     conjugate_representation,
     direct_sum,
-    extract_base_subspace,
     faithfulness_probe,
     interleave_permutation,
     is_intertwiner,
     is_invariant_subspace,
-    permutation_matrix,
     prolong_intertwiner,
     prolong_subspace,
     random_conjugator,
@@ -107,11 +104,7 @@ from .rep_algebra import (
     vertical_subspace,
 )
 from .tangent_space import (
-    ProductTangent,
     TangentVector,
-    TVBasis,
-    canonical_basis,
-    pair_tangents,
     tv_add,
     tv_scale,
     tv_zero,

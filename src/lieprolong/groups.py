@@ -14,10 +14,10 @@ is pinned down by the block embedding in :mod:`lieprolong.prolongation`.
 
 Elements may also be stacks: a matrix of shape ``(S, n, n)`` holds ``S``
 elements of the same spec, validated together once.  Multiplication,
-inversion and the exponential act slice by slice, with the same floating
-point operations as on a single element, so a stacked computation gives
-the same bits as a loop over its slices.  :func:`sample_group_elements`
-and :func:`sample_tangent_elements` draw such stacks.
+inversion, the exponential, the principal logarithm and basis coordinates
+take whole stacks and give the same bits as a loop over the slices.
+:func:`sample_group_elements` and :func:`sample_tangent_elements` draw
+such stacks.
 """
 
 from __future__ import annotations
@@ -296,17 +296,6 @@ class _Stackable:
     def dim(self) -> int:
         return self.spec.dim
 
-    def unstack(self) -> list:
-        """The single elements of a stack, in order, without validating
-        each one again: the stack was validated as a whole."""
-        out = []
-        for m in self.matrix.reshape(-1, self.dim, self.dim):
-            element = object.__new__(type(self))
-            object.__setattr__(element, "matrix", m)
-            object.__setattr__(element, "spec", self.spec)
-            out.append(element)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class GroupElement(_Stackable):
@@ -583,17 +572,23 @@ def _basis_matrix(spec: GroupSpec) -> np.ndarray:
 
 
 def algebra_coordinates(B: AlgebraElement) -> np.ndarray:
-    """Coordinates of ``B`` in the canonical basis of its algebra."""
-    stacked = _basis_matrix(B.spec)
-    target = B.matrix.reshape(-1)
-    coords, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    residual = float(np.max(np.abs(stacked @ coords - target), initial=0.0))
-    if residual > 1e-9 * max(1.0, float(np.max(np.abs(target), initial=0.0))):
+    """Coordinates of ``B`` in the canonical basis of its algebra.
+
+    For a stack of shape ``(..., n, n)`` the result has shape ``(..., k)``;
+    one least-squares solve takes every slice as a right-hand side.
+    """
+    basis = _basis_matrix(B.spec)
+    stack = B.matrix.shape[:-2]
+    targets = B.matrix.reshape(-1, basis.shape[0]).T
+    coords, *_ = np.linalg.lstsq(basis, targets, rcond=None)
+    residual = np.max(np.abs(basis @ coords - targets), axis=0, initial=0.0)
+    scale = np.maximum(1.0, np.max(np.abs(targets), axis=0, initial=0.0))
+    if np.any(residual > 1e-9 * scale):
         raise MembershipError(
             f"matrix does not lie in the span of the algebra basis "
-            f"(residual {residual:.3e})"
+            f"(residual {float(np.max(residual)):.3e})"
         )
-    return coords
+    return coords.T.reshape(stack + (basis.shape[1],))
 
 
 def algebra_from_coordinates(coords, spec: GroupSpec) -> AlgebraElement:
@@ -608,7 +603,8 @@ def algebra_from_coordinates(coords, spec: GroupSpec) -> AlgebraElement:
 
 
 def principal_log(a: GroupElement) -> AlgebraElement:
-    """Principal matrix logarithm of ``a``, as an algebra element.
+    """Principal matrix logarithm of ``a`` (one element or a stack), as an
+    algebra element.
 
     The circle group is handled by angle extraction, so the full chart
     (-pi, pi] is available including the boundary.  For other kinds the
@@ -616,29 +612,33 @@ def principal_log(a: GroupElement) -> AlgebraElement:
     outside that chart raise :class:`ChartError`.
     """
     spec = a.spec
-    if a.matrix.ndim != 2:
-        raise ValueError("principal_log takes a single element, not a stack")
+    slices = a.matrix.reshape(-1, spec.dim, spec.dim)
+    stack = a.matrix.shape[:-2]
     if spec.kind is GroupKind.CIRCLE:
-        theta = math.atan2(a.matrix[0, 1], a.matrix[0, 0])
-        return AlgebraElement(theta * np.array([[0.0, 1.0], [-1.0, 0.0]]), spec)
+        # math.atan2 per slice: np.arctan2 can differ in the last bit.
+        theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices]).reshape(stack)
+        generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return AlgebraElement(theta[..., None, None] * generator, spec)
     if spec.kind is GroupKind.PRODUCT:
         blocks = [
             principal_log(GroupElement(block, factor)).matrix
             for block, factor in zip(_split_blocks(a.matrix, spec), spec.factors)
         ]
         return AlgebraElement(block_diag(*blocks), spec)
-    log = scipy.linalg.logm(a.matrix)
+    # logm loops over slices: the oldest supported SciPy takes one matrix.
+    log = np.stack([scipy.linalg.logm(m) for m in slices]).reshape(a.matrix.shape)
     if np.max(np.abs(np.imag(log))) > 1e-9:
         raise ChartError(
             "element has no real principal logarithm; supply exponential "
             "coordinates instead"
         )
     log = np.real(log)
-    if relative_residual(scipy.linalg.expm(log), a.matrix) > 1e-6:
+    if np.max(relative_residual(scipy.linalg.expm(log), a.matrix, axis=(-2, -1))) > 1e-6:
         raise ChartError("principal logarithm failed to reconstruct the element")
     return AlgebraElement(log, spec)
 
 
 def group_coordinates(a: GroupElement) -> np.ndarray:
-    """Exponential coordinates of ``a`` in the canonical algebra basis."""
+    """Exponential coordinates of ``a`` in the canonical algebra basis,
+    shape ``(..., k)`` for a stack."""
     return algebra_coordinates(principal_log(a))

@@ -21,9 +21,7 @@ Two independent ways to compute the action are provided.  The direct one,
 at t = 0 with a central difference and never looks at the block formula.
 
 Every function here also takes stacked elements (see :mod:`lieprolong.groups`)
-and returns stacked results, validated once per stack.  A representation
-opts into evaluating a whole stack at once through ``apply_batch``; without
-it, ``apply`` runs once per slice.
+and returns stacked results, validated once per stack.
 """
 
 from __future__ import annotations
@@ -81,11 +79,11 @@ class Representation:
     the identity: it maps an :class:`AlgebraElement` ``B`` to
     d/dt exp-image of ``tB`` at t = 0.  When absent, a central finite
     difference stands in (see :func:`finite_difference_differential`).
-    Both are only ever called on single elements.
 
-    ``apply_batch``, when present, maps a stacked :class:`GroupElement`
-    (matrix shape ``(S, n, n)``) to the ``(S, target_dim, target_dim)``
-    stack of images, and must agree with ``apply`` slice by slice.
+    Both take an element whose matrix is ``(n, n)`` or a stack
+    ``(..., n, n)`` and return ``(..., target_dim, target_dim)``, as numpy
+    broadcasting does: ``lambda a: a.matrix @ a.matrix`` qualifies.  A
+    result of any other shape is rejected.
     """
 
     group: GroupSpec
@@ -93,7 +91,6 @@ class Representation:
     apply: Callable[[GroupElement], np.ndarray]
     differential: Optional[Callable[[AlgebraElement], np.ndarray]] = None
     name: str = ""
-    apply_batch: Optional[Callable[[GroupElement], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.target_dim < 1:
@@ -107,17 +104,11 @@ class Representation:
             )
 
 
-def _evaluate(fn, element, n: int, what: str, batch=None) -> np.ndarray:
-    """``fn`` on a single element; on a stack, ``batch`` or else ``fn`` per
-    slice.  The n x n shape and finiteness are checked once either way."""
+def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
+    """``fn`` on one element or a stack, with its ``(..., n, n)`` shape and
+    finiteness checked once."""
     stack = element.matrix.shape[:-2]
-    if not stack:
-        out = np.asarray(fn(element), dtype=float)
-    elif batch is not None:
-        out = np.asarray(batch(element), dtype=float)
-    else:
-        out = np.stack([np.asarray(fn(x), dtype=float) for x in element.unstack()])
-        out = out.reshape(stack + out.shape[1:])
+    out = np.asarray(fn(element), dtype=float)
     if out.shape != stack + (n, n):
         raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
     if not np.all(np.isfinite(out)):
@@ -133,7 +124,7 @@ def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
             f"representation is over {rep.group.describe()}, element lies in "
             f"{a.spec.describe()}"
         )
-    return _evaluate(rep.apply, a, rep.target_dim, "apply", rep.apply_batch)
+    return _evaluate(rep.apply, a, rep.target_dim, "apply")
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,6 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial
 
 from .groups import (
     GroupElement,
@@ -67,12 +66,10 @@ __all__ = [
     "commutant_basis",
     "conjugate_representation",
     "direct_sum",
-    "extract_base_subspace",
     "faithfulness_probe",
     "interleave_permutation",
     "is_intertwiner",
     "is_invariant_subspace",
-    "permutation_matrix",
     "prolong_intertwiner",
     "prolong_subspace",
     "random_conjugator",
@@ -349,10 +346,9 @@ def conjugate_representation(rep: Representation, A) -> Representation:
     return Representation(
         group=rep.group,
         target_dim=rep.target_dim,
-        apply=lambda a: matrix @ rep.apply(a) @ inverse,
+        apply=lambda a: matrix @ rep_image(rep, a) @ inverse,
         differential=differential,
         name=f"conj({rep.name})" if rep.name else "conj",
-        apply_batch=lambda a: matrix @ rep_image(rep, a) @ inverse,
     )
 
 
@@ -508,21 +504,6 @@ def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
     lifted[:k, :n] = U.vectors
     lifted[k:, n:] = U.vectors
     return SubspaceBasis(2 * n, lifted)
-
-
-def extract_base_subspace(W: SubspaceBasis) -> SubspaceBasis:
-    """Span of the base components of vectors in a tangent-space subspace."""
-    if W.ambient_dim % 2 != 0:
-        raise ValueError("a tangent-space subspace must have even ambient dimension")
-    n = W.ambient_dim // 2
-    base = W.vectors[:, :n]
-    if base.size == 0:
-        return SubspaceBasis(n, np.zeros((0, n)))
-    _, s, vh = np.linalg.svd(base, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return SubspaceBasis(n, np.zeros((0, n)))
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return SubspaceBasis(n, vh[:rank])
 
 
 def vertical_subspace(n: int) -> SubspaceBasis:
@@ -783,7 +764,6 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         apply=apply,
         differential=differential,
         name=f"{rep1.name or 'rep'}+{rep2.name or 'rep'}",
-        apply_batch=apply,
     )
 
 
@@ -805,14 +785,6 @@ def interleave_permutation(n1: int, n2: int) -> np.ndarray:
             np.arange(total + n1, 2 * total),
         ]
     )
-
-
-def permutation_matrix(perm) -> np.ndarray:
-    """Matrix P with P @ x = x[perm]."""
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(perm.shape[0])):
-        raise ValueError("not a permutation of 0..len-1")
-    return np.eye(perm.shape[0])[perm]
 
 
 def check_direct_sum_commutation(
@@ -921,6 +893,8 @@ def faithfulness_probe(
             0.0,
             {"min_image_separation": None, "samples": samples},
         )
+    import scipy.spatial  # deferred: nothing else in the package needs it
+
     tree = scipy.spatial.cKDTree(image_array)
     separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]
     threshold = collision_tol * scale

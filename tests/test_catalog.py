@@ -7,12 +7,14 @@ import pytest
 from lieprolong import (
     DescriptorError,
     SubspaceBasis,
+    Verdict,
     catalog_entry,
     catalog_list,
     catalog_names,
     check_homomorphism,
     circle_element,
     differential_rep,
+    faithfulness_probe,
     is_invariant_subspace,
     load_representation,
     read_descriptor,
@@ -36,6 +38,8 @@ EXPECTED_NAMES = {
 }
 
 THETA_GRID = [0.0, 0.5, -1.2, math.pi, 2.5, -3.0]
+
+SELF_CHECK_SEED = 9001
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -98,6 +102,24 @@ class TestEntries:
             for U in entry.known_invariant_subspaces:
                 report = is_invariant_subspace(entry.rep, U, 60, seed=31)
                 assert report.passed, (entry.name, report)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+    def test_entry_metadata_holds(self, name):
+        # The catalog's self-check: seed 9001, 120/60/8/120 samples.
+        entry = catalog_entry(name)
+        hom = check_homomorphism(entry.rep, 120, SELF_CHECK_SEED, 1e-9)
+        assert hom.passed, hom
+        for subspace in entry.known_invariant_subspaces:
+            inv = is_invariant_subspace(entry.rep, subspace, 60, SELF_CHECK_SEED, 1e-9)
+            assert inv.passed, inv
+        if entry.kernel_witness is not None:
+            probe = faithfulness_probe(
+                entry.rep, 8, SELF_CHECK_SEED, kernel_witness=entry.kernel_witness
+            )
+            assert probe.verdict is Verdict.FAIL, probe
+        elif entry.known_faithful:
+            probe = faithfulness_probe(entry.rep, 120, SELF_CHECK_SEED)
+            assert probe.passed, probe
 
     def test_direct_sum_entries_have_block_subspaces(self):
         entry = catalog_entry("circle_double")
@@ -245,6 +267,17 @@ class TestGeneratorDescriptors:
         with pytest.raises(DescriptorError):
             load_representation(document)
 
+    def test_overflowing_images_rejected_with_witness(self):
+        document = {
+            "group": {"kind": "GeneralLinear", "dim": 1},
+            "target_dim": 1,
+            "map": {"kind": "generators", "generator_images": [[[1000.0]]]},
+        }
+        with pytest.raises(DescriptorError, match="non-finite") as info:
+            load_representation(document)
+        assert info.value.witness["check"] == "homomorphism"
+        assert info.value.witness["seed"] == 7
+
 
 class TestDescriptorValidation:
     def test_requires_mapping(self):
@@ -264,6 +297,15 @@ class TestDescriptorValidation:
             load_representation(document)
         document["target_dim"] = "two"
         with pytest.raises(DescriptorError):
+            load_representation(document)
+        document["target_dim"] = True
+        with pytest.raises(DescriptorError, match="target_dim"):
+            load_representation(document)
+
+    def test_rejects_boolean_group_dim(self):
+        document = winding_generator_descriptor()
+        document["group"] = {"kind": "GeneralLinear", "dim": True}
+        with pytest.raises(DescriptorError, match="dim"):
             load_representation(document)
 
     def test_requires_map_object(self):

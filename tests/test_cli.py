@@ -430,6 +430,42 @@ class TestMalformedInput:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {
+                "group": {"kind": "GeneralLinear", "dim": 1},
+                "target_dim": 1,
+                "map": {"kind": "generators", "generator_images": [[[1000.0]]]},
+            },
+            {
+                "group": {"kind": "GeneralLinear", "dim": 1},
+                "target_dim": True,
+                "map": {"kind": "generators", "generator_images": [[[1.0]]]},
+            },
+            {
+                "group": {"kind": "GeneralLinear", "dim": True},
+                "target_dim": 1,
+                "map": {"kind": "generators", "generator_images": [[[1.0]]]},
+            },
+        ],
+        ids=["overflowing_images", "boolean_target_dim", "boolean_group_dim"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_malformed_descriptor_exits_2_with_one_error_line(
+        self, capsys, tmp_path, document
+    ):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(
+            capsys, "check", "--rep", str(path), "--suite", "homomorphism"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_unusable_tolerance_exits_2(self, capsys, tol):
         code, out, err = run_cli(

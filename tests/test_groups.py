@@ -369,15 +369,6 @@ class TestStacks:
         with pytest.raises(ExponentOverflowError):
             mat_exp(big)
 
-    def test_unstack_yields_the_slices_in_order(self):
-        stack = sample_group_elements(circle(), range(3))
-        parts = stack.unstack()
-        assert len(parts) == 3
-        for k, part in enumerate(parts):
-            assert isinstance(part, GroupElement)
-            assert part.spec == circle()
-            np.testing.assert_array_equal(part.matrix, stack.matrix[k])
-
     def test_block_diag_fills_blocks_slice_by_slice(self):
         a = np.arange(8.0).reshape(2, 2, 2)
         out = block_diag(a, np.ones((1, 1)))
@@ -387,6 +378,28 @@ class TestStacks:
             np.testing.assert_array_equal(out[k, 2, :], [0.0, 0.0, 1.0])
             np.testing.assert_array_equal(out[k, :2, 2], [0.0, 0.0])
 
-    def test_principal_log_takes_single_elements_only(self):
-        with pytest.raises(ValueError):
-            principal_log(sample_group_elements(special_orthogonal(3), range(2)))
+    @pytest.mark.parametrize(
+        "spec", SPECS + [special_linear(3), special_orthogonal(4)], ids=lambda s: s.describe()
+    )
+    def test_logarithm_and_coordinates_of_a_stack_match_slices_bit_for_bit(
+        self, spec, pinned_logm
+    ):
+        X = sample_tangent_elements(spec, range(8))
+        logs = principal_log(X.base)
+        coords = group_coordinates(X.base)
+        fibers = algebra_coordinates(X.algebra)
+        k = len(algebra_basis(spec))
+        assert logs.matrix.shape == (8, spec.dim, spec.dim)
+        assert coords.shape == fibers.shape == (8, k)
+        for i in range(8):
+            x = sample_tangent_element(spec, i)
+            np.testing.assert_array_equal(logs.matrix[i], principal_log(x.base).matrix)
+            np.testing.assert_array_equal(coords[i], group_coordinates(x.base))
+            np.testing.assert_array_equal(fibers[i], algebra_coordinates(x.algebra))
+
+    def test_one_slice_outside_the_chart_rejects_the_stack(self):
+        spec = special_linear(2)
+        outside = np.array([[-2.0, 0.0], [0.0, -0.5]])
+        stack = GroupElement(np.stack([np.eye(2), outside]), spec)
+        with pytest.raises(ChartError):
+            principal_log(stack)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from descriptors import GENERATOR_DESCRIPTORS
 
 from lieprolong import (
     ProlongedMatrix,
@@ -23,10 +24,12 @@ from lieprolong import (
     group_element,
     identity_element,
     jn_embed,
+    load_representation,
     prolong,
     prolonged,
     rep_image,
     relative_residual,
+    sample_group_element,
     sample_group_elements,
     sample_tangent_element,
     sample_tangent_elements,
@@ -332,10 +335,16 @@ class TestProlongedRepresentation:
             Representation(spec, 1, lambda a: 2.0 * np.eye(1))
 
 
+def _rep(name: str) -> Representation:
+    if name in GENERATOR_DESCRIPTORS:
+        return load_representation(GENERATOR_DESCRIPTORS[name]())
+    return catalog_entry(name).rep
+
+
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("name", sorted(catalog_names()))
+    @pytest.mark.parametrize("name", sorted(catalog_names()) + sorted(GENERATOR_DESCRIPTORS))
     def test_prolong_of_a_stack_matches_single_elements_bit_for_bit(self, name):
-        rep = catalog_entry(name).rep
+        rep = _rep(name)
         seeds = [(83, i) for i in range(6)]
         stack = prolong(rep, sample_tangent_elements(rep.group, seeds)).dense()
         assert stack.shape == (6, 2 * rep.target_dim, 2 * rep.target_dim)
@@ -343,31 +352,33 @@ class TestStackedEvaluation:
             single = prolong(rep, sample_tangent_element(rep.group, seed)).dense()
             np.testing.assert_array_equal(stack[k], single)
 
-    def test_without_apply_batch_apply_runs_once_per_slice(self):
-        base = catalog_entry("so3_standard").rep
-        shapes = []
+    def test_single_element_only_apply_is_rejected_on_a_stack(self):
+        # np.kron of a stack is not a stack of Kronecker products; the
+        # result's shape gives it away, and it is never looped per slice.
+        spec = special_orthogonal(3)
+        rep = Representation(spec, 9, lambda a: np.kron(a.matrix, a.matrix))
+        a = sample_group_element(spec, 0)
+        np.testing.assert_array_equal(rep_image(rep, a), np.kron(a.matrix, a.matrix))
+        with pytest.raises(ValueError, match="shape"):
+            rep_image(rep, sample_group_elements(spec, range(4)))
 
-        def apply(a):
-            shapes.append(a.matrix.shape)
-            return a.matrix
+    def test_images_are_validated_once_per_stack(self):
+        def wrong_on_stacks(wrong):
+            calls = []
 
-        rep = Representation(base.group, 3, apply, base.differential, name="per_slice")
-        stack = sample_group_elements(rep.group, range(4))
-        shapes.clear()
-        images = rep_image(rep, stack)
-        assert shapes == [(3, 3)] * 4
-        np.testing.assert_array_equal(images, stack.matrix)
+            def apply(a):
+                calls.append(a.matrix.shape)
+                return a.matrix if a.matrix.ndim == 2 else wrong(a.matrix)
 
-    def test_batched_images_are_validated_once_per_stack(self):
+            return Representation(circle(), 2, apply), calls
+
         stack = sample_group_elements(circle(), range(3))
-        narrow = Representation(
-            circle(), 2, lambda a: a.matrix, apply_batch=lambda a: a.matrix[..., :1]
-        )
+        narrow, calls = wrong_on_stacks(lambda m: m[..., :1])
+        calls.clear()
         with pytest.raises(ValueError, match="shape"):
             rep_image(narrow, stack)
-        poisoned = Representation(
-            circle(), 2, lambda a: a.matrix, apply_batch=lambda a: a.matrix * np.inf
-        )
+        assert calls == [(3, 2, 2)]
+        poisoned, _ = wrong_on_stacks(lambda m: m * np.inf)
         with pytest.raises(ValueError, match="non-finite"):
             rep_image(poisoned, stack)
 

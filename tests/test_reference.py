@@ -14,8 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+from descriptors import GENERATOR_DESCRIPTORS
 
 from lieprolong import cli
 
@@ -43,27 +43,6 @@ def run(module, argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def so3_descriptor(path: Path) -> Path:
-    """SO(3) acting on R^3 + R^3 through a fixed rotation of R^6."""
-    rng = np.random.default_rng(1310)
-    q, r = np.linalg.qr(rng.standard_normal((6, 6)))
-    q = q * np.sign(np.diag(r))
-    images = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        block = np.zeros((6, 6))
-        block[i, j] = block[3 + i, 3 + j] = 1.0
-        block[j, i] = block[3 + j, 3 + i] = -1.0
-        images.append((q @ block @ q.T).tolist())
-    document = {
-        "name": "so3_doubled",
-        "group": {"kind": "SpecialOrthogonal", "dim": 3},
-        "target_dim": 6,
-        "map": {"kind": "generators", "generator_images": images},
-    }
-    path.write_text(json.dumps(document))
-    return path
-
-
 @pytest.mark.parametrize("seed", ["5", "1310"])
 def test_catalog_report_bytes_match_the_reference(reference_cli, seed):
     argv = ["report", "--samples", "10", "--seed", seed]
@@ -72,8 +51,10 @@ def test_catalog_report_bytes_match_the_reference(reference_cli, seed):
     assert ours[1] == theirs[1]
 
 
-def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path):
-    path = so3_descriptor(tmp_path / "so3_doubled.json")
+@pytest.mark.parametrize("name", sorted(GENERATOR_DESCRIPTORS))
+def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(GENERATOR_DESCRIPTORS[name]()))
     argv = ["check", "--rep", str(path), "--suite", "all", "--samples", "20", "--seed", "4"]
     ours, theirs = run(cli, argv), run(reference_cli, argv)
     assert ours[0] == theirs[0] == 0

@@ -23,13 +23,11 @@ from lieprolong import (
     commutant_basis,
     conjugate_representation,
     direct_sum,
-    extract_base_subspace,
     faithfulness_probe,
     general_linear,
     interleave_permutation,
     is_intertwiner,
     is_invariant_subspace,
-    permutation_matrix,
     prolong,
     prolong_intertwiner,
     prolong_subspace,
@@ -233,28 +231,6 @@ class TestSubspaces:
         U = SubspaceBasis(3, np.eye(3)[:2])
         assert prolong_subspace(U).dimension == 4
 
-    def test_base_extraction_inverts_lift(self):
-        U = SubspaceBasis(3, [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
-        back = extract_base_subspace(prolong_subspace(U))
-        assert back.dimension == 2
-        # same span: mutual projection defect vanishes
-        q1, q2 = U.orthonormal(), back.orthonormal()
-        np.testing.assert_allclose(q2 - (q2 @ q1.T) @ q1, 0.0, atol=1e-12)
-
-    def test_base_extraction_of_graph_subspace(self):
-        W = SubspaceBasis(2, [[1.0, 1.0]])
-        base = extract_base_subspace(W)
-        assert base.dimension == 1
-        np.testing.assert_allclose(np.abs(base.vectors), [[1.0]], atol=1e-12)
-
-    def test_base_extraction_of_vertical_subspace_is_zero(self):
-        base = extract_base_subspace(vertical_subspace(2))
-        assert base.dimension == 0
-
-    def test_extraction_requires_even_ambient(self):
-        with pytest.raises(ValueError):
-            extract_base_subspace(SubspaceBasis(3, np.eye(3)[:1]))
-
     def test_vertical_subspace_layout(self):
         V = vertical_subspace(2)
         np.testing.assert_array_equal(
@@ -441,19 +417,9 @@ class TestDirectSum:
             perm = interleave_permutation(n1, n2)
             assert sorted(perm.tolist()) == list(range(2 * (n1 + n2)))
 
-    def test_permutation_matrix_gathers(self):
-        perm = interleave_permutation(2, 1)
-        P = permutation_matrix(perm)
-        x = np.arange(6.0)
-        np.testing.assert_array_equal(P @ x, x[perm])
-
-    def test_permutation_matrix_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permutation_matrix([0, 0, 1])
-
     def test_index_shuffle_equals_conjugation(self):
         perm = interleave_permutation(2, 1)
-        P = permutation_matrix(perm)
+        P = np.eye(6)[perm]
         rng = np.random.default_rng(22)
         M = rng.uniform(-1, 1, (6, 6))
         np.testing.assert_array_equal(M[np.ix_(perm, perm)], P @ M @ P.T)

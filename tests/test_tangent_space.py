@@ -4,13 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieprolong import (
-    ProductTangent,
     TangentVector,
-    TVBasis,
-    canonical_basis,
-    identity_tangent,
-    pair_tangents,
-    special_orthogonal,
     tv_add,
     tv_scale,
     tv_zero,
@@ -55,11 +49,7 @@ class TestBasicOps:
     def test_coordinates_round_trip(self):
         u = vec([1, 2, 3], [4, 5, 6])
         np.testing.assert_array_equal(u.coordinates, [1, 2, 3, 4, 5, 6])
-        assert_exact(TangentVector.from_coordinates(u.coordinates), u)
-
-    def test_odd_coordinate_length_rejected(self):
-        with pytest.raises(ValueError):
-            TangentVector.from_coordinates([1.0, 2.0, 3.0])
+        assert_exact(TangentVector(u.coordinates[:3], u.coordinates[3:]), u)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -121,58 +111,6 @@ class TestVectorSpaceAxioms:
         st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4),
     )
     def test_float_commutativity_is_still_exact(self, c, coords):
-        u = TangentVector.from_coordinates(coords)
+        u = TangentVector(coords[:2], coords[2:])
         w = tv_scale(c, u)
         assert_exact(tv_add(u, w), tv_add(w, u))
-
-
-class TestBasis:
-    def test_canonical_basis_is_standard(self):
-        basis = canonical_basis(2)
-        assert len(basis.vectors) == 4
-        np.testing.assert_array_equal(basis.coordinate_matrix, np.eye(4))
-
-    def test_reconstruction_from_coordinates(self):
-        basis = canonical_basis(3)
-        u = vec([1, -2, 3], [0, 5, -1])
-        coords = basis.coordinates(u)
-        assert_exact(basis.combine(coords), u)
-
-    def test_wrong_vector_count_rejected(self):
-        with pytest.raises(ValueError):
-            TVBasis((vec([1, 0], [0, 0]), vec([0, 1], [0, 0])))
-
-    def test_dependent_vectors_rejected(self):
-        u = vec([1, 0], [0, 0])
-        vectors = (u, u, vec([0, 1], [0, 0]), vec([0, 0], [1, 0]))
-        with pytest.raises(ValueError):
-            TVBasis(vectors)
-
-    def test_generic_basis_round_trip(self):
-        rng = np.random.default_rng(8)
-        vectors = tuple(
-            TangentVector.from_coordinates(row) for row in rng.uniform(-1, 1, (4, 4)) + np.eye(4) * 3
-        )
-        basis = TVBasis(vectors)
-        u = vec([0.25, -1.5], [2.0, 0.75])
-        back = basis.combine(basis.coordinates(u))
-        np.testing.assert_allclose(back.coordinates, u.coordinates, atol=1e-12)
-
-
-class TestProductTangent:
-    def test_pairing_keeps_parts(self):
-        spec = special_orthogonal(3)
-        X = identity_tangent(spec)
-        u = vec([1, 2], [3, 4])
-        pair = pair_tangents(X, u)
-        assert isinstance(pair, ProductTangent)
-        assert pair.group_part is X
-        assert pair.vector_part is u
-
-    def test_zero_fiber_pairing(self):
-        spec = special_orthogonal(3)
-        X = identity_tangent(spec)
-        u = tv_zero(2)
-        pair = pair_tangents(X, u)
-        assert np.max(np.abs(pair.group_part.algebra.matrix)) == 0.0
-        np.testing.assert_array_equal(pair.vector_part.fiber, np.zeros(2))
