@@ -42,14 +42,12 @@ from .groups import (
     general_linear,
     group_coordinates,
     group_element,
-    group_inverse,
     group_membership_residual,
     group_multiply,
     identity_element,
     identity_tangent,
     mat_exp,
     principal_log,
-    product_group,
     relative_residual,
     sample_algebra_element,
     sample_group_element,

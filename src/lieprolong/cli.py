@@ -38,6 +38,7 @@ from .catalog import (
 from .groups import (
     ChartError,
     ExponentOverflowError,
+    GroupKind,
     MembershipError,
     TangentGroupElement,
     algebra_basis,
@@ -327,7 +328,7 @@ def cmd_prolong(config: RunConfig) -> int:
             diff.discrepancy,
             None
             if diff.discrepancy < tol
-            else {"discrepancy": diff.discrepancy, "analytic": diff.analytic is not None},
+            else {"discrepancy": diff.discrepancy, "analytic": True},
         )
     ]
     checks.append(
@@ -455,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_catalog = sub.add_parser("catalog", help="list the built-in representations")
     common(p_catalog, with_rep=False)
-    p_catalog.add_argument("--kind", default=None, help="filter by group kind")
+    p_catalog.add_argument(
+        "--kind", choices=[k.value for k in GroupKind], help="filter by group kind"
+    )
 
     p_report = sub.add_parser(
         "report", help="run every suite over the whole catalog"

@@ -53,14 +53,12 @@ __all__ = [
     "general_linear",
     "group_coordinates",
     "group_element",
-    "group_inverse",
     "group_membership_residual",
     "group_multiply",
     "identity_element",
     "identity_tangent",
     "mat_exp",
     "principal_log",
-    "product_group",
     "relative_residual",
     "sample_algebra_element",
     "sample_group_element",
@@ -107,7 +105,6 @@ class GroupKind(str, Enum):
     SPECIAL_LINEAR = "SpecialLinear"
     SPECIAL_ORTHOGONAL = "SpecialOrthogonal"
     CIRCLE = "Circle"
-    PRODUCT = "Product"
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,11 @@ class GroupSpec:
 
     ``dim`` is the size of the square matrices realizing the group.  The
     circle group is realized by 2x2 rotation matrices, so its ``dim`` is
-    always 2.  Product groups hold their factor specs and are realized
-    block-diagonally; ``dim`` is then the sum of the factor dims.
+    always 2.
     """
 
     kind: GroupKind
     dim: int
-    factors: tuple["GroupSpec", ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GroupKind):
@@ -131,17 +126,8 @@ class GroupSpec:
             raise ValueError(f"group dimension must be positive, got {self.dim}")
         if self.kind is GroupKind.CIRCLE and self.dim != 2:
             raise ValueError("the circle group is realized by 2x2 rotation matrices")
-        if self.kind is GroupKind.PRODUCT:
-            if not self.factors:
-                raise ValueError("a product group needs at least one factor")
-            if self.dim != sum(f.dim for f in self.factors):
-                raise ValueError("product dim must equal the sum of factor dims")
-        elif self.factors:
-            raise ValueError("only product groups carry factors")
 
     def describe(self) -> str:
-        if self.kind is GroupKind.PRODUCT:
-            return " x ".join(f.describe() for f in self.factors)
         return f"{self.kind.value}({self.dim})"
 
 
@@ -159,10 +145,6 @@ def special_orthogonal(n: int) -> GroupSpec:
 
 def circle() -> GroupSpec:
     return GroupSpec(GroupKind.CIRCLE, 2)
-
-
-def product_group(*factors: GroupSpec) -> GroupSpec:
-    return GroupSpec(GroupKind.PRODUCT, sum(f.dim for f in factors), tuple(factors))
 
 
 def _as_square(matrix, dim: int | None = None) -> np.ndarray:
@@ -212,25 +194,6 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_blocks(matrix: np.ndarray, spec: GroupSpec) -> list[np.ndarray]:
-    blocks = []
-    offset = 0
-    for factor in spec.factors:
-        blocks.append(matrix[..., offset : offset + factor.dim, offset : offset + factor.dim])
-        offset += factor.dim
-    return blocks
-
-
-def _off_block_residual(matrix: np.ndarray, spec: GroupSpec) -> float:
-    mask = np.ones(matrix.shape[-2:], dtype=bool)
-    offset = 0
-    for factor in spec.factors:
-        mask[offset : offset + factor.dim, offset : offset + factor.dim] = False
-        offset += factor.dim
-    off = matrix[..., mask]
-    return float(np.max(np.abs(off))) if off.size else 0.0
-
-
 def group_membership_residual(matrix, spec: GroupSpec) -> float:
     """Defining residual of ``matrix`` as an element of the group ``spec``.
 
@@ -249,11 +212,6 @@ def group_membership_residual(matrix, spec: GroupSpec) -> float:
         ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim))))
         det = float(np.abs(np.linalg.det(m) - 1.0).max())
         return max(ortho, det)
-    if kind is GroupKind.PRODUCT:
-        residual = _off_block_residual(m, spec)
-        for block, factor in zip(_split_blocks(m, spec), spec.factors):
-            residual = max(residual, group_membership_residual(block, factor))
-        return residual
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -270,11 +228,6 @@ def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
         return float(np.abs(np.trace(m, axis1=-2, axis2=-1)).max())
     if kind in (GroupKind.SPECIAL_ORTHOGONAL, GroupKind.CIRCLE):
         return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
-    if kind is GroupKind.PRODUCT:
-        residual = _off_block_residual(m, spec)
-        for block, factor in zip(_split_blocks(m, spec), spec.factors):
-            residual = max(residual, algebra_membership_residual(block, factor))
-        return residual
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -286,19 +239,8 @@ def _require_invertible(matrix: np.ndarray) -> None:
         )
 
 
-class _Stackable:
-    """Shared by group and algebra elements: ``matrix`` may hold a stack."""
-
-    matrix: np.ndarray
-    spec: GroupSpec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-
 @dataclass(frozen=True, eq=False)
-class GroupElement(_Stackable):
+class GroupElement:
     """An invertible matrix tagged with the group it belongs to.
 
     ``matrix`` may also be a stack of shape ``(..., n, n)``; every slice is
@@ -321,7 +263,7 @@ class GroupElement(_Stackable):
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebraElement(_Stackable):
+class AlgebraElement:
     """A matrix, or a stack of matrices, in the Lie algebra of a group spec."""
 
     matrix: np.ndarray
@@ -392,30 +334,22 @@ def circle_element(theta: float) -> GroupElement:
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
     """exp(t * B), landing in the group whose algebra ``B`` belongs to.
 
-    Uses a scaling-and-squaring Pade kernel.  Product specs are
-    exponentiated factor by factor so the block structure is exact.
-    Raises :class:`ExponentOverflowError` when ``||t B||`` is large enough
-    that the result would overflow double precision.
+    Uses a scaling-and-squaring Pade kernel.  Raises
+    :class:`ExponentOverflowError` when ``||t B||`` is large enough that
+    the result would overflow double precision.
     """
     if not np.isfinite(t):
         raise ValueError("the scale t must be finite")
     scaled = t * B.matrix
     # An n x n slice's 2-norm is at most n times its largest entry, so the
     # SVDs are only needed near the guard.
-    if scaled.size and float(np.max(np.abs(scaled))) * B.dim > _EXP_NORM_LIMIT:
+    if scaled.size and float(np.max(np.abs(scaled))) * B.spec.dim > _EXP_NORM_LIMIT:
         norm = float(np.max(np.linalg.norm(scaled, 2, axis=(-2, -1))))
         if norm > _EXP_NORM_LIMIT:
             raise ExponentOverflowError(
                 f"||tB|| = {norm:.3e} exceeds the overflow guard {_EXP_NORM_LIMIT:.0f}"
             )
-    spec = B.spec
-    if spec.kind is GroupKind.PRODUCT:
-        blocks = [
-            mat_exp(AlgebraElement(block, factor), 1.0).matrix
-            for block, factor in zip(_split_blocks(scaled, spec), spec.factors)
-        ]
-        return GroupElement(block_diag(*blocks), spec)
-    return GroupElement(scipy.linalg.expm(scaled), spec)
+    return GroupElement(scipy.linalg.expm(scaled), B.spec)
 
 
 def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -424,10 +358,6 @@ def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
             f"cannot multiply elements of {a.spec.describe()} and {b.spec.describe()}"
         )
     return GroupElement(a.matrix @ b.matrix, a.spec)
-
-
-def group_inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(np.linalg.inv(a.matrix), a.spec)
 
 
 def tg_multiply(X: TangentGroupElement, Y: TangentGroupElement) -> TangentGroupElement:
@@ -465,8 +395,6 @@ def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     if kind is GroupKind.CIRCLE:
         theta = rng.uniform(-1.0, 1.0)
         return theta * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    if kind is GroupKind.PRODUCT:
-        return block_diag(*(_draw_algebra(f, rng) for f in spec.factors))
     raw = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
     if kind is GroupKind.GENERAL_LINEAR:
         return raw
@@ -531,7 +459,7 @@ def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
     linear: off-diagonal units first (row-major), then the traceless
     diagonals E_kk - E_{k+1,k+1}.  Special orthogonal: E_ij - E_ji for
     i < j in lexicographic order.  Circle: the single generator
-    [[0, 1], [-1, 0]].  Products: factor bases embedded block by block.
+    [[0, 1], [-1, 0]].
     """
     n = spec.dim
     kind = spec.kind
@@ -552,14 +480,6 @@ def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
         basis = [unit(i, j) - unit(j, i) for i in range(n) for j in range(i + 1, n)]
     elif kind is GroupKind.CIRCLE:
         basis = [np.array([[0.0, 1.0], [-1.0, 0.0]])]
-    elif kind is GroupKind.PRODUCT:
-        offset = 0
-        for factor in spec.factors:
-            for b in algebra_basis(factor):
-                big = np.zeros((n, n))
-                big[offset : offset + factor.dim, offset : offset + factor.dim] = b
-                basis.append(big)
-            offset += factor.dim
     else:
         raise ValueError(f"unknown group kind {kind!r}")
     for b in basis:
@@ -619,12 +539,6 @@ def principal_log(a: GroupElement) -> AlgebraElement:
         theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices]).reshape(stack)
         generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
         return AlgebraElement(theta[..., None, None] * generator, spec)
-    if spec.kind is GroupKind.PRODUCT:
-        blocks = [
-            principal_log(GroupElement(block, factor)).matrix
-            for block, factor in zip(_split_blocks(a.matrix, spec), spec.factors)
-        ]
-        return AlgebraElement(block_diag(*blocks), spec)
     # logm loops over slices: the oldest supported SciPy takes one matrix.
     log = np.stack([scipy.linalg.logm(m) for m in slices]).reshape(a.matrix.shape)
     if np.max(np.abs(np.imag(log))) > 1e-9:

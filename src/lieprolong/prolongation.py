@@ -27,7 +27,7 @@ and returns stacked results, validated once per stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -75,10 +75,10 @@ class Representation:
     """A matrix representation of a group spec on R^{target_dim}.
 
     ``apply`` maps a :class:`GroupElement` to its (invertible) image
-    matrix.  ``differential``, when present, is the analytic derivative at
-    the identity: it maps an :class:`AlgebraElement` ``B`` to
-    d/dt exp-image of ``tB`` at t = 0.  When absent, a central finite
-    difference stands in (see :func:`finite_difference_differential`).
+    matrix.  ``differential`` is required: the analytic derivative at the
+    identity, mapping an :class:`AlgebraElement` ``B`` to d/dt exp-image
+    of ``tB`` at t = 0.  The central finite difference
+    (:func:`finite_difference_differential`) only ever checks it.
 
     Both take an element whose matrix is ``(n, n)`` or a stack
     ``(..., n, n)`` and return ``(..., target_dim, target_dim)``, as numpy
@@ -89,7 +89,7 @@ class Representation:
     group: GroupSpec
     target_dim: int
     apply: Callable[[GroupElement], np.ndarray]
-    differential: Optional[Callable[[AlgebraElement], np.ndarray]] = None
+    differential: Callable[[AlgebraElement], np.ndarray]
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -192,27 +192,17 @@ def jn_embed(X) -> ProlongedMatrix:
 
 
 def finite_difference_differential(
-    rep: Representation,
-    B: AlgebraElement,
-    step: float = _FD_STEP,
-    richardson: bool = False,
+    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
 ) -> np.ndarray:
     """Central-difference derivative of t |-> rep.apply(exp(tB)) at t = 0.
 
-    With ``richardson`` the quotient is extrapolated from steps h and h/2,
-    cancelling the leading error term.
+    An oracle for ``rep.differential``, never a stand-in for it.
     """
     if step <= 0 or not np.isfinite(step):
         raise ValueError("step must be positive and finite")
-
-    def quotient(h: float) -> np.ndarray:
-        plus = rep_image(rep, mat_exp(B, h))
-        minus = rep_image(rep, mat_exp(B, -h))
-        return (plus - minus) / (2.0 * h)
-
-    out = quotient(step)
-    if richardson:
-        out = (4.0 * quotient(step / 2.0) - out) / 3.0
+    plus = rep_image(rep, mat_exp(B, step))
+    minus = rep_image(rep, mat_exp(B, -step))
+    out = (plus - minus) / (2.0 * step)
     if not np.all(np.isfinite(out)):
         raise StepSizeError(
             f"difference quotient at step {step:.1e} is non-finite; "
@@ -221,48 +211,31 @@ def finite_difference_differential(
     return out
 
 
-def differential_rep(
-    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
-) -> np.ndarray:
-    """The derivative of ``rep`` at the identity in direction ``B``.
-
-    Analytic when the representation carries one, otherwise the central
-    finite difference.
-    """
+def differential_rep(rep: Representation, B: AlgebraElement) -> np.ndarray:
+    """The analytic derivative of ``rep`` at the identity in direction ``B``,
+    with its shape and finiteness checked."""
     if B.spec != rep.group:
         raise SpecMismatchError(
             f"representation is over {rep.group.describe()}, algebra element over "
             f"{B.spec.describe()}"
         )
-    if rep.differential is not None:
-        return _evaluate(rep.differential, B, rep.target_dim, "differential")
-    return finite_difference_differential(rep, B, step)
+    return _evaluate(rep.differential, B, rep.target_dim, "differential")
 
 
 @dataclass(frozen=True, eq=False)
 class DifferentialReport:
-    """Analytic and numeric derivatives side by side.
+    """Analytic and numeric derivatives side by side, with their max-abs
+    gap as ``discrepancy``."""
 
-    When the representation has no analytic differential, ``analytic`` is
-    None and ``discrepancy`` compares the quotient at two step sizes
-    instead, as a self-consistency estimate.
-    """
-
-    analytic: Optional[np.ndarray]
+    analytic: np.ndarray
     numeric: np.ndarray
     discrepancy: float
 
 
-def differential_report(
-    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
-) -> DifferentialReport:
-    numeric = finite_difference_differential(rep, B, step)
-    if rep.differential is not None:
-        analytic = differential_rep(rep, B)
-        gap = float(np.max(np.abs(analytic - numeric)))
-        return DifferentialReport(analytic, numeric, gap)
-    halved = finite_difference_differential(rep, B, step / 2.0)
-    return DifferentialReport(None, numeric, float(np.max(np.abs(numeric - halved))))
+def differential_report(rep: Representation, B: AlgebraElement) -> DifferentialReport:
+    numeric = finite_difference_differential(rep, B)
+    analytic = differential_rep(rep, B)
+    return DifferentialReport(analytic, numeric, float(np.max(np.abs(analytic - numeric))))
 
 
 def prolong(rep: Representation, X) -> ProlongedMatrix:

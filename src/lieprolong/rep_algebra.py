@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .groups import (
+    AlgebraElement,
     GroupElement,
     SpecMismatchError,
     TangentGroupElement,
@@ -80,6 +81,10 @@ __all__ = [
 # Relative threshold for rank and nullspace decisions: a singular value
 # counts as zero when it is below RANK_RTOL times the largest one.
 RANK_RTOL = 1e-8
+
+# Two inputs, or a group element and the identity, count as distinct when
+# they differ by more than this in the max norm.
+_DISTINCT_TOL = 1e-9
 
 # Samples are drawn and evaluated in stacks of at most this many, which
 # bounds the memory a check needs whatever the sample count.
@@ -340,14 +345,11 @@ def conjugate_representation(rep: Representation, A) -> Representation:
     if matrix.shape != (rep.target_dim, rep.target_dim):
         raise ValueError("conjugator shape does not match the representation")
     inverse = np.linalg.inv(matrix)
-    differential = None
-    if rep.differential is not None:
-        differential = lambda B: matrix @ rep.differential(B) @ inverse  # noqa: E731
     return Representation(
         group=rep.group,
         target_dim=rep.target_dim,
         apply=lambda a: matrix @ rep_image(rep, a) @ inverse,
-        differential=differential,
+        differential=lambda B: matrix @ rep.differential(B) @ inverse,
         name=f"conj({rep.name})" if rep.name else "conj",
     )
 
@@ -569,12 +571,7 @@ def check_invariance_transfer(
     )
 
 
-def commutant_basis(
-    rep: RepLike,
-    samples: int = 8,
-    seed: int = 0,
-    rank_tol: float = RANK_RTOL,
-) -> list[np.ndarray]:
+def commutant_basis(rep: RepLike, samples: int = 8, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of matrices commuting with all sampled images.
 
     Stacks the linear constraints M X = X M over sampled images M and
@@ -588,7 +585,7 @@ def commutant_basis(
     images = _image(rep, _sample(rep, _keys(seed, range(samples), 11)))
     stacked = np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in images])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= cutoff]
 
 
@@ -596,8 +593,6 @@ def reducibility_probe(
     rep: RepLike,
     samples: int = 8,
     seed: int = 0,
-    rank_tol: float = RANK_RTOL,
-    invariance_samples: int = 100,
     tol: float = 1e-9,
 ) -> CheckReport:
     """Try to certify irreducibility or produce an invariant subspace.
@@ -609,7 +604,7 @@ def reducibility_probe(
     than the scalars without yielding a real splitting.
     """
     try:
-        commutant = commutant_basis(rep, samples, seed, rank_tol)
+        commutant = commutant_basis(rep, samples, seed)
     except ValueError as exc:
         return CheckReport(
             "reducibility_probe",
@@ -651,9 +646,7 @@ def reducibility_probe(
         if not 0 < len(cluster) < n:
             continue
         candidate = SubspaceBasis(n, eigenvectors[:, cluster].T)
-        verdict = is_invariant_subspace(
-            rep, candidate, invariance_samples, _derive(seed, 31), tol
-        )
+        verdict = is_invariant_subspace(rep, candidate, 100, _derive(seed, 31), tol)
         if verdict.passed:
             return CheckReport(
                 "reducibility_probe",
@@ -752,11 +745,8 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
     def apply(a: GroupElement) -> np.ndarray:
         return block_diag(rep_image(rep1, a), rep_image(rep2, a))
 
-    differential = None
-    if rep1.differential is not None and rep2.differential is not None:
-
-        def differential(B):  # noqa: F811
-            return block_diag(rep1.differential(B), rep2.differential(B))
+    def differential(B: AlgebraElement) -> np.ndarray:
+        return block_diag(rep1.differential(B), rep2.differential(B))
 
     return Representation(
         group=rep1.group,
@@ -820,7 +810,6 @@ def faithfulness_probe(
     *,
     kernel_witness: Optional[GroupElement] = None,
     collision_tol: float = 1e-12,
-    distinct_tol: float = 1e-9,
 ) -> CheckReport:
     """Look for distinct tangent elements with equal prolonged images.
 
@@ -828,10 +817,11 @@ def faithfulness_probe(
     image entry) in the max norm are found with a k-d tree, in memory
     linear in the sample count.  A declared kernel element (catalog
     metadata for representations known not to be injective) is checked
-    instead when given: if the base representation sends it to the
-    identity, the prolongation collides on it and the probe fails with that
-    witness.  A failure here certifies non-injectivity of the prolongation;
-    it is the expected outcome for non-faithful inputs, not a defect.
+    instead when given: if the prolonged image of the element lies within
+    the same threshold of the identity's, the prolongation collides on it
+    and the probe fails with that witness.  A failure here certifies
+    non-injectivity of the prolongation; it is the expected outcome for
+    non-faithful inputs, not a defect.
     """
     spec = rep.group
     images = []
@@ -860,7 +850,7 @@ def faithfulness_probe(
         element_gap = float(
             np.max(np.abs(kernel_witness.matrix - np.eye(spec.dim)))
         )
-        if element_gap > distinct_tol and gap <= distinct_tol * scale:
+        if element_gap > _DISTINCT_TOL and gap <= collision_tol * scale:
             return CheckReport(
                 "faithfulness_probe",
                 Verdict.FAIL,
@@ -905,7 +895,7 @@ def faithfulness_probe(
             if j <= i:
                 continue
             input_gap = float(np.max(np.abs(input_array[i] - input_array[j])))
-            if input_gap > distinct_tol:
+            if input_gap > _DISTINCT_TOL:
                 image_gap = float(np.max(np.abs(image_array[i] - image_array[j])))
                 return CheckReport(
                     "faithfulness_probe",

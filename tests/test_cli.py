@@ -82,6 +82,14 @@ class TestCatalogCommand:
         assert len(document["entries"]) == 6
         assert all("Circle" in e["group"] for e in document["entries"])
 
+    def test_unknown_kind_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["catalog", "--kind", "Bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'Bogus'" in err
+        assert "GeneralLinear" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--format", "text")
         assert code == 0
@@ -215,6 +223,18 @@ class TestCheckCommand:
         (check,) = document["checks"]
         assert check["verdict"] == "fail"
         assert check["witness"]["kind"] == "kernel_collision"
+
+    def test_tolerance_reaches_the_kernel_collision_threshold(self, capsys):
+        # The half turn's prolonged image misses the identity's by about 2.4e-16.
+        code, document, _ = run_json(
+            capsys, "check", "--rep", "circle_winding_2", "--suite", "faithfulness",
+            "--tol", "1e-300",
+        )
+        assert code == 0
+        (check,) = document["checks"]
+        assert document["config"]["tol"] == 1e-300
+        assert check["witness"]["kind"] == "kernel_witness_mismatch"
+        assert 0.0 < check["witness"]["image_gap"] < 1e-15
 
     def test_descriptor_file_as_rep_source(self, capsys, tmp_path):
         descriptor = {

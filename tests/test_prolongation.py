@@ -131,31 +131,17 @@ class TestDifferential:
                 analytic = differential_rep(rep, B)
                 assert np.max(np.abs(numeric - analytic)) < 1e-8
 
-    def test_richardson_beats_plain_quotient_at_coarse_steps(self):
-        rep = catalog_entry("circle_winding_2").rep
-        B = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
-        analytic = differential_rep(rep, B)
-        plain = finite_difference_differential(rep, B, step=1e-3)
-        extrapolated = finite_difference_differential(rep, B, step=1e-3, richardson=True)
-        err_plain = np.max(np.abs(plain - analytic))
-        err_extrapolated = np.max(np.abs(extrapolated - analytic))
-        assert err_extrapolated < err_plain / 10
-
     def test_report_with_analytic_differential(self):
         rep = catalog_entry("circle_winding_2").rep
         B = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
         report = differential_report(rep, B)
-        assert report.analytic is not None
         assert report.discrepancy < 1e-8
         np.testing.assert_allclose(report.numeric, report.analytic, atol=1e-8)
 
-    def test_report_without_analytic_differential(self):
+    def test_representation_without_differential_is_rejected(self):
         base = catalog_entry("circle_winding_2").rep
-        rep = Representation(base.group, base.target_dim, base.apply)
-        B = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
-        report = differential_report(rep, B)
-        assert report.analytic is None
-        assert report.discrepancy < 1e-9
+        with pytest.raises(TypeError):
+            Representation(base.group, base.target_dim, base.apply)
 
     def test_rejects_bad_step(self):
         rep = catalog_entry("circle_rotation").rep
@@ -174,7 +160,7 @@ class TestDifferential:
             gap = a.matrix - np.eye(1)
             return np.eye(1) + np.sign(gap) * np.sqrt(np.abs(gap)) * 1e306
 
-        steep = Representation(spec, 1, cusp)
+        steep = Representation(spec, 1, cusp, lambda B: B.matrix)
         B = algebra_element([[1.0]], spec)
         with np.errstate(over="ignore"), pytest.raises(StepSizeError):
             finite_difference_differential(steep, B)
@@ -231,7 +217,7 @@ class TestProlong:
         def collapse(a):
             return np.diag([1.0, a.matrix[0, 0]])
 
-        rep = Representation(circle(), 2, collapse)
+        rep = Representation(circle(), 2, collapse, lambda B: 0.0 * B.matrix)
         X = TangentGroupElement(circle_element(math.pi / 2), zero_algebra(circle()))
         with pytest.raises(ValueError):
             prolong(rep, X)
@@ -332,7 +318,7 @@ class TestProlongedRepresentation:
     def test_identity_validation_still_applies(self):
         spec = general_linear(1)
         with pytest.raises(ValueError):
-            Representation(spec, 1, lambda a: 2.0 * np.eye(1))
+            Representation(spec, 1, lambda a: 2.0 * np.eye(1), lambda B: B.matrix)
 
 
 def _rep(name: str) -> Representation:
@@ -356,7 +342,12 @@ class TestStackedEvaluation:
         # np.kron of a stack is not a stack of Kronecker products; the
         # result's shape gives it away, and it is never looped per slice.
         spec = special_orthogonal(3)
-        rep = Representation(spec, 9, lambda a: np.kron(a.matrix, a.matrix))
+        rep = Representation(
+            spec,
+            9,
+            lambda a: np.kron(a.matrix, a.matrix),
+            lambda B: np.zeros(B.matrix.shape[:-2] + (9, 9)),
+        )
         a = sample_group_element(spec, 0)
         np.testing.assert_array_equal(rep_image(rep, a), np.kron(a.matrix, a.matrix))
         with pytest.raises(ValueError, match="shape"):
@@ -370,7 +361,7 @@ class TestStackedEvaluation:
                 calls.append(a.matrix.shape)
                 return a.matrix if a.matrix.ndim == 2 else wrong(a.matrix)
 
-            return Representation(circle(), 2, apply), calls
+            return Representation(circle(), 2, apply, lambda B: B.matrix), calls
 
         stack = sample_group_elements(circle(), range(3))
         narrow, calls = wrong_on_stacks(lambda m: m[..., :1])

@@ -54,7 +54,7 @@ def skewed_identity(spec) -> Representation:
     def apply(a):
         return a.matrix + 1e-3 * (a.matrix - np.eye(spec.dim))
 
-    return Representation(spec, spec.dim, apply, name="skewed")
+    return Representation(spec, spec.dim, apply, lambda B: 1.001 * B.matrix, "skewed")
 
 
 class TestCheckReport:
