@@ -45,7 +45,9 @@ SPECS = [
     general_linear(1),
     general_linear(2),
     general_linear(3),
+    general_linear(4),
     special_linear(2),
+    special_orthogonal(2),
     special_orthogonal(3),
     circle(),
 ]
@@ -260,6 +262,8 @@ class TestAlgebraBasisAndCharts:
         assert len(algebra_basis(special_linear(2))) == 3
         assert len(algebra_basis(special_orthogonal(3))) == 3
         assert len(algebra_basis(circle())) == 1
+        assert len(algebra_basis(special_orthogonal(2))) == 1
+        assert len(algebra_basis(general_linear(4))) == 16
 
     def test_circle_generator_frozen(self):
         (generator,) = algebra_basis(circle())
