@@ -12,10 +12,10 @@ through the law, its inverse, and that embedding.
 import numpy as np
 
 from lieprolong import (
+    AlgebraElement,
+    GroupElement,
     TangentGroupElement,
-    algebra_element,
     general_linear,
-    group_element,
     jn_embed,
     sample_tangent_element,
     special_orthogonal,
@@ -25,8 +25,8 @@ from lieprolong import (
 
 # 1x1 matrices first: the numbers stay readable.
 spec = general_linear(1)
-X = TangentGroupElement(group_element([[2.0]], spec), algebra_element([[3.0]], spec))
-Y = TangentGroupElement(group_element([[5.0]], spec), algebra_element([[7.0]], spec))
+X = TangentGroupElement(GroupElement([[2.0]], spec), AlgebraElement([[3.0]], spec))
+Y = TangentGroupElement(GroupElement([[5.0]], spec), AlgebraElement([[7.0]], spec))
 
 Z = tg_multiply(X, Y)
 print("base of X*Y:   ", Z.base.matrix)      # [[10]]  = 2 * 5

@@ -13,9 +13,9 @@ with a central difference, never touching the block formula.
 import numpy as np
 
 from lieprolong import (
+    AlgebraElement,
     TangentGroupElement,
     TangentVector,
-    algebra_element,
     apply_prolonged,
     catalog_entry,
     circle,
@@ -29,7 +29,7 @@ rotation = catalog_entry("circle_rotation").rep
 
 # Evaluate at the identity with unit fiber speed: the top block is the
 # identity and the bottom-left block is the rotation generator.
-generator = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
+generator = AlgebraElement([[0.0, 1.0], [-1.0, 0.0]], circle())
 X = TangentGroupElement(identity_element(circle()), generator)
 M = prolong(rotation, X)
 print("R block:\n", M.top_left)

@@ -42,7 +42,7 @@ print("lifted conjugator intertwines the prolongations:", report.verdict.value,
 
 # twenty conjugations, bundled
 print("equivalence transfer:",
-      check_equivalence_transfer(rotation, 20, 100, seed=5).verdict.value)
+      check_equivalence_transfer(rotation, 100, seed=5).verdict.value)
 
 # declared invariant subspaces of a direct sum transfer to the lift
 entry = catalog_entry("circle_plus_trivial")

@@ -51,7 +51,7 @@ print()
 for name in ["gl_identity(2)", "so3_standard", "circle_rotation",
              "circle_plus_trivial", "circle_double", "trivial(2)"]:
     rep = catalog_entry(name).rep
-    print(f"commutant dim of {name}: {len(commutant_basis(rep, 8, seed=10))}")
+    print(f"commutant dim of {name}: {len(commutant_basis(rep, seed=10))}")
 
 # scalars only -> irreducible; a fat commutant is mined for a verified
 # invariant subspace; the rotation rep stays inconclusive here because

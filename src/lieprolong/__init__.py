@@ -33,7 +33,6 @@ from .groups import (
     TangentGroupElement,
     algebra_basis,
     algebra_coordinates,
-    algebra_element,
     algebra_from_coordinates,
     algebra_membership_residual,
     block_diag,
@@ -41,7 +40,6 @@ from .groups import (
     circle_element,
     general_linear,
     group_coordinates,
-    group_element,
     group_membership_residual,
     group_multiply,
     identity_element,
@@ -61,14 +59,12 @@ from .groups import (
     zero_algebra,
 )
 from .prolongation import (
-    DifferentialReport,
     ProlongedMatrix,
     ProlongedRepresentation,
     Representation,
     StepSizeError,
     apply_prolonged,
     differential_rep,
-    differential_report,
     finite_difference_differential,
     jn_embed,
     prolong,

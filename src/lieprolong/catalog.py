@@ -327,7 +327,7 @@ def _reject_inconsistent_generators(
                     witness={"generator_index": k, "loop_residual": residual},
                 )
     try:
-        hom = check_homomorphism(rep, 100, 7, 1e-9)
+        hom = check_homomorphism(rep, 100, 7)
     except ValueError as exc:
         raise DescriptorError(
             f"generator images cannot be evaluated on sampled elements: {exc}",

@@ -50,7 +50,8 @@ from .prolongation import (
     Representation,
     StepSizeError,
     apply_prolonged,
-    differential_report,
+    differential_rep,
+    finite_difference_differential,
     prolong,
     prolonged,
     tangent_action_oracle,
@@ -58,6 +59,7 @@ from .prolongation import (
 from .rep_algebra import (
     CheckReport,
     Verdict,
+    _verdict,
     check_action_oracle,
     check_direct_sum_commutation,
     check_equivalence_transfer,
@@ -81,16 +83,6 @@ _SUITE_NAMES = (
     "directsum",
     "faithfulness",
 )
-
-_SUITE_DEFAULT_TOL = {
-    "homomorphism": 1e-9,
-    "oracle": 1e-5,
-    "equivalence": 1e-9,
-    "invariance": 1e-9,
-    "directsum": 1e-12,
-    "faithfulness": 1e-12,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -221,10 +213,6 @@ def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
     _write("\n".join(lines) + "\n", config.output)
 
 
-def _suite_tol(config: RunConfig, suite: str) -> float:
-    return config.tol if config.tol is not None else _SUITE_DEFAULT_TOL[suite]
-
-
 def _run_suite(
     suite: str,
     rep: Representation,
@@ -232,46 +220,45 @@ def _run_suite(
     config: RunConfig,
 ) -> list[CheckReport]:
     samples, seed = config.samples, config.seed
-    tol = _suite_tol(config, suite)
+    # Without --tol every check applies the default in its own signature.
+    tol = {} if config.tol is None else {"tol": config.tol}
     rename = dataclasses.replace
     if suite == "homomorphism":
         return [
-            rename(check_homomorphism(rep, samples, seed, tol), name="homomorphism(base)"),
+            rename(check_homomorphism(rep, samples, seed, **tol), name="homomorphism(base)"),
             rename(
-                check_homomorphism(prolonged(rep), samples, seed, tol),
+                check_homomorphism(prolonged(rep), samples, seed, **tol),
                 name="homomorphism(prolonged)",
             ),
         ]
     if suite == "oracle":
-        return [check_action_oracle(rep, samples, seed, tol)]
+        return [check_action_oracle(rep, samples, seed, **tol)]
     if suite == "equivalence":
-        return [check_equivalence_transfer(rep, 20, samples, seed, tol)]
+        return [check_equivalence_transfer(rep, samples, seed, **tol)]
     if suite == "invariance":
         checks = []
         subspaces = entry.known_invariant_subspaces if entry is not None else ()
         for k, subspace in enumerate(subspaces):
             checks.append(
                 rename(
-                    check_invariance_transfer(rep, subspace, samples, seed, tol),
+                    check_invariance_transfer(rep, subspace, samples, seed, **tol),
                     name=f"invariance_transfer[{k}]",
                 )
             )
         checks.append(
             rename(
                 is_invariant_subspace(
-                    prolonged(rep), vertical_subspace(rep.target_dim), samples, seed, tol
+                    prolonged(rep), vertical_subspace(rep.target_dim), samples, seed, **tol
                 ),
                 name="vertical_invariance",
             )
         )
         return checks
     if suite == "directsum":
-        return [check_direct_sum_commutation(rep, rep, samples, seed, tol)]
+        return [check_direct_sum_commutation(rep, rep, samples, seed, **tol)]
     if suite == "faithfulness":
         witness = entry.kernel_witness if entry is not None else None
-        return [
-            faithfulness_probe(rep, samples, seed, kernel_witness=witness, collision_tol=tol)
-        ]
+        return [faithfulness_probe(rep, samples, seed, **tol, kernel_witness=witness)]
     raise _InputError(f"unknown suite {suite!r}")
 
 
@@ -313,32 +300,25 @@ def cmd_prolong(config: RunConfig) -> int:
     Y = TangentVector(probes[:, 0], probes[:, 1])
     try:
         matrix = prolong(rep, X)
-        diff = differential_report(rep, algebra)
+        numeric = finite_difference_differential(rep, algebra)
+        analytic = differential_rep(rep, algebra)
         direct = apply_prolonged(matrix, Y).coordinates
         oracle = tangent_action_oracle(rep, X, Y).coordinates
     except (ExponentOverflowError, StepSizeError, ValueError) as exc:
         raise _InputError(f"cannot evaluate the prolongation there: {exc}") from None
+    discrepancy = float(np.max(np.abs(analytic - numeric)))
     worst = float(np.max(relative_residual(direct, oracle, axis=-1)))
 
     tol = config.tol if config.tol is not None else 1e-5
     checks = [
-        CheckReport(
+        _verdict(
             "differential_consistency",
-            Verdict.PASS if diff.discrepancy < tol else Verdict.FAIL,
-            diff.discrepancy,
-            None
-            if diff.discrepancy < tol
-            else {"discrepancy": diff.discrepancy, "analytic": True},
-        )
+            discrepancy,
+            tol,
+            {"discrepancy": discrepancy, "analytic": True},
+        ),
+        _verdict("action_oracle", worst, tol, {"residual": worst, "probes": 5}),
     ]
-    checks.append(
-        CheckReport(
-            "action_oracle",
-            Verdict.PASS if worst < tol else Verdict.FAIL,
-            worst,
-            None if worst < tol else {"residual": worst, "probes": 5},
-        )
-    )
     envelope = {
         "command": "prolong",
         "config": config.to_dict(),

@@ -44,7 +44,6 @@ __all__ = [
     "TangentGroupElement",
     "algebra_basis",
     "algebra_coordinates",
-    "algebra_element",
     "algebra_from_coordinates",
     "algebra_membership_residual",
     "block_diag",
@@ -52,7 +51,6 @@ __all__ = [
     "circle_element",
     "general_linear",
     "group_coordinates",
-    "group_element",
     "group_membership_residual",
     "group_multiply",
     "identity_element",
@@ -303,14 +301,6 @@ class TangentGroupElement:
     @property
     def spec(self) -> GroupSpec:
         return self.base.spec
-
-
-def group_element(matrix, spec: GroupSpec) -> GroupElement:
-    return GroupElement(matrix, spec)
-
-
-def algebra_element(matrix, spec: GroupSpec) -> AlgebraElement:
-    return AlgebraElement(matrix, spec)
 
 
 def identity_element(spec: GroupSpec) -> GroupElement:

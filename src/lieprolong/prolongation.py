@@ -44,14 +44,12 @@ from .groups import (
 from .tangent_space import TangentVector
 
 __all__ = [
-    "DifferentialReport",
     "ProlongedMatrix",
     "ProlongedRepresentation",
     "Representation",
     "StepSizeError",
     "apply_prolonged",
     "differential_rep",
-    "differential_report",
     "finite_difference_differential",
     "jn_embed",
     "prolong",
@@ -191,24 +189,21 @@ def jn_embed(X) -> ProlongedMatrix:
     return ProlongedMatrix(a, X.algebra.matrix @ a)
 
 
-def finite_difference_differential(
-    rep: Representation, B: AlgebraElement, step: float = _FD_STEP
-) -> np.ndarray:
+def _check_quotient(quotient: np.ndarray) -> np.ndarray:
+    """A central-difference quotient, rejected when any entry is non-finite."""
+    if not np.all(np.isfinite(quotient)):
+        raise StepSizeError(f"difference quotient at step {_FD_STEP:.1e} is non-finite")
+    return quotient
+
+
+def finite_difference_differential(rep: Representation, B: AlgebraElement) -> np.ndarray:
     """Central-difference derivative of t |-> rep.apply(exp(tB)) at t = 0.
 
     An oracle for ``rep.differential``, never a stand-in for it.
     """
-    if step <= 0 or not np.isfinite(step):
-        raise ValueError("step must be positive and finite")
-    plus = rep_image(rep, mat_exp(B, step))
-    minus = rep_image(rep, mat_exp(B, -step))
-    out = (plus - minus) / (2.0 * step)
-    if not np.all(np.isfinite(out)):
-        raise StepSizeError(
-            f"difference quotient at step {step:.1e} is non-finite; "
-            "adjust the step size"
-        )
-    return out
+    plus = rep_image(rep, mat_exp(B, _FD_STEP))
+    minus = rep_image(rep, mat_exp(B, -_FD_STEP))
+    return _check_quotient((plus - minus) / (2.0 * _FD_STEP))
 
 
 def differential_rep(rep: Representation, B: AlgebraElement) -> np.ndarray:
@@ -220,22 +215,6 @@ def differential_rep(rep: Representation, B: AlgebraElement) -> np.ndarray:
             f"{B.spec.describe()}"
         )
     return _evaluate(rep.differential, B, rep.target_dim, "differential")
-
-
-@dataclass(frozen=True, eq=False)
-class DifferentialReport:
-    """Analytic and numeric derivatives side by side, with their max-abs
-    gap as ``discrepancy``."""
-
-    analytic: np.ndarray
-    numeric: np.ndarray
-    discrepancy: float
-
-
-def differential_report(rep: Representation, B: AlgebraElement) -> DifferentialReport:
-    numeric = finite_difference_differential(rep, B)
-    analytic = differential_rep(rep, B)
-    return DifferentialReport(analytic, numeric, float(np.max(np.abs(analytic - numeric))))
 
 
 def prolong(rep: Representation, X) -> ProlongedMatrix:
@@ -268,9 +247,7 @@ def apply_prolonged(M: ProlongedMatrix, Y: TangentVector) -> TangentVector:
     return TangentVector(base, fiber)
 
 
-def tangent_action_oracle(
-    rep: Representation, X, Y: TangentVector, step: float = _FD_STEP
-) -> TangentVector:
+def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVector:
     """Differentiate the action curve directly, bypassing the block formula.
 
     The base output is rep.apply(a) @ p.  The fiber output is the central
@@ -285,8 +262,6 @@ def tangent_action_oracle(
         raise ValueError(
             f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"
         )
-    if step <= 0 or not np.isfinite(step):
-        raise ValueError("step must be positive and finite")
     B = X.algebra
     base = _matvec(rep_image(rep, X.base), Y.base)
 
@@ -294,13 +269,8 @@ def tangent_action_oracle(
         at = group_multiply(mat_exp(B, t), X.base)
         return _matvec(rep_image(rep, at), Y.base + t * Y.fiber)
 
-    fiber = (curve(step) - curve(-step)) / (2.0 * step)
-    if not np.all(np.isfinite(fiber)):
-        raise StepSizeError(
-            f"difference quotient at step {step:.1e} is non-finite; "
-            "adjust the step size"
-        )
-    return TangentVector(base, fiber)
+    fiber = (curve(_FD_STEP) - curve(-_FD_STEP)) / (2.0 * _FD_STEP)
+    return TangentVector(base, _check_quotient(fiber))
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,6 +90,9 @@ _DISTINCT_TOL = 1e-9
 # bounds the memory a check needs whatever the sample count.
 _CHUNK = 256
 
+# Random conjugators tried by the equivalence transfer check.
+_CONJUGATIONS = 20
+
 RepLike = Union[Representation, ProlongedRepresentation]
 
 
@@ -189,6 +192,14 @@ def _scan(
     return worst, index
 
 
+def _verdict(name: str, worst: float, tol: float, witness: dict) -> CheckReport:
+    """The one verdict rule: PASS when ``worst`` is below ``tol``, else FAIL
+    carrying ``witness``."""
+    if worst < tol:
+        return CheckReport(name, Verdict.PASS, worst)
+    return CheckReport(name, Verdict.FAIL, worst, witness)
+
+
 def _sampled_check(
     name: str,
     samples: int,
@@ -198,15 +209,13 @@ def _sampled_check(
 ) -> CheckReport:
     worst, index = _scan(samples, residuals)
     worst = float(worst)
-    if worst < tol:
-        return CheckReport(name, Verdict.PASS, worst)
     witness = {"seed": _payload(seed), "sample_index": int(index), "residual": worst}
-    return CheckReport(name, Verdict.FAIL, worst, witness)
+    return _verdict(name, worst, tol, witness)
 
 
 def check_homomorphism(
     rep: RepLike,
-    sample_count: int = 200,
+    samples: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> CheckReport:
@@ -223,7 +232,7 @@ def check_homomorphism(
         split = _image(rep, x) @ _image(rep, y)
         return relative_residual(combined, split, axis=(-2, -1))
 
-    return _sampled_check("homomorphism", sample_count, seed, tol, residuals)
+    return _sampled_check("homomorphism", samples, seed, tol, residuals)
 
 
 def check_action_oracle(
@@ -356,23 +365,20 @@ def conjugate_representation(rep: Representation, A) -> Representation:
 
 def check_equivalence_transfer(
     rep: Representation,
-    conjugations: int = 20,
     samples: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> CheckReport:
     """Conjugating a representation conjugates its prolongation.
 
-    For random invertible A the lift block-diag(A, A) must intertwine the
-    prolongation of ``rep`` with the prolongation of the conjugated
-    representation, to the same tolerance.  Every conjugation is tested on
-    the same samples, so ``rep`` is sampled and prolonged once per stack;
-    each conjugated side is prolonged on its own.
+    For each of twenty random invertible A the lift block-diag(A, A) must
+    intertwine the prolongation of ``rep`` with the prolongation of the
+    conjugated representation, to the same tolerance.  Every conjugation is
+    tested on the same samples, so ``rep`` is sampled and prolonged once
+    per stack; each conjugated side is prolonged on its own.
     """
-    if conjugations < 1:
-        raise ValueError("conjugations must be positive")
     lifts, others = [], []
-    for c in range(conjugations):
+    for c in range(_CONJUGATIONS):
         A = random_conjugator(rep.target_dim, _derive(seed, 2, c))
         lifted = prolong_intertwiner(A)
         if not lifted.full_rank:
@@ -394,22 +400,20 @@ def check_equivalence_transfer(
     per_conjugation, indices = _scan(samples, residuals) if lifts else ([0.0], [0])
     c = int(np.argmax(per_conjugation))
     worst = float(per_conjugation[c])
-    if len(lifts) < conjugations:
+    if len(lifts) < _CONJUGATIONS:
         return CheckReport(
             "equivalence_transfer",
             Verdict.INCONCLUSIVE,
             worst,
             {"conjugation_index": len(lifts), "reason": "conjugator not full rank"},
         )
-    if worst < tol:
-        return CheckReport("equivalence_transfer", Verdict.PASS, worst)
     witness = {
         "conjugation_index": c,
         "seed": _payload(sample_seed),
         "sample_index": int(indices[c]),
         "residual": worst,
     }
-    return CheckReport("equivalence_transfer", Verdict.FAIL, worst, witness)
+    return _verdict("equivalence_transfer", worst, tol, witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,74 +531,65 @@ def check_invariance_transfer(
     Three residuals are combined: U under the base representation, the
     lifted subspace under the prolongation, and the base components of
     prolonged images of (u, 0) against span(U), which is the executable
-    form of the reverse implication.
+    form of the reverse implication.  The last two share their samples, so
+    each tangent stack is drawn and prolonged once.
     """
     base_report = is_invariant_subspace(rep, U, samples, _derive(seed, 3), tol)
-    lifted = prolong_subspace(U)
-    lifted_report = is_invariant_subspace(
-        prolonged(rep), lifted, samples, _derive(seed, 5), tol
-    )
-    extraction_worst = 0.0
-    extraction_witness = None
+    tangent_seed = _derive(seed, 5)
+    worst, index = (0.0, 0.0), (0, 0)
     if U.dimension > 0:
+        n = U.ambient_dim
         q = U.orthonormal()
-        horizontal = np.zeros((2 * U.ambient_dim, U.dimension))
-        horizontal[: U.ambient_dim] = q.T
+        lifted_q = prolong_subspace(U).orthonormal()
+        horizontal = np.zeros((2 * n, U.dimension))
+        horizontal[:n] = q.T
 
         def residuals(indices):
-            X = sample_tangent_elements(rep.group, _keys(seed, indices, 5))
-            images = prolong(rep, X).dense() @ horizontal
-            return _projection_defects(images[..., : U.ambient_dim, :], q)
+            X = sample_tangent_elements(rep.group, _keys(tangent_seed, indices))
+            images = prolong(rep, X).dense()
+            lifted = _projection_defects(images @ lifted_q.T, lifted_q)
+            extracted = _projection_defects((images @ horizontal)[..., :n, :], q)
+            return np.stack([lifted, extracted])
 
         worst, index = _scan(samples, residuals)
-        extraction_worst = float(worst)
-        extraction_witness = {"sample_index": int(index), "residual": extraction_worst}
     parts = {
         "base": base_report.max_residual,
-        "prolonged": lifted_report.max_residual,
-        "base_extraction": extraction_worst,
+        "prolonged": float(worst[0]),
+        "base_extraction": float(worst[1]),
     }
-    worst = max(parts.values())
-    if worst < tol:
-        return CheckReport("invariance_transfer", Verdict.PASS, worst)
     failing = max(parts, key=parts.get)
     detail = {
         "base": base_report.witness,
-        "prolonged": lifted_report.witness,
-        "base_extraction": extraction_witness,
+        "prolonged": {
+            "seed": _payload(tangent_seed),
+            "sample_index": int(index[0]),
+            "residual": parts["prolonged"],
+        },
+        "base_extraction": {
+            "sample_index": int(index[1]),
+            "residual": parts["base_extraction"],
+        },
     }[failing]
-    return CheckReport(
-        "invariance_transfer",
-        Verdict.FAIL,
-        worst,
-        {"direction": failing, "residuals": parts, **(detail or {})},
-    )
+    witness = {"direction": failing, "residuals": parts, **(detail or {})}
+    return _verdict("invariance_transfer", parts[failing], tol, witness)
 
 
-def commutant_basis(rep: RepLike, samples: int = 8, seed: int = 0) -> list[np.ndarray]:
+def commutant_basis(rep: RepLike, seed: int = 0) -> list[np.ndarray]:
     """Orthonormal basis of matrices commuting with all sampled images.
 
-    Stacks the linear constraints M X = X M over sampled images M and
-    returns the nullspace, reshaped to matrices.  At least two samples are
-    required for the span to be generically meaningful.
+    Stacks the linear constraints M X = X M over eight sampled images M and
+    returns the nullspace, reshaped to matrices.
     """
-    if samples < 2:
-        raise ValueError("commutant_basis needs at least 2 generator samples")
     n = rep.target_dim
     eye = np.eye(n)
-    images = _image(rep, _sample(rep, _keys(seed, range(samples), 11)))
+    images = _image(rep, _sample(rep, _keys(seed, range(8), 11)))
     stacked = np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in images])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= cutoff]
 
 
-def reducibility_probe(
-    rep: RepLike,
-    samples: int = 8,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> CheckReport:
+def reducibility_probe(rep: RepLike, seed: int = 0) -> CheckReport:
     """Try to certify irreducibility or produce an invariant subspace.
 
     Commutant of dimension one certifies irreducibility.  Otherwise a
@@ -604,7 +599,7 @@ def reducibility_probe(
     than the scalars without yielding a real splitting.
     """
     try:
-        commutant = commutant_basis(rep, samples, seed)
+        commutant = commutant_basis(rep, seed)
     except ValueError as exc:
         return CheckReport(
             "reducibility_probe",
@@ -646,7 +641,7 @@ def reducibility_probe(
         if not 0 < len(cluster) < n:
             continue
         candidate = SubspaceBasis(n, eigenvectors[:, cluster].T)
-        verdict = is_invariant_subspace(rep, candidate, 100, _derive(seed, 31), tol)
+        verdict = is_invariant_subspace(rep, candidate, 100, _derive(seed, 31))
         if verdict.passed:
             return CheckReport(
                 "reducibility_probe",
@@ -667,25 +662,19 @@ def reducibility_probe(
     )
 
 
-def certify_irreducible_lines_2d(
-    rep: RepLike,
-    angles: int = 1024,
-    samples: int = 32,
-    seed: int = 0,
-    margin: float = 1e-2,
-    tol: float = 1e-9,
-) -> CheckReport:
+def certify_irreducible_lines_2d(rep: RepLike, seed: int = 0) -> CheckReport:
     """Exhaustive sweep over lines through the origin of R^2.
 
     Only for two-dimensional representations, where every proper invariant
-    subspace is a line.  If every line on a fine angular grid is moved off
-    itself by some sampled image (by at least ``margin``), irreducibility
-    is certified.  If the sweep finds a line that the sampled images
-    preserve, that line is re-verified and reported as a reducibility
-    witness.
+    subspace is a line.  If every line on a grid of 1024 angles is moved
+    off itself by one of 32 sampled images (by more than 1e-2),
+    irreducibility is certified.  If the sweep finds a line that the
+    sampled images preserve, that line is re-verified and reported as a
+    reducibility witness.
     """
     if rep.target_dim != 2:
         raise ValueError("the line sweep applies to two-dimensional representations only")
+    angles, samples = 1024, 32
     grid = np.linspace(0.0, np.pi, angles, endpoint=False)
     directions = np.stack([np.cos(grid), np.sin(grid)])
     perps = np.stack([-np.sin(grid), np.cos(grid)])
@@ -697,7 +686,7 @@ def certify_irreducible_lines_2d(
         worst_per_angle = np.maximum(worst_per_angle, np.max(off_line / scale, axis=0))
     weakest = int(np.argmin(worst_per_angle))
     floor = float(worst_per_angle[weakest])
-    if floor > margin:
+    if floor > 1e-2:
         return CheckReport(
             "line_sweep",
             Verdict.PASS,
@@ -710,7 +699,7 @@ def certify_irreducible_lines_2d(
             },
         )
     candidate = SubspaceBasis(2, directions[:, weakest])
-    verdict = is_invariant_subspace(rep, candidate, 200, _derive(seed, 43), tol)
+    verdict = is_invariant_subspace(rep, candidate, 200, _derive(seed, 43))
     if verdict.passed:
         return CheckReport(
             "line_sweep",
@@ -807,13 +796,13 @@ def faithfulness_probe(
     rep: Representation,
     samples: int = 1000,
     seed: int = 0,
+    tol: float = 1e-12,
     *,
     kernel_witness: Optional[GroupElement] = None,
-    collision_tol: float = 1e-12,
 ) -> CheckReport:
     """Look for distinct tangent elements with equal prolonged images.
 
-    Sampled images closer than ``collision_tol`` (scaled by the largest
+    Sampled images closer than ``tol`` (scaled by the largest
     image entry) in the max norm are found with a k-d tree, in memory
     linear in the sample count.  A declared kernel element (catalog
     metadata for representations known not to be injective) is checked
@@ -850,7 +839,7 @@ def faithfulness_probe(
         element_gap = float(
             np.max(np.abs(kernel_witness.matrix - np.eye(spec.dim)))
         )
-        if element_gap > _DISTINCT_TOL and gap <= collision_tol * scale:
+        if element_gap > _DISTINCT_TOL and gap <= tol * scale:
             return CheckReport(
                 "faithfulness_probe",
                 Verdict.FAIL,
@@ -887,7 +876,7 @@ def faithfulness_probe(
 
     tree = scipy.spatial.cKDTree(image_array)
     separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]
-    threshold = collision_tol * scale
+    threshold = tol * scale
     # Pairs (i, j), i < j, in lexicographic order; only points whose nearest
     # neighbour lies within the threshold can start one.
     for i in np.flatnonzero(separation <= threshold):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -9,7 +10,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lieprolong import __version__
+from lieprolong import (
+    __version__,
+    check_action_oracle,
+    check_direct_sum_commutation,
+    check_equivalence_transfer,
+    check_homomorphism,
+    check_invariance_transfer,
+    faithfulness_probe,
+    is_invariant_subspace,
+)
 from lieprolong.cli import SEED_ENV_VAR, main
 
 REPORT_SCHEMA = {
@@ -169,6 +179,29 @@ class TestProlongCommand:
         )
         assert code == 2
         assert "error" in err
+
+
+# The library function behind each suite and the default tolerance it
+# applies when --tol is not given.
+SUITE_CHECKS = [
+    ("homomorphism", check_homomorphism, 1e-9),
+    ("oracle", check_action_oracle, 1e-5),
+    ("equivalence", check_equivalence_transfer, 1e-9),
+    ("invariance", check_invariance_transfer, 1e-9),
+    ("invariance", is_invariant_subspace, 1e-9),
+    ("directsum", check_direct_sum_commutation, 1e-12),
+    ("faithfulness", faithfulness_probe, 1e-12),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, check, tol", SUITE_CHECKS, ids=[f"{s}-{c.__name__}" for s, c, _ in SUITE_CHECKS]
+)
+def test_suite_check_contract_and_default_tolerance(suite, check, tol):
+    parameters = inspect.signature(check).parameters
+    positional = [p.name for p in parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    assert positional[-3:] == ["samples", "seed", "tol"]
+    assert parameters["tol"].default == tol
 
 
 class TestCheckCommand:

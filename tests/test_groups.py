@@ -13,7 +13,6 @@ from lieprolong import (
     TangentGroupElement,
     algebra_basis,
     algebra_coordinates,
-    algebra_element,
     algebra_from_coordinates,
     algebra_membership_residual,
     block_diag,
@@ -21,7 +20,6 @@ from lieprolong import (
     circle_element,
     general_linear,
     group_coordinates,
-    group_element,
     group_membership_residual,
     group_multiply,
     identity_element,
@@ -82,11 +80,11 @@ class TestMatExp:
             np.testing.assert_array_equal(got, np.eye(spec.dim))
 
     def test_scalar_value(self):
-        B = algebra_element([[1.0]], general_linear(1))
+        B = AlgebraElement([[1.0]], general_linear(1))
         assert mat_exp(B, 3.0).matrix[0, 0] == pytest.approx(20.085536923187668, rel=1e-14)
 
     def test_rotation_closed_form(self):
-        generator = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
+        generator = AlgebraElement([[0.0, 1.0], [-1.0, 0.0]], circle())
         for theta in [0.3, -1.2, math.pi / 2, 2.9]:
             got = mat_exp(generator, theta).matrix
             want = np.array(
@@ -95,12 +93,12 @@ class TestMatExp:
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_quarter_turn_frozen(self):
-        generator = algebra_element([[0.0, 1.0], [-1.0, 0.0]], circle())
+        generator = AlgebraElement([[0.0, 1.0], [-1.0, 0.0]], circle())
         got = mat_exp(generator, math.pi / 2).matrix
         np.testing.assert_allclose(got, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_overflow_guard(self):
-        B = algebra_element([[1000.0]], general_linear(1))
+        B = AlgebraElement([[1000.0]], general_linear(1))
         with pytest.raises(ExponentOverflowError):
             mat_exp(B, 1.0)
         with pytest.raises(ValueError):
@@ -109,38 +107,38 @@ class TestMatExp:
 
 class TestMembership:
     def test_special_linear_accepts_unimodular(self):
-        a = group_element([[2.0, 0.0], [0.0, 0.5]], special_linear(2))
+        a = GroupElement([[2.0, 0.0], [0.0, 0.5]], special_linear(2))
         assert group_membership_residual(a.matrix, special_linear(2)) < 1e-15
 
     def test_special_linear_rejects_other_determinants(self):
         with pytest.raises(MembershipError):
-            group_element([[2.0, 0.0], [0.0, 1.0]], special_linear(2))
+            GroupElement([[2.0, 0.0], [0.0, 1.0]], special_linear(2))
 
     def test_orthogonal_rejects_shear(self):
         with pytest.raises(MembershipError):
-            group_element([[1.0, 1.0], [0.0, 1.0]], circle())
+            GroupElement([[1.0, 1.0], [0.0, 1.0]], circle())
 
     def test_rejects_singular(self):
         with pytest.raises(MembershipError):
-            group_element([[1.0, 0.0], [0.0, 0.0]], general_linear(2))
+            GroupElement([[1.0, 0.0], [0.0, 0.0]], general_linear(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            group_element([[np.nan, 0.0], [0.0, 1.0]], general_linear(2))
+            GroupElement([[np.nan, 0.0], [0.0, 1.0]], general_linear(2))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            group_element(np.eye(3), circle())
+            GroupElement(np.eye(3), circle())
         with pytest.raises(ValueError):
-            group_element(np.ones((2, 3)), general_linear(2))
+            GroupElement(np.ones((2, 3)), general_linear(2))
 
     def test_algebra_constraints(self):
         assert algebra_membership_residual([[1.0, 2.0], [3.0, -1.0]], special_linear(2)) == 0.0
         with pytest.raises(MembershipError):
-            algebra_element([[1.0, 0.0], [0.0, 1.0]], special_linear(2))
+            AlgebraElement([[1.0, 0.0], [0.0, 1.0]], special_linear(2))
         with pytest.raises(MembershipError):
-            algebra_element([[0.0, 1.0], [1.0, 0.0]], special_orthogonal(2))
-        algebra_element([[0.0, 1.0], [-1.0, 0.0]], special_orthogonal(2))
+            AlgebraElement([[0.0, 1.0], [1.0, 0.0]], special_orthogonal(2))
+        AlgebraElement([[0.0, 1.0], [-1.0, 0.0]], special_orthogonal(2))
 
     def test_elements_are_read_only(self):
         a = sample_group_element(circle(), 0)
@@ -160,15 +158,15 @@ def dense_embed(X: TangentGroupElement) -> np.ndarray:
 class TestTangentGroupLaw:
     def test_frozen_scalar_product(self):
         spec = general_linear(1)
-        X = TangentGroupElement(group_element([[2.0]], spec), algebra_element([[3.0]], spec))
-        Y = TangentGroupElement(group_element([[5.0]], spec), algebra_element([[7.0]], spec))
+        X = TangentGroupElement(GroupElement([[2.0]], spec), AlgebraElement([[3.0]], spec))
+        Y = TangentGroupElement(GroupElement([[5.0]], spec), AlgebraElement([[7.0]], spec))
         Z = tg_multiply(X, Y)
         assert Z.base.matrix[0, 0] == pytest.approx(10.0, abs=1e-15)
         assert Z.algebra.matrix[0, 0] == pytest.approx(10.0, abs=1e-12)
 
     def test_frozen_scalar_inverse(self):
         spec = general_linear(1)
-        X = TangentGroupElement(group_element([[2.0]], spec), algebra_element([[3.0]], spec))
+        X = TangentGroupElement(GroupElement([[2.0]], spec), AlgebraElement([[3.0]], spec))
         Z = tg_inverse(X)
         assert Z.base.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert Z.algebra.matrix[0, 0] == pytest.approx(-3.0, abs=1e-12)
@@ -292,7 +290,7 @@ class TestAlgebraBasisAndCharts:
         assert relative_residual(mat_exp(log).matrix, a.matrix) < 1e-10
 
     def test_log_outside_chart_raises(self):
-        a = group_element([[-1.0, 0.0], [0.0, -2.0]], general_linear(2))
+        a = GroupElement([[-1.0, 0.0], [0.0, -2.0]], general_linear(2))
         with pytest.raises(ChartError):
             principal_log(a)
 

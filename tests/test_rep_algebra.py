@@ -159,13 +159,13 @@ class TestIntertwiners:
 class TestEquivalenceTransfer:
     @pytest.mark.parametrize("name", ["circle_rotation", "sl2_standard"])
     def test_passes_on_catalog_representations(self, name):
-        report = check_equivalence_transfer(rep_of(name), conjugations=5, samples=60, seed=6)
+        report = check_equivalence_transfer(rep_of(name), 60, seed=6)
         assert report.passed, report
         assert report.max_residual < 1e-9
 
     def test_deterministic(self):
-        a = check_equivalence_transfer(rep_of("circle_rotation"), 3, 40, seed=7)
-        b = check_equivalence_transfer(rep_of("circle_rotation"), 3, 40, seed=7)
+        a = check_equivalence_transfer(rep_of("circle_rotation"), 40, seed=7)
+        b = check_equivalence_transfer(rep_of("circle_rotation"), 40, seed=7)
         assert a.max_residual == b.max_residual
 
     def test_conjugators_are_invertible(self):
@@ -259,9 +259,18 @@ class TestInvarianceTransfer:
         U = SubspaceBasis(2, [[1.0, 0.0]])
         report = check_invariance_transfer(rep_of("circle_rotation"), U, 40, seed=12)
         assert report.verdict is Verdict.FAIL
-        assert report.witness is not None
-        assert report.witness["direction"] in {"base", "prolonged", "base_extraction"}
-        assert set(report.witness["residuals"]) == {"base", "prolonged", "base_extraction"}
+        assert report.max_residual == 0.9599357998484216
+        assert report.witness == {
+            "direction": "prolonged",
+            "residuals": {
+                "base": 0.8294197496242759,
+                "prolonged": 0.9599357998484216,
+                "base_extraction": 0.8298817482081826,
+            },
+            "seed": (12, 5),
+            "sample_index": 37,
+            "residual": 0.9599357998484216,
+        }
 
     def test_zero_subspace_transfers_vacuously(self):
         U = SubspaceBasis(2, np.zeros((0, 2)))
@@ -308,34 +317,30 @@ class TestCommutant:
         nullspace = sympy_commutant_pair_nullspace([[1, 2], [3, 5]], [[2, 1], [1, 1]])
         assert len(nullspace) == 1
         assert nullspace[0] == sympy.Matrix([1, 0, 0, 1])
-        assert len(commutant_basis(rep_of("gl_identity(2)"), 8, seed=14)) == 1
+        assert len(commutant_basis(rep_of("gl_identity(2)"), seed=14)) == 1
 
     def test_rotation_oracle_gives_dimension_two(self):
         assert sympy_rotation_commutant_dimension() == 2
-        assert len(commutant_basis(rep_of("circle_rotation"), 8, seed=14)) == 2
+        assert len(commutant_basis(rep_of("circle_rotation"), seed=14)) == 2
 
     def test_known_dimensions(self):
-        assert len(commutant_basis(rep_of("so3_standard"), 8, seed=15)) == 1
-        assert len(commutant_basis(rep_of("sl2_standard"), 8, seed=15)) == 1
-        assert len(commutant_basis(rep_of("trivial(2)"), 8, seed=15)) == 4
-        assert len(commutant_basis(rep_of("circle_plus_trivial"), 8, seed=15)) == 3
-        assert len(commutant_basis(rep_of("circle_double"), 8, seed=15)) == 8
+        assert len(commutant_basis(rep_of("so3_standard"), seed=15)) == 1
+        assert len(commutant_basis(rep_of("sl2_standard"), seed=15)) == 1
+        assert len(commutant_basis(rep_of("trivial(2)"), seed=15)) == 4
+        assert len(commutant_basis(rep_of("circle_plus_trivial"), seed=15)) == 3
+        assert len(commutant_basis(rep_of("circle_double"), seed=15)) == 8
 
     def test_scalar_commutant_is_spanned_by_identity(self):
-        (basis,) = commutant_basis(rep_of("gl_identity(2)"), 8, seed=16)
+        (basis,) = commutant_basis(rep_of("gl_identity(2)"), seed=16)
         normalized = basis / basis[0, 0]
         np.testing.assert_allclose(normalized, np.eye(2), atol=1e-9)
 
     def test_elements_commute_with_fresh_images(self):
         rep = rep_of("circle_double")
-        for M in commutant_basis(rep, 8, seed=17):
+        for M in commutant_basis(rep, seed=17):
             for i in range(10):
                 image = rep_image(rep, sample_group_element(rep.group, (1000, i)))
                 assert np.max(np.abs(M @ image - image @ M)) < 1e-8
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            commutant_basis(rep_of("circle_rotation"), 1)
 
 
 class TestReducibilityProbe:
@@ -501,9 +506,9 @@ class TestSharedDriver:
 
     def test_equivalence_is_the_worst_intertwiner_over_conjugations(self):
         rep = rep_of("circle_plus_trivial")
-        seed, conjugations, samples = 12, 4, 40
+        seed, samples = 12, 40
         per_conjugation = []
-        for c in range(conjugations):
+        for c in range(20):  # the check's fixed number of conjugators
             A = random_conjugator(rep.target_dim, (seed, 2, c))
             other = conjugate_representation(rep, A)
             per_conjugation.append(
@@ -511,13 +516,11 @@ class TestSharedDriver:
                     prolong_intertwiner(A), prolonged(rep), prolonged(other), samples, (seed, 1)
                 ).max_residual
             )
-        report = check_equivalence_transfer(rep, conjugations, samples, seed)
+        report = check_equivalence_transfer(rep, samples, seed)
         assert report.max_residual == max(per_conjugation)
 
     def test_failing_equivalence_names_conjugation_and_sample(self):
-        report = check_equivalence_transfer(
-            rep_of("sl2_standard"), conjugations=5, samples=300, seed=6, tol=1e-17
-        )
+        report = check_equivalence_transfer(rep_of("sl2_standard"), 300, seed=6, tol=1e-17)
         assert report.verdict is Verdict.FAIL
         assert set(report.witness) == {"conjugation_index", "seed", "sample_index", "residual"}
         assert report.witness["residual"] == report.max_residual
@@ -526,8 +529,7 @@ class TestSharedDriver:
         "run",
         [
             lambda rep: check_action_oracle(rep, 0),
-            lambda rep: check_equivalence_transfer(rep, 3, 0),
-            lambda rep: check_equivalence_transfer(rep, 0, 10),
+            lambda rep: check_equivalence_transfer(rep, 0),
             lambda rep: is_intertwiner(np.eye(2), rep, rep, 0),
             lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.eye(2)), 0),
             lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.eye(2)), 0),
@@ -560,7 +562,7 @@ class TestFaithfulnessNeighbours:
     def test_collision_tolerance_sets_the_threshold(self):
         rep = rep_of("so3_standard")
         assert faithfulness_probe(rep, 60, seed=5).passed
-        report = faithfulness_probe(rep, 60, seed=5, collision_tol=10.0)
+        report = faithfulness_probe(rep, 60, seed=5, tol=10.0)
         assert report.witness["kind"] == "random_collision"
         assert (report.witness["first_index"], report.witness["second_index"]) == (0, 1)
 
