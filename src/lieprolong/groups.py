@@ -201,16 +201,13 @@ def group_membership_residual(matrix, spec: GroupSpec) -> float:
     special orthogonal and circle groups.  For a stack, the worst slice.
     """
     m = np.asarray(matrix, dtype=float)
-    kind = spec.kind
-    if kind is GroupKind.GENERAL_LINEAR:
+    if spec.kind is GroupKind.GENERAL_LINEAR:
         return 0.0
-    if kind is GroupKind.SPECIAL_LINEAR:
+    if spec.kind is GroupKind.SPECIAL_LINEAR:
         return float(np.abs(np.linalg.det(m) - 1.0).max())
-    if kind in (GroupKind.SPECIAL_ORTHOGONAL, GroupKind.CIRCLE):
-        ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim))))
-        det = float(np.abs(np.linalg.det(m) - 1.0).max())
-        return max(ortho, det)
-    raise ValueError(f"unknown group kind {kind!r}")
+    ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim))))
+    det = float(np.abs(np.linalg.det(m) - 1.0).max())
+    return max(ortho, det)
 
 
 def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
@@ -219,14 +216,11 @@ def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
     For a stack, the worst slice.
     """
     m = np.asarray(matrix, dtype=float)
-    kind = spec.kind
-    if kind is GroupKind.GENERAL_LINEAR:
+    if spec.kind is GroupKind.GENERAL_LINEAR:
         return 0.0
-    if kind is GroupKind.SPECIAL_LINEAR:
+    if spec.kind is GroupKind.SPECIAL_LINEAR:
         return float(np.abs(np.trace(m, axis1=-2, axis2=-1)).max())
-    if kind in (GroupKind.SPECIAL_ORTHOGONAL, GroupKind.CIRCLE):
-        return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
-    raise ValueError(f"unknown group kind {kind!r}")
+    return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
 
 
 def _require_invertible(matrix: np.ndarray) -> None:
@@ -235,6 +229,17 @@ def _require_invertible(matrix: np.ndarray) -> None:
         raise MembershipError(
             f"matrix is singular or too ill-conditioned to invert (cond={cond:.3e})"
         )
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` built without its checks, arrays made read-only: only for
+    exact constants and results whose operands' validation implies theirs."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +309,11 @@ class TangentGroupElement:
 
 
 def identity_element(spec: GroupSpec) -> GroupElement:
-    return GroupElement(np.eye(spec.dim), spec)
+    return _trusted(GroupElement, matrix=np.eye(spec.dim), spec=spec)
 
 
 def zero_algebra(spec: GroupSpec) -> AlgebraElement:
-    return AlgebraElement(np.zeros((spec.dim, spec.dim)), spec)
+    return _trusted(AlgebraElement, matrix=np.zeros((spec.dim, spec.dim)), spec=spec)
 
 
 def identity_tangent(spec: GroupSpec) -> TangentGroupElement:
@@ -352,13 +357,8 @@ def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def tg_multiply(X: TangentGroupElement, Y: TangentGroupElement) -> TangentGroupElement:
     """Group law on tangent pairs: [a, B] * [a', B'] = [a a', B + a B' a^{-1}]."""
-    if X.spec != Y.spec:
-        raise SpecMismatchError(
-            f"cannot multiply tangent elements over {X.spec.describe()} "
-            f"and {Y.spec.describe()}"
-        )
     a = X.base.matrix
-    base = group_multiply(X.base, Y.base)
+    base = group_multiply(X.base, Y.base)  # rejects mismatched specs
     fiber = X.algebra.matrix + a @ Y.algebra.matrix @ np.linalg.inv(a)
     return TangentGroupElement(base, AlgebraElement(fiber, X.spec))
 
@@ -390,9 +390,7 @@ def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
         return raw
     if kind is GroupKind.SPECIAL_LINEAR:
         return raw - (np.trace(raw) / spec.dim) * np.eye(spec.dim)
-    if kind is GroupKind.SPECIAL_ORTHOGONAL:
-        return (raw - raw.T) / 2.0
-    raise ValueError(f"unknown group kind {kind!r}")
+    return (raw - raw.T) / 2.0
 
 
 def sample_algebra_element(spec: GroupSpec, seed: SeedLike = 0) -> AlgebraElement:
@@ -468,10 +466,8 @@ def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
             basis.append(unit(k, k) - unit(k + 1, k + 1))
     elif kind is GroupKind.SPECIAL_ORTHOGONAL:
         basis = [unit(i, j) - unit(j, i) for i in range(n) for j in range(i + 1, n)]
-    elif kind is GroupKind.CIRCLE:
-        basis = [np.array([[0.0, 1.0], [-1.0, 0.0]])]
     else:
-        raise ValueError(f"unknown group kind {kind!r}")
+        basis = [np.array([[0.0, 1.0], [-1.0, 0.0]])]
     for b in basis:
         b.flags.writeable = False
     return tuple(basis)
@@ -512,6 +508,23 @@ def algebra_from_coordinates(coords, spec: GroupSpec) -> AlgebraElement:
     return AlgebraElement(matrix, spec)
 
 
+def _logm(slices: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.logm`` per slice (the oldest supported SciPy takes one
+    matrix), the same bits on every call.  Its randomized 1-norm estimator
+    draws from numpy's global RNG, which is reseeded before each slice and
+    restored afterwards; not safe if other threads use that RNG meanwhile.
+    """
+    state = np.random.get_state()
+    try:
+        logs = []
+        for m in slices:
+            np.random.seed(0)
+            logs.append(scipy.linalg.logm(m))
+        return np.stack(logs)
+    finally:
+        np.random.set_state(state)
+
+
 def principal_log(a: GroupElement) -> AlgebraElement:
     """Principal matrix logarithm of ``a`` (one element or a stack), as an
     algebra element.
@@ -529,8 +542,7 @@ def principal_log(a: GroupElement) -> AlgebraElement:
         theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices]).reshape(stack)
         generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
         return AlgebraElement(theta[..., None, None] * generator, spec)
-    # logm loops over slices: the oldest supported SciPy takes one matrix.
-    log = np.stack([scipy.linalg.logm(m) for m in slices]).reshape(a.matrix.shape)
+    log = _logm(slices).reshape(a.matrix.shape)
     if np.max(np.abs(np.imag(log))) > 1e-9:
         raise ChartError(
             "element has no real principal logarithm; supply exponential "

@@ -36,6 +36,9 @@ from .groups import (
     GroupElement,
     GroupSpec,
     SpecMismatchError,
+    _as_square,
+    _require_invertible,
+    _trusted,
     group_multiply,
     identity_element,
     mat_exp,
@@ -132,26 +135,18 @@ class ProlongedMatrix:
     Only the repeated diagonal block and the bottom-left block are stored;
     the top-right block is zero by construction and :meth:`dense` always
     materializes it as exact zeros.  The blocks may be stacks of shape
-    ``(..., n, n)``, validated together.
+    ``(..., n, n)``, validated together; products under ``@`` are not.
     """
 
     top_left: np.ndarray
     bottom_left: np.ndarray
 
     def __post_init__(self) -> None:
-        tl = np.array(self.top_left, dtype=float)
-        bl = np.array(self.bottom_left, dtype=float)
-        if tl.ndim < 2 or tl.shape[-1] != tl.shape[-2]:
-            raise ValueError(f"blocks must be square, got {tl.shape}")
+        tl = _as_square(self.top_left)
+        bl = _as_square(self.bottom_left)
         if bl.shape != tl.shape:
             raise ValueError(f"block shapes differ: {tl.shape} vs {bl.shape}")
-        if not (np.all(np.isfinite(tl)) and np.all(np.isfinite(bl))):
-            raise ValueError("block entries must be finite")
-        cond = np.linalg.cond(tl).max()
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ValueError("the diagonal block must be invertible")
-        tl.flags.writeable = False
-        bl.flags.writeable = False
+        _require_invertible(tl)
         object.__setattr__(self, "top_left", tl)
         object.__setattr__(self, "bottom_left", bl)
 
@@ -172,9 +167,10 @@ class ProlongedMatrix:
     def __matmul__(self, other: "ProlongedMatrix") -> "ProlongedMatrix":
         if not isinstance(other, ProlongedMatrix):
             return NotImplemented
-        return ProlongedMatrix(
-            self.top_left @ other.top_left,
-            self.bottom_left @ other.top_left + self.top_left @ other.bottom_left,
+        return _trusted(
+            ProlongedMatrix,
+            top_left=self.top_left @ other.top_left,
+            bottom_left=self.bottom_left @ other.top_left + self.top_left @ other.bottom_left,
         )
 
 
@@ -185,8 +181,8 @@ def jn_embed(X) -> ProlongedMatrix:
     truth for the tangent group law: the embedding turns tg multiplication
     into plain matrix multiplication.
     """
-    a = X.base.matrix
-    return ProlongedMatrix(a, X.algebra.matrix @ a)
+    a = X.base.matrix  # validated by GroupElement, so not checked again
+    return _trusted(ProlongedMatrix, top_left=a, bottom_left=X.algebra.matrix @ a)
 
 
 def _check_quotient(quotient: np.ndarray) -> np.ndarray:
@@ -221,15 +217,11 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     """Image of the tangent pair [a, B] under the prolonged representation.
 
     R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
-    left, with K the differential of ``rep`` in direction B.
+    left, with K the differential of ``rep`` in direction B.  This is the
+    one place that checks that representation images are invertible.
     """
-    if X.spec != rep.group:
-        raise SpecMismatchError(
-            f"representation is over {rep.group.describe()}, tangent element over "
-            f"{X.spec.describe()}"
-        )
-    R = rep_image(rep, X.base)
-    K = differential_rep(rep, X.algebra)
+    R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
+    K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
     return ProlongedMatrix(R, K @ R)
 
 
@@ -253,11 +245,6 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
     The base output is rep.apply(a) @ p.  The fiber output is the central
     difference of t |-> rep.apply(exp(tB) a) @ (p + t v) at t = 0.
     """
-    if X.spec != rep.group:
-        raise SpecMismatchError(
-            f"representation is over {rep.group.describe()}, tangent element over "
-            f"{X.spec.describe()}"
-        )
     if Y.dim != rep.target_dim:
         raise ValueError(
             f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"

@@ -357,7 +357,7 @@ def conjugate_representation(rep: Representation, A) -> Representation:
     return Representation(
         group=rep.group,
         target_dim=rep.target_dim,
-        apply=lambda a: matrix @ rep_image(rep, a) @ inverse,
+        apply=lambda a: matrix @ rep.apply(a) @ inverse,
         differential=lambda B: matrix @ rep.differential(B) @ inverse,
         name=f"conj({rep.name})" if rep.name else "conj",
     )
@@ -732,7 +732,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         )
 
     def apply(a: GroupElement) -> np.ndarray:
-        return block_diag(rep_image(rep1, a), rep_image(rep2, a))
+        return block_diag(rep1.apply(a), rep2.apply(a))
 
     def differential(B: AlgebraElement) -> np.ndarray:
         return block_diag(rep1.differential(B), rep2.differential(B))
@@ -802,40 +802,25 @@ def faithfulness_probe(
 ) -> CheckReport:
     """Look for distinct tangent elements with equal prolonged images.
 
-    Sampled images closer than ``tol`` (scaled by the largest
-    image entry) in the max norm are found with a k-d tree, in memory
-    linear in the sample count.  A declared kernel element (catalog
-    metadata for representations known not to be injective) is checked
-    instead when given: if the prolonged image of the element lies within
-    the same threshold of the identity's, the prolongation collides on it
-    and the probe fails with that witness.  A failure here certifies
-    non-injectivity of the prolongation; it is the expected outcome for
-    non-faithful inputs, not a defect.
+    Sampled images closer than ``tol`` (scaled by the largest image entry)
+    in the max norm are found with a k-d tree, in memory linear in the
+    sample count.  A declared kernel element (catalog metadata for
+    representations known not to be injective) is checked instead when
+    given, with no sampling: if its prolonged image lies within ``tol``
+    (scaled by the largest entry of the two) of the identity's, the
+    prolongation collides on it and the probe fails with that witness.
+    That failure certifies non-injectivity of the prolongation; it is the
+    expected outcome for non-faithful inputs, not a defect.
     """
     spec = rep.group
-    images = []
-    inputs = []
-    for indices in _chunks(samples):
-        X = sample_tangent_elements(spec, _keys(seed, indices, 47))
-        count = len(indices)
-        images.append(prolong(rep, X).dense().reshape(count, -1))
-        inputs.append(
-            np.concatenate(
-                [X.base.matrix.reshape(count, -1), X.algebra.matrix.reshape(count, -1)],
-                axis=1,
-            )
-        )
-    image_array = np.concatenate(images)
-    input_array = np.concatenate(inputs)
-    scale = max(1.0, float(np.max(np.abs(image_array))))
-
+    chunks = list(_chunks(samples))  # rejects zero samples on either path
     if kernel_witness is not None:
-        if kernel_witness.spec != spec:
-            raise SpecMismatchError("kernel witness lies in a different group")
         witness_tangent = TangentGroupElement(kernel_witness, zero_algebra(spec))
-        witness_image = prolong(rep, witness_tangent).dense()
-        identity_image = prolong(rep, identity_tangent(spec)).dense()
-        gap = float(np.max(np.abs(witness_image - identity_image)))
+        images = np.stack(
+            [prolong(rep, X).dense() for X in (witness_tangent, identity_tangent(spec))]
+        )
+        gap = float(np.max(np.abs(images[0] - images[1])))
+        scale = max(1.0, float(np.max(np.abs(images))))
         element_gap = float(
             np.max(np.abs(kernel_witness.matrix - np.eye(spec.dim)))
         )
@@ -865,6 +850,20 @@ def faithfulness_probe(
             },
         )
 
+    images = []
+    inputs = []
+    for indices in chunks:
+        X = sample_tangent_elements(spec, _keys(seed, indices, 47))
+        count = len(indices)
+        images.append(prolong(rep, X).dense().reshape(count, -1))
+        inputs.append(
+            np.concatenate(
+                [X.base.matrix.reshape(count, -1), X.algebra.matrix.reshape(count, -1)],
+                axis=1,
+            )
+        )
+    image_array = np.concatenate(images)
+    input_array = np.concatenate(inputs)
     if samples < 2:
         return CheckReport(
             "faithfulness_probe",
@@ -876,7 +875,7 @@ def faithfulness_probe(
 
     tree = scipy.spatial.cKDTree(image_array)
     separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]
-    threshold = tol * scale
+    threshold = tol * max(1.0, float(np.max(np.abs(image_array))))
     # Pairs (i, j), i < j, in lexicographic order; only points whose nearest
     # neighbour lies within the threshold can start one.
     for i in np.flatnonzero(separation <= threshold):

@@ -49,6 +49,26 @@ def sl2_conjugated() -> dict:
     }
 
 
+def gl3_units() -> dict:
+    """GL(3) on R^3 with the matrix units E_ij as images: the identity map.
+
+    Kept out of ``GENERATOR_DESCRIPTORS``: the frozen reference package
+    takes GL(3) logarithms that depend on numpy's global random state.
+    """
+    images = []
+    for i in range(3):
+        for j in range(3):
+            unit = np.zeros((3, 3))
+            unit[i, j] = 1.0
+            images.append(unit.tolist())
+    return {
+        "name": "gl3_units",
+        "group": {"kind": "GeneralLinear", "dim": 3},
+        "target_dim": 3,
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
 GENERATOR_DESCRIPTORS = {
     "so3_doubled": so3_doubled,
     "circle_winding": circle_winding,

@@ -9,6 +9,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from descriptors import gl3_units
 
 from lieprolong import (
     __version__,
@@ -402,6 +403,22 @@ class TestSeeds:
         assert (
             left["checks"][1]["max_residual"] != right["checks"][1]["max_residual"]
         )
+
+    def test_gl3_descriptor_check_ignores_the_global_random_state(self, capsys, tmp_path):
+        # Each process starts from its own OS-seeded numpy global state, which
+        # SciPy's logm draws from; reseeding it in-process stands in for
+        # fresh processes.  Here a last-bit change in one logarithm moves the
+        # direct-sum residual off exact zero.
+        path = tmp_path / "gl3_units.json"
+        path.write_text(json.dumps(gl3_units()))
+        argv = ["check", "--rep", str(path), "--suite", "directsum", "--samples", "30"]
+        outputs = set()
+        for global_seed in range(5):
+            np.random.seed(global_seed)
+            code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
     def test_json_reports_are_byte_identical_across_processes(self, tmp_path):
         outputs = []

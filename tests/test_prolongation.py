@@ -75,6 +75,25 @@ class TestJnEmbed:
             right = jn_embed(X).dense() @ jn_embed(Y).dense()
             assert relative_residual(left, right) < 1e-11
 
+    def test_embedding_and_block_product_are_not_validated_again(self, monkeypatch):
+        # The pair of acceptance criterion 01: only the two sampled bases and
+        # their product are checked for invertibility, once each.
+        cond = np.linalg.cond
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        spec = general_linear(3)
+        X = sample_tangent_element(spec, (5, 0))
+        Y = sample_tangent_element(spec, (5, 1))
+        left = jn_embed(tg_multiply(X, Y)).dense()
+        right = (jn_embed(X) @ jn_embed(Y)).dense()
+        assert relative_residual(left, right) < 1e-11
+        assert len(calls) <= 3
+
 
 class TestProlongedMatrix:
     def test_top_right_block_is_exactly_zero(self):
@@ -99,8 +118,11 @@ class TestProlongedMatrix:
 
     def test_blocks_are_read_only(self):
         M = ProlongedMatrix(np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            M.top_left[0, 0] = 7.0
+        embedded = jn_embed(sample_tangent_element(general_linear(2), 4))
+        for built in (M, embedded, M @ embedded):
+            for block in (built.top_left, built.bottom_left):
+                with pytest.raises(ValueError):
+                    block[0, 0] = 7.0
 
 
 class TestDifferential:

@@ -535,6 +535,7 @@ class TestSharedDriver:
             lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.eye(2)), 0),
             lambda rep: check_direct_sum_commutation(rep, rep, 0),
             lambda rep: faithfulness_probe(rep, 0),
+            lambda rep: faithfulness_probe(rep, 0, kernel_witness=circle_element(1.0)),
         ],
     )
     def test_no_check_passes_over_zero_samples(self, run):
