@@ -1,8 +1,9 @@
 """Built-in representations with their known metadata, and descriptor loading.
 
-Every catalog entry carries what is known about it: whether the
-representation is injective, a kernel element when it is not, and any
-invariant subspaces that come with its construction.  The entries are
+Every catalog entry carries what is known about it: a kernel element
+when the representation is not injective (an entry without one is known
+to be injective), and any invariant subspaces that come with its
+construction.  The entries are
 built once, on first access, and cached.  The test suite verifies the
 metadata: each entry passes a homomorphism check, declared subspaces test
 invariant, declared kernel elements actually collide, and entries marked
@@ -71,10 +72,15 @@ class CatalogEntry:
 
     name: str
     rep: Representation
-    known_faithful: bool
-    kernel_witness: Optional[GroupElement]
-    known_invariant_subspaces: tuple[SubspaceBasis, ...]
     notes: str
+    kernel_witness: Optional[GroupElement] = None
+    known_invariant_subspaces: tuple[SubspaceBasis, ...] = ()
+
+    @property
+    def known_faithful(self) -> bool:
+        """An entry is known to be injective exactly when it declares no
+        kernel element."""
+        return self.kernel_witness is None
 
 
 def _identity_map_rep(spec: GroupSpec, name: str) -> Representation:
@@ -85,9 +91,6 @@ def _circle_rotation() -> CatalogEntry:
     return CatalogEntry(
         name="circle_rotation",
         rep=_identity_map_rep(circle(), "circle_rotation"),
-        known_faithful=True,
-        kernel_witness=None,
-        known_invariant_subspaces=(),
         notes="rotation action on the plane; no invariant lines over the reals",
     )
 
@@ -103,9 +106,7 @@ def _circle_winding_2() -> CatalogEntry:
     return CatalogEntry(
         name="circle_winding_2",
         rep=rep,
-        known_faithful=False,
         kernel_witness=circle_element(math.pi),
-        known_invariant_subspaces=(),
         notes="doubles the angle; the half turn maps to the identity",
     )
 
@@ -114,9 +115,6 @@ def _gl_identity(n: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"gl_identity({n})",
         rep=_identity_map_rep(general_linear(n), f"gl_identity({n})"),
-        known_faithful=True,
-        kernel_witness=None,
-        known_invariant_subspaces=(),
         notes="defining representation of the general linear group",
     )
 
@@ -125,9 +123,6 @@ def _sl2_standard() -> CatalogEntry:
     return CatalogEntry(
         name="sl2_standard",
         rep=_identity_map_rep(special_linear(2), "sl2_standard"),
-        known_faithful=True,
-        kernel_witness=None,
-        known_invariant_subspaces=(),
         notes="defining representation of the unimodular group on the plane",
     )
 
@@ -136,9 +131,6 @@ def _so3_standard() -> CatalogEntry:
     return CatalogEntry(
         name="so3_standard",
         rep=_identity_map_rep(special_orthogonal(3), "so3_standard"),
-        known_faithful=True,
-        kernel_witness=None,
-        known_invariant_subspaces=(),
         notes="rotations of three-space acting on themselves",
     )
 
@@ -155,7 +147,6 @@ def _trivial(n: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"trivial({n})",
         rep=rep,
-        known_faithful=False,
         kernel_witness=circle_element(1.0),
         known_invariant_subspaces=(SubspaceBasis(n, np.eye(n)[:1]),),
         notes="constant identity map over the circle; every subspace is invariant",
@@ -172,8 +163,6 @@ def _circle_double() -> CatalogEntry:
     return CatalogEntry(
         name="circle_double",
         rep=rep,
-        known_faithful=True,
-        kernel_witness=None,
         known_invariant_subspaces=(_span(4, [0, 1]), _span(4, [2, 3])),
         notes="two copies of the rotation action; the block subspaces are invariant",
     )
@@ -184,8 +173,6 @@ def _circle_plus_trivial() -> CatalogEntry:
     return CatalogEntry(
         name="circle_plus_trivial",
         rep=rep,
-        known_faithful=True,
-        kernel_witness=None,
         known_invariant_subspaces=(_span(3, [0, 1]), _span(3, [2])),
         notes="rotation block plus a fixed line",
     )

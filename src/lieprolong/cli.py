@@ -41,6 +41,7 @@ from .groups import (
     GroupKind,
     MembershipError,
     TangentGroupElement,
+    _rng,
     algebra_basis,
     algebra_from_coordinates,
     mat_exp,
@@ -143,10 +144,6 @@ def _check_payload(report: CheckReport) -> dict:
     return payload
 
 
-def _exit_code(checks: list[CheckReport]) -> int:
-    return 1 if any(c.verdict is Verdict.FAIL for c in checks) else 0
-
-
 def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -155,7 +152,7 @@ def _write(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
-def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
+def _emit(envelope: dict, config: RunConfig) -> None:
     if config.format == "json":
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
         _write(text + "\n", config.output)
@@ -179,14 +176,14 @@ def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
                 )
         else:
             writer.writerow(["name", "verdict", "max_residual", "witness"])
-            for report in checks:
+            for check in envelope["checks"]:
                 writer.writerow(
                     [
-                        report.name,
-                        report.verdict.value,
-                        repr(float(report.max_residual)),
-                        json.dumps(report.witness, sort_keys=True)
-                        if report.witness is not None
+                        check["name"],
+                        check["verdict"],
+                        repr(check["max_residual"]),
+                        json.dumps(check["witness"], sort_keys=True)
+                        if "witness" in check
                         else "",
                     ]
                 )
@@ -205,12 +202,25 @@ def _emit(envelope: dict, checks: list[CheckReport], config: RunConfig) -> None:
         lines.append(np.array2string(np.array(envelope["result"]["top_left"])))
         lines.append("bottom-left block (K R):")
         lines.append(np.array2string(np.array(envelope["result"]["bottom_left"])))
-    for report in checks:
+    for check in envelope["checks"]:
         lines.append(
-            f"{report.name}: {report.verdict.value.upper()} "
-            f"(max residual {report.max_residual:.3e})"
+            f"{check['name']}: {check['verdict'].upper()} "
+            f"(max residual {check['max_residual']:.3e})"
         )
     _write("\n".join(lines) + "\n", config.output)
+
+
+def _finish(config: RunConfig, checks: list[CheckReport], **extra) -> int:
+    """Emit the report of one command; its exit code is 1 when a check failed."""
+    envelope = {
+        "command": config.command,
+        "config": config.to_dict(),
+        "checks": [_check_payload(c) for c in checks],
+        **extra,
+        "version": __version__,
+    }
+    _emit(envelope, config)
+    return 1 if any(c.verdict is Verdict.FAIL for c in checks) else 0
 
 
 def _run_suite(
@@ -268,14 +278,7 @@ def cmd_check(config: RunConfig) -> int:
     checks: list[CheckReport] = []
     for suite in suites:
         checks.extend(_run_suite(suite, rep, entry, config))
-    envelope = {
-        "command": "check",
-        "config": config.to_dict(),
-        "checks": [_check_payload(c) for c in checks],
-        "version": __version__,
-    }
-    _emit(envelope, checks, config)
-    return _exit_code(checks)
+    return _finish(config, checks)
 
 
 def cmd_prolong(config: RunConfig) -> int:
@@ -295,8 +298,7 @@ def cmd_prolong(config: RunConfig) -> int:
     except (MembershipError, ExponentOverflowError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     X = TangentGroupElement(base, algebra)
-    rng = np.random.default_rng(config.seed % 2**63)
-    probes = rng.uniform(-1, 1, (5, 2, rep.target_dim))
+    probes = _rng(config.seed).uniform(-1, 1, (5, 2, rep.target_dim))
     Y = TangentVector(probes[:, 0], probes[:, 1])
     try:
         matrix = prolong(rep, X)
@@ -319,19 +321,15 @@ def cmd_prolong(config: RunConfig) -> int:
         ),
         _verdict("action_oracle", worst, tol, {"residual": worst, "probes": 5}),
     ]
-    envelope = {
-        "command": "prolong",
-        "config": config.to_dict(),
-        "checks": [_check_payload(c) for c in checks],
-        "result": {
+    return _finish(
+        config,
+        checks,
+        result={
             "top_left": matrix.top_left.tolist(),
             "bottom_left": matrix.bottom_left.tolist(),
             "dense": matrix.dense().tolist(),
         },
-        "version": __version__,
-    }
-    _emit(envelope, checks, config)
-    return _exit_code(checks)
+    )
 
 
 def cmd_catalog(config: RunConfig) -> int:
@@ -350,15 +348,7 @@ def cmd_catalog(config: RunConfig) -> int:
         }
         for e in entries
     ]
-    envelope = {
-        "command": "catalog",
-        "config": config.to_dict(),
-        "checks": [],
-        "entries": payload,
-        "version": __version__,
-    }
-    _emit(envelope, [], config)
-    return 0
+    return _finish(config, [], entries=payload)
 
 
 def cmd_report(config: RunConfig) -> int:
@@ -369,14 +359,7 @@ def cmd_report(config: RunConfig) -> int:
                 checks.append(
                     dataclasses.replace(report, name=f"{entry.name}::{report.name}")
                 )
-    envelope = {
-        "command": "report",
-        "config": config.to_dict(),
-        "checks": [_check_payload(c) for c in checks],
-        "version": __version__,
-    }
-    _emit(envelope, checks, config)
-    return _exit_code(checks)
+    return _finish(config, checks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -79,7 +79,11 @@ _EXP_NORM_LIMIT = 700.0
 # Condition-number ceiling beyond which a matrix is treated as singular.
 _COND_LIMIT = 1e12
 
-SeedLike = Union[int, Sequence[int], np.random.Generator]
+SeedLike = Union[int, Sequence[int]]
+
+# The generator of the circle's algebra, also its one basis element.
+_CIRCLE_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_CIRCLE_GENERATOR.flags.writeable = False
 
 
 class MembershipError(ValueError):
@@ -170,12 +174,8 @@ def relative_residual(actual, reference, axis=None):
     reference = np.asarray(reference, dtype=float)
     if actual.shape != reference.shape:
         raise ValueError(f"shape mismatch {actual.shape} vs {reference.shape}")
-    if axis is not None:
-        scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis))
-        return np.max(np.abs(actual - reference), axis=axis) / scale
-    scale = max(1.0, float(np.max(np.abs(reference))) if reference.size else 0.0)
-    diff = float(np.max(np.abs(actual - reference))) if actual.size else 0.0
-    return diff / scale
+    scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis, initial=0.0))
+    return np.max(np.abs(actual - reference), axis=axis, initial=0.0) / scale
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -373,8 +373,6 @@ def tg_inverse(X: TangentGroupElement) -> TangentGroupElement:
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
     if isinstance(seed, (int, np.integer)):
         return np.random.default_rng(int(seed) % 2**63)
     return np.random.default_rng([int(s) % 2**63 for s in seed])
@@ -384,7 +382,7 @@ def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     kind = spec.kind
     if kind is GroupKind.CIRCLE:
         theta = rng.uniform(-1.0, 1.0)
-        return theta * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return theta * _CIRCLE_GENERATOR
     raw = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
     if kind is GroupKind.GENERAL_LINEAR:
         return raw
@@ -411,9 +409,8 @@ def sample_group_element(spec: GroupSpec, seed: SeedLike = 0) -> GroupElement:
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:
     """Base drawn first, then the fiber, from one generator per seed."""
     rng = _rng(seed)
-    base = sample_group_element(spec, rng)
-    fiber = sample_algebra_element(spec, rng)
-    return TangentGroupElement(base, fiber)
+    base = mat_exp(AlgebraElement(_draw_algebra(spec, rng), spec))
+    return TangentGroupElement(base, AlgebraElement(_draw_algebra(spec, rng), spec))
 
 
 def sample_group_elements(spec: GroupSpec, seeds: Iterable[SeedLike]) -> GroupElement:
@@ -467,7 +464,7 @@ def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
     elif kind is GroupKind.SPECIAL_ORTHOGONAL:
         basis = [unit(i, j) - unit(j, i) for i in range(n) for j in range(i + 1, n)]
     else:
-        basis = [np.array([[0.0, 1.0], [-1.0, 0.0]])]
+        basis = [_CIRCLE_GENERATOR]
     for b in basis:
         b.flags.writeable = False
     return tuple(basis)
@@ -540,8 +537,7 @@ def principal_log(a: GroupElement) -> AlgebraElement:
     if spec.kind is GroupKind.CIRCLE:
         # math.atan2 per slice: np.arctan2 can differ in the last bit.
         theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices]).reshape(stack)
-        generator = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return AlgebraElement(theta[..., None, None] * generator, spec)
+        return AlgebraElement(theta[..., None, None] * _CIRCLE_GENERATOR, spec)
     log = _logm(slices).reshape(a.matrix.shape)
     if np.max(np.abs(np.imag(log))) > 1e-9:
         raise ChartError(

@@ -59,3 +59,25 @@ def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path, nam
     ours, theirs = run(cli, argv), run(reference_cli, argv)
     assert ours[0] == theirs[0] == 0
     assert ours[1] == theirs[1]
+
+
+COMMANDS = {
+    "catalog": ["catalog"],
+    "catalog-circle": ["catalog", "--kind", "Circle"],
+    "prolong-pass": [
+        "prolong", "--rep", "so3_standard", "--a-coords", "0.1,0.2,0.3", "--fiber", "1,0,0",
+    ],
+    "prolong-fail": [
+        "prolong", "--rep", "circle_winding_2", "--a-coords", "0.5", "--fiber", "1",
+        "--tol", "1e-20",
+    ],
+    "check-all": ["check", "--rep", "circle_winding_2", "--suite", "all", "--samples", "5"],
+    "report": ["report", "--samples", "3", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_and_format_matches_the_reference(reference_cli, command, fmt):
+    argv = COMMANDS[command] + ["--format", fmt]
+    assert run(cli, argv) == run(reference_cli, argv)
