@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Any, Mapping, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (
     AlgebraElement,
@@ -248,7 +247,10 @@ def _descriptor_matrices(raw: Any, count: int, dim: int, label: str) -> list[np.
         raise DescriptorError(f"{label} must be a list of {count} matrices")
     matrices = []
     for k, rows in enumerate(raw):
-        m = np.asarray(rows, dtype=float)
+        try:
+            m = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DescriptorError(f"{label}[{k}] is not a matrix of numbers: {exc}") from None
         if m.shape != (dim, dim):
             raise DescriptorError(
                 f"{label}[{k}] has shape {m.shape}, expected ({dim}, {dim})"
@@ -283,6 +285,8 @@ def _generator_representation(
     combine = _linear_in_coordinates(images)
 
     def apply(a: GroupElement) -> np.ndarray:
+        import scipy.linalg  # deferred, as in groups
+
         # An overflowing image is reported by the finiteness check, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
             return scipy.linalg.expm(combine(group_coordinates(a)))
@@ -303,6 +307,8 @@ def _reject_inconsistent_generators(
     rep: Representation, spec: GroupSpec, images: list[np.ndarray]
 ) -> None:
     if spec.kind in _COMPACT_KINDS:
+        import scipy.linalg  # deferred, as in groups
+
         eye = np.eye(rep.target_dim)
         for k, image in enumerate(images):
             loop = scipy.linalg.expm(2.0 * math.pi * image)
@@ -433,6 +439,8 @@ def read_descriptor(path) -> dict:
         raise DescriptorError(f"cannot read descriptor {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"descriptor {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(f"descriptor {path} is not UTF-8 text: {exc}") from None
     if not isinstance(document, dict):
         raise DescriptorError(f"descriptor {path} must contain a JSON object")
     return document

@@ -147,9 +147,12 @@ def _check_payload(report: CheckReport) -> dict:
 def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {output}: {exc}") from None
 
 
 def _emit(envelope: dict, config: RunConfig) -> None:

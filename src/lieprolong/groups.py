@@ -18,6 +18,9 @@ inversion, the exponential, the principal logarithm and basis coordinates
 take whole stacks and give the same bits as a loop over the slices.
 :func:`sample_group_elements` and :func:`sample_tangent_elements` draw
 such stacks.
+
+SciPy is imported inside the functions that call it, so importing the
+package or listing the catalog loads none of it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from enum import Enum
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -344,6 +346,8 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
             raise ExponentOverflowError(
                 f"||tB|| = {norm:.3e} exceeds the overflow guard {_EXP_NORM_LIMIT:.0f}"
             )
+    import scipy.linalg
+
     return GroupElement(scipy.linalg.expm(scaled), B.spec)
 
 
@@ -511,6 +515,8 @@ def _logm(slices: np.ndarray) -> np.ndarray:
     draws from numpy's global RNG, which is reseeded before each slice and
     restored afterwards; not safe if other threads use that RNG meanwhile.
     """
+    import scipy.linalg
+
     state = np.random.get_state()
     try:
         logs = []
@@ -545,6 +551,8 @@ def principal_log(a: GroupElement) -> AlgebraElement:
             "coordinates instead"
         )
     log = np.real(log)
+    import scipy.linalg
+
     if np.max(relative_residual(scipy.linalg.expm(log), a.matrix, axis=(-2, -1))) > 1e-6:
         raise ChartError("principal logarithm failed to reconstruct the element")
     return AlgebraElement(log, spec)

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (
     AlgebraElement,
@@ -339,11 +338,13 @@ def prolong_intertwiner(A) -> Intertwiner:
     equivalence should consult :attr:`Intertwiner.full_rank` first.
     """
     matrix = _intertwiner_matrix(A)
-    return Intertwiner(scipy.linalg.block_diag(matrix, matrix))
+    return Intertwiner(block_diag(matrix, matrix))
 
 
 def random_conjugator(n: int, seed=0) -> np.ndarray:
     """A deterministic random invertible matrix with moderate conditioning."""
+    import scipy.linalg  # deferred, as in groups
+
     rng = _rng(_derive(seed))
     return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
 

@@ -267,6 +267,17 @@ class TestGeneratorDescriptors:
         with pytest.raises(DescriptorError):
             load_representation(document)
 
+    @pytest.mark.parametrize("bad", [[[0, "x"], [0, 0]], [[0, [1]], [0, 0]]])
+    def test_non_numeric_matrices_rejected_by_label(self, bad):
+        document = winding_generator_descriptor()
+        document["map"]["generator_images"] = [bad]
+        with pytest.raises(DescriptorError, match=r"generator_images\[0\] is not a matrix"):
+            load_representation(document)
+        document = named_descriptor("circle_winding_2", "Circle", 2, 2)
+        document["differential"] = [bad]
+        with pytest.raises(DescriptorError, match=r"differential\[0\] is not a matrix"):
+            load_representation(document)
+
     def test_overflowing_images_rejected_with_witness(self):
         document = {
             "group": {"kind": "GeneralLinear", "dim": 1},

@@ -3,8 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -119,6 +121,24 @@ class TestCatalogCommand:
             "invariant_subspaces",
         ]
         assert len(rows) == 12
+
+    def test_listing_the_catalog_loads_no_scipy(self):
+        # SciPy's import costs more than the catalog command's own work, so a
+        # fresh process that only lists the catalog must not load it.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import lieprolong, lieprolong.cli\n"
+            "lieprolong.catalog_list()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = lieprolong.cli.main(['catalog'])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
 
 
 class TestProlongCommand:
@@ -294,6 +314,15 @@ class TestCheckCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_descriptor_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "check", "--rep", str(path), "--suite", "homomorphism")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
+
     def test_unknown_rep_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--rep", "missing", "--suite", "homomorphism")
         assert code == 2
@@ -358,6 +387,17 @@ class TestCheckCommand:
         assert out == ""
         document = json.loads(target.read_text())
         jsonschema.validate(document, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "target", [".", "missing/report.json"], ids=["directory", "missing_dir"]
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "catalog", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}")
+        assert err.count("\n") == 1
 
     def test_tolerance_override_can_force_failure(self, capsys):
         code, document, _ = run_json(
@@ -518,8 +558,38 @@ class TestMalformedInput:
                 "target_dim": 1,
                 "map": {"kind": "generators", "generator_images": [[[1.0]]]},
             },
+            {
+                "group": {"kind": "GeneralLinear", "dim": 1},
+                "target_dim": 2,
+                "map": {"kind": "generators", "generator_images": [[[0, "x"], [0, 0]]]},
+            },
+            {
+                "group": {"kind": "GeneralLinear", "dim": 1},
+                "target_dim": 2,
+                "map": {"kind": "generators", "generator_images": [[[0, [1]], [0, 0]]]},
+            },
+            {
+                "group": {"kind": "Circle", "dim": 2},
+                "target_dim": 2,
+                "map": {"kind": "named", "name": "circle_rotation"},
+                "differential": [[[0, "x"], [0, 0]]],
+            },
+            {
+                "group": {"kind": "Circle", "dim": 2},
+                "target_dim": 2,
+                "map": {"kind": "named", "name": "circle_rotation"},
+                "differential": [[[0, [1]], [0, 0]]],
+            },
         ],
-        ids=["overflowing_images", "boolean_target_dim", "boolean_group_dim"],
+        ids=[
+            "overflowing_images",
+            "boolean_target_dim",
+            "boolean_group_dim",
+            "non_numeric_image_entry",
+            "ragged_image_row",
+            "non_numeric_differential_entry",
+            "ragged_differential_row",
+        ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_descriptor_exits_2_with_one_error_line(
