@@ -13,6 +13,9 @@ External descriptors are plain JSON documents; see
 :func:`load_representation` for the schema.  Descriptor-defined
 representations are rejected at load time if their generator images are
 inconsistent.
+
+SciPy is imported inside the functions that call it, so importing the
+package or listing the catalog loads none of it.
 """
 
 from __future__ import annotations
@@ -285,7 +288,7 @@ def _generator_representation(
     combine = _linear_in_coordinates(images)
 
     def apply(a: GroupElement) -> np.ndarray:
-        import scipy.linalg  # deferred, as in groups
+        import scipy.linalg
 
         # An overflowing image is reported by the finiteness check, not warned.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -307,7 +310,7 @@ def _reject_inconsistent_generators(
     rep: Representation, spec: GroupSpec, images: list[np.ndarray]
 ) -> None:
     if spec.kind in _COMPACT_KINDS:
-        import scipy.linalg  # deferred, as in groups
+        import scipy.linalg
 
         eye = np.eye(rep.target_dim)
         for k, image in enumerate(images):

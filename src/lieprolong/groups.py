@@ -181,16 +181,21 @@ def relative_residual(actual, reference, axis=None):
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of square blocks; leading stack axes broadcast."""
+    """Block-diagonal matrix of (possibly rectangular) blocks.
+
+    Leading stack axes broadcast.
+    """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     stack = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
-    total = sum(b.shape[-1] for b in blocks)
-    out = np.zeros(stack + (total, total))
-    offset = 0
+    rows = sum(b.shape[-2] for b in blocks)
+    cols = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(stack + (rows, cols))
+    row = col = 0
     for b in blocks:
-        size = b.shape[-1]
-        out[..., offset : offset + size, offset : offset + size] = b
-        offset += size
+        m, n = b.shape[-2:]
+        out[..., row : row + m, col : col + n] = b
+        row += m
+        col += n
     return out
 
 

@@ -15,6 +15,9 @@ Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
 that are allowed to give up, such as :func:`reducibility_probe` when the
 commutant splitting heuristic finds nothing it can certify.
+
+SciPy is imported inside the functions that call it, so importing the
+package or listing the catalog loads none of it.
 """
 
 from __future__ import annotations
@@ -343,7 +346,7 @@ def prolong_intertwiner(A) -> Intertwiner:
 
 def random_conjugator(n: int, seed=0) -> np.ndarray:
     """A deterministic random invertible matrix with moderate conditioning."""
-    import scipy.linalg  # deferred, as in groups
+    import scipy.linalg
 
     rng = _rng(_derive(seed))
     return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
@@ -872,7 +875,7 @@ def faithfulness_probe(
             0.0,
             {"min_image_separation": None, "samples": samples},
         )
-    import scipy.spatial  # deferred: nothing else in the package needs it
+    import scipy.spatial
 
     tree = scipy.spatial.cKDTree(image_array)
     separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]

@@ -372,6 +372,12 @@ class TestStacks:
             np.testing.assert_array_equal(out[k, 2, :], [0.0, 0.0, 1.0])
             np.testing.assert_array_equal(out[k, :2, 2], [0.0, 0.0])
 
+    def test_block_diag_places_rectangular_blocks(self):
+        out = block_diag([[1.0, 2.0]], [[3.0], [4.0]])
+        np.testing.assert_array_equal(
+            out, [[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 4.0]]
+        )
+
     @pytest.mark.parametrize(
         "spec", SPECS + [special_linear(3), special_orthogonal(4)], ids=lambda s: s.describe()
     )

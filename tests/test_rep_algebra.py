@@ -146,6 +146,11 @@ class TestIntertwiners:
         lifted = prolong_intertwiner([[2.0]])
         np.testing.assert_array_equal(lifted.matrix, [[2.0, 0.0], [0.0, 2.0]])
 
+    def test_lift_of_rectangular_intertwiner(self):
+        lifted = prolong_intertwiner([[1.0, 2.0]])
+        np.testing.assert_array_equal(lifted.matrix, [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
+        assert prolong_intertwiner(np.ones((2, 3))).matrix.shape == (4, 6)
+
     def test_full_rank_detection(self):
         assert Intertwiner(np.eye(2)).full_rank
         assert not Intertwiner(np.zeros((2, 2))).full_rank
