@@ -254,6 +254,14 @@ def _descriptor_matrices(raw: Any, count: int, dim: int, label: str) -> list[np.
             m = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
             raise DescriptorError(f"{label}[{k}] is not a matrix of numbers: {exc}") from None
+        # The float conversion also takes strings such as "0" and booleans.
+        if not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in np.asarray(rows, dtype=object).ravel()
+        ):
+            raise DescriptorError(
+                f"{label}[{k}] is not a matrix of numbers: entries must be JSON numbers"
+            )
         if m.shape != (dim, dim):
             raise DescriptorError(
                 f"{label}[{k}] has shape {m.shape}, expected ({dim}, {dim})"

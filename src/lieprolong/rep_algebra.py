@@ -22,6 +22,7 @@ package or listing the catalog loads none of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
@@ -31,6 +32,7 @@ import numpy as np
 from .groups import (
     AlgebraElement,
     GroupElement,
+    GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
     _rng,
@@ -89,8 +91,12 @@ RANK_RTOL = 1e-8
 _DISTINCT_TOL = 1e-9
 
 # Samples are drawn and evaluated in stacks of at most this many, which
-# bounds the memory a check needs whatever the sample count.
+# bounds the memory a check needs whatever the sample count.  The two
+# sample memos keep at most _SAMPLE_MEMO stacks each, so they stay bounded
+# too: at most 64 x 256 elements per memo (2.4 MB of tangent elements over
+# a 3 x 3 group), however many samples a run draws.
 _CHUNK = 256
+_SAMPLE_MEMO = 64
 
 # Random conjugators tried by the equivalence transfer check.
 _CONJUGATIONS = 20
@@ -141,16 +147,33 @@ def _derive(seed, *indices: int) -> tuple[int, ...]:
     return head + tuple(int(i) % 2**63 for i in indices)
 
 
-def _keys(seed, indices, *prefix: int) -> list[tuple[int, ...]]:
+def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
     """Per-sample keys ``_derive(seed, *prefix, i)`` for each index ``i``."""
     head = _derive(seed, *prefix)
-    return [head + (int(i) % 2**63,) for i in indices]
+    return tuple(head + (int(i) % 2**63,) for i in indices)
+
+
+# A stack depends only on its group and its keys, and every element is
+# read-only, so checks that draw the same keys (the same check over the
+# catalog entries of one group, or checks sharing a seed prefix) share
+# one draw within a process.  The public samplers stay unmemoized: their
+# stacks can be any size.
+@functools.lru_cache(maxsize=_SAMPLE_MEMO)
+def _group_sample(spec: GroupSpec, keys: tuple[tuple[int, ...], ...]) -> GroupElement:
+    return sample_group_elements(spec, keys)
+
+
+@functools.lru_cache(maxsize=_SAMPLE_MEMO)
+def _tangent_sample(
+    spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
+) -> TangentGroupElement:
+    return sample_tangent_elements(spec, keys)
 
 
 def _sample(rep: RepLike, keys):
     if isinstance(rep, ProlongedRepresentation):
-        return sample_tangent_elements(rep.group, keys)
-    return sample_group_elements(rep.group, keys)
+        return _tangent_sample(rep.group, keys)
+    return _group_sample(rep.group, keys)
 
 
 def _image(rep: RepLike, element) -> np.ndarray:
@@ -253,7 +276,7 @@ def check_action_oracle(
     n = rep.target_dim
 
     def residuals(indices):
-        X = sample_tangent_elements(rep.group, _keys(seed, indices, 53))
+        X = _tangent_sample(rep.group, _keys(seed, indices, 53))
         keys = _keys(seed, indices, 59)
         draws = np.stack([_rng(key).uniform(-1.0, 1.0, (2, n)) for key in keys])
         Y = TangentVector(draws[:, 0], draws[:, 1])
@@ -392,7 +415,7 @@ def check_equivalence_transfer(
     sample_seed = _derive(seed, 1)
 
     def residuals(indices):
-        X = sample_tangent_elements(rep.group, _keys(sample_seed, indices))
+        X = _tangent_sample(rep.group, _keys(sample_seed, indices))
         images = prolong(rep, X).dense()
         return np.stack(
             [
@@ -549,7 +572,7 @@ def check_invariance_transfer(
         horizontal[:n] = q.T
 
         def residuals(indices):
-            X = sample_tangent_elements(rep.group, _keys(tangent_seed, indices))
+            X = _tangent_sample(rep.group, _keys(tangent_seed, indices))
             images = prolong(rep, X).dense()
             lifted = _projection_defects(images @ lifted_q.T, lifted_q)
             extracted = _projection_defects((images @ horizontal)[..., :n, :], q)
@@ -788,7 +811,7 @@ def check_direct_sum_commutation(
     perm = interleave_permutation(rep1.target_dim, rep2.target_dim)
 
     def residuals(indices):
-        X = sample_tangent_elements(rep1.group, _keys(seed, indices, 41))
+        X = _tangent_sample(rep1.group, _keys(seed, indices, 41))
         joint = prolong(summed, X).dense()[..., perm[:, None], perm]
         split = block_diag(prolong(rep1, X).dense(), prolong(rep2, X).dense())
         return relative_residual(joint, split, axis=(-2, -1))
@@ -857,7 +880,7 @@ def faithfulness_probe(
     images = []
     inputs = []
     for indices in chunks:
-        X = sample_tangent_elements(spec, _keys(seed, indices, 47))
+        X = _tangent_sample(spec, _keys(seed, indices, 47))
         count = len(indices)
         images.append(prolong(rep, X).dense().reshape(count, -1))
         inputs.append(

@@ -267,7 +267,15 @@ class TestGeneratorDescriptors:
         with pytest.raises(DescriptorError):
             load_representation(document)
 
-    @pytest.mark.parametrize("bad", [[[0, "x"], [0, 0]], [[0, [1]], [0, 0]]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0, "x"], [0, 0]],
+            [[0, [1]], [0, 0]],
+            [[0, True], [-1, 0]],
+            [["0", "2"], [-2, "0"]],
+        ],
+    )
     def test_non_numeric_matrices_rejected_by_label(self, bad):
         document = winding_generator_descriptor()
         document["map"]["generator_images"] = [bad]

@@ -3,10 +3,8 @@ import inspect
 import io
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -133,10 +131,7 @@ class TestCatalogCommand:
             "    code = lieprolong.cli.main(['catalog'])\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, []]
 

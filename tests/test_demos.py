@@ -1,6 +1,5 @@
 """Every narrative script in ``demos/`` runs to completion against this checkout."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +16,6 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, cwd=ROOT, env=env
-    )
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

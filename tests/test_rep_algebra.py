@@ -42,6 +42,8 @@ from lieprolong import (
     tg_multiply,
     vertical_subspace,
 )
+from lieprolong import rep_algebra
+from lieprolong.cli import main
 
 
 def rep_of(name: str) -> Representation:
@@ -585,3 +587,33 @@ class TestFaithfulnessNeighbours:
         # A dense S x S distance matrix alone would be 128 MB at S = 4000.
         assert peaks[4000] < 5 * peaks[1000]
         assert peaks[4000] < 16 * 2**20
+
+
+class TestSampleMemo:
+    """Sample stacks are drawn once per (group, keys) within a process."""
+
+    def clear(self):
+        rep_algebra._group_sample.cache_clear()
+        rep_algebra._tangent_sample.cache_clear()
+
+    def report(self, capsys) -> str:
+        assert main(["report", "--samples", "10", "--seed", "5"]) == 1
+        return capsys.readouterr().out
+
+    def test_report_reuses_stacks_and_keeps_its_bytes(self, capsys):
+        self.clear()
+        first = self.report(capsys)
+        hits = (
+            rep_algebra._group_sample.cache_info().hits,
+            rep_algebra._tangent_sample.cache_info().hits,
+        )
+        self.clear()
+        assert self.report(capsys) == first
+        assert min(hits) > 0
+
+    def test_memo_stays_bounded(self):
+        self.clear()
+        assert faithfulness_probe(rep_of("gl_identity(2)"), 3000, seed=3).passed
+        info = rep_algebra._tangent_sample.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
