@@ -271,6 +271,14 @@ class GroupElement:
         _require_invertible(m)
         object.__setattr__(self, "matrix", m)
 
+    @functools.cached_property
+    def _coordinates(self) -> np.ndarray:
+        # The element is immutable, so its logarithm is taken once.  A
+        # ChartError is not cached: every access raises it again.
+        coords = algebra_coordinates(principal_log(self))
+        coords.flags.writeable = False
+        return coords
+
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -565,5 +573,8 @@ def principal_log(a: GroupElement) -> AlgebraElement:
 
 def group_coordinates(a: GroupElement) -> np.ndarray:
     """Exponential coordinates of ``a`` in the canonical algebra basis,
-    shape ``(..., k)`` for a stack."""
-    return algebra_coordinates(principal_log(a))
+    shape ``(..., k)`` for a stack.
+
+    Computed on the first call and kept, read-only, on ``a``.
+    """
+    return a._coordinates

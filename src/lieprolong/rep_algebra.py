@@ -40,7 +40,6 @@ from .groups import (
     group_multiply,
     identity_tangent,
     relative_residual,
-    sample_group_elements,
     sample_tangent_elements,
     tg_multiply,
     zero_algebra,
@@ -91,10 +90,10 @@ RANK_RTOL = 1e-8
 _DISTINCT_TOL = 1e-9
 
 # Samples are drawn and evaluated in stacks of at most this many, which
-# bounds the memory a check needs whatever the sample count.  The two
-# sample memos keep at most _SAMPLE_MEMO stacks each, so they stay bounded
-# too: at most 64 x 256 elements per memo (2.4 MB of tangent elements over
-# a 3 x 3 group), however many samples a run draws.
+# bounds the memory a check needs whatever the sample count.  The sample
+# memo keeps at most _SAMPLE_MEMO stacks, so it stays bounded too: at most
+# 64 x 256 tangent elements (2.4 MB over a 3 x 3 group, 3.6 MB with the
+# bases' coordinates), however many samples a run draws.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
@@ -156,13 +155,8 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # A stack depends only on its group and its keys, and every element is
 # read-only, so checks that draw the same keys (the same check over the
 # catalog entries of one group, or checks sharing a seed prefix) share
-# one draw within a process.  The public samplers stay unmemoized: their
-# stacks can be any size.
-@functools.lru_cache(maxsize=_SAMPLE_MEMO)
-def _group_sample(spec: GroupSpec, keys: tuple[tuple[int, ...], ...]) -> GroupElement:
-    return sample_group_elements(spec, keys)
-
-
+# one draw, and the exponential coordinates kept on it, within a process.
+# The public samplers stay unmemoized: their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
     spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
@@ -171,9 +165,10 @@ def _tangent_sample(
 
 
 def _sample(rep: RepLike, keys):
-    if isinstance(rep, ProlongedRepresentation):
-        return _tangent_sample(rep.group, keys)
-    return _group_sample(rep.group, keys)
+    # The group draw under a key is, bit for bit, the base of the tangent
+    # draw under it: both exponentiate the first draw of the key's generator.
+    X = _tangent_sample(rep.group, keys)
+    return X if isinstance(rep, ProlongedRepresentation) else X.base
 
 
 def _image(rep: RepLike, element) -> np.ndarray:

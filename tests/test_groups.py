@@ -323,6 +323,7 @@ class TestStacks:
         groups = sample_group_elements(spec, seeds)
         tangents = sample_tangent_elements(spec, seeds)
         assert groups.matrix.shape == (len(seeds), spec.dim, spec.dim)
+        np.testing.assert_array_equal(groups.matrix, tangents.base.matrix)
         for k, seed in enumerate(seeds):
             np.testing.assert_array_equal(
                 groups.matrix[k], sample_group_element(spec, seed).matrix
@@ -394,6 +395,22 @@ class TestStacks:
             np.testing.assert_array_equal(logs.matrix[i], principal_log(x.base).matrix)
             np.testing.assert_array_equal(coords[i], group_coordinates(x.base))
             np.testing.assert_array_equal(fibers[i], algebra_coordinates(x.algebra))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_coordinates_are_kept_read_only_on_the_element(self, spec):
+        a = sample_group_elements(spec, range(8))
+        coords = group_coordinates(a)
+        assert group_coordinates(a) is coords
+        np.testing.assert_array_equal(coords, group_coordinates(GroupElement(a.matrix, spec)))
+        np.testing.assert_array_equal(coords, algebra_coordinates(principal_log(a)))
+        with pytest.raises(ValueError):
+            coords[0] = 0.0
+
+    def test_chart_error_is_raised_on_every_call(self):
+        a = GroupElement([[-1.0, 0.0], [0.0, -2.0]], general_linear(2))
+        for _ in range(2):
+            with pytest.raises(ChartError):
+                group_coordinates(a)
 
     def test_one_slice_outside_the_chart_rejects_the_stack(self):
         spec = special_linear(2)

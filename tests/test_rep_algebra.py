@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.spatial.distance
+from descriptors import so3_doubled
 
 from lieprolong import (
     CheckReport,
@@ -28,6 +30,7 @@ from lieprolong import (
     interleave_permutation,
     is_intertwiner,
     is_invariant_subspace,
+    load_representation,
     prolong,
     prolong_intertwiner,
     prolong_subspace,
@@ -37,6 +40,7 @@ from lieprolong import (
     relative_residual,
     rep_image,
     sample_group_element,
+    sample_group_elements,
     sample_tangent_element,
     sample_tangent_elements,
     tg_multiply,
@@ -593,7 +597,6 @@ class TestSampleMemo:
     """Sample stacks are drawn once per (group, keys) within a process."""
 
     def clear(self):
-        rep_algebra._group_sample.cache_clear()
         rep_algebra._tangent_sample.cache_clear()
 
     def report(self, capsys) -> str:
@@ -603,13 +606,39 @@ class TestSampleMemo:
     def test_report_reuses_stacks_and_keeps_its_bytes(self, capsys):
         self.clear()
         first = self.report(capsys)
-        hits = (
-            rep_algebra._group_sample.cache_info().hits,
-            rep_algebra._tangent_sample.cache_info().hits,
-        )
+        hits = rep_algebra._tangent_sample.cache_info().hits
         self.clear()
         assert self.report(capsys) == first
-        assert min(hits) > 0
+        assert hits > 0
+
+    def test_base_and_prolonged_checks_share_one_draw(self):
+        rep = rep_of("so3_standard")
+        self.clear()
+        assert check_homomorphism(rep, 10, seed=4).passed
+        drawn = rep_algebra._tangent_sample.cache_info().misses
+        assert check_homomorphism(prolonged(rep), 10, seed=4).passed
+        assert rep_algebra._tangent_sample.cache_info().misses == drawn
+        keys = rep_algebra._keys(4, range(10))
+        x = rep_algebra._sample(rep, keys)
+        assert x is rep_algebra._sample(prolonged(rep), keys).base
+        np.testing.assert_array_equal(x.matrix, sample_group_elements(rep.group, keys).matrix)
+
+    def test_equivalence_takes_one_logarithm_per_sample(self, monkeypatch):
+        rep = load_representation(so3_doubled())
+        self.clear()
+        logm = scipy.linalg.logm
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return logm(m)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counted)
+        assert check_equivalence_transfer(rep, 20, seed=0).passed
+        # Not one per conjugation: the conjugated sides reuse the coordinates
+        # kept on the sampled bases.  Each conjugated representation also
+        # checks its image of the identity once, when it is built.
+        assert len(calls) == 20 + rep_algebra._CONJUGATIONS
 
     def test_memo_stays_bounded(self):
         self.clear()
