@@ -8,11 +8,13 @@ canonical algebra basis.  Generator descriptors are validated on load;
 for compact groups the one-parameter loops must close, which catches
 perturbed generators that a small-angle sampling test would miss.
 
-The faithfulness probe hunts for distinct tangent elements with equal
-prolonged images.  For a representation with a kernel, the probe fails
-with an explicit witness.  That failure is the documented, expected
-outcome for such inputs: a prolongation can only be injective when the
-representation itself is.
+The faithfulness probe decides exactly, without sampling, whether the
+prolongation is injective.  Its image [[R, 0], [K R, R]] is the identity
+only when R = I and K = 0, so the probe looks for a kernel of the
+differential and then for a central element sent to the identity.  For a
+representation with a kernel, the probe fails with an explicit witness.
+That failure is the documented, expected outcome for such inputs: a
+prolongation can only be injective when the representation itself is.
 """
 
 import json
@@ -55,17 +57,23 @@ except DescriptorError as exc:
     print("rejected perturbed generators:", exc.witness)
 
 # Faithfulness: the identity-map representations pass; the angle
-# doubler collides on the half turn and the probe reports exactly that.
+# doubler, loaded from the catalog or from the file above alike, collides
+# on the half turn, and the constant map on a whole fiber direction.
 print()
-probe = faithfulness_probe(catalog_entry("gl_identity(2)").rep, 500, seed=12)
+probe = faithfulness_probe(catalog_entry("gl_identity(2)").rep)
 print("gl_identity(2):", probe.verdict.value,
-      f"(closest images {probe.witness['min_image_separation']:.2e} apart)")
+      f"(rank {probe.witness['rank']}, margin {probe.witness['margin']:.2f})")
 
-entry = catalog_entry("circle_winding_2")
-probe = faithfulness_probe(entry.rep, 500, seed=12,
-                           kernel_witness=entry.kernel_witness)
-print("circle_winding_2:", probe.verdict.value,
-      "-", probe.witness["kind"])
+for name, source in (
+    ("circle_winding_2", catalog_entry("circle_winding_2").rep),
+    ("winding_from_file", rep),
+    ("trivial(1)", catalog_entry("trivial(1)").rep),
+):
+    probe = faithfulness_probe(source)
+    witness = probe.witness
+    print(f"{name}:", probe.verdict.value, "-", witness["kind"],
+          f"({witness['part']} part, coordinates {witness['coordinates']},"
+          f" fiber {witness['fiber']})")
 
 # The same checks run from the command line and emit canonical JSON:
 # identical seeds give byte-identical reports, which makes the output

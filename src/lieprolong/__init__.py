@@ -5,11 +5,11 @@ representation of the group's tangent bundle on the tangent bundle of
 R^n.  This package computes that extension in explicit block-matrix
 form, provides independent oracles for its action, and ships a battery
 of sampling-based structural checks: homomorphism tests, equivalence and
-invariant-subspace transfer, commutant and reducibility probes, and a
-faithfulness probe that detects non-injective inputs.
+invariant-subspace transfer, commutant and reducibility probes.  Whether
+the prolongation is faithful is decided exactly, without sampling.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each module's __all__ is the one list of its public names.
 from .catalog import *

@@ -1,13 +1,11 @@
 """Built-in representations with their known metadata, and descriptor loading.
 
-Every catalog entry carries what is known about it: a kernel element
-when the representation is not injective (an entry without one is known
-to be injective), and any invariant subspaces that come with its
-construction.  The entries are
-built once, on first access, and cached.  The test suite verifies the
-metadata: each entry passes a homomorphism check, declared subspaces test
-invariant, declared kernel elements actually collide, and entries marked
-injective show no sampled collision.
+Every catalog entry carries what is known about it: whether the
+representation is injective, and any invariant subspaces that come with
+its construction.  The entries are built once, on first access, and
+cached.  The test suite verifies the metadata: each entry passes a
+homomorphism check, declared subspaces test invariant, and the exact
+faithfulness certificate agrees with ``known_faithful``.
 
 External descriptors are plain JSON documents; see
 :func:`load_representation` for the schema.  Descriptor-defined
@@ -36,7 +34,6 @@ from .groups import (
     algebra_basis,
     algebra_coordinates,
     circle,
-    circle_element,
     general_linear,
     group_coordinates,
     relative_residual,
@@ -75,14 +72,8 @@ class CatalogEntry:
     name: str
     rep: Representation
     notes: str
-    kernel_witness: Optional[GroupElement] = None
+    known_faithful: bool = True
     known_invariant_subspaces: tuple[SubspaceBasis, ...] = ()
-
-    @property
-    def known_faithful(self) -> bool:
-        """An entry is known to be injective exactly when it declares no
-        kernel element."""
-        return self.kernel_witness is None
 
 
 def _identity_map_rep(spec: GroupSpec, name: str) -> Representation:
@@ -108,7 +99,7 @@ def _circle_winding_2() -> CatalogEntry:
     return CatalogEntry(
         name="circle_winding_2",
         rep=rep,
-        kernel_witness=circle_element(math.pi),
+        known_faithful=False,
         notes="doubles the angle; the half turn maps to the identity",
     )
 
@@ -149,7 +140,7 @@ def _trivial(n: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"trivial({n})",
         rep=rep,
-        kernel_witness=circle_element(1.0),
+        known_faithful=False,
         known_invariant_subspaces=(SubspaceBasis(n, np.eye(n)[:1]),),
         notes="constant identity map over the circle; every subspace is invariant",
     )

@@ -270,8 +270,7 @@ def _run_suite(
     if suite == "directsum":
         return [check_direct_sum_commutation(rep, rep, samples, seed, **tol)]
     if suite == "faithfulness":
-        witness = entry.kernel_witness if entry is not None else None
-        return [faithfulness_probe(rep, samples, seed, **tol, kernel_witness=witness)]
+        return [faithfulness_probe(rep, **tol)]
     raise _InputError(f"unknown suite {suite!r}")
 
 
@@ -345,7 +344,6 @@ def cmd_catalog(config: RunConfig) -> int:
             "group": e.rep.group.describe(),
             "target_dim": e.rep.target_dim,
             "known_faithful": e.known_faithful,
-            "has_kernel_witness": e.kernel_witness is not None,
             "invariant_subspace_count": len(e.known_invariant_subspaces),
             "notes": e.notes,
         }

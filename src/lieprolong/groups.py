@@ -56,7 +56,6 @@ __all__ = [
     "group_membership_residual",
     "group_multiply",
     "identity_element",
-    "identity_tangent",
     "mat_exp",
     "principal_log",
     "relative_residual",
@@ -69,7 +68,6 @@ __all__ = [
     "special_orthogonal",
     "tg_multiply",
     "tg_inverse",
-    "zero_algebra",
 ]
 
 # Absolute bound on the defining residual of a group / algebra element.
@@ -324,15 +322,9 @@ class TangentGroupElement:
 
 
 def identity_element(spec: GroupSpec) -> GroupElement:
-    return _trusted(GroupElement, matrix=np.eye(spec.dim), spec=spec)
-
-
-def zero_algebra(spec: GroupSpec) -> AlgebraElement:
-    return _trusted(AlgebraElement, matrix=np.zeros((spec.dim, spec.dim)), spec=spec)
-
-
-def identity_tangent(spec: GroupSpec) -> TangentGroupElement:
-    return TangentGroupElement(identity_element(spec), zero_algebra(spec))
+    """The identity, carrying its exponential coordinates (exact zeros)."""
+    coords = np.zeros(len(algebra_basis(spec)))
+    return _trusted(GroupElement, matrix=np.eye(spec.dim), spec=spec, _coordinates=coords)
 
 
 def circle_element(theta: float) -> GroupElement:

@@ -1,9 +1,11 @@
 """Structural checks on representations and their prolongations.
 
-Every check in this module is sampling-based and deterministic: callers
-pass an integer seed, each sampled element is derived from (seed, sample
-index), and any reported witness carries that provenance so a failure can
-be replayed exactly.
+Every check in this module but one is sampling-based and deterministic:
+callers pass an integer seed, each sampled element is derived from (seed,
+sample index), and any reported witness carries that provenance so a
+failure can be replayed exactly.  The exception, :func:`faithfulness_probe`,
+draws nothing: it reads the kernel off the differential and the center of
+the group, and its witness is the colliding element itself.
 
 The sampled checks share one driver: samples are drawn as stacks of at
 most ``_CHUNK`` elements, the representation is evaluated on the whole
@@ -14,7 +16,8 @@ raises instead of passing.
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
 that are allowed to give up, such as :func:`reducibility_probe` when the
-commutant splitting heuristic finds nothing it can certify.
+commutant splitting heuristic finds nothing it can certify, or
+:func:`faithfulness_probe` when a positive scalar may lie in the kernel.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -23,6 +26,7 @@ package or listing the catalog loads none of it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, Union
@@ -32,22 +36,27 @@ import numpy as np
 from .groups import (
     AlgebraElement,
     GroupElement,
+    GroupKind,
     GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
     _rng,
+    algebra_basis,
+    algebra_coordinates,
+    algebra_from_coordinates,
     block_diag,
     group_multiply,
-    identity_tangent,
+    identity_element,
     relative_residual,
     sample_tangent_elements,
+    special_orthogonal,
     tg_multiply,
-    zero_algebra,
 )
 from .prolongation import (
     ProlongedRepresentation,
     Representation,
     apply_prolonged,
+    differential_rep,
     prolong,
     prolonged,
     rep_image,
@@ -84,10 +93,6 @@ __all__ = [
 # Relative threshold for rank and nullspace decisions: a singular value
 # counts as zero when it is below RANK_RTOL times the largest one.
 RANK_RTOL = 1e-8
-
-# Two inputs, or a group element and the identity, count as distinct when
-# they differ by more than this in the max norm.
-_DISTINCT_TOL = 1e-9
 
 # Samples are drawn and evaluated in stacks of at most this many, which
 # bounds the memory a check needs whatever the sample count.  The sample
@@ -814,115 +819,86 @@ def check_direct_sum_commutation(
     return _sampled_check("direct_sum_commutation", samples, seed, tol, residuals)
 
 
-def faithfulness_probe(
-    rep: Representation,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-12,
-    *,
-    kernel_witness: Optional[GroupElement] = None,
-) -> CheckReport:
-    """Look for distinct tangent elements with equal prolonged images.
+def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:
+    """Decide, without sampling, whether the prolongation is injective.
 
-    Sampled images closer than ``tol`` (scaled by the largest image entry)
-    in the max norm are found with a k-d tree, in memory linear in the
-    sample count.  A declared kernel element (catalog metadata for
-    representations known not to be injective) is checked instead when
-    given, with no sampling: if its prolonged image lies within ``tol``
-    (scaled by the largest entry of the two) of the identity's, the
-    prolongation collides on it and the probe fails with that witness.
-    That failure certifies non-injectivity of the prolongation; it is the
-    expected outcome for non-faithful inputs, not a defect.
+    ``[[R, 0], [K R, R]] = I`` exactly when ``rho(a) = I`` and
+    ``d rho(B) = 0``, so the kernel of the prolongation is the semidirect
+    product of ``ker rho`` and ``ker d rho``: the prolongation is faithful
+    exactly when ``rho`` is.  Both parts are decided on the identity
+    component, the part of the group the library can evaluate:
+
+    - infinitesimal: ``d rho`` on the k canonical basis elements, as k
+      vectors of R^{m^2}.  When the least of their k singular values is at
+      most ``tol`` times the greatest, its fiber ``B`` spans part of
+      ``ker d rho`` and ``[I, B]`` is the witness;
+    - central: when ``d rho`` is injective, ``ker rho`` is discrete and
+      normal, hence central.  With ``g`` the gcd of the integer weights
+      ``|Im eig d rho(T)|``, ``T = sum_k J_{2k,2k+1}`` (n even), the kernel
+      holds the turn ``exp(2 pi T / g)`` on the circle and SO(2) when
+      ``g > 1``, and ``-I = exp(pi T)`` otherwise when ``g`` is even.  The
+      witness is ``exp(X)`` with ``X`` exact, and ``rho`` of it is
+      ``expm(d rho(X))``.  On GL(n) a positive scalar may lie in the kernel
+      when every eigenvalue of ``d rho(I)`` has zero real part: then the
+      probe is INCONCLUSIVE.
+
+    A FAIL is a ``kernel_collision`` naming its ``part``, with the element,
+    its exponential coordinates and the fiber's coordinates (what
+    ``prolong --a-coords`` and ``--fiber`` take), and the gap of its
+    prolonged image from I, which is also the residual.  Every verdict
+    reports the rank of ``d rho`` and the margin ``sigma_min / sigma_max``.
     """
+    import scipy.linalg
+
     spec = rep.group
-    chunks = list(_chunks(samples))  # rejects zero samples on either path
-    if kernel_witness is not None:
-        witness_tangent = TangentGroupElement(kernel_witness, zero_algebra(spec))
-        images = np.stack(
-            [prolong(rep, X).dense() for X in (witness_tangent, identity_tangent(spec))]
-        )
-        gap = float(np.max(np.abs(images[0] - images[1])))
-        scale = max(1.0, float(np.max(np.abs(images))))
-        element_gap = float(
-            np.max(np.abs(kernel_witness.matrix - np.eye(spec.dim)))
-        )
-        if element_gap > _DISTINCT_TOL and gap <= tol * scale:
-            return CheckReport(
-                "faithfulness_probe",
-                Verdict.FAIL,
-                gap,
-                {
-                    "kind": "kernel_collision",
-                    "kernel_element": _payload(kernel_witness.matrix),
-                    "image_gap": gap,
-                    "note": (
-                        "the base representation sends this non-identity element "
-                        "to the identity, so the prolongation cannot be injective"
-                    ),
-                },
-            )
-        return CheckReport(
-            "faithfulness_probe",
-            Verdict.INCONCLUSIVE,
-            gap,
-            {
-                "kind": "kernel_witness_mismatch",
-                "note": "declared kernel element did not collide; metadata suspect",
-                "image_gap": gap,
-            },
-        )
+    if not algebra_basis(spec):  # SL(1), the trivial group
+        facts = {"rank": 0, "margin": 1.0, "scope": "identity component"}
+        return CheckReport("faithfulness_probe", Verdict.PASS, 0.0, facts)
+    basis = np.stack(algebra_basis(spec))
+    k, m = len(basis), rep.target_dim
+    images = differential_rep(rep, AlgebraElement(basis, spec))
+    _, s, vh = np.linalg.svd(images.reshape(k, -1).T)
+    s = np.pad(s, (0, k - s.size))
+    facts = {
+        "rank": int(np.sum(s > tol * s[0])),
+        "margin": float(s[-1] / s[0]) if s[0] > 0 else 0.0,
+        "scope": "identity component",
+    }
 
-    images = []
-    inputs = []
-    for indices in chunks:
-        X = _tangent_sample(spec, _keys(seed, indices, 47))
-        count = len(indices)
-        images.append(prolong(rep, X).dense().reshape(count, -1))
-        inputs.append(
-            np.concatenate(
-                [X.base.matrix.reshape(count, -1), X.algebra.matrix.reshape(count, -1)],
-                axis=1,
-            )
-        )
-    image_array = np.concatenate(images)
-    input_array = np.concatenate(inputs)
-    if samples < 2:
-        return CheckReport(
-            "faithfulness_probe",
-            Verdict.PASS,
-            0.0,
-            {"min_image_separation": None, "samples": samples},
-        )
-    import scipy.spatial
+    def collision(part, element, coordinates, fiber, gap):
+        witness = dict(kind="kernel_collision", part=part, element=element.tolist(),
+                       coordinates=coordinates.tolist(), fiber=fiber.tolist(), image_gap=gap)
+        return CheckReport("faithfulness_probe", Verdict.FAIL, gap, {**witness, **facts})
 
-    tree = scipy.spatial.cKDTree(image_array)
-    separation = tree.query(image_array, k=2, p=np.inf)[0][:, 1]
-    threshold = tol * max(1.0, float(np.max(np.abs(image_array))))
-    # Pairs (i, j), i < j, in lexicographic order; only points whose nearest
-    # neighbour lies within the threshold can start one.
-    for i in np.flatnonzero(separation <= threshold):
-        for j in sorted(tree.query_ball_point(image_array[i], threshold, p=np.inf)):
-            if j <= i:
-                continue
-            input_gap = float(np.max(np.abs(input_array[i] - input_array[j])))
-            if input_gap > _DISTINCT_TOL:
-                image_gap = float(np.max(np.abs(image_array[i] - image_array[j])))
-                return CheckReport(
-                    "faithfulness_probe",
-                    Verdict.FAIL,
-                    image_gap,
-                    {
-                        "kind": "random_collision",
-                        "seed": _payload(seed),
-                        "first_index": int(i),
-                        "second_index": int(j),
-                        "image_gap": image_gap,
-                        "input_gap": input_gap,
-                    },
-                )
-    return CheckReport(
-        "faithfulness_probe",
-        Verdict.PASS,
-        0.0,
-        {"min_image_separation": float(np.min(separation)), "samples": samples},
-    )
+    if s[-1] <= tol * s[0]:
+        fiber = AlgebraElement(np.tensordot(vh[-1], basis, axes=1), spec)
+        X = TangentGroupElement(identity_element(spec), fiber)
+        gap = float(np.max(np.abs(prolong(rep, X).dense() - np.eye(2 * m))))
+        return collision("infinitesimal", X.base.matrix, np.zeros(k), vh[-1], gap)
+
+    # The turns exp(theta T), T = sum_k J_{2k,2k+1}, form a circle through
+    # the center: all of it on the circle and SO(2), and -I = exp(pi T).
+    # rho(exp(theta T)) = I exactly when theta w lies in 2 pi Z for every
+    # integer weight w = |Im eig d rho(T)|, which no rounding in expm blurs.
+    if spec.dim % 2 == 0:
+        T = AlgebraElement(np.kron(np.eye(spec.dim // 2), [[0.0, 1.0], [-1.0, 0.0]]), spec)
+        weights = np.rint(np.abs(np.linalg.eigvals(differential_rep(rep, T)).imag))
+        g = math.gcd(*weights.astype(int))
+        abelian = spec.kind is GroupKind.CIRCLE or spec == special_orthogonal(2)
+        if g > 1 and (abelian or g % 2 == 0):
+            theta = 2.0 * math.pi / g if abelian else math.pi
+            coordinates = theta * np.rint(algebra_coordinates(T))  # exact
+            X = algebra_from_coordinates(coordinates, spec)
+            image = scipy.linalg.expm(differential_rep(rep, X))
+            gap = float(np.max(np.abs(image - np.eye(m))))
+            element = scipy.linalg.expm(X.matrix)
+            return collision("central", element, coordinates, np.zeros(k), gap)
+
+    if spec.kind is GroupKind.GENERAL_LINEAR:
+        scalar = differential_rep(rep, AlgebraElement(np.eye(spec.dim), spec))
+        eigenvalues = np.linalg.eigvals(scalar)
+        if np.all(np.abs(eigenvalues.real) <= tol * max(1.0, np.max(np.abs(eigenvalues)))):
+            reason = "every eigenvalue of d rho(I) has zero real part: exp(t) I may collide"
+            witness = {"reason": reason, **facts}
+            return CheckReport("faithfulness_probe", Verdict.INCONCLUSIVE, 0.0, witness)
+    return CheckReport("faithfulness_probe", Verdict.PASS, 0.0, facts)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lieprolong import AlgebraElement, GroupSpec, algebra_basis, algebra_coordinates
+
 
 def so3_doubled() -> dict:
     """SO(3) acting on R^3 + R^3 through a fixed rotation of R^6."""
@@ -65,6 +67,58 @@ def gl3_units() -> dict:
         "name": "gl3_units",
         "group": {"kind": "GeneralLinear", "dim": 3},
         "target_dim": 3,
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
+def determinant() -> dict:
+    """det: GL(2) -> GL(1); its kernel is all of SL(2)."""
+    return {
+        "name": "determinant",
+        "group": {"kind": "GeneralLinear", "dim": 2},
+        "target_dim": 1,
+        "map": {"kind": "generators", "generator_images": [[[1.0]], [[0.0]], [[0.0]], [[1.0]]]},
+    }
+
+
+def adjoint(kind: str, dim: int) -> dict:
+    """The adjoint representation, in the canonical basis of the algebra.
+
+    Its differential is injective on a semisimple algebra, and its kernel
+    is the center of the group: -I for SL(2) and SO(4).
+    """
+    spec = GroupSpec(kind, dim)
+    basis = algebra_basis(spec)
+    images = []
+    for b in basis:
+        brackets = [algebra_coordinates(AlgebraElement(b @ c - c @ b, spec)) for c in basis]
+        images.append(np.stack(brackets, axis=1).tolist())
+    return {
+        "name": f"adjoint_{kind}_{dim}",
+        "group": {"kind": kind, "dim": dim},
+        "target_dim": len(basis),
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
+def symmetric_power(n: int) -> dict:
+    """SL(2) on binary forms of degree n, (g p)(v) = p(g^T v), in the
+    monomial basis x^(n-b) y^b.  It sends -I to (-1)^n."""
+    images = []
+    for X in algebra_basis(GroupSpec("SpecialLinear", 2)):
+        D = np.zeros((n + 1, n + 1))
+        for b in range(n + 1):
+            a = n - b
+            D[b, b] = a * X[0, 0] + b * X[1, 1]
+            if b < n:
+                D[b + 1, b] = a * X[1, 0]
+            if b > 0:
+                D[b - 1, b] = b * X[0, 1]
+        images.append(D.tolist())
+    return {
+        "name": f"symmetric_power_{n}",
+        "group": {"kind": "SpecialLinear", "dim": 2},
+        "target_dim": n + 1,
         "map": {"kind": "generators", "generator_images": images},
     }
 

@@ -76,18 +76,18 @@ class TestEntries:
             image = rep_image(rep, circle_element(theta))
             assert np.max(np.abs(image - rotation(2.0 * theta))) < 1e-14
 
-    def test_winding_kernel_witness_is_the_half_turn(self):
+    def test_winding_kernel_is_the_half_turn(self):
         entry = catalog_entry("circle_winding_2")
         assert not entry.known_faithful
-        assert entry.kernel_witness is not None
-        np.testing.assert_allclose(entry.kernel_witness.matrix, -np.eye(2), atol=1e-12)
-        image = rep_image(entry.rep, entry.kernel_witness)
-        np.testing.assert_allclose(image, np.eye(2), atol=1e-12)
+        witness = faithfulness_probe(entry.rep).witness
+        assert witness["coordinates"] == [math.pi]
+        half_turn = circle_element(math.pi)
+        np.testing.assert_allclose(witness["element"], half_turn.matrix, atol=1e-15)
+        np.testing.assert_allclose(rep_image(entry.rep, half_turn), np.eye(2), atol=1e-12)
 
     def test_trivial_metadata(self):
         entry = catalog_entry("trivial(2)")
         assert not entry.known_faithful
-        assert entry.kernel_witness is not None
         image = rep_image(entry.rep, sample_group_element(entry.rep.group, 3))
         np.testing.assert_array_equal(image, np.eye(2))
         assert len(entry.known_invariant_subspaces) == 1
@@ -105,21 +105,19 @@ class TestEntries:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_entry_metadata_holds(self, name):
-        # The catalog's self-check: seed 9001, 120/60/8/120 samples.
+        # The catalog's self-check: seed 9001, 120/60 samples, and the exact
+        # faithfulness certificate against the declared known_faithful.
         entry = catalog_entry(name)
         hom = check_homomorphism(entry.rep, 120, SELF_CHECK_SEED, 1e-9)
         assert hom.passed, hom
         for subspace in entry.known_invariant_subspaces:
             inv = is_invariant_subspace(entry.rep, subspace, 60, SELF_CHECK_SEED, 1e-9)
             assert inv.passed, inv
-        if entry.kernel_witness is not None:
-            probe = faithfulness_probe(
-                entry.rep, 8, SELF_CHECK_SEED, kernel_witness=entry.kernel_witness
-            )
+        probe = faithfulness_probe(entry.rep)
+        assert probe.passed == entry.known_faithful, probe
+        if not entry.known_faithful:
             assert probe.verdict is Verdict.FAIL, probe
-        elif entry.known_faithful:
-            probe = faithfulness_probe(entry.rep, 120, SELF_CHECK_SEED)
-            assert probe.passed, probe
+            assert probe.witness["kind"] == "kernel_collision", probe
 
     def test_direct_sum_entries_have_block_subspaces(self):
         entry = catalog_entry("circle_double")

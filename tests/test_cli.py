@@ -83,12 +83,11 @@ class TestCatalogCommand:
         names = {e["name"] for e in document["entries"]}
         assert "circle_rotation" in names
         for entry in document["entries"]:
-            assert set(entry) >= {
+            assert set(entry) == {
                 "name",
                 "group",
                 "target_dim",
                 "known_faithful",
-                "has_kernel_witness",
                 "invariant_subspace_count",
                 "notes",
             }
@@ -140,6 +139,21 @@ class TestCatalogCommand:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, []]
+
+    def test_faithfulness_suite_loads_no_scipy_spatial(self):
+        # The certificate needs only scipy.linalg; the k-d tree it replaced
+        # was the one user of scipy.spatial.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import lieprolong.cli\n"
+            "argv = ['check', '--rep', 'so3_standard', '--suite', 'faithfulness']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = lieprolong.cli.main(argv)\n"
+            "print(json.dumps([code, 'scipy.spatial' in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, False]
 
 
 class TestProlongCommand:
@@ -212,7 +226,6 @@ SUITE_CHECKS = [
     ("invariance", check_invariance_transfer, 1e-9),
     ("invariance", is_invariant_subspace, 1e-9),
     ("directsum", check_direct_sum_commutation, 1e-12),
-    ("faithfulness", faithfulness_probe, 1e-12),
 ]
 
 
@@ -224,6 +237,12 @@ def test_suite_check_contract_and_default_tolerance(suite, check, tol):
     positional = [p.name for p in parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
     assert positional[-3:] == ["samples", "seed", "tol"]
     assert parameters["tol"].default == tol
+
+
+def test_faithfulness_check_takes_no_samples():
+    parameters = inspect.signature(faithfulness_probe).parameters
+    assert list(parameters) == ["rep", "tol"]
+    assert parameters["tol"].default == 1e-12
 
 
 class TestCheckCommand:
@@ -279,17 +298,18 @@ class TestCheckCommand:
         assert check["verdict"] == "fail"
         assert check["witness"]["kind"] == "kernel_collision"
 
-    def test_tolerance_reaches_the_kernel_collision_threshold(self, capsys):
-        # The half turn's prolonged image misses the identity's by about 2.4e-16.
+    def test_half_turn_collides_at_any_tolerance(self, capsys):
+        # The half turn is found from the integer weights of d rho(J), not
+        # from how near its image comes to the identity (about 4.4e-16).
         code, document, _ = run_json(
             capsys, "check", "--rep", "circle_winding_2", "--suite", "faithfulness",
             "--tol", "1e-300",
         )
-        assert code == 0
+        assert code == 1
         (check,) = document["checks"]
         assert document["config"]["tol"] == 1e-300
-        assert check["witness"]["kind"] == "kernel_witness_mismatch"
-        assert 0.0 < check["witness"]["image_gap"] < 1e-15
+        assert check["witness"]["part"] == "central"
+        assert 0.0 < check["max_residual"] < 1e-15
 
     def test_descriptor_file_as_rep_source(self, capsys, tmp_path):
         descriptor = {
@@ -634,21 +654,13 @@ class TestMalformedInput:
 
 
 class TestStrictReports:
-    def test_single_sample_faithfulness_is_strict_json(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "--rep", "circle_rotation", "--suite", "faithfulness",
-            "--samples", "1",
-        )
-        assert code == 0
-        (check,) = strict_json(out)["checks"]
-        assert check["witness"]["min_image_separation"] is None
-
     def test_tolerance_reaches_the_faithfulness_threshold(self, capsys):
-        argv = ["check", "--rep", "so3_standard", "--suite", "faithfulness", "--samples", "50"]
+        argv = ["check", "--rep", "so3_standard", "--suite", "faithfulness"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert strict_json(out)["checks"][0]["witness"]["margin"] == 1.0
         code, out, _ = run_cli(capsys, *argv, "--tol", "10")
         assert code == 1
         document = strict_json(out)
         assert document["config"]["tol"] == 10.0
-        assert document["checks"][0]["witness"]["kind"] == "random_collision"
+        assert document["checks"][0]["witness"]["part"] == "infinitesimal"

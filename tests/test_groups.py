@@ -23,7 +23,6 @@ from lieprolong import (
     group_membership_residual,
     group_multiply,
     identity_element,
-    identity_tangent,
     mat_exp,
     principal_log,
     relative_residual,
@@ -36,7 +35,6 @@ from lieprolong import (
     special_orthogonal,
     tg_inverse,
     tg_multiply,
-    zero_algebra,
 )
 
 SPECS = [
@@ -76,7 +74,7 @@ class TestMatExp:
 
     def test_zero_direction_gives_identity(self):
         for spec in SPECS:
-            got = mat_exp(zero_algebra(spec)).matrix
+            got = mat_exp(AlgebraElement(np.zeros((spec.dim, spec.dim)), spec)).matrix
             np.testing.assert_array_equal(got, np.eye(spec.dim))
 
     def test_scalar_value(self):
@@ -144,7 +142,7 @@ class TestMembership:
         for element in (
             sample_group_element(circle(), 0),
             identity_element(special_linear(3)),
-            zero_algebra(general_linear(2)),
+            AlgebraElement(np.zeros((2, 2)), general_linear(2)),
         ):
             with pytest.raises(ValueError):
                 element.matrix[0, 0] = 5.0
@@ -186,7 +184,8 @@ class TestTangentGroupLaw:
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_identity_and_inverse_laws(self, spec):
-        e = identity_tangent(spec)
+        zero = AlgebraElement(np.zeros((spec.dim, spec.dim)), spec)
+        e = TangentGroupElement(identity_element(spec), zero)
         for i in range(10):
             X = tangent_pair(spec, (19, i))
             left = tg_multiply(e, X)
@@ -216,7 +215,7 @@ class TestTangentGroupLaw:
     def test_zero_fiber_inverse_is_group_inverse(self):
         spec = special_orthogonal(3)
         a = sample_group_element(spec, 5)
-        X = TangentGroupElement(a, zero_algebra(spec))
+        X = TangentGroupElement(a, AlgebraElement(np.zeros((3, 3)), spec))
         Z = tg_inverse(X)
         assert relative_residual(Z.base.matrix, np.linalg.inv(a.matrix)) < 1e-12
         assert np.max(np.abs(Z.algebra.matrix)) == 0.0
@@ -405,6 +404,13 @@ class TestStacks:
         np.testing.assert_array_equal(coords, algebra_coordinates(principal_log(a)))
         with pytest.raises(ValueError):
             coords[0] = 0.0
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_identity_carries_exact_zero_coordinates(self, spec):
+        coords = group_coordinates(identity_element(spec))
+        np.testing.assert_array_equal(coords, np.zeros(len(algebra_basis(spec))))
+        with pytest.raises(ValueError):
+            coords[0] = 1.0
 
     def test_chart_error_is_raised_on_every_call(self):
         a = GroupElement([[-1.0, 0.0], [0.0, -2.0]], general_linear(2))

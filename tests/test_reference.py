@@ -2,12 +2,22 @@
 
 ``perfbench/yardstick/lieprolong_ref`` is a read-only copy of the package
 from before stacked evaluation, kept as the benchmark's yardstick.  Both
-packages must emit byte-identical canonical JSON for the same invocation,
-which pins every residual, witness and verdict independently of the
-platform's floating point.
+packages must emit the same bytes for the same invocation, which pins
+every residual, witness and verdict independently of the platform's
+floating point, except for one projection:
+
+- ``version``, which is 0.2.0 here;
+- the catalog's ``has_kernel_witness``, which said ``known_faithful``
+  a second time and is gone;
+- the verdict, residual and witness of every ``faithfulness_probe`` row,
+  in json, csv and text.  The exact certificate replaced the reference's
+  declared kernel elements and sampled collision search, so these rows
+  differ by design.  They are pinned here by value instead, in
+  ``FAITHFULNESS``; they depend on neither the seed nor the sample count.
 """
 
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -17,7 +27,7 @@ from pathlib import Path
 import pytest
 from descriptors import GENERATOR_DESCRIPTORS
 
-from lieprolong import cli
+from lieprolong import catalog_names, cli
 
 YARDSTICK = Path(__file__).resolve().parents[1] / "perfbench" / "yardstick"
 
@@ -25,6 +35,55 @@ YARDSTICK = Path(__file__).resolve().parents[1] / "perfbench" / "yardstick"
 pytestmark = pytest.mark.filterwarnings(
     "ignore:The `disp` argument is deprecated:DeprecationWarning"
 )
+
+PROBE = "faithfulness_probe"
+
+
+def passing(rank: int, margin: float) -> dict:
+    witness = {"margin": margin, "rank": rank, "scope": "identity component"}
+    return {"verdict": "pass", "max_residual": 0.0, "witness": witness}
+
+
+def collision(part: str, gap: float, element, coordinates, fiber, rank, margin) -> dict:
+    witness = {
+        "coordinates": coordinates,
+        "element": element,
+        "fiber": fiber,
+        "image_gap": gap,
+        "kind": "kernel_collision",
+        "margin": margin,
+        "part": part,
+        "rank": rank,
+        "scope": "identity component",
+    }
+    return {"verdict": "fail", "max_residual": gap, "witness": witness}
+
+
+HALF_TURN = [[-0.9999999999999998, 1.5269510447359441e-16],
+             [-1.526951044735943e-16, -0.9999999999999998]]
+FIBER_COLLISION = collision("infinitesimal", 0.0, [[1.0, 0.0], [0.0, 1.0]], [0.0], [1.0], 0, 0.0)
+
+# The faithfulness row of every catalog entry and generator descriptor.
+FAITHFULNESS = {
+    "circle_rotation": passing(1, 1.0),
+    "circle_winding_2": collision(
+        "central", 4.440892098500626e-16, HALF_TURN, [3.141592653589793], [0.0], 1, 1.0
+    ),
+    "gl_identity(1)": passing(1, 1.0),
+    "gl_identity(2)": passing(4, 1.0),
+    "gl_identity(3)": passing(9, 1.0),
+    "sl2_standard": passing(3, 0.7071067811865475),
+    "so3_standard": passing(3, 1.0),
+    "trivial(1)": FIBER_COLLISION,
+    "trivial(2)": FIBER_COLLISION,
+    "circle_double": passing(1, 1.0),
+    "circle_plus_trivial": passing(1, 1.0),
+    "circle_winding": collision(
+        "central", 1.71500712077188e-15, HALF_TURN, [3.141592653589793], [0.0], 1, 1.0
+    ),
+    "sl2_conjugated": passing(3, 0.02009721831490895),
+    "so3_doubled": passing(3, 0.9999999999999999),
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +102,68 @@ def run(module, argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def project(fmt: str, text: str):
+    """The output with the projected fields taken out, and its faithfulness
+    rows as (name, row) pairs: a check dict in json, a line otherwise."""
+    rows = []
+    if fmt == "json":
+        document = json.loads(text)
+        # The comparison below re-serializes, so pin the layout here.
+        assert text == json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        document.pop("version")
+        for entry in document.get("entries", []):
+            entry.pop("has_kernel_witness", None)
+        for k, check in enumerate(document["checks"]):
+            if check["name"].endswith(PROBE):
+                rows.append((check["name"], check))
+                document["checks"][k] = {"name": check["name"]}
+        return json.dumps(document, indent=2, sort_keys=True), rows
+    lines = text.split("\n")
+    for k, line in enumerate(lines):
+        name = line.partition("," if fmt == "csv" else ": ")[0]
+        if name.endswith(PROBE):
+            rows.append((name, line))
+            lines[k] = name
+    return "\n".join(lines), rows
+
+
+def rendered(fmt: str, name: str, payload: dict):
+    """A pinned faithfulness payload as the CLI writes it in ``fmt``."""
+    if fmt == "json":
+        return {"name": name, **payload}
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="").writerow(
+            [name, payload["verdict"], repr(payload["max_residual"]),
+             json.dumps(payload["witness"], sort_keys=True)]
+        )
+        return buffer.getvalue()
+    return f"{name}: {payload['verdict'].upper()} (max residual {payload['max_residual']:.3e})"
+
+
+def compare(reference_cli, argv: list[str], rep=None, code=None) -> list[str]:
+    """Run both packages; assert that the projections match byte for byte,
+    that the exit codes match (or equal ``code``), and that every
+    faithfulness row is the pinned one.  Returns the rows' owners."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    (our_code, ours), (their_code, theirs) = run(cli, argv), run(reference_cli, argv)
+    assert our_code == (their_code if code is None else code)
+    projected, rows = project(fmt, ours)
+    assert projected == project(fmt, theirs)[0]
+    if fmt == "json":
+        assert json.loads(ours)["version"] == "0.2.0"
+    owners = []
+    for name, row in rows:
+        owner = name.partition("::")[0] if "::" in name else rep
+        assert row == rendered(fmt, name, FAITHFULNESS[owner]), owner
+        owners.append(owner)
+    return owners
+
+
 @pytest.mark.parametrize("seed", ["5", "1310"])
 def test_catalog_report_bytes_match_the_reference(reference_cli, seed):
     argv = ["report", "--samples", "10", "--seed", seed]
-    ours, theirs = run(cli, argv), run(reference_cli, argv)
-    assert ours[0] == theirs[0] == 1
-    assert ours[1] == theirs[1]
+    assert compare(reference_cli, argv, code=1) == catalog_names()
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_DESCRIPTORS))
@@ -56,9 +171,9 @@ def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path, nam
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(GENERATOR_DESCRIPTORS[name]()))
     argv = ["check", "--rep", str(path), "--suite", "all", "--samples", "20", "--seed", "4"]
-    ours, theirs = run(cli, argv), run(reference_cli, argv)
-    assert ours[0] == theirs[0] == 0
-    assert ours[1] == theirs[1]
+    # The reference passed the angle doubler, whose kernel it could not see.
+    code = 1 if FAITHFULNESS[name]["verdict"] == "fail" else 0
+    assert compare(reference_cli, argv, rep=name, code=code) == [name]
 
 
 COMMANDS = {
@@ -74,10 +189,12 @@ COMMANDS = {
     "check-all": ["check", "--rep", "circle_winding_2", "--suite", "all", "--samples", "5"],
     "report": ["report", "--samples", "3", "--seed", "3"],
 }
+ROWS = {"check-all": ["circle_winding_2"], "report": catalog_names()}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_command_and_format_matches_the_reference(reference_cli, command, fmt):
     argv = COMMANDS[command] + ["--format", fmt]
-    assert run(cli, argv) == run(reference_cli, argv)
+    owners = compare(reference_cli, argv, rep="circle_winding_2")
+    assert owners == ROWS.get(command, [])
