@@ -278,8 +278,11 @@ def cmd_check(config: RunConfig) -> int:
     rep, entry = _resolve_rep(config.rep_source)
     suites = _SUITE_NAMES if config.suite == "all" else (config.suite,)
     checks: list[CheckReport] = []
-    for suite in suites:
-        checks.extend(_run_suite(suite, rep, entry, config))
+    try:
+        for suite in suites:
+            checks.extend(_run_suite(suite, rep, entry, config))
+    except (ExponentOverflowError, StepSizeError, ValueError) as exc:
+        raise _InputError(f"cannot evaluate the representation: {exc}") from None
     return _finish(config, checks)
 
 

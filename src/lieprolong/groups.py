@@ -16,8 +16,8 @@ Elements may also be stacks: a matrix of shape ``(S, n, n)`` holds ``S``
 elements of the same spec, validated together once.  Multiplication,
 inversion, the exponential, the principal logarithm and basis coordinates
 take whole stacks and give the same bits as a loop over the slices.
-:func:`sample_group_elements` and :func:`sample_tangent_elements` draw
-such stacks.
+:func:`sample_tangent_elements` draws such stacks; a group or algebra
+draw is the ``base`` or ``algebra`` of a tangent one.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -59,9 +59,6 @@ __all__ = [
     "mat_exp",
     "principal_log",
     "relative_residual",
-    "sample_algebra_element",
-    "sample_group_element",
-    "sample_group_elements",
     "sample_tangent_element",
     "sample_tangent_elements",
     "special_linear",
@@ -400,36 +397,11 @@ def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     return (raw - raw.T) / 2.0
 
 
-def sample_algebra_element(spec: GroupSpec, seed: SeedLike = 0) -> AlgebraElement:
-    """Deterministic random algebra element with raw entries in [-1, 1].
-
-    The uniform draw is projected onto the algebra: antisymmetrized for
-    orthogonal kinds, trace-centered for the special linear kind.  Same
-    spec and seed always produce the same element.
-    """
-    return AlgebraElement(_draw_algebra(spec, _rng(seed)), spec)
-
-
-def sample_group_element(spec: GroupSpec, seed: SeedLike = 0) -> GroupElement:
-    """Exponential of a random algebra element; deterministic in the seed."""
-    return mat_exp(sample_algebra_element(spec, seed))
-
-
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:
     """Base drawn first, then the fiber, from one generator per seed."""
     rng = _rng(seed)
     base = mat_exp(AlgebraElement(_draw_algebra(spec, rng), spec))
     return TangentGroupElement(base, AlgebraElement(_draw_algebra(spec, rng), spec))
-
-
-def sample_group_elements(spec: GroupSpec, seeds: Iterable[SeedLike]) -> GroupElement:
-    """Stack of :func:`sample_group_element` over ``seeds``, bit for bit.
-
-    The draws are made per seed; the exponential and every membership,
-    overflow and conditioning check run once over the whole stack.
-    """
-    algebra = np.stack([_draw_algebra(spec, _rng(seed)) for seed in seeds])
-    return mat_exp(AlgebraElement(algebra, spec))
 
 
 def sample_tangent_elements(

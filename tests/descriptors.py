@@ -123,6 +123,36 @@ def symmetric_power(n: int) -> dict:
     }
 
 
+def so3_repeated_image() -> dict:
+    """SO(3) with images (L01, L01, L12): every loop closes, but the images
+    do not keep the brackets of the basis."""
+    units = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, -1, 0]]]
+    return {
+        "name": "so3_repeated_image",
+        "group": {"kind": "SpecialOrthogonal", "dim": 3},
+        "target_dim": 3,
+        "map": {"kind": "generators", "generator_images": [units[0], units[0], units[1]]},
+    }
+
+
+def gl2_perturbed() -> dict:
+    """GL(2) on the plane with the matrix units as images, E_00 scaled by
+    1 + 1e-9: its brackets are off by 1e-9."""
+    images = []
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2))
+            unit[i, j] = 1.0
+            images.append(unit.tolist())
+    images[0][0][0] = 1.0 + 1e-9
+    return {
+        "name": "gl2_perturbed",
+        "group": {"kind": "GeneralLinear", "dim": 2},
+        "target_dim": 2,
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
 GENERATOR_DESCRIPTORS = {
     "so3_doubled": so3_doubled,
     "circle_winding": circle_winding,

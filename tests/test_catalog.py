@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from descriptors import gl2_perturbed, so3_doubled, so3_repeated_image
 
 from lieprolong import (
     DescriptorError,
@@ -19,9 +21,9 @@ from lieprolong import (
     load_representation,
     read_descriptor,
     rep_image,
-    sample_algebra_element,
-    sample_group_element,
+    sample_tangent_element,
 )
+from lieprolong import rep_algebra
 
 EXPECTED_NAMES = {
     "circle_rotation",
@@ -88,7 +90,7 @@ class TestEntries:
     def test_trivial_metadata(self):
         entry = catalog_entry("trivial(2)")
         assert not entry.known_faithful
-        image = rep_image(entry.rep, sample_group_element(entry.rep.group, 3))
+        image = rep_image(entry.rep, sample_tangent_element(entry.rep.group, 3).base)
         np.testing.assert_array_equal(image, np.eye(2))
         assert len(entry.known_invariant_subspaces) == 1
 
@@ -179,7 +181,7 @@ class TestGeneratorDescriptors:
 
     def test_generator_differential_is_linear_in_coordinates(self):
         rep = load_representation(winding_generator_descriptor())
-        B = sample_algebra_element(rep.group, 5)
+        B = sample_tangent_element(rep.group, 5).algebra
         theta = B.matrix[0, 1]
         np.testing.assert_allclose(
             differential_rep(rep, B), [[0.0, 2.0 * theta], [-2.0 * theta, 0.0]], atol=1e-12
@@ -201,7 +203,7 @@ class TestGeneratorDescriptors:
         rep = load_representation(document)
         builtin = catalog_entry("so3_standard").rep
         for i in range(5):
-            a = sample_group_element(rep.group, (33, i))
+            a = sample_tangent_element(rep.group, (33, i)).base
             gap = np.max(np.abs(rep_image(rep, a) - rep_image(builtin, a)))
             assert gap < 1e-9
 
@@ -221,7 +223,7 @@ class TestGeneratorDescriptors:
         }
         rep = load_representation(document)
         assert check_homomorphism(rep, 20, seed=3).passed
-        assert rep_image(rep, sample_group_element(rep.group, 4)).shape == (3, 3)
+        assert rep_image(rep, sample_tangent_element(rep.group, 4).base).shape == (3, 3)
 
     def test_open_loop_is_rejected_with_witness(self):
         with pytest.raises(DescriptorError) as info:
@@ -292,8 +294,35 @@ class TestGeneratorDescriptors:
         }
         with pytest.raises(DescriptorError, match="non-finite") as info:
             load_representation(document)
-        assert info.value.witness["check"] == "homomorphism"
+        assert info.value.witness["check"] == "sampled_images"
         assert info.value.witness["seed"] == 7
+
+    @pytest.mark.parametrize(
+        ("document", "defect"), [(so3_repeated_image, 0.5), (gl2_perturbed, 1e-10)]
+    )
+    def test_broken_bracket_rejected_with_generator_pair(self, document, defect):
+        with pytest.raises(DescriptorError, match="bracket") as info:
+            load_representation(document())
+        witness = info.value.witness
+        i, j = witness["generator_pair"]
+        assert 0 <= i < j < len(document()["map"]["generator_images"])
+        assert witness["bracket_defect"] > defect
+
+    def test_load_takes_one_logarithm_per_sample_and_none_on_reload(self, monkeypatch):
+        rep_algebra._tangent_sample.cache_clear()
+        logm = scipy.linalg.logm
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return logm(m)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counted)
+        load_representation(so3_doubled())
+        assert 0 < len(calls) <= 100
+        calls.clear()
+        load_representation(so3_doubled())
+        assert calls == []
 
 
 class TestDescriptorValidation:
@@ -343,7 +372,7 @@ class TestDifferentialOverride:
         document = named_descriptor("circle_winding_2", "Circle", 2, 2)
         document["differential"] = [[[0.0, 2.0], [-2.0, 0.0]]]
         rep = load_representation(document)
-        B = sample_algebra_element(rep.group, 6)
+        B = sample_tangent_element(rep.group, 6).algebra
         theta = B.matrix[0, 1]
         np.testing.assert_allclose(
             differential_rep(rep, B), [[0.0, 2.0 * theta], [-2.0 * theta, 0.0]], atol=1e-12

@@ -10,7 +10,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
-from descriptors import gl3_units
+from descriptors import gl2_perturbed, gl3_units, so3_repeated_image
 
 from lieprolong import (
     GroupElement,
@@ -24,7 +24,7 @@ from lieprolong import (
     general_linear,
     is_invariant_subspace,
     load_representation,
-    sample_group_elements,
+    sample_tangent_elements,
 )
 from lieprolong import rep_algebra
 from lieprolong.cli import SEED_ENV_VAR, main
@@ -488,7 +488,7 @@ class TestSeeds:
         # Unlike the check above, this fails when logm is left to draw from
         # the global state: some of these 100 slices change in the last bit.
         rep = load_representation(gl3_units())
-        stack = sample_group_elements(general_linear(3), range(100))
+        stack = sample_tangent_elements(general_linear(3), range(100)).base
         digests = set()
         for global_seed in range(4):
             np.random.seed(global_seed)
@@ -617,6 +617,20 @@ class TestMalformedInput:
                 "map": {"kind": "named", "name": "circle_rotation"},
                 "differential": [[[0, [1]], [0, 0]]],
             },
+            {
+                "group": {"kind": "SpecialOrthogonal", "dim": 3},
+                "target_dim": 3,
+                "map": {
+                    "kind": "generators",
+                    "generator_images": [
+                        [[0, 1.01, 0], [-1.01, 0, 0], [0, 0, 0]],
+                        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                        [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                    ],
+                },
+            },
+            so3_repeated_image(),
+            gl2_perturbed(),
         ],
         ids=[
             "overflowing_images",
@@ -626,6 +640,9 @@ class TestMalformedInput:
             "ragged_image_row",
             "non_numeric_differential_entry",
             "ragged_differential_row",
+            "open_loop",
+            "broken_so3_bracket",
+            "broken_gl2_bracket",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -641,6 +658,28 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(("image", "samples"), [(380.0, "3000"), (500.0, "200")])
+    def test_images_overflowing_during_a_check_exit_2(self, capsys, tmp_path, image, samples):
+        # Both load: the draws' images are finite, but those of some
+        # products of two draws are not.
+        path = tmp_path / "rep.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "group": {"kind": "GeneralLinear", "dim": 1},
+                    "target_dim": 1,
+                    "map": {"kind": "generators", "generator_images": [[[image]]]},
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--rep", str(path), "--suite", "homomorphism", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

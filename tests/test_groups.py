@@ -26,9 +26,6 @@ from lieprolong import (
     mat_exp,
     principal_log,
     relative_residual,
-    sample_algebra_element,
-    sample_group_element,
-    sample_group_elements,
     sample_tangent_element,
     sample_tangent_elements,
     special_linear,
@@ -67,7 +64,7 @@ class TestMatExp:
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_matches_truncated_series(self, spec):
         for i in range(5):
-            B = sample_algebra_element(spec, (3, i))
+            B = sample_tangent_element(spec, (3, i)).algebra
             got = mat_exp(B, 0.7).matrix
             want = series_exp(0.7 * B.matrix)
             assert relative_residual(got, want) < 1e-12
@@ -140,7 +137,7 @@ class TestMembership:
 
     def test_elements_are_read_only(self):
         for element in (
-            sample_group_element(circle(), 0),
+            sample_tangent_element(circle(), 0).base,
             identity_element(special_linear(3)),
             AlgebraElement(np.zeros((2, 2)), general_linear(2)),
         ):
@@ -214,7 +211,7 @@ class TestTangentGroupLaw:
 
     def test_zero_fiber_inverse_is_group_inverse(self):
         spec = special_orthogonal(3)
-        a = sample_group_element(spec, 5)
+        a = sample_tangent_element(spec, 5).base
         X = TangentGroupElement(a, AlgebraElement(np.zeros((3, 3)), spec))
         Z = tg_inverse(X)
         assert relative_residual(Z.base.matrix, np.linalg.inv(a.matrix)) < 1e-12
@@ -225,8 +222,8 @@ class TestTangentGroupLaw:
         Y = tangent_pair(general_linear(2), 1)
         with pytest.raises(SpecMismatchError):
             tg_multiply(X, Y)
-        a = sample_group_element(circle(), 2)
-        B = sample_algebra_element(general_linear(2), 2)
+        a = sample_tangent_element(circle(), 2).base
+        B = sample_tangent_element(general_linear(2), 2).algebra
         with pytest.raises(SpecMismatchError):
             TangentGroupElement(a, B)
 
@@ -234,24 +231,24 @@ class TestTangentGroupLaw:
 class TestSampling:
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_deterministic_in_seed(self, spec):
-        first = sample_group_element(spec, 42).matrix
-        second = sample_group_element(spec, 42).matrix
+        first = sample_tangent_element(spec, 42).base.matrix
+        second = sample_tangent_element(spec, 42).base.matrix
         np.testing.assert_array_equal(first, second)
-        other = sample_group_element(spec, 43).matrix
+        other = sample_tangent_element(spec, 43).base.matrix
         assert np.max(np.abs(first - other)) > 1e-6
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_samples_satisfy_membership(self, spec):
         for i in range(10):
-            a = sample_group_element(spec, (29, i))
+            a = sample_tangent_element(spec, (29, i)).base
             assert group_membership_residual(a.matrix, spec) < 1e-9
-            B = sample_algebra_element(spec, (31, i))
+            B = sample_tangent_element(spec, (31, i)).algebra
             assert algebra_membership_residual(B.matrix, spec) < 1e-12
 
     def test_multiplication_preserves_membership(self):
         spec = special_orthogonal(3)
-        a = sample_group_element(spec, 1)
-        b = sample_group_element(spec, 2)
+        a = sample_tangent_element(spec, 1).base
+        b = sample_tangent_element(spec, 2).base
         c = group_multiply(a, b)
         assert group_membership_residual(c.matrix, spec) < 1e-12
         assert group_membership_residual(np.linalg.inv(c.matrix), spec) < 1e-12
@@ -272,7 +269,7 @@ class TestAlgebraBasisAndCharts:
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_coordinate_round_trip(self, spec):
-        B = sample_algebra_element(spec, 7)
+        B = sample_tangent_element(spec, 7).algebra
         coords = algebra_coordinates(B)
         back = algebra_from_coordinates(coords, spec)
         assert relative_residual(back.matrix, B.matrix) < 1e-12
@@ -288,7 +285,7 @@ class TestAlgebraBasisAndCharts:
         assert group_coordinates(half_turn)[0] == pytest.approx(math.pi)
 
     def test_general_log_round_trip(self):
-        a = sample_group_element(general_linear(2), 3)
+        a = sample_tangent_element(general_linear(2), 3).base
         log = principal_log(a)
         assert relative_residual(mat_exp(log).matrix, a.matrix) < 1e-10
 
@@ -319,14 +316,9 @@ class TestStacks:
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_stacked_samplers_match_the_scalar_ones_bit_for_bit(self, spec):
         seeds = [(71, i) for i in range(7)] + [5]
-        groups = sample_group_elements(spec, seeds)
         tangents = sample_tangent_elements(spec, seeds)
-        assert groups.matrix.shape == (len(seeds), spec.dim, spec.dim)
-        np.testing.assert_array_equal(groups.matrix, tangents.base.matrix)
+        assert tangents.base.matrix.shape == (len(seeds), spec.dim, spec.dim)
         for k, seed in enumerate(seeds):
-            np.testing.assert_array_equal(
-                groups.matrix[k], sample_group_element(spec, seed).matrix
-            )
             X = sample_tangent_element(spec, seed)
             np.testing.assert_array_equal(tangents.base.matrix[k], X.base.matrix)
             np.testing.assert_array_equal(tangents.algebra.matrix[k], X.algebra.matrix)
@@ -397,7 +389,7 @@ class TestStacks:
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_coordinates_are_kept_read_only_on_the_element(self, spec):
-        a = sample_group_elements(spec, range(8))
+        a = sample_tangent_elements(spec, range(8)).base
         coords = group_coordinates(a)
         assert group_coordinates(a) is coords
         np.testing.assert_array_equal(coords, group_coordinates(GroupElement(a.matrix, spec)))
@@ -431,7 +423,7 @@ class TestStacks:
     def test_logarithm_does_not_depend_on_the_global_random_state(self, spec):
         # SciPy's logm estimates 1-norms with random probe vectors drawn
         # from numpy's global RNG; on these slices that changed last bits.
-        stack = sample_group_elements(spec, range(100))
+        stack = sample_tangent_elements(spec, range(100)).base
         logs = []
         for seed in range(4):
             np.random.seed(seed)
@@ -443,5 +435,5 @@ class TestStacks:
         np.random.seed(17)
         expected = np.random.random(4)
         np.random.seed(17)
-        principal_log(sample_group_elements(general_linear(3), range(8)))
+        principal_log(sample_tangent_elements(general_linear(3), range(8)).base)
         np.testing.assert_array_equal(np.random.random(4), expected)

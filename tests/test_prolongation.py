@@ -28,8 +28,6 @@ from lieprolong import (
     prolonged,
     rep_image,
     relative_residual,
-    sample_group_element,
-    sample_group_elements,
     sample_tangent_element,
     sample_tangent_elements,
     special_orthogonal,
@@ -352,10 +350,10 @@ class TestStackedEvaluation:
             lambda a: np.kron(a.matrix, a.matrix),
             lambda B: np.zeros(B.matrix.shape[:-2] + (9, 9)),
         )
-        a = sample_group_element(spec, 0)
+        a = sample_tangent_element(spec, 0).base
         np.testing.assert_array_equal(rep_image(rep, a), np.kron(a.matrix, a.matrix))
         with pytest.raises(ValueError, match="shape"):
-            rep_image(rep, sample_group_elements(spec, range(4)))
+            rep_image(rep, sample_tangent_elements(spec, range(4)).base)
 
     def test_images_are_validated_once_per_stack(self):
         def wrong_on_stacks(wrong):
@@ -367,7 +365,7 @@ class TestStackedEvaluation:
 
             return Representation(circle(), 2, apply, lambda B: B.matrix), calls
 
-        stack = sample_group_elements(circle(), range(3))
+        stack = sample_tangent_elements(circle(), range(3)).base
         narrow, calls = wrong_on_stacks(lambda m: m[..., :1])
         calls.clear()
         with pytest.raises(ValueError, match="shape"):
