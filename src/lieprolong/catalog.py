@@ -316,10 +316,9 @@ def _reject_inconsistent_generators(
     if spec.kind in _COMPACT_KINDS:
         import scipy.linalg
 
-        eye = np.eye(rep.target_dim)
         for k, image in enumerate(images):
             loop = scipy.linalg.expm(2.0 * math.pi * image)
-            residual = relative_residual(loop, eye)
+            residual = relative_residual(loop, np.eye(rep.target_dim))
             if residual > 1e-8:
                 raise DescriptorError(
                     f"generator image {k} does not close its one-parameter loop: "
@@ -330,16 +329,17 @@ def _reject_inconsistent_generators(
     D = np.stack(images)
     i, j = np.triu_indices(len(images), 1)
     if len(i):
-        # With the loops closed, exp(X) -> exp(d rho(X)) is a homomorphism
-        # exactly when d rho keeps the brackets of the basis.  One
-        # generator has no pairs.
+        # With the loops closed, exp(X) -> exp(d rho(X)) is a homomorphism exactly
+        # when d rho keeps the basis brackets (one generator has no pairs).  Each
+        # gap is scaled by |D_i|_F |D_j|_F: D_i D_j rounds by m * eps times that.
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         lhs = differential_rep(rep, AlgebraElement(brackets, spec))
-        defects = relative_residual(lhs, D[i] @ D[j] - D[j] @ D[i], axis=(-2, -1))
+        gaps = np.max(np.abs(lhs - (D[i] @ D[j] - D[j] @ D[i])), axis=(-2, -1))
+        norms = np.linalg.norm(D, axis=(-2, -1))
+        defects = gaps / np.maximum(1.0, norms[i] * norms[j])
         worst = int(np.argmax(defects))
         if defects[worst] > 1e-12:
-            pair = [int(i[worst]), int(j[worst])]
-            defect = float(defects[worst])
+            pair, defect = [int(i[worst]), int(j[worst])], float(defects[worst])
             raise DescriptorError(
                 f"generator images {pair[0]} and {pair[1]} do not keep their "
                 f"bracket: [D_i, D_j] differs from d rho([B_i, B_j]) by {defect:.3e}",

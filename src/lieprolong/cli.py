@@ -48,6 +48,7 @@ from .groups import (
     relative_residual,
 )
 from .prolongation import (
+    NonFiniteImageError,
     Representation,
     StepSizeError,
     apply_prolonged,
@@ -281,7 +282,7 @@ def cmd_check(config: RunConfig) -> int:
     try:
         for suite in suites:
             checks.extend(_run_suite(suite, rep, entry, config))
-    except (ExponentOverflowError, StepSizeError, ValueError) as exc:
+    except (ExponentOverflowError, StepSizeError, NonFiniteImageError) as exc:
         raise _InputError(f"cannot evaluate the representation: {exc}") from None
     return _finish(config, checks)
 

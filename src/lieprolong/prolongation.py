@@ -47,6 +47,7 @@ from .groups import (
 from .tangent_space import TangentVector
 
 __all__ = [
+    "NonFiniteImageError",
     "ProlongedMatrix",
     "ProlongedRepresentation",
     "Representation",
@@ -69,6 +70,10 @@ _FD_STEP = 1e-6
 
 class StepSizeError(FloatingPointError):
     """A finite-difference quotient came out non-finite."""
+
+
+class NonFiniteImageError(ValueError):
+    """A representation or its differential returned non-finite entries."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +118,7 @@ def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
     if out.shape != stack + (n, n):
         raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{what} returned non-finite entries")
+        raise NonFiniteImageError(f"{what} returned non-finite entries")
     return out
 
 

@@ -153,6 +153,20 @@ def gl2_perturbed() -> dict:
     }
 
 
+def gl3_dense_conjugated() -> dict:
+    """GL(3) on R^3 conjugated by a dense float matrix: a representation
+    whose images have entries up to about 7e2, so their products round."""
+    P = np.random.default_rng(0).standard_normal((3, 3)) @ np.diag([1.0, 30.0, 900.0])
+    P_inv = np.linalg.inv(P)
+    images = [(P @ B @ P_inv).tolist() for B in algebra_basis(GroupSpec("GeneralLinear", 3))]
+    return {
+        "name": "gl3_dense_conjugated",
+        "group": {"kind": "GeneralLinear", "dim": 3},
+        "target_dim": 3,
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
 GENERATOR_DESCRIPTORS = {
     "so3_doubled": so3_doubled,
     "circle_winding": circle_winding,

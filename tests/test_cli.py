@@ -26,7 +26,7 @@ from lieprolong import (
     load_representation,
     sample_tangent_elements,
 )
-from lieprolong import rep_algebra
+from lieprolong import cli, rep_algebra
 from lieprolong.cli import SEED_ENV_VAR, main
 
 REPORT_SCHEMA = {
@@ -681,6 +681,16 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_other_value_errors_in_a_suite_are_not_input_errors(self, monkeypatch):
+        # Only evaluation failures of the images become exit 2; any other
+        # ValueError in a suite is a fault of the program and propagates.
+        def broken(*args):
+            raise ValueError("shape mismatch inside a suite")
+
+        monkeypatch.setattr(cli, "_run_suite", broken)
+        with pytest.raises(ValueError, match="inside a suite"):
+            main(["check", "--rep", "circle_rotation", "--suite", "homomorphism"])
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_unusable_tolerance_exits_2(self, capsys, tol):
