@@ -2,12 +2,14 @@
 Descriptor files, the faithfulness probe, and deterministic reports
 ===================================================================
 
-Representations can come from JSON descriptors instead of code: either a
-reference to a catalog entry or a list of generator images in the
-canonical algebra basis.  Generator descriptors are validated on load,
-exactly: for compact groups the one-parameter loops must close, which
-catches perturbed generators that a small-angle sampling test would
-miss, and the images must keep the brackets of the algebra basis.
+Representations can come from JSON descriptors instead of code: a list
+of generator images in the canonical algebra basis, which fixes both the
+representation and its prolongation (catalog entries are named with
+``--rep <name>`` instead).  Descriptors are validated on load, exactly
+and without sampling: for compact groups the one-parameter loops must
+close, which catches perturbed generators that a small-angle sampling
+test would miss, and the images must keep the brackets of the algebra
+basis.
 
 The faithfulness probe decides exactly, without sampling, whether the
 prolongation is injective.  Its image [[R, 0], [K R, R]] is the identity

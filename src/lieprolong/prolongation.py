@@ -27,7 +27,7 @@ and returns stacked results, validated once per stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     SpecMismatchError,
+    _COND_LIMIT,
     _as_square,
     _require_invertible,
     _trusted,
@@ -73,7 +74,14 @@ class StepSizeError(FloatingPointError):
 
 
 class NonFiniteImageError(ValueError):
-    """A representation or its differential returned non-finite entries."""
+    """Images floating point cannot hold: ``apply`` or ``differential``
+    returned non-finite entries, or a prolonged image overflowed or came out
+    singular.  ``position`` is the first failing slice on the last stack
+    axis (``None`` for a single element)."""
+
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +126,14 @@ def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
     if out.shape != stack + (n, n):
         raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
     if not np.all(np.isfinite(out)):
-        raise NonFiniteImageError(f"{what} returned non-finite entries")
+        position = _first_failure(np.isfinite(out).all(axis=(-2, -1)))
+        raise NonFiniteImageError(f"{what} returned non-finite entries", position)
     return out
+
+
+def _first_failure(ok: np.ndarray) -> Optional[int]:
+    """The first ``False`` of ``ok`` on its last axis; ``None`` for a scalar."""
+    return int(np.argwhere(~ok)[:, -1].min()) if ok.ndim else None
 
 
 def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
@@ -227,7 +241,16 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     """
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
-    return ProlongedMatrix(R, K @ R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = K @ R
+    try:
+        return ProlongedMatrix(R, L)
+    except ValueError:
+        # Finite images can still under- or overflow: R singular, K R not finite.
+        ok = np.isfinite(L).all(axis=(-2, -1)) & (np.linalg.cond(R) <= _COND_LIMIT)
+        raise NonFiniteImageError(
+            "prolonged image is singular or non-finite", _first_failure(ok)
+        ) from None
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

@@ -53,6 +53,7 @@ from .groups import (
     tg_multiply,
 )
 from .prolongation import (
+    NonFiniteImageError,
     ProlongedRepresentation,
     Representation,
     apply_prolonged,
@@ -197,16 +198,27 @@ def _chunks(samples: int) -> Iterator[np.ndarray]:
 
 
 def _scan(
-    samples: int, residuals: Callable[[np.ndarray], np.ndarray]
+    name: str, samples: int, seed, residuals: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Worst residual over all samples and the first index attaining it.
 
     ``residuals(indices)`` returns an array whose last axis runs over
-    ``indices``; leading axes, if any, are scanned independently.
+    ``indices``; leading axes, if any, are scanned independently.  Images
+    that cannot be evaluated raise a :class:`NonFiniteImageError` naming
+    the check, the seed and the first sample at which that evaluation
+    fails, so the failure replays.
     """
     worst = index = None
     for indices in _chunks(samples):
-        chunk = residuals(indices)
+        try:
+            chunk = residuals(indices)
+        except NonFiniteImageError as exc:
+            if exc.position is None:
+                raise
+            raise NonFiniteImageError(
+                f"{name} check, seed {_payload(seed)}, sample index "
+                f"{indices[exc.position]}: {exc}"
+            ) from None
         k = np.argmax(chunk, axis=-1)
         top = np.take_along_axis(chunk, k[..., None], axis=-1)[..., 0]
         if worst is None:
@@ -232,7 +244,7 @@ def _sampled_check(
     tol: float,
     residuals: Callable[[np.ndarray], np.ndarray],
 ) -> CheckReport:
-    worst, index = _scan(samples, residuals)
+    worst, index = _scan(name, samples, seed, residuals)
     worst = float(worst)
     witness = {"seed": _payload(seed), "sample_index": int(index), "residual": worst}
     return _verdict(name, worst, tol, witness)
@@ -424,7 +436,9 @@ def check_equivalence_transfer(
             ]
         )
 
-    per_conjugation, indices = _scan(samples, residuals) if lifts else ([0.0], [0])
+    per_conjugation, indices = ([0.0], [0])
+    if lifts:
+        per_conjugation, indices = _scan("equivalence_transfer", samples, sample_seed, residuals)
     c = int(np.argmax(per_conjugation))
     worst = float(per_conjugation[c])
     if len(lifts) < _CONJUGATIONS:
@@ -578,7 +592,7 @@ def check_invariance_transfer(
             extracted = _projection_defects((images @ horizontal)[..., :n, :], q)
             return np.stack([lifted, extracted])
 
-        worst, index = _scan(samples, residuals)
+        worst, index = _scan("invariance_transfer", samples, tangent_seed, residuals)
     parts = {
         "base": base_report.max_residual,
         "prolonged": float(worst[0]),

@@ -167,6 +167,31 @@ def gl3_dense_conjugated() -> dict:
     }
 
 
+def so4_dense_conjugated() -> dict:
+    """SO(4) on R^4 conjugated by N(0,1)^{4x4} diag(1, 10, 100, 1000): a
+    representation whose images reach about 4e2, so exp(2 pi D) rounds."""
+    P = np.random.default_rng(0).standard_normal((4, 4)) @ np.diag([1.0, 10.0, 100.0, 1000.0])
+    P_inv = np.linalg.inv(P)
+    images = [(P @ B @ P_inv).tolist() for B in algebra_basis(GroupSpec("SpecialOrthogonal", 4))]
+    return {
+        "name": "so4_dense_conjugated",
+        "group": {"kind": "SpecialOrthogonal", "dim": 4},
+        "target_dim": 4,
+        "map": {"kind": "generators", "generator_images": images},
+    }
+
+
+def gl1_power(image) -> dict:
+    """GL(1) on the line, a |-> exp(image * log a) = a^image: for a large
+    image the exponential overflows away from the identity."""
+    return {
+        "name": "gl1_power",
+        "group": {"kind": "GeneralLinear", "dim": 1},
+        "target_dim": 1,
+        "map": {"kind": "generators", "generator_images": [[[image]]]},
+    }
+
+
 GENERATOR_DESCRIPTORS = {
     "so3_doubled": so3_doubled,
     "circle_winding": circle_winding,

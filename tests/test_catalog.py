@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from descriptors import gl2_perturbed, gl3_dense_conjugated, so3_doubled, so3_repeated_image
+from descriptors import (
+    gl1_power,
+    gl2_perturbed,
+    gl3_dense_conjugated,
+    so3_doubled,
+    so3_repeated_image,
+    so4_dense_conjugated,
+)
 
 from lieprolong import (
+    AlgebraElement,
     DescriptorError,
+    GroupElement,
+    NonFiniteImageError,
     SubspaceBasis,
+    TangentGroupElement,
     Verdict,
     catalog_entry,
     catalog_list,
@@ -19,11 +30,13 @@ from lieprolong import (
     faithfulness_probe,
     is_invariant_subspace,
     load_representation,
+    prolong,
     read_descriptor,
     rep_image,
     sample_tangent_element,
 )
 from lieprolong import rep_algebra
+from lieprolong.cli import main
 
 EXPECTED_NAMES = {
     "circle_rotation",
@@ -132,14 +145,6 @@ class TestEntries:
             assert entry.notes
 
 
-def named_descriptor(name: str, kind: str, dim: int, target_dim: int) -> dict:
-    return {
-        "group": {"kind": kind, "dim": dim},
-        "target_dim": target_dim,
-        "map": {"kind": "named", "name": name},
-    }
-
-
 def winding_generator_descriptor(scale: float = 2.0) -> dict:
     return {
         "name": "winding_from_generators",
@@ -150,24 +155,6 @@ def winding_generator_descriptor(scale: float = 2.0) -> dict:
             "generator_images": [[[0.0, scale], [-scale, 0.0]]],
         },
     }
-
-
-class TestNamedDescriptors:
-    def test_named_load_returns_catalog_representation(self):
-        rep = load_representation(named_descriptor("circle_rotation", "Circle", 2, 2))
-        assert rep is catalog_entry("circle_rotation").rep
-
-    def test_named_group_mismatch_rejected(self):
-        with pytest.raises(DescriptorError):
-            load_representation(named_descriptor("circle_rotation", "GeneralLinear", 2, 2))
-
-    def test_named_target_dim_mismatch_rejected(self):
-        with pytest.raises(DescriptorError):
-            load_representation(named_descriptor("circle_rotation", "Circle", 2, 3))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(DescriptorError):
-            load_representation(named_descriptor("missing", "Circle", 2, 2))
 
 
 class TestGeneratorDescriptors:
@@ -274,6 +261,7 @@ class TestGeneratorDescriptors:
             [[0, [1]], [0, 0]],
             [[0, True], [-1, 0]],
             [["0", "2"], [-2, "0"]],
+            [[0, 10**400], [-1, 0]],
         ],
     )
     def test_non_numeric_matrices_rejected_by_label(self, bad):
@@ -281,21 +269,35 @@ class TestGeneratorDescriptors:
         document["map"]["generator_images"] = [bad]
         with pytest.raises(DescriptorError, match=r"generator_images\[0\] is not a matrix"):
             load_representation(document)
-        document = named_descriptor("circle_winding_2", "Circle", 2, 2)
-        document["differential"] = [bad]
-        with pytest.raises(DescriptorError, match=r"differential\[0\] is not a matrix"):
-            load_representation(document)
 
-    def test_overflowing_images_rejected_with_witness(self):
-        document = {
-            "group": {"kind": "GeneralLinear", "dim": 1},
-            "target_dim": 1,
-            "map": {"kind": "generators", "generator_images": [[[1000.0]]]},
-        }
-        with pytest.raises(DescriptorError, match="non-finite") as info:
-            load_representation(document)
-        assert info.value.witness["check"] == "sampled_images"
-        assert info.value.witness["seed"] == 7
+    def test_overflowing_images_load_and_fail_where_evaluated(self, capsys, tmp_path):
+        document = gl1_power(1000.0)
+        rep = load_representation(document)
+        # The certificate reads only d rho, which is finite and injective.
+        assert faithfulness_probe(rep).passed
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(document))
+        assert main(["check", "--rep", str(path), "--suite", "homomorphism"]) == 2
+        err = capsys.readouterr().err
+        assert "homomorphism check, seed 0, sample index 0: apply returned non-finite" in err
+        with pytest.raises(NonFiniteImageError, match="seed 3, sample index"):
+            check_homomorphism(rep, 50, seed=3)
+
+    @pytest.mark.parametrize(
+        ("base", "fiber"), [(-0.8, 1.0), (0.7, 1e5)], ids=["singular_R", "overflowing_KR"]
+    )
+    def test_prolonged_image_out_of_float_range_names_its_slice(self, base, fiber):
+        # exp(-800) underflows to 0, so R is singular; exp(700) is finite,
+        # but K R = 1e8 exp(700) is not.
+        rep = load_representation(gl1_power(1000.0))
+        spec = rep.group
+        X = TangentGroupElement(
+            GroupElement(np.exp([[[0.1]], [[base]], [[0.2]]]), spec),
+            AlgebraElement(np.array([[[1.0]], [[fiber]], [[1.0]]]), spec),
+        )
+        with pytest.raises(NonFiniteImageError, match="singular or non-finite") as info:
+            prolong(rep, X)
+        assert info.value.position == 1
 
     @pytest.mark.parametrize(
         ("document", "defect"), [(so3_repeated_image, 0.4), (gl2_perturbed, 1e-10)]
@@ -314,7 +316,22 @@ class TestGeneratorDescriptors:
         rep = load_representation(gl3_dense_conjugated())
         assert rep.target_dim == 3
 
-    def test_load_takes_one_logarithm_per_sample_and_none_on_reload(self, monkeypatch):
+    def test_dense_conjugated_so4_closes_its_loops_within_tolerance(self):
+        # exp(2 pi D) of images near 4e2 rounds by about 1e-6 in absolute
+        # terms; scaled by |2 pi D|_F it stays near 4e-10.
+        rep = load_representation(so4_dense_conjugated())
+        assert rep.target_dim == 4
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.01])
+    def test_scaled_so4_images_rejected_by_the_loop_test(self, scale):
+        document = so4_dense_conjugated()
+        images = np.array(document["map"]["generator_images"]) * scale
+        document["map"]["generator_images"] = images.tolist()
+        with pytest.raises(DescriptorError, match="loop") as info:
+            load_representation(document)
+        assert info.value.witness["loop_residual"] > 1e-7
+
+    def test_load_takes_no_logarithm_and_draws_no_sample(self, monkeypatch):
         rep_algebra._tangent_sample.cache_clear()
         logm = scipy.linalg.logm
         calls = []
@@ -324,11 +341,11 @@ class TestGeneratorDescriptors:
             return logm(m)
 
         monkeypatch.setattr(scipy.linalg, "logm", counted)
+        misses = rep_algebra._tangent_sample.cache_info().misses
         load_representation(so3_doubled())
-        assert 0 < len(calls) <= 100
-        calls.clear()
-        load_representation(so3_doubled())
+        load_representation(gl3_dense_conjugated())
         assert calls == []
+        assert rep_algebra._tangent_sample.cache_info().misses == misses
 
 
 class TestDescriptorValidation:
@@ -372,25 +389,17 @@ class TestDescriptorValidation:
         with pytest.raises(DescriptorError):
             load_representation(document)
 
-
-class TestDifferentialOverride:
-    def test_consistent_override_accepted(self):
-        document = named_descriptor("circle_winding_2", "Circle", 2, 2)
-        document["differential"] = [[[0.0, 2.0], [-2.0, 0.0]]]
-        rep = load_representation(document)
-        B = sample_tangent_element(rep.group, 6).algebra
-        theta = B.matrix[0, 1]
-        np.testing.assert_allclose(
-            differential_rep(rep, B), [[0.0, 2.0 * theta], [-2.0 * theta, 0.0]], atol=1e-12
-        )
-
-    def test_inconsistent_override_rejected(self):
-        document = named_descriptor("circle_winding_2", "Circle", 2, 2)
-        document["differential"] = [[[0.0, 6.0], [-6.0, 0.0]]]
-        with pytest.raises(DescriptorError) as info:
+    def test_rejects_named_map_pointing_to_rep(self):
+        document = winding_generator_descriptor()
+        document["map"] = {"kind": "named", "name": "circle_rotation"}
+        with pytest.raises(DescriptorError, match="--rep <name>"):
             load_representation(document)
-        assert info.value.witness is not None
-        assert info.value.witness["gap"] > 1e-2
+
+    def test_rejects_differential_key(self):
+        document = winding_generator_descriptor()
+        document["differential"] = [[[0.0, 2.0], [-2.0, 0.0]]]
+        with pytest.raises(DescriptorError, match="unknown descriptor key 'differential'"):
+            load_representation(document)
 
 
 class TestReadDescriptor:

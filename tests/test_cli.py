@@ -4,13 +4,14 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import jsonschema
 import numpy as np
 import pytest
-from descriptors import gl2_perturbed, gl3_units, so3_repeated_image
+from descriptors import gl1_power, gl2_perturbed, gl3_units, so3_repeated_image
 
 from lieprolong import (
     GroupElement,
@@ -580,11 +581,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "document",
         [
-            {
-                "group": {"kind": "GeneralLinear", "dim": 1},
-                "target_dim": 1,
-                "map": {"kind": "generators", "generator_images": [[[1000.0]]]},
-            },
+            gl1_power(1000.0),
             {
                 "group": {"kind": "GeneralLinear", "dim": 1},
                 "target_dim": True,
@@ -605,17 +602,17 @@ class TestMalformedInput:
                 "target_dim": 2,
                 "map": {"kind": "generators", "generator_images": [[[0, [1]], [0, 0]]]},
             },
+            gl1_power(10**400),
             {
                 "group": {"kind": "Circle", "dim": 2},
                 "target_dim": 2,
                 "map": {"kind": "named", "name": "circle_rotation"},
-                "differential": [[[0, "x"], [0, 0]]],
             },
             {
                 "group": {"kind": "Circle", "dim": 2},
                 "target_dim": 2,
-                "map": {"kind": "named", "name": "circle_rotation"},
-                "differential": [[[0, [1]], [0, 0]]],
+                "map": {"kind": "generators", "generator_images": [[[0, 1], [-1, 0]]]},
+                "differential": [[[0, 1], [-1, 0]]],
             },
             {
                 "group": {"kind": "SpecialOrthogonal", "dim": 3},
@@ -638,8 +635,9 @@ class TestMalformedInput:
             "boolean_group_dim",
             "non_numeric_image_entry",
             "ragged_image_row",
-            "non_numeric_differential_entry",
-            "ragged_differential_row",
+            "integer_past_the_float_range",
+            "named_map",
+            "differential_key",
             "open_loop",
             "broken_so3_bracket",
             "broken_gl2_bracket",
@@ -662,18 +660,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(("image", "samples"), [(380.0, "3000"), (500.0, "200")])
     def test_images_overflowing_during_a_check_exit_2(self, capsys, tmp_path, image, samples):
-        # Both load: the draws' images are finite, but those of some
-        # products of two draws are not.
+        # Both load; the images of some draws, or of some products of
+        # two draws, overflow.
         path = tmp_path / "rep.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "group": {"kind": "GeneralLinear", "dim": 1},
-                    "target_dim": 1,
-                    "map": {"kind": "generators", "generator_images": [[[image]]]},
-                }
-            )
-        )
+        path.write_text(json.dumps(gl1_power(image)))
         code, out, err = run_cli(
             capsys, "check", "--rep", str(path), "--suite", "homomorphism", "--samples", samples
         )
@@ -681,6 +671,38 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suite", ["homomorphism", "oracle", "equivalence", "invariance", "directsum", "all"]
+    )
+    def test_overflowing_images_name_the_check_seed_and_sample(self, capsys, tmp_path, suite):
+        # The images load; every sampled suite reaches elements where they
+        # overflow and reports where, so the failure can be replayed.
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(gl1_power(1000.0)))
+        code, out, err = run_cli(
+            capsys, "check", "--rep", str(path), "--suite", suite, "--seed", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(
+            r"error: cannot evaluate the representation: \w+ check, seed (5|\(5, \d+\)), "
+            r"sample index \d+: apply returned non-finite entries\n",
+            err,
+        )
+
+    def test_overflowing_images_exit_2_in_prolong_at_large_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(gl1_power(1000.0)))
+        argv = ["prolong", "--rep", str(path), "--fiber", "0"]
+        code, out, _ = run_cli(capsys, *argv, "--a-coords", "0.1")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--a-coords", "5")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cannot evaluate the prolongation there: apply returned non-finite entries\n"
+        )
 
     def test_other_value_errors_in_a_suite_are_not_input_errors(self, monkeypatch):
         # Only evaluation failures of the images become exit 2; any other
