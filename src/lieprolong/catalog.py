@@ -292,23 +292,35 @@ def _generator_representation(
 def _reject_inconsistent_generators(
     rep: Representation, spec: GroupSpec, images: list[np.ndarray]
 ) -> None:
+    D = np.stack(images)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(D, axis=(-2, -1))
+    # Both tests scale their gaps by these norms, so past a bound they decide
+    # nothing: from |2 pi D|_F = 1e8 a loop closing on -I, 2 away from I,
+    # would pass.  Below it the products D_i D_j are finite as well.
+    k = int(np.argmax(norms))
+    if not 2.0 * math.pi * norms[k] < 1e8:
+        raise DescriptorError(
+            f"generator image {k} is too large to verify: |D|_F = {norms[k]:.3e}",
+            witness={"generator_index": k, "norm": float(norms[k])},
+        )
     if spec.kind in _COMPACT_KINDS:
         import scipy.linalg
 
         for k, image in enumerate(images):
             # expm(2 pi D) rounds by about eps * |2 pi D|_F, so the gap from
-            # the identity is scaled by that norm.
+            # the identity is scaled by that norm.  A NaN gap fails.
             turn = 2.0 * math.pi * image
-            gap = np.max(np.abs(scipy.linalg.expm(turn) - np.eye(rep.target_dim)))
-            residual = float(gap / max(1.0, np.linalg.norm(turn)))
-            if residual > 1e-8:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.max(np.abs(scipy.linalg.expm(turn) - np.eye(rep.target_dim)))
+            residual = float(gap / max(1.0, 2.0 * math.pi * norms[k]))
+            if not residual <= 1e-8:
                 raise DescriptorError(
                     f"generator image {k} does not close its one-parameter loop: "
                     f"exp(2*pi*D) differs from the identity by {residual:.3e}",
                     witness={"generator_index": k, "loop_residual": residual},
                 )
     basis = np.stack(algebra_basis(spec))
-    D = np.stack(images)
     i, j = np.triu_indices(len(images), 1)
     if len(i):
         # With the loops closed, exp(X) -> exp(d rho(X)) is a homomorphism exactly
@@ -317,10 +329,9 @@ def _reject_inconsistent_generators(
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         lhs = differential_rep(rep, AlgebraElement(brackets, spec))
         gaps = np.max(np.abs(lhs - (D[i] @ D[j] - D[j] @ D[i])), axis=(-2, -1))
-        norms = np.linalg.norm(D, axis=(-2, -1))
         defects = gaps / np.maximum(1.0, norms[i] * norms[j])
-        worst = int(np.argmax(defects))
-        if defects[worst] > 1e-12:
+        worst = int(np.argmax(defects))  # the first NaN, if any
+        if not defects[worst] <= 1e-12:
             pair, defect = [int(i[worst]), int(j[worst])], float(defects[worst])
             raise DescriptorError(
                 f"generator images {pair[0]} and {pair[1]} do not keep their "
@@ -350,7 +361,8 @@ def load_representation(document: Mapping[str, Any]) -> Representation:
     and the differential is ``sum c_k D_k``.  The load runs two exact
     tests and samples nothing: on compact kinds each loop ``exp(2 pi D_k)``
     must close, and the images must keep the brackets of the basis.  A
-    failure is rejected with a witness.  Images whose exponential
+    failure, or an image with ``|2 pi D_k|_F >= 1e8``, too large for the
+    tests to decide, is rejected with a witness.  Images whose exponential
     overflows are reported by the check that evaluates them there.
     Built-in representations are named with ``--rep <name>``, not through
     a descriptor.

@@ -29,7 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,7 +84,10 @@ _CIRCLE_GENERATOR.flags.writeable = False
 
 
 class MembershipError(ValueError):
-    """A matrix fails the defining residual of its group or algebra."""
+    """A matrix fails the defining residual of its group or algebra.
+    ``position``, where set, is the first failing slice of a stack."""
+
+    position: Optional[int] = None
 
 
 class SpecMismatchError(ValueError):
@@ -225,12 +228,20 @@ def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
     return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
 
 
+def _first_failure(ok: np.ndarray) -> Optional[int]:
+    """The first ``False`` of ``ok`` on its last axis; ``None`` for a scalar."""
+    return int(np.argwhere(~ok)[:, -1].min()) if ok.ndim else None
+
+
 def _require_invertible(matrix: np.ndarray) -> None:
-    cond = np.linalg.cond(matrix).max()
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise MembershipError(
-            f"matrix is singular or too ill-conditioned to invert (cond={cond:.3e})"
+    cond = np.linalg.cond(matrix)
+    ok = cond <= _COND_LIMIT
+    if not np.all(ok):
+        error = MembershipError(
+            f"matrix is singular or too ill-conditioned to invert (cond={np.max(cond):.3e})"
         )
+        error.position = _first_failure(ok)
+        raise error
 
 
 def _trusted(cls, **fields):

@@ -35,9 +35,10 @@ from .groups import (
     AlgebraElement,
     GroupElement,
     GroupSpec,
+    MembershipError,
     SpecMismatchError,
-    _COND_LIMIT,
     _as_square,
+    _first_failure,
     _require_invertible,
     _trusted,
     group_multiply,
@@ -125,15 +126,14 @@ def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
     out = np.asarray(fn(element), dtype=float)
     if out.shape != stack + (n, n):
         raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
+    return _require_finite(out, f"{what} returned")
+
+
+def _require_finite(out: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         position = _first_failure(np.isfinite(out).all(axis=(-2, -1)))
-        raise NonFiniteImageError(f"{what} returned non-finite entries", position)
+        raise NonFiniteImageError(f"{what} non-finite entries", position)
     return out
-
-
-def _first_failure(ok: np.ndarray) -> Optional[int]:
-    """The first ``False`` of ``ok`` on its last axis; ``None`` for a scalar."""
-    return int(np.argwhere(~ok)[:, -1].min()) if ok.ndim else None
 
 
 def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
@@ -241,16 +241,13 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     """
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
+    # Finite images can still over- or underflow: K R not finite, R singular.
     with np.errstate(over="ignore", invalid="ignore"):
-        L = K @ R
+        L = _require_finite(K @ R, "prolonged image K R has")
     try:
         return ProlongedMatrix(R, L)
-    except ValueError:
-        # Finite images can still under- or overflow: R singular, K R not finite.
-        ok = np.isfinite(L).all(axis=(-2, -1)) & (np.linalg.cond(R) <= _COND_LIMIT)
-        raise NonFiniteImageError(
-            "prolonged image is singular or non-finite", _first_failure(ok)
-        ) from None
+    except MembershipError as exc:
+        raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:

@@ -38,6 +38,21 @@ from lieprolong import (
 from lieprolong import rep_algebra
 from lieprolong.cli import main
 
+
+def _scaled(document: dict, scale: float) -> dict:
+    images = np.array(document["map"]["generator_images"]) * scale
+    document["map"]["generator_images"] = images.tolist()
+    return document
+
+
+def _circle_image(image: list) -> dict:
+    return {
+        "group": {"kind": "Circle", "dim": 2},
+        "target_dim": 2,
+        "map": {"kind": "generators", "generator_images": [image]},
+    }
+
+
 EXPECTED_NAMES = {
     "circle_rotation",
     "circle_winding_2",
@@ -295,7 +310,7 @@ class TestGeneratorDescriptors:
             GroupElement(np.exp([[[0.1]], [[base]], [[0.2]]]), spec),
             AlgebraElement(np.array([[[1.0]], [[fiber]], [[1.0]]]), spec),
         )
-        with pytest.raises(NonFiniteImageError, match="singular or non-finite") as info:
+        with pytest.raises(NonFiniteImageError, match="prolonged image") as info:
             prolong(rep, X)
         assert info.value.position == 1
 
@@ -324,12 +339,31 @@ class TestGeneratorDescriptors:
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.01])
     def test_scaled_so4_images_rejected_by_the_loop_test(self, scale):
-        document = so4_dense_conjugated()
-        images = np.array(document["map"]["generator_images"]) * scale
-        document["map"]["generator_images"] = images.tolist()
         with pytest.raises(DescriptorError, match="loop") as info:
-            load_representation(document)
+            load_representation(_scaled(so4_dense_conjugated(), scale))
         assert info.value.witness["loop_residual"] > 1e-7
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            _scaled(so3_doubled(), 1e200),
+            _circle_image([[0.0, 1e8 + 0.5], [-1e8 - 0.5, 0.0]]),
+        ],
+        ids=["entries_near_1e200", "half_winding"],
+    )
+    def test_images_too_large_to_verify_rejected(self, document):
+        # Both tests scale their gaps by the norms.  Past the bound a half
+        # winding, exp(2 pi D) = -I, 2 away from I, would pass; entries near
+        # 1e200 overflow the norms and the products D_i D_j.
+        with pytest.raises(DescriptorError, match="too large to verify") as info:
+            load_representation(document)
+        assert info.value.witness["generator_index"] == 0
+
+    def test_loop_whose_exponential_is_nan_rejected(self):
+        # scipy's expm squares exp(2 pi D) of this image into inf - inf.
+        with pytest.raises(DescriptorError, match="loop") as info:
+            load_representation(_circle_image([[255.0, -76.0], [48.0, 13.0]]))
+        assert math.isnan(info.value.witness["loop_residual"])
 
     def test_load_takes_no_logarithm_and_draws_no_sample(self, monkeypatch):
         rep_algebra._tangent_sample.cache_clear()

@@ -603,6 +603,7 @@ class TestMalformedInput:
                 "map": {"kind": "generators", "generator_images": [[[0, [1]], [0, 0]]]},
             },
             gl1_power(10**400),
+            gl1_power(1e200),
             {
                 "group": {"kind": "Circle", "dim": 2},
                 "target_dim": 2,
@@ -636,6 +637,7 @@ class TestMalformedInput:
             "non_numeric_image_entry",
             "ragged_image_row",
             "integer_past_the_float_range",
+            "image_too_large_to_verify",
             "named_map",
             "differential_key",
             "open_loop",
