@@ -16,8 +16,10 @@ Elements may also be stacks: a matrix of shape ``(S, n, n)`` holds ``S``
 elements of the same spec, validated together once.  Multiplication,
 inversion, the exponential, the principal logarithm and basis coordinates
 take whole stacks and give the same bits as a loop over the slices.
-:func:`sample_tangent_elements` draws such stacks; a group or algebra
-draw is the ``base`` or ``algebra`` of a tangent one.
+:func:`sample_tangent_elements` draws such stacks, seeding every key in
+one vectorized pass that gives numpy's ``default_rng(key)`` streams
+(SeedSequence and PCG64) bit for bit; a group or algebra draw is the
+``base`` or ``algebra`` of a tangent one.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -395,37 +397,124 @@ def _rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng([int(s) % 2**63 for s in seed])
 
 
-def _draw_algebra(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    kind = spec.kind
-    if kind is GroupKind.CIRCLE:
-        theta = rng.uniform(-1.0, 1.0)
-        return theta * _CIRCLE_GENERATOR
-    raw = rng.uniform(-1.0, 1.0, (spec.dim, spec.dim))
-    if kind is GroupKind.GENERAL_LINEAR:
-        return raw
-    if kind is GroupKind.SPECIAL_LINEAR:
-        return raw - (np.trace(raw) / spec.dim) * np.eye(spec.dim)
-    return (raw - raw.T) / 2.0
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (a 128-bit
+# LCG with XSL-RR output), whose recipes _uniform_draws runs on whole arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Stream positions computed per pass, which bounds the 128-bit temporaries.
+_JUMP_BLOCK = 64
+
+
+def _hashmix(values: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of ``values[..., t]`` as its ``t``-th call from
+    the constant ``const``; returns the hashes and the constant after them."""
+    consts = [const]
+    for _ in range(values.shape[-1]):
+        consts.append(consts[-1] * mult & _MASK32)
+    table = np.array(consts, np.uint32)
+    out = (values ^ table[:-1]) * table[1:]
+    return out ^ (out >> 16), consts[-1]
+
+
+def _mix(x, y):
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _mul128(a, b):
+    """``a * b`` mod 2**128 on (hi, lo) pairs of uint64 arrays."""
+    (ah, al), (bh, bl) = a, b
+    a0, a1, b0, b1 = al & _MASK32, al >> 32, bl & _MASK32, bl >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return high + ah * bl + al * bh, al * bl
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table(count: int) -> np.ndarray:
+    """PCG64's state at output k < count is ``M**(k+2) s + C(k+3) c`` mod
+    2**128, from its seed s and increment c, with M the multiplier and
+    ``C(t) = sum_{i<t} M**i``: srandom sets ``M (s + c) + c``, and output k
+    takes k + 1 steps more.  The two coefficient rows, as (hi, lo) pairs."""
+    powers, sums = [1], [0]
+    for _ in range(count + 2):
+        sums.append((sums[-1] + powers[-1]) % 2**128)
+        powers.append(powers[-1] * _PCG_MULT % 2**128)
+    rows = [[[v >> 64 for v in c], [v % 2**64 for v in c]] for c in (powers[2:-1], sums[3:])]
+    return np.array(rows, np.uint64)
+
+
+def _uniform_draws(keys: Sequence[SeedLike], count: int) -> np.ndarray:
+    """Row ``r`` is, bit for bit, ``_rng(keys[r]).uniform(-1.0, 1.0, count)``,
+    computed for all keys at once."""
+    # SeedSequence's entropy: one 32-bit word per key element, two from 2**32.
+    entropy = []
+    for key in keys:
+        row = [int(e) % 2**63 for e in ([key] if isinstance(key, (int, np.integer)) else key)]
+        entropy.append([w for e in row for w in ((e & _MASK32, e >> 32) if e >> 32 else (e,))])
+    lengths = np.array([len(words) for words in entropy], dtype=int)
+    width = max(4, int(lengths.max(initial=0)))
+    words = np.array([w + [0] * (width - len(w)) for w in entropy], np.uint32)
+    words = words.reshape(len(keys), width)
+    # The pool hash's constants depend only on the number of calls.
+    pool, const = _hashmix(words[:, :4], _INIT_A, _MULT_A)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        hashed, const = _hashmix(pool[:, [src] * 3], const, _MULT_A)
+        pool[:, others] = _mix(pool[:, others], hashed)
+    for src in range(4, words.shape[1]):
+        hashed, const = _hashmix(words[:, [src] * 4], const, _MULT_A)
+        pool = np.where((lengths > src)[:, None], _mix(pool, hashed), pool)
+    # generate_state(4, uint64), then PCG64's srandom.
+    half = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B)[0].astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (half[:, 0::2] | (half[:, 1::2] << 32)).T[:, :, None]
+    seed, inc = (seed_hi, seed_lo), ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1)
+    # The output states from a jump table, a block of positions at a time,
+    # then the XSL-RR output.
+    powers, sums = _jump_table(count)
+    bits = np.empty((len(keys), count), np.uint64)
+    for start in range(0, count, _JUMP_BLOCK):
+        block = slice(start, start + _JUMP_BLOCK)
+        (hi, lo), (add_hi, add_lo) = _mul128(seed, powers[:, block]), _mul128(inc, sums[:, block])
+        lo = lo + add_lo
+        hi = hi + add_hi + (lo < add_lo)
+        x, rot = hi ^ lo, hi >> 58
+        bits[:, block] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+    return -1.0 + 2.0 * (bits * 2.0**-53)
+
+
+def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
+    """Tangent elements from ``draw(count)``, which gives ``(..., count)``
+    uniform draws: the base's algebra element first, then the fiber."""
+    n = spec.dim
+    if spec.kind is GroupKind.CIRCLE:
+        algebra = draw(2)[..., None, None] * _CIRCLE_GENERATOR
+    else:
+        draws = draw(2 * n * n)
+        algebra = draws.reshape(draws.shape[:-1] + (2, n, n))
+    if spec.kind is GroupKind.SPECIAL_LINEAR:
+        trace = np.trace(algebra, axis1=-2, axis2=-1)
+        algebra = algebra - (trace / n)[..., None, None] * np.eye(n)
+    elif spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
+        algebra = (algebra - np.swapaxes(algebra, -1, -2)) / 2.0
+    base = mat_exp(AlgebraElement(algebra[..., 0, :, :], spec))
+    return TangentGroupElement(base, AlgebraElement(algebra[..., 1, :, :], spec))
 
 
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:
     """Base drawn first, then the fiber, from one generator per seed."""
-    rng = _rng(seed)
-    base = mat_exp(AlgebraElement(_draw_algebra(spec, rng), spec))
-    return TangentGroupElement(base, AlgebraElement(_draw_algebra(spec, rng), spec))
+    return _tangent_draw(spec, functools.partial(_rng(seed).uniform, -1.0, 1.0))
 
 
 def sample_tangent_elements(
     spec: GroupSpec, seeds: Iterable[SeedLike]
 ) -> TangentGroupElement:
-    """Stack of :func:`sample_tangent_element` over ``seeds``, bit for bit."""
-    bases, fibers = [], []
-    for seed in seeds:
-        rng = _rng(seed)
-        bases.append(_draw_algebra(spec, rng))
-        fibers.append(_draw_algebra(spec, rng))
-    base = mat_exp(AlgebraElement(np.stack(bases), spec))
-    return TangentGroupElement(base, AlgebraElement(np.stack(fibers), spec))
+    """Stack of :func:`sample_tangent_element` over ``seeds``, bit for bit,
+    drawn for all seeds at once."""
+    return _tangent_draw(spec, functools.partial(_uniform_draws, list(seeds)))
 
 
 @functools.lru_cache(maxsize=None)

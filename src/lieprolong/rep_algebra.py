@@ -41,11 +41,11 @@ from .groups import (
     SpecMismatchError,
     TangentGroupElement,
     _rng,
+    _uniform_draws,
     algebra_basis,
     algebra_coordinates,
     algebra_from_coordinates,
     block_diag,
-    group_multiply,
     identity_element,
     relative_residual,
     sample_tangent_elements,
@@ -170,6 +170,13 @@ def _tangent_sample(
     return sample_tangent_elements(spec, keys)
 
 
+# The homomorphism check's plain and prolonged halves evaluate the same
+# products; one chunk of them is kept for the other half.
+@functools.lru_cache(maxsize=1)
+def _tangent_product(spec: GroupSpec, xkeys, ykeys) -> TangentGroupElement:
+    return tg_multiply(_tangent_sample(spec, xkeys), _tangent_sample(spec, ykeys))
+
+
 def _sample(rep: RepLike, keys):
     # The group draw under a key is, bit for bit, the base of the tangent
     # draw under it: both exponentiate the first draw of the key's generator.
@@ -181,12 +188,6 @@ def _image(rep: RepLike, element) -> np.ndarray:
     if isinstance(rep, ProlongedRepresentation):
         return rep.apply(element)
     return rep_image(rep, element)
-
-
-def _compose(rep: RepLike, x, y):
-    if isinstance(rep, ProlongedRepresentation):
-        return tg_multiply(x, y)
-    return group_multiply(x, y)
 
 
 def _chunks(samples: int) -> Iterator[np.ndarray]:
@@ -215,8 +216,9 @@ def _scan(
         except NonFiniteImageError as exc:
             if exc.position is None:
                 raise
+            shown = list(seed) if isinstance(seed, tuple) else _payload(seed)
             raise NonFiniteImageError(
-                f"{name} check, seed {_payload(seed)}, sample index "
+                f"{name} check, seed {shown}, sample index "
                 f"{indices[exc.position]}: {exc}"
             ) from None
         k = np.argmax(chunk, axis=-1)
@@ -263,9 +265,12 @@ def check_homomorphism(
     """
 
     def residuals(indices):
-        x = _sample(rep, _keys(seed, 2 * indices))
-        y = _sample(rep, _keys(seed, 2 * indices + 1))
-        combined = _image(rep, _compose(rep, x, y))
+        xkeys, ykeys = _keys(seed, 2 * indices), _keys(seed, 2 * indices + 1)
+        x, y = _sample(rep, xkeys), _sample(rep, ykeys)
+        product = _tangent_product(rep.group, xkeys, ykeys)
+        if not isinstance(rep, ProlongedRepresentation):
+            product = product.base
+        combined = _image(rep, product)
         split = _image(rep, x) @ _image(rep, y)
         return relative_residual(combined, split, axis=(-2, -1))
 
@@ -289,8 +294,7 @@ def check_action_oracle(
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(seed, indices, 53))
-        keys = _keys(seed, indices, 59)
-        draws = np.stack([_rng(key).uniform(-1.0, 1.0, (2, n)) for key in keys])
+        draws = _uniform_draws(_keys(seed, indices, 59), 2 * n).reshape(-1, 2, n)
         Y = TangentVector(draws[:, 0], draws[:, 1])
         direct = apply_prolonged(prolong(rep, X), Y)
         oracle = tangent_action_oracle(rep, X, Y)
@@ -387,6 +391,15 @@ def random_conjugator(n: int, seed=0) -> np.ndarray:
     return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
 
 
+def _conjugators(n: int, seed) -> np.ndarray:
+    """``random_conjugator(n, _derive(seed, 2, c))`` for each conjugation
+    ``c``, drawn and exponentiated as one stack."""
+    import scipy.linalg
+
+    draws = _uniform_draws(_keys(seed, range(_CONJUGATIONS), 2), n * n)
+    return scipy.linalg.expm(0.5 * draws.reshape(-1, n, n))
+
+
 def conjugate_representation(rep: Representation, A) -> Representation:
     """The equivalent representation a |-> A rho(a) A^{-1}."""
     matrix = np.asarray(A, dtype=float)
@@ -417,8 +430,7 @@ def check_equivalence_transfer(
     per stack; each conjugated side is prolonged on its own.
     """
     lifts, others = [], []
-    for c in range(_CONJUGATIONS):
-        A = random_conjugator(rep.target_dim, _derive(seed, 2, c))
+    for A in _conjugators(rep.target_dim, seed):
         lifted = prolong_intertwiner(A)
         if not lifted.full_rank:
             break

@@ -688,7 +688,7 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert re.fullmatch(
-            r"error: cannot evaluate the representation: \w+ check, seed (5|\(5, \d+\)), "
+            r"error: cannot evaluate the representation: \w+ check, seed (5|\[5, \d+\]), "
             r"sample index \d+: apply returned non-finite entries\n",
             err,
         )

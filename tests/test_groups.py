@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieprolong import (
     AlgebraElement,
@@ -33,6 +35,7 @@ from lieprolong import (
     tg_inverse,
     tg_multiply,
 )
+from lieprolong.groups import _uniform_draws
 
 SPECS = [
     general_linear(1),
@@ -252,6 +255,43 @@ class TestSampling:
         c = group_multiply(a, b)
         assert group_membership_residual(c.matrix, spec) < 1e-12
         assert group_membership_residual(np.linalg.inv(c.matrix), spec) < 1e-12
+
+
+# Key elements SeedSequence splits into one 32-bit word (0 among them) or
+# two (from 2**32 up to just below 2**63).
+KEY_ELEMENTS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**63 - 1),
+    st.integers(2**63 - 2**20, 2**63 - 1),
+)
+# Up to six elements, so up to twelve words: past the four-word pool.
+KEYS = st.one_of(KEY_ELEMENTS, st.lists(KEY_ELEMENTS, min_size=1, max_size=6).map(tuple))
+
+
+class TestUniformDraws:
+    """The vectorized seeding and stream against numpy's own generators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(KEYS, min_size=1, max_size=8), count=st.integers(1, 2 * 16**2))
+    @example(keys=[0, (2**32, 1), (2**63 - 1, 0, 5, 7, 2**40, 3), (1, 2, 3, 4, 5)], count=2 * 16**2)
+    def test_each_row_is_numpys_stream(self, keys, count):
+        draws = _uniform_draws(keys, count)
+        assert draws.shape == (len(keys), count)
+        for row, key in zip(draws, keys):
+            rng = np.random.default_rng(key if isinstance(key, int) else list(key))
+            np.testing.assert_array_equal(row, rng.uniform(-1.0, 1.0, count))
+            # The circle's scalar draw is the first of the same stream.
+            assert row[0] == np.random.default_rng(key).uniform(-1.0, 1.0)
+
+    def test_keys_are_reduced_like_the_scalar_generator(self):
+        keys = [-1, 2**64 + 3, (-5, 2**70), ()]
+        expected = [np.random.default_rng(2**63 - 1), np.random.default_rng(3)]
+        expected += [np.random.default_rng([2**63 - 5, 2**70 % 2**63])]
+        expected += [np.random.default_rng([])]
+        draws = _uniform_draws(keys, 5)
+        for row, rng in zip(draws, expected):
+            np.testing.assert_array_equal(row, rng.uniform(-1.0, 1.0, 5))
 
 
 class TestAlgebraBasisAndCharts:

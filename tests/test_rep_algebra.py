@@ -52,7 +52,7 @@ from lieprolong import (
     tg_multiply,
     vertical_subspace,
 )
-from lieprolong import rep_algebra
+from lieprolong import cli, groups, rep_algebra
 from lieprolong.cli import main
 
 
@@ -639,6 +639,18 @@ class TestSampleMemo:
 
     def clear(self):
         rep_algebra._tangent_sample.cache_clear()
+        rep_algebra._tangent_product.cache_clear()
+
+    def count_logm(self, monkeypatch) -> list:
+        logm = scipy.linalg.logm
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return logm(m)
+
+        monkeypatch.setattr(scipy.linalg, "logm", counted)
+        return calls
 
     def report(self, capsys) -> str:
         assert main(["report", "--samples", "10", "--seed", "5"]) == 1
@@ -669,19 +681,43 @@ class TestSampleMemo:
     def test_equivalence_takes_one_logarithm_per_sample(self, monkeypatch):
         rep = load_representation(so3_doubled())
         self.clear()
-        logm = scipy.linalg.logm
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return logm(m)
-
-        monkeypatch.setattr(scipy.linalg, "logm", counted)
+        calls = self.count_logm(monkeypatch)
         assert check_equivalence_transfer(rep, 20, seed=0).passed
         # Not one per conjugation: the conjugated sides reuse the coordinates
         # kept on the sampled bases, and the identity each conjugated
         # representation checks when it is built carries its own.
         assert len(calls) == 20
+
+    def test_homomorphism_suite_takes_each_product_logarithm_once(self, monkeypatch):
+        rep = load_representation(so3_doubled())
+        self.clear()
+        calls = self.count_logm(monkeypatch)
+        assert check_homomorphism(rep, 30, seed=0).passed
+        assert len(calls) == 90  # x, y and their product, per sample
+        # The prolonged half reuses the plain half's products and bases.
+        assert check_homomorphism(prolonged(rep), 30, seed=0).passed
+        assert len(calls) == 90
+
+    def test_report_builds_no_generator_per_key(self, monkeypatch, capsys):
+        built, default_rng = [], np.random.default_rng
+
+        def counted(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        for module in (groups, rep_algebra, cli):
+            monkeypatch.setattr(module, "_rng", counted)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        self.report(capsys)
+        assert built == []
+
+    def test_stacked_conjugators_are_the_scalar_ones(self):
+        for n in (1, 2, 3, 5):
+            for seed in (0, 9, 2**40):
+                stack = rep_algebra._conjugators(n, seed)
+                assert stack.shape == (20, n, n)
+                for c, A in enumerate(stack):
+                    np.testing.assert_array_equal(A, random_conjugator(n, (seed, 2, c)))
 
     def test_memo_stays_bounded(self):
         self.clear()
