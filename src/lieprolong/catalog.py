@@ -2,10 +2,11 @@
 
 Every catalog entry carries what is known about it: whether the
 representation is injective, and any invariant subspaces that come with
-its construction.  The entries are built once, on first access, and
-cached.  The test suite verifies the metadata: each entry passes a
-homomorphism check, declared subspaces test invariant, and the exact
-faithfulness certificate agrees with ``known_faithful``.
+its construction.  The entries are one table, built once, on first
+access, and cached; the direct sums reuse the representations of their
+summands' own entries.  The test suite verifies the metadata: each entry
+passes a homomorphism check, declared subspaces test invariant, and the
+exact faithfulness certificate agrees with ``known_faithful``.
 
 External descriptors are plain JSON documents of generator images; see
 :func:`load_representation` for the schema.  A descriptor is rejected at
@@ -80,69 +81,14 @@ def _identity_map_rep(spec: GroupSpec, name: str) -> Representation:
     return Representation(spec, spec.dim, lambda a: a.matrix, lambda B: B.matrix, name)
 
 
-def _circle_rotation() -> CatalogEntry:
-    return CatalogEntry(
-        name="circle_rotation",
-        rep=_identity_map_rep(circle(), "circle_rotation"),
-        notes="rotation action on the plane; no invariant lines over the reals",
-    )
-
-
-def _circle_winding_2() -> CatalogEntry:
-    rep = Representation(
-        circle(),
-        2,
-        lambda a: a.matrix @ a.matrix,
-        lambda B: 2.0 * B.matrix,
-        "circle_winding_2",
-    )
-    return CatalogEntry(
-        name="circle_winding_2",
-        rep=rep,
-        known_faithful=False,
-        notes="doubles the angle; the half turn maps to the identity",
-    )
-
-
-def _gl_identity(n: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=f"gl_identity({n})",
-        rep=_identity_map_rep(general_linear(n), f"gl_identity({n})"),
-        notes="defining representation of the general linear group",
-    )
-
-
-def _sl2_standard() -> CatalogEntry:
-    return CatalogEntry(
-        name="sl2_standard",
-        rep=_identity_map_rep(special_linear(2), "sl2_standard"),
-        notes="defining representation of the unimodular group on the plane",
-    )
-
-
-def _so3_standard() -> CatalogEntry:
-    return CatalogEntry(
-        name="so3_standard",
-        rep=_identity_map_rep(special_orthogonal(3), "so3_standard"),
-        notes="rotations of three-space acting on themselves",
-    )
-
-
-def _trivial(n: int) -> CatalogEntry:
+def _trivial(n: int) -> Representation:
     eye = np.eye(n)
-    rep = Representation(
+    return Representation(
         circle(),
         n,
         lambda a: np.broadcast_to(eye, a.matrix.shape[:-2] + (n, n)),
         lambda B: np.zeros(B.matrix.shape[:-2] + (n, n)),
         f"trivial({n})",
-    )
-    return CatalogEntry(
-        name=f"trivial({n})",
-        rep=rep,
-        known_faithful=False,
-        known_invariant_subspaces=(SubspaceBasis(n, np.eye(n)[:1]),),
-        notes="constant identity map over the circle; every subspace is invariant",
     )
 
 
@@ -150,41 +96,38 @@ def _span(ambient: int, indices: list[int]) -> SubspaceBasis:
     return SubspaceBasis(ambient, np.eye(ambient)[indices])
 
 
-def _circle_double() -> CatalogEntry:
-    rotation = _circle_rotation().rep
-    rep = direct_sum(rotation, rotation)
-    return CatalogEntry(
-        name="circle_double",
-        rep=rep,
-        known_invariant_subspaces=(_span(4, [0, 1]), _span(4, [2, 3])),
-        notes="two copies of the rotation action; the block subspaces are invariant",
-    )
-
-
-def _circle_plus_trivial() -> CatalogEntry:
-    rep = direct_sum(_circle_rotation().rep, _trivial(1).rep)
-    return CatalogEntry(
-        name="circle_plus_trivial",
-        rep=rep,
-        known_invariant_subspaces=(_span(3, [0, 1]), _span(3, [2])),
-        notes="rotation block plus a fixed line",
-    )
-
-
 @lru_cache(maxsize=1)
 def _entries() -> tuple[CatalogEntry, ...]:
+    def defining(name: str, spec: GroupSpec, notes: str) -> CatalogEntry:
+        return CatalogEntry(name, _identity_map_rep(spec, name), notes)
+
+    rotation = _identity_map_rep(circle(), "circle_rotation")
+    trivial = {n: _trivial(n) for n in (1, 2)}
+    winding = Representation(
+        circle(), 2, lambda a: a.matrix @ a.matrix, lambda B: 2.0 * B.matrix, "circle_winding_2"
+    )
     return (
-        _circle_rotation(),
-        _circle_winding_2(),
-        _gl_identity(1),
-        _gl_identity(2),
-        _gl_identity(3),
-        _sl2_standard(),
-        _so3_standard(),
-        _trivial(1),
-        _trivial(2),
-        _circle_double(),
-        _circle_plus_trivial(),
+        CatalogEntry("circle_rotation", rotation,
+                     "rotation action on the plane; no invariant lines over the reals"),
+        CatalogEntry("circle_winding_2", winding,
+                     "doubles the angle; the half turn maps to the identity",
+                     known_faithful=False),
+        *(defining(f"gl_identity({n})", general_linear(n),
+                   "defining representation of the general linear group") for n in (1, 2, 3)),
+        defining("sl2_standard", special_linear(2),
+                 "defining representation of the unimodular group on the plane"),
+        defining("so3_standard", special_orthogonal(3),
+                 "rotations of three-space acting on themselves"),
+        *(CatalogEntry(f"trivial({n})", rep,
+                       "constant identity map over the circle; every subspace is invariant",
+                       known_faithful=False, known_invariant_subspaces=(_span(n, [0]),))
+          for n, rep in trivial.items()),
+        CatalogEntry("circle_double", direct_sum(rotation, rotation),
+                     "two copies of the rotation action; the block subspaces are invariant",
+                     known_invariant_subspaces=(_span(4, [0, 1]), _span(4, [2, 3]))),
+        CatalogEntry("circle_plus_trivial", direct_sum(rotation, trivial[1]),
+                     "rotation block plus a fixed line",
+                     known_invariant_subspaces=(_span(3, [0, 1]), _span(3, [2]))),
     )
 
 

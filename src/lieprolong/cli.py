@@ -39,7 +39,6 @@ from .groups import (
     ChartError,
     ExponentOverflowError,
     GroupKind,
-    MembershipError,
     TangentGroupElement,
     _rng,
     algebra_basis,
@@ -61,11 +60,11 @@ from .prolongation import (
 from .rep_algebra import (
     CheckReport,
     Verdict,
+    _homomorphism_checks,
     _verdict,
     check_action_oracle,
     check_direct_sum_commutation,
     check_equivalence_transfer,
-    check_homomorphism,
     check_invariance_transfer,
     faithfulness_probe,
     is_invariant_subspace,
@@ -238,12 +237,10 @@ def _run_suite(
     tol = {} if config.tol is None else {"tol": config.tol}
     rename = dataclasses.replace
     if suite == "homomorphism":
+        base, lifted = _homomorphism_checks(rep, samples, seed, **tol)
         return [
-            rename(check_homomorphism(rep, samples, seed, **tol), name="homomorphism(base)"),
-            rename(
-                check_homomorphism(prolonged(rep), samples, seed, **tol),
-                name="homomorphism(prolonged)",
-            ),
+            rename(base, name="homomorphism(base)"),
+            rename(lifted, name="homomorphism(prolonged)"),
         ]
     if suite == "oracle":
         return [check_action_oracle(rep, samples, seed, **tol)]
@@ -301,7 +298,7 @@ def cmd_prolong(config: RunConfig) -> int:
     try:
         base = mat_exp(algebra_from_coordinates(a_coords, spec))
         algebra = algebra_from_coordinates(fiber_coords, spec)
-    except (MembershipError, ExponentOverflowError, ValueError) as exc:
+    except (ExponentOverflowError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     X = TangentGroupElement(base, algebra)
     probes = _rng(config.seed).uniform(-1, 1, (5, 2, rep.target_dim))
@@ -376,33 +373,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_rep: bool = True) -> None:
-        if with_rep:
+    def common(p: argparse.ArgumentParser, rep: bool, samples: bool) -> None:
+        if rep:
             p.add_argument(
                 "--rep",
                 required=True,
                 help="catalog entry name or path to a descriptor file",
             )
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"sampling seed (default 0, or ${SEED_ENV_VAR} when set)",
-        )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override the per-suite default tolerance",
-        )
+        if samples:
+            p.add_argument("--samples", type=int, default=RunConfig.samples)
+        if rep or samples:  # the commands that evaluate a representation
+            p.add_argument(
+                "--seed",
+                type=int,
+                default=None,
+                help=f"sampling seed (default 0, or ${SEED_ENV_VAR} when set)",
+            )
+            p.add_argument(
+                "--tol",
+                type=float,
+                default=None,
+                help="override the per-suite default tolerance",
+            )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report to a file")
 
     p_prolong = sub.add_parser(
         "prolong", help="evaluate a prolonged matrix at one tangent element"
     )
-    common(p_prolong)
+    common(p_prolong, rep=True, samples=False)
     p_prolong.add_argument(
         "--a-coords",
         required=True,
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    common(p_check)
+    common(p_check, rep=True, samples=True)
     p_check.add_argument(
         "--suite",
         required=True,
@@ -423,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_catalog = sub.add_parser("catalog", help="list the built-in representations")
-    common(p_catalog, with_rep=False)
+    common(p_catalog, rep=False, samples=False)
     p_catalog.add_argument(
         "--kind", choices=[k.value for k in GroupKind], help="filter by group kind"
     )
@@ -431,28 +430,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="run every suite over the whole catalog"
     )
-    common(p_report, with_rep=False)
+    common(p_report, rep=False, samples=True)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
+    # A command without a flag echoes the RunConfig default in its place.
+    seed = getattr(args, "seed", None)
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
         try:
             seed = int(raw)
         except ValueError:
             raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if args.samples < 1:
-        raise _InputError(f"--samples must be at least 1, got {args.samples}")
-    if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
-        raise _InputError(f"--tol must be positive and finite, got {args.tol}")
+    samples = getattr(args, "samples", RunConfig.samples)
+    if samples < 1:
+        raise _InputError(f"--samples must be at least 1, got {samples}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise _InputError(f"--tol must be positive and finite, got {tol}")
     return RunConfig(
         command=args.command,
         rep_source=getattr(args, "rep", None),
-        samples=args.samples,
+        samples=samples,
         seed=seed,
-        tol=args.tol,
+        tol=tol,
         output=args.output,
         format=args.format,
         suite=getattr(args, "suite", None),

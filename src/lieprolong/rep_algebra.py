@@ -106,6 +106,9 @@ _SAMPLE_MEMO = 64
 # Random conjugators tried by the equivalence transfer check.
 _CONJUGATIONS = 20
 
+# Default tolerance of the homomorphism checks, plain and prolonged.
+_HOMOMORPHISM_TOL = 1e-9
+
 RepLike = Union[Representation, ProlongedRepresentation]
 
 
@@ -170,13 +173,6 @@ def _tangent_sample(
     return sample_tangent_elements(spec, keys)
 
 
-# The homomorphism check's plain and prolonged halves evaluate the same
-# products; one chunk of them is kept for the other half.
-@functools.lru_cache(maxsize=1)
-def _tangent_product(spec: GroupSpec, xkeys, ykeys) -> TangentGroupElement:
-    return tg_multiply(_tangent_sample(spec, xkeys), _tangent_sample(spec, ykeys))
-
-
 def _sample(rep: RepLike, keys):
     # The group draw under a key is, bit for bit, the base of the tangent
     # draw under it: both exponentiate the first draw of the key's generator.
@@ -239,6 +235,11 @@ def _verdict(name: str, worst: float, tol: float, witness: dict) -> CheckReport:
     return CheckReport(name, Verdict.FAIL, worst, witness)
 
 
+def _witness(seed, index, residual) -> dict:
+    """Where a sampled check came nearest to failing, in replayable form."""
+    return {"seed": _payload(seed), "sample_index": int(index), "residual": float(residual)}
+
+
 def _sampled_check(
     name: str,
     samples: int,
@@ -247,34 +248,49 @@ def _sampled_check(
     residuals: Callable[[np.ndarray], np.ndarray],
 ) -> CheckReport:
     worst, index = _scan(name, samples, seed, residuals)
-    worst = float(worst)
-    witness = {"seed": _payload(seed), "sample_index": int(index), "residual": worst}
-    return _verdict(name, worst, tol, witness)
+    return _verdict(name, float(worst), tol, _witness(seed, index, worst))
+
+
+def _homomorphism_checks(
+    rep: Representation, samples: int, seed, tol: float = _HOMOMORPHISM_TOL
+) -> tuple[CheckReport, CheckReport]:
+    """The homomorphism check of ``rep`` and of its prolongation, on the same
+    pairs of tangent elements.  The prolonged image ``[[R, 0], [K R, R]]``
+    carries the plain image ``R`` on its diagonal, so each product and each
+    factor is prolonged once and both residuals are read off it.
+    """
+
+    def residuals(indices):
+        X = _tangent_sample(rep.group, _keys(seed, 2 * indices))
+        Y = _tangent_sample(rep.group, _keys(seed, 2 * indices + 1))
+        xy, x, y = (prolong(rep, Z) for Z in (tg_multiply(X, Y), X, Y))
+        return np.stack(
+            [
+                relative_residual(xy.top_left, x.top_left @ y.top_left, axis=(-2, -1)),
+                relative_residual(xy.dense(), x.dense() @ y.dense(), axis=(-2, -1)),
+            ]
+        )
+
+    worst, index = _scan("homomorphism", samples, seed, residuals)
+    return tuple(
+        _verdict("homomorphism", float(w), tol, _witness(seed, i, w)) for w, i in zip(worst, index)
+    )
 
 
 def check_homomorphism(
     rep: RepLike,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = _HOMOMORPHISM_TOL,
 ) -> CheckReport:
     """Sample pairs and compare the image of the product with the product
     of the images.  Works on plain representations and on prolongations;
     for a prolongation the pairs are tangent elements composed with the
-    tangent group law.
+    tangent group law, and for a plain representation their base points.
     """
-
-    def residuals(indices):
-        xkeys, ykeys = _keys(seed, 2 * indices), _keys(seed, 2 * indices + 1)
-        x, y = _sample(rep, xkeys), _sample(rep, ykeys)
-        product = _tangent_product(rep.group, xkeys, ykeys)
-        if not isinstance(rep, ProlongedRepresentation):
-            product = product.base
-        combined = _image(rep, product)
-        split = _image(rep, x) @ _image(rep, y)
-        return relative_residual(combined, split, axis=(-2, -1))
-
-    return _sampled_check("homomorphism", samples, seed, tol, residuals)
+    if isinstance(rep, ProlongedRepresentation):
+        return _homomorphism_checks(rep.base, samples, seed, tol)[1]
+    return _homomorphism_checks(rep, samples, seed, tol)[0]
 
 
 def check_action_oracle(
@@ -460,12 +476,7 @@ def check_equivalence_transfer(
             worst,
             {"conjugation_index": len(lifts), "reason": "conjugator not full rank"},
         )
-    witness = {
-        "conjugation_index": c,
-        "seed": _payload(sample_seed),
-        "sample_index": int(indices[c]),
-        "residual": worst,
-    }
+    witness = {"conjugation_index": c, **_witness(sample_seed, indices[c], worst)}
     return _verdict("equivalence_transfer", worst, tol, witness)
 
 
@@ -613,11 +624,7 @@ def check_invariance_transfer(
     failing = max(parts, key=parts.get)
     detail = {
         "base": base_report.witness,
-        "prolonged": {
-            "seed": _payload(tangent_seed),
-            "sample_index": int(index[0]),
-            "residual": parts["prolonged"],
-        },
+        "prolonged": _witness(tangent_seed, index[0], parts["prolonged"]),
         "base_extraction": {
             "sample_index": int(index[1]),
             "residual": parts["base_extraction"],
@@ -731,12 +738,14 @@ def certify_irreducible_lines_2d(rep: RepLike, seed: int = 0) -> CheckReport:
     grid = np.linspace(0.0, np.pi, angles, endpoint=False)
     directions = np.stack([np.cos(grid), np.sin(grid)])
     perps = np.stack([-np.sin(grid), np.cos(grid)])
-    worst_per_angle = np.zeros(angles)
-    for indices in _chunks(samples):
+
+    def residuals(indices):
         images = _image(rep, _sample(rep, _keys(seed, indices, 37))) @ directions
         off_line = np.abs(np.sum(perps * images, axis=-2))
         scale = np.maximum(1.0, np.max(np.abs(images), axis=-2))
-        worst_per_angle = np.maximum(worst_per_angle, np.max(off_line / scale, axis=0))
+        return (off_line / scale).T  # one row per angle
+
+    worst_per_angle, _ = _scan("line_sweep", samples, seed, residuals)
     weakest = int(np.argmin(worst_per_angle))
     floor = float(worst_per_angle[weakest])
     if floor > 1e-2:

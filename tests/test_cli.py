@@ -453,6 +453,14 @@ class TestSeeds:
         assert code == 2
         assert SEED_ENV_VAR in err
 
+    def test_catalog_echoes_the_env_seed_and_the_default_samples(self, capsys, monkeypatch):
+        # catalog takes no --samples, --seed or --tol; its echo keeps the
+        # defaults and the environment seed in their places.
+        monkeypatch.setenv(SEED_ENV_VAR, "9")
+        _, document, _ = run_json(capsys, "catalog")
+        config = document["config"]
+        assert (config["samples"], config["seed"], config["tol"]) == (200, 9, None)
+
     def test_different_seeds_change_residuals(self, capsys):
         _, left, _ = run_json(
             capsys, "check", "--rep", "so3_standard", "--suite", "homomorphism", "--seed", "1"
@@ -568,6 +576,25 @@ class TestMalformedInput:
         assert out == ""
         assert "--samples" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "--samples", "5"],
+            ["catalog", "--seed", "1"],
+            ["catalog", "--tol", "1e-3"],
+            ["prolong", "--rep", "circle_rotation", "--a-coords", "0", "--fiber", "1",
+             "--samples", "5"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: lieprolong")
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
 
     def test_overflowing_fiber_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -410,6 +412,14 @@ class TestLineSweep:
         with pytest.raises(ValueError):
             certify_irreducible_lines_2d(rep_of("so3_standard"))
 
+    @pytest.mark.parametrize(
+        ("name", "floor"),
+        [("circle_rotation", 0.8387241950260579), ("gl_identity(2)", 0.7630130975876549)],
+    )
+    def test_min_line_residual_is_pinned(self, name, floor):
+        report = certify_irreducible_lines_2d(rep_of(name), seed=20)
+        assert report.witness["min_line_residual"] == floor
+
 
 class TestDirectSum:
     def test_images_are_block_diagonal(self):
@@ -639,7 +649,6 @@ class TestSampleMemo:
 
     def clear(self):
         rep_algebra._tangent_sample.cache_clear()
-        rep_algebra._tangent_product.cache_clear()
 
     def count_logm(self, monkeypatch) -> list:
         logm = scipy.linalg.logm
@@ -688,15 +697,41 @@ class TestSampleMemo:
         # representation checks when it is built carries its own.
         assert len(calls) == 20
 
-    def test_homomorphism_suite_takes_each_product_logarithm_once(self, monkeypatch):
-        rep = load_representation(so3_doubled())
+    def test_homomorphism_suite_takes_each_product_logarithm_once(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        path = tmp_path / "so3_doubled.json"
+        path.write_text(json.dumps(so3_doubled()))
         self.clear()
         calls = self.count_logm(monkeypatch)
-        assert check_homomorphism(rep, 30, seed=0).passed
-        assert len(calls) == 90  # x, y and their product, per sample
-        # The prolonged half reuses the plain half's products and bases.
-        assert check_homomorphism(prolonged(rep), 30, seed=0).passed
+        argv = ["check", "--rep", str(path), "--suite", "homomorphism", "--samples", "30"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # x, y and their product, per sample: the plain and prolonged rows
+        # are read off one prolonged evaluation.
         assert len(calls) == 90
+
+    @pytest.mark.parametrize("source", ["so3_standard", "circle_plus_trivial", "so3_doubled"])
+    def test_homomorphism_suite_rows_are_the_public_checks(self, capsys, tmp_path, source):
+        if source == "so3_doubled":
+            rep = load_representation(so3_doubled())
+            source = tmp_path / "so3_doubled.json"
+            source.write_text(json.dumps(so3_doubled()))
+        else:
+            rep = rep_of(source)
+        # At this tolerance every row with a non-zero residual fails and shows
+        # its witness: the prolonged rows all do, the plain rows of the exact
+        # catalog entries pass at 0.
+        argv = ["check", "--rep", str(source), "--suite", "homomorphism", "--samples", "40",
+                "--seed", "6", "--tol", "1e-30"]
+        main(argv)
+        rows = json.loads(capsys.readouterr().out)["checks"]
+        reports = [check_homomorphism(r, 40, seed=6, tol=1e-30) for r in (rep, prolonged(rep))]
+        for row, report in zip(rows, reports):
+            assert row["verdict"] == report.verdict.value
+            assert row["max_residual"] == report.max_residual
+            assert row.get("witness") == report.witness
+        assert reports[1].witness is not None
 
     def test_report_builds_no_generator_per_key(self, monkeypatch, capsys):
         built, default_rng = [], np.random.default_rng
