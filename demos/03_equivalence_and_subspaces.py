@@ -18,7 +18,6 @@ line, yet its prolongation has an invariant plane.
 from lieprolong import (
     SubspaceBasis,
     catalog_entry,
-    certify_irreducible_lines_2d,
     check_equivalence_transfer,
     check_invariance_transfer,
     is_intertwiner,
@@ -26,6 +25,7 @@ from lieprolong import (
     prolong_intertwiner,
     prolonged,
     random_conjugator,
+    reducibility_probe,
     conjugate_representation,
     vertical_subspace,
 )
@@ -51,10 +51,12 @@ for k, U in enumerate(entry.known_invariant_subspaces):
     print(f"subspace {k} of {entry.name}: {report.verdict.value}"
           f" (residual {report.max_residual:.2e})")
 
-# the reducibility counterexample
-sweep = certify_irreducible_lines_2d(rotation, seed=7)
+# the reducibility counterexample: the commutant of the rotations is the
+# complex numbers, so no line is invariant
+probe = reducibility_probe(rotation)
 print()
-print("rotation rep invariant lines:", sweep.witness["classification"])
+print("rotation rep:", probe.witness["classification"],
+      f"(commutant type {probe.witness['commutant_type']})")
 
 fiber_plane = vertical_subspace(2)
 report = is_invariant_subspace(prolonged(rotation), fiber_plane, 100, seed=7)

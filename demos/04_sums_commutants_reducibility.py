@@ -9,9 +9,12 @@ two prolongations.  Exactly, because permuting indices involves no
 arithmetic.
 
 The commutant (matrices commuting with every image) measures how far a
-representation is from irreducible.  Its dimension is computed from the
-nullspace of sampled commutation constraints, and a reducibility probe
-turns a fat commutant into a verified invariant subspace when it can.
+representation is from irreducible.  It is the nullspace of the
+commutation constraints on the generator images d rho(B_i), which decide
+it exactly on the identity component, so nothing is sampled.  The
+reducibility probe reads irreducibility off a commutant that is the reals
+or the complex numbers (Schur's lemma), and otherwise turns it into an
+invariant subspace that every generator keeps.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ from lieprolong import (
     direct_sum,
     interleave_permutation,
     prolong,
+    prolonged,
     reducibility_probe,
     sample_tangent_element,
 )
@@ -51,13 +55,14 @@ print()
 for name in ["gl_identity(2)", "so3_standard", "circle_rotation",
              "circle_plus_trivial", "circle_double", "trivial(2)"]:
     rep = catalog_entry(name).rep
-    print(f"commutant dim of {name}: {len(commutant_basis(rep, seed=10))}")
+    print(f"commutant dim of {name}: {len(commutant_basis(rep))}")
 
-# scalars only -> irreducible; a fat commutant is mined for a verified
-# invariant subspace; the rotation rep stays inconclusive here because
-# its commutant contains no usable symmetric element (the line sweep in
-# demo 03 settles it instead)
+# scalars or the complex numbers -> irreducible; a larger commutant is
+# split into a verified invariant subspace; every prolongation splits
 print()
 for name in ["gl_identity(2)", "circle_double", "circle_rotation"]:
-    report = reducibility_probe(catalog_entry(name).rep, seed=10)
-    print(f"{name}: {report.witness['classification']}")
+    rep = catalog_entry(name).rep
+    base, lifted = reducibility_probe(rep), reducibility_probe(prolonged(rep))
+    print(f"{name}: {base.witness['classification']}, prolonged: "
+          f"{lifted.witness['classification']} "
+          f"(invariant subspace of dimension {lifted.witness['subspace_dimension']})")

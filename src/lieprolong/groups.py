@@ -52,7 +52,6 @@ __all__ = [
     "algebra_membership_residual",
     "block_diag",
     "circle",
-    "circle_element",
     "general_linear",
     "group_coordinates",
     "group_membership_residual",
@@ -335,12 +334,6 @@ def identity_element(spec: GroupSpec) -> GroupElement:
     """The identity, carrying its exponential coordinates (exact zeros)."""
     coords = np.zeros(len(algebra_basis(spec)))
     return _trusted(GroupElement, matrix=np.eye(spec.dim), spec=spec, _coordinates=coords)
-
-
-def circle_element(theta: float) -> GroupElement:
-    """The circle element at angle ``theta``: exp(theta * [[0,1],[-1,0]])."""
-    c, s = math.cos(theta), math.sin(theta)
-    return GroupElement(np.array([[c, s], [-s, c]]), circle())
 
 
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:

@@ -1,11 +1,16 @@
 """Structural checks on representations and their prolongations.
 
-Every check in this module but one is sampling-based and deterministic:
+The checks that test ``apply`` are sampling-based and deterministic:
 callers pass an integer seed, each sampled element is derived from (seed,
 sample index), and any reported witness carries that provenance so a
-failure can be replayed exactly.  The exception, :func:`faithfulness_probe`,
-draws nothing: it reads the kernel off the differential and the center of
-the group, and its witness is the colliding element itself.
+failure can be replayed exactly.  Three probes draw nothing and decide
+their claim from the generator images ``d rho(B_i)``, since ``exp(g)``
+generates the identity component, the part of the group the library
+evaluates: :func:`faithfulness_probe` reads the kernel off the
+differential and the center of the group, :func:`commutant_basis` solves
+the commutation constraints on the generators, and
+:func:`reducibility_probe` reads irreducibility or an invariant subspace
+off that commutant.
 
 The sampled checks share one driver: samples are drawn as stacks of at
 most ``_CHUNK`` elements, the representation is evaluated on the whole
@@ -15,9 +20,9 @@ raises instead of passing.
 
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
-that are allowed to give up, such as :func:`reducibility_probe` when the
-commutant splitting heuristic finds nothing it can certify, or
-:func:`faithfulness_probe` when a positive scalar may lie in the kernel.
+that are allowed to give up, such as :func:`reducibility_probe` when its
+commutant is neither a division algebra nor split by a verified kernel,
+or :func:`faithfulness_probe` when a positive scalar may lie in the kernel.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -68,10 +73,8 @@ from .tangent_space import TangentVector
 __all__ = [
     "CheckReport",
     "Intertwiner",
-    "RANK_RTOL",
     "SubspaceBasis",
     "Verdict",
-    "certify_irreducible_lines_2d",
     "check_action_oracle",
     "check_direct_sum_commutation",
     "check_equivalence_transfer",
@@ -92,8 +95,11 @@ __all__ = [
 ]
 
 # Relative threshold for rank and nullspace decisions: a singular value
-# counts as zero when it is below RANK_RTOL times the largest one.
-RANK_RTOL = 1e-8
+# counts as zero when it is below _RANK_RTOL times the largest one.
+_RANK_RTOL = 1e-8
+
+# Eigenvalues of a unit-norm commutant element this close are one cluster.
+_EIGEN_CLUSTER = 1e-6
 
 # Samples are drawn and evaluated in stacks of at most this many, which
 # bounds the memory a check needs whatever the sample count.  The sample
@@ -186,6 +192,30 @@ def _image(rep: RepLike, element) -> np.ndarray:
     return rep_image(rep, element)
 
 
+def _algebra_images(rep: RepLike) -> np.ndarray:
+    """The images ``D_i = d rho(B_i)`` of the canonical algebra basis, a
+    ``(k, m, m)`` stack (empty for SL(1)).  For a prolongation, the 2k
+    images of the basis of the tangent algebra, g acting on itself:
+    ``[[D_i, 0], [0, D_i]]``, then ``[[0, 0], [D_i, 0]]``.
+
+    ``exp(g)`` generates the identity component, the part of the group the
+    library evaluates, so a matrix commutes with every image, and a subspace
+    is invariant under every image, exactly when the same holds for these.
+    """
+    base = rep.base if isinstance(rep, ProlongedRepresentation) else rep
+    basis = algebra_basis(rep.group)
+    if not basis:
+        images = np.zeros((0, base.target_dim, base.target_dim))
+    else:
+        images = differential_rep(base, AlgebraElement(np.stack(basis), rep.group))
+    if isinstance(rep, ProlongedRepresentation):
+        zero = np.zeros_like(images)
+        return np.concatenate(
+            [np.block([[images, zero], [zero, images]]), np.block([[zero, zero], [images, zero]])]
+        )
+    return images
+
+
 def _chunks(samples: int) -> Iterator[np.ndarray]:
     """Sample indices 0..samples-1 in stacks of at most ``_CHUNK``."""
     if samples < 1:
@@ -202,21 +232,25 @@ def _scan(
     ``residuals(indices)`` returns an array whose last axis runs over
     ``indices``; leading axes, if any, are scanned independently.  Images
     that cannot be evaluated raise a :class:`NonFiniteImageError` naming
-    the check, the seed and the first sample at which that evaluation
-    fails, so the failure replays.
+    the check, the seed and the first sample that fails on its own, with
+    that sample's own message, so the failure replays.
     """
     worst = index = None
     for indices in _chunks(samples):
         try:
             chunk = residuals(indices)
-        except NonFiniteImageError as exc:
-            if exc.position is None:
-                raise
+        except NonFiniteImageError:
+            # A stack fails at its first failing evaluation, which need not
+            # hold the first failing sample: replay the samples one by one.
             shown = list(seed) if isinstance(seed, tuple) else _payload(seed)
-            raise NonFiniteImageError(
-                f"{name} check, seed {shown}, sample index "
-                f"{indices[exc.position]}: {exc}"
-            ) from None
+            for i in range(len(indices)):
+                try:
+                    residuals(indices[i : i + 1])
+                except NonFiniteImageError as exc:
+                    raise NonFiniteImageError(
+                        f"{name} check, seed {shown}, sample index {indices[i]}: {exc}"
+                    ) from None
+            raise
         k = np.argmax(chunk, axis=-1)
         top = np.take_along_axis(chunk, k[..., None], axis=-1)[..., 0]
         if worst is None:
@@ -339,7 +373,7 @@ class Intertwiner:
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return False
-        return bool(np.sum(s > RANK_RTOL * s[0]) == min(self.matrix.shape))
+        return bool(np.sum(s > _RANK_RTOL * s[0]) == min(self.matrix.shape))
 
 
 def _intertwiner_matrix(A) -> np.ndarray:
@@ -509,7 +543,7 @@ class SubspaceBasis:
             raise ValueError("basis entries must be finite")
         if v.shape[0] > 0:
             s = np.linalg.svd(v, compute_uv=False)
-            if s[0] == 0.0 or np.sum(s > RANK_RTOL * s[0]) < v.shape[0]:
+            if s[0] == 0.0 or np.sum(s > _RANK_RTOL * s[0]) < v.shape[0]:
                 raise ValueError("basis vectors are linearly dependent")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
@@ -634,155 +668,94 @@ def check_invariance_transfer(
     return _verdict("invariance_transfer", parts[failing], tol, witness)
 
 
-def commutant_basis(rep: RepLike, seed: int = 0) -> list[np.ndarray]:
-    """Orthonormal basis of matrices commuting with all sampled images.
+def commutant_basis(rep: RepLike) -> list[np.ndarray]:
+    """Orthonormal basis of the matrices commuting with every image.
 
-    Stacks the linear constraints M X = X M over eight sampled images M and
-    returns the nullspace, reshaped to matrices.
+    On the identity component a matrix commutes with every image exactly
+    when it commutes with the generator images (:func:`_algebra_images`), so
+    this is the nullspace of the stacked constraints M D = D M over them,
+    reshaped to matrices.  It draws nothing.
     """
     n = rep.target_dim
     eye = np.eye(n)
-    images = _image(rep, _sample(rep, _keys(seed, range(8), 11)))
-    stacked = np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in images])
+    images = _algebra_images(rep)
+    if not len(images):  # SL(1): every matrix commutes
+        return list(np.eye(n * n).reshape(-1, n, n))
+    stacked = np.vstack([np.kron(eye, D.T) - np.kron(D, eye) for D in images])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
-    return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= cutoff]
+    return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= _RANK_RTOL * s[0]]
 
 
-def reducibility_probe(rep: RepLike, seed: int = 0) -> CheckReport:
-    """Try to certify irreducibility or produce an invariant subspace.
+def _eigen_kernels(M: np.ndarray) -> Iterator[np.ndarray]:
+    """Orthonormal rows spanning each proper kernel of a polynomial in ``M``
+    (unit 2-norm) at one of its eigenvalues ``mu``: ``M - mu`` when ``mu``
+    is real, ``M^2 - 2 Re mu M + |mu|^2`` otherwise.
 
-    Commutant of dimension one certifies irreducibility.  Otherwise a
-    random commutant element is symmetrized and its eigenspaces are tested
-    for invariance; a verified proper eigenspace certifies reducibility.
-    Everything else is inconclusive by design: the commutant can be larger
-    than the scalars without yielding a real splitting.
+    Rank is decided against ``|M|^2 = 1``, not against the polynomial's own
+    norm, which vanishes when the polynomial does.  A defective eigenvalue
+    splits by about sqrt(eps) in floating point, so each is replaced by the
+    mean of its cluster.
     """
-    try:
-        commutant = commutant_basis(rep, seed)
-    except ValueError as exc:
-        return CheckReport(
-            "reducibility_probe",
-            Verdict.INCONCLUSIVE,
-            0.0,
-            {"classification": "inconclusive", "reason": str(exc)},
-        )
-    dim = len(commutant)
-    if dim == 0:
-        return CheckReport(
-            "reducibility_probe",
-            Verdict.INCONCLUSIVE,
-            0.0,
-            {
-                "classification": "inconclusive",
-                "reason": "numerical commutant came out empty",
-            },
-        )
-    if dim == 1:
-        return CheckReport(
-            "reducibility_probe",
-            Verdict.PASS,
-            0.0,
-            {"classification": "irreducible", "commutant_dimension": 1},
-        )
-    n = rep.target_dim
-    rng = _rng(_derive(seed, 23))
-    element = np.tensordot(rng.normal(size=dim), np.stack(commutant), axes=1)
-    symmetric = (element + element.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-    gap = RANK_RTOL * max(1.0, float(np.max(np.abs(eigenvalues))))
-    clusters: list[list[int]] = [[0]]
-    for j in range(1, n):
-        if eigenvalues[j] - eigenvalues[j - 1] > gap:
-            clusters.append([j])
+    n = len(M)
+    eigenvalues = np.linalg.eigvals(M)
+    for mu in eigenvalues:
+        mu = np.mean(eigenvalues[np.abs(eigenvalues - mu) <= _EIGEN_CLUSTER])
+        if abs(mu.imag) <= _EIGEN_CLUSTER:
+            polynomial = M - mu.real * np.eye(n)
         else:
-            clusters[-1].append(j)
-    for cluster in clusters:
-        if not 0 < len(cluster) < n:
-            continue
-        candidate = SubspaceBasis(n, eigenvectors[:, cluster].T)
-        verdict = is_invariant_subspace(rep, candidate, 100, _derive(seed, 31))
-        if verdict.passed:
-            return CheckReport(
-                "reducibility_probe",
-                Verdict.PASS,
-                verdict.max_residual,
-                {
-                    "classification": "reducible",
-                    "commutant_dimension": dim,
-                    "invariant_subspace": _payload(candidate.vectors),
-                    "subspace_dimension": len(cluster),
-                },
-            )
-    return CheckReport(
-        "reducibility_probe",
-        Verdict.INCONCLUSIVE,
-        0.0,
-        {"classification": "inconclusive", "commutant_dimension": dim},
-    )
+            polynomial = M @ M - 2.0 * mu.real * M + abs(mu) ** 2 * np.eye(n)
+        _, s, vh = np.linalg.svd(polynomial)
+        kernel = vh[s <= _RANK_RTOL]
+        if 0 < len(kernel) < n:
+            yield kernel
 
 
-def certify_irreducible_lines_2d(rep: RepLike, seed: int = 0) -> CheckReport:
-    """Exhaustive sweep over lines through the origin of R^2.
+def reducibility_probe(rep: RepLike) -> CheckReport:
+    """Certify irreducibility or produce an invariant subspace, from the
+    commutant of the generator images.  It draws nothing.
 
-    Only for two-dimensional representations, where every proper invariant
-    subspace is a line.  If every line on a grid of 1024 angles is moved
-    off itself by one of 32 sampled images (by more than 1e-2),
-    irreducibility is certified.  If the sweep finds a line that the
-    sampled images preserve, that line is re-verified and reported as a
-    reducibility witness.
+    - Irreducible (PASS): the commutant is the reals (dimension 1, type R)
+      or the complex numbers (dimension 2, its traceless element squares to
+      a negative scalar, type C).  This is Schur's lemma, and it applies
+      because every representation the library evaluates is completely
+      reducible when its commutant is that small: compact and semisimple
+      kinds always are, and on GL(n) a non-semisimple image of the center
+      would itself be a non-scalar commutant element.
+    - Reducible (PASS): a polynomial in a commutant element commutes with
+      every image, so its kernel is invariant.  The first proper kernel of
+      one fixed combination ``M`` of the commutant basis
+      (:func:`_eigen_kernels`) whose generator defect, scaled as in
+      :func:`is_invariant_subspace`, is below 1e-9 is the witness, and that
+      defect is the residual.
+    - Inconclusive: anything else.  The probe never guesses.
     """
-    if rep.target_dim != 2:
-        raise ValueError("the line sweep applies to two-dimensional representations only")
-    angles, samples = 1024, 32
-    grid = np.linspace(0.0, np.pi, angles, endpoint=False)
-    directions = np.stack([np.cos(grid), np.sin(grid)])
-    perps = np.stack([-np.sin(grid), np.cos(grid)])
-
-    def residuals(indices):
-        images = _image(rep, _sample(rep, _keys(seed, indices, 37))) @ directions
-        off_line = np.abs(np.sum(perps * images, axis=-2))
-        scale = np.maximum(1.0, np.max(np.abs(images), axis=-2))
-        return (off_line / scale).T  # one row per angle
-
-    worst_per_angle, _ = _scan("line_sweep", samples, seed, residuals)
-    weakest = int(np.argmin(worst_per_angle))
-    floor = float(worst_per_angle[weakest])
-    if floor > 1e-2:
-        return CheckReport(
-            "line_sweep",
-            Verdict.PASS,
-            0.0,
-            {
-                "classification": "irreducible",
-                "min_line_residual": floor,
-                "angles": angles,
-                "samples": samples,
-            },
-        )
-    candidate = SubspaceBasis(2, directions[:, weakest])
-    verdict = is_invariant_subspace(rep, candidate, 200, _derive(seed, 43))
-    if verdict.passed:
-        return CheckReport(
-            "line_sweep",
-            Verdict.PASS,
-            verdict.max_residual,
-            {
+    name = "reducibility_probe"
+    commutant = commutant_basis(rep)
+    dim, n = len(commutant), rep.target_dim
+    irreducible = {"classification": "irreducible", "commutant_dimension": dim}
+    if dim == 1:
+        return CheckReport(name, Verdict.PASS, 0.0, {**irreducible, "commutant_type": "R"})
+    if dim == 2:
+        # span{I, J}: a unit traceless J with J^2 = c I, c < 0, has c = -1/n.
+        J = max((C - np.trace(C) / n * np.eye(n) for C in commutant), key=np.linalg.norm)
+        J = J / np.linalg.norm(J)
+        if np.max(np.abs(J @ J + np.eye(n) / n)) <= _RANK_RTOL:
+            return CheckReport(name, Verdict.PASS, 0.0, {**irreducible, "commutant_type": "C"})
+    # Distinct irrational weights: a generic element of the commutant.
+    M = np.tensordot(np.sqrt(np.arange(dim) + 2.0), np.stack(commutant), axes=1)
+    images = _algebra_images(rep)
+    for kernel in _eigen_kernels(M / np.linalg.norm(M, 2)):
+        defect = float(np.max(_projection_defects(images @ kernel.T, kernel), initial=0.0))
+        if defect < 1e-9:
+            witness = {
                 "classification": "reducible",
-                "invariant_line_angle": float(grid[weakest]),
-                "invariant_subspace": _payload(candidate.vectors),
-            },
-        )
-    return CheckReport(
-        "line_sweep",
-        Verdict.INCONCLUSIVE,
-        0.0,
-        {
-            "classification": "inconclusive",
-            "min_line_residual": floor,
-            "angle": float(grid[weakest]),
-        },
-    )
+                "commutant_dimension": dim,
+                "invariant_subspace": _payload(kernel),
+                "subspace_dimension": len(kernel),
+            }
+            return CheckReport(name, Verdict.PASS, defect, witness)
+    witness = {"classification": "inconclusive", "commutant_dimension": dim}
+    return CheckReport(name, Verdict.INCONCLUSIVE, 0.0, witness)
 
 
 def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
@@ -886,12 +859,11 @@ def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:
     import scipy.linalg
 
     spec = rep.group
-    if not algebra_basis(spec):  # SL(1), the trivial group
+    images = _algebra_images(rep)
+    k, m = len(images), rep.target_dim
+    if not k:  # SL(1), the trivial group
         facts = {"rank": 0, "margin": 1.0, "scope": "identity component"}
         return CheckReport("faithfulness_probe", Verdict.PASS, 0.0, facts)
-    basis = np.stack(algebra_basis(spec))
-    k, m = len(basis), rep.target_dim
-    images = differential_rep(rep, AlgebraElement(basis, spec))
     _, s, vh = np.linalg.svd(images.reshape(k, -1).T)
     s = np.pad(s, (0, k - s.size))
     facts = {
@@ -906,6 +878,7 @@ def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:
         return CheckReport("faithfulness_probe", Verdict.FAIL, gap, {**witness, **facts})
 
     if s[-1] <= tol * s[0]:
+        basis = np.stack(algebra_basis(spec))
         fiber = AlgebraElement(np.tensordot(vh[-1], basis, axes=1), spec)
         X = TangentGroupElement(identity_element(spec), fiber)
         gap = float(np.max(np.abs(prolong(rep, X).dense() - np.eye(2 * m))))

@@ -24,7 +24,6 @@ from lieprolong import (
     TangentVector,
     catalog_entry,
     catalog_list,
-    certify_irreducible_lines_2d,
     check_action_oracle,
     check_direct_sum_commutation,
     check_equivalence_transfer,
@@ -37,6 +36,7 @@ from lieprolong import (
     is_invariant_subspace,
     jn_embed,
     prolonged,
+    reducibility_probe,
     relative_residual,
     sample_tangent_element,
     tg_multiply,
@@ -130,7 +130,7 @@ def test_criterion_04_equivalence_transfers_to_prolongations():
 def random_invariant_subspaces(rep, split: int, count: int, seed: int):
     """Invariant subspaces of a direct-sum rep: push a summand subspace
     through random invertible commutant elements."""
-    blocks = commutant_basis(rep, seed)
+    blocks = commutant_basis(rep)
     n = rep.target_dim
     half = [SubspaceBasis(n, np.eye(n)[:split]), SubspaceBasis(n, np.eye(n)[split:])]
     out = []
@@ -194,10 +194,12 @@ def test_criterion_06_vertical_subspace_reproduces_the_reducibility_counterexamp
     fiber_report = is_invariant_subspace(prolonged(rotation), fiber_plane, 200, SEED, 1e-9)
     assert fiber_report.passed, fiber_report
 
-    # the base representation has no invariant line, so its reducible
-    # prolongation is the one-directional counterexample
-    sweep = certify_irreducible_lines_2d(rotation, seed=SEED)
-    assert sweep.passed and sweep.witness["classification"] == "irreducible"
+    # the base representation has no invariant line (its commutant is the
+    # complex numbers), so its reducible prolongation is the one-directional
+    # counterexample
+    probe = reducibility_probe(rotation)
+    assert probe.passed and probe.witness["classification"] == "irreducible"
+    assert reducibility_probe(prolonged(rotation)).witness["classification"] == "reducible"
 
     worst = fiber_report.max_residual
     for entry in catalog_list():

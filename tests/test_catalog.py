@@ -12,6 +12,7 @@ from descriptors import (
     so3_repeated_image,
     so4_dense_conjugated,
 )
+from elements import circle_element
 
 from lieprolong import (
     AlgebraElement,
@@ -25,7 +26,6 @@ from lieprolong import (
     catalog_list,
     catalog_names,
     check_homomorphism,
-    circle_element,
     differential_rep,
     faithfulness_probe,
     is_invariant_subspace,

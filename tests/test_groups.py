@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from elements import circle_element
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from lieprolong import (
     algebra_membership_residual,
     block_diag,
     circle,
-    circle_element,
     general_linear,
     group_coordinates,
     group_membership_residual,

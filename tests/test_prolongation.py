@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from descriptors import GENERATOR_DESCRIPTORS
+from elements import circle_element
 
 from lieprolong import (
     AlgebraElement,
@@ -17,7 +18,6 @@ from lieprolong import (
     catalog_entry,
     catalog_names,
     circle,
-    circle_element,
     differential_rep,
     finite_difference_differential,
     general_linear,

@@ -7,15 +7,18 @@ from descriptors import (
     adjoint,
     circle_winding,
     determinant,
+    gl1_power,
     gl3_units,
     sl2_conjugated,
     so3_doubled,
     symmetric_power,
 )
+from elements import circle_element
 
 from lieprolong import (
     CheckReport,
     Intertwiner,
+    NonFiniteImageError,
     ProlongedMatrix,
     Representation,
     SpecMismatchError,
@@ -23,14 +26,13 @@ from lieprolong import (
     Verdict,
     algebra_from_coordinates,
     catalog_entry,
-    certify_irreducible_lines_2d,
+    catalog_list,
     check_action_oracle,
     check_direct_sum_commutation,
     check_equivalence_transfer,
     check_homomorphism,
     check_invariance_transfer,
     circle,
-    circle_element,
     commutant_basis,
     conjugate_representation,
     differential_rep,
@@ -328,6 +330,49 @@ def sympy_rotation_commutant_dimension() -> int:
     return 4 - coefficient.rank()
 
 
+# Commutant dimensions of each catalog entry and of its prolongation.
+COMMUTANT_DIMENSIONS = {
+    "circle_rotation": (2, 4),
+    "circle_winding_2": (2, 4),
+    "gl_identity(1)": (1, 2),
+    "gl_identity(2)": (1, 2),
+    "gl_identity(3)": (1, 2),
+    "sl2_standard": (1, 2),
+    "so3_standard": (1, 2),
+    "trivial(1)": (1, 4),
+    "trivial(2)": (4, 16),
+    "circle_double": (8, 16),
+    "circle_plus_trivial": (3, 8),
+}
+
+# The same for descriptors; None where the prolongation is too large to
+# solve quickly (2 x 21 = 42 coordinates, 1764 unknowns).
+DESCRIPTOR_COMMUTANT_DIMENSIONS = {
+    "so3_doubled": (so3_doubled, (4, 8)),
+    "sl2_conjugated": (sl2_conjugated, (1, 2)),
+    "gl3_units": (gl3_units, (1, 2)),
+    "symmetric_power(4)": (lambda: symmetric_power(4), (1, 2)),
+    "symmetric_power(10)": (lambda: symmetric_power(10), (1, 2)),
+    "symmetric_power(20)": (lambda: symmetric_power(20), (1, None)),
+}
+
+# Classification of each catalog entry by the probe; every prolongation
+# is reducible.
+BASE_CLASSIFICATIONS = {
+    "circle_rotation": "irreducible",
+    "circle_winding_2": "irreducible",
+    "gl_identity(1)": "irreducible",
+    "gl_identity(2)": "irreducible",
+    "gl_identity(3)": "irreducible",
+    "sl2_standard": "irreducible",
+    "so3_standard": "irreducible",
+    "trivial(1)": "irreducible",
+    "trivial(2)": "reducible",
+    "circle_double": "reducible",
+    "circle_plus_trivial": "reducible",
+}
+
+
 class TestCommutant:
     def test_generic_pair_oracle_gives_scalars_only(self):
         # Two fixed invertible integer matrices; exact rational arithmetic.
@@ -336,89 +381,169 @@ class TestCommutant:
         nullspace = sympy_commutant_pair_nullspace([[1, 2], [3, 5]], [[2, 1], [1, 1]])
         assert len(nullspace) == 1
         assert nullspace[0] == sympy.Matrix([1, 0, 0, 1])
-        assert len(commutant_basis(rep_of("gl_identity(2)"), seed=14)) == 1
+        assert len(commutant_basis(rep_of("gl_identity(2)"))) == 1
 
     def test_rotation_oracle_gives_dimension_two(self):
         assert sympy_rotation_commutant_dimension() == 2
-        assert len(commutant_basis(rep_of("circle_rotation"), seed=14)) == 2
+        assert len(commutant_basis(rep_of("circle_rotation"))) == 2
 
-    def test_known_dimensions(self):
-        assert len(commutant_basis(rep_of("so3_standard"), seed=15)) == 1
-        assert len(commutant_basis(rep_of("sl2_standard"), seed=15)) == 1
-        assert len(commutant_basis(rep_of("trivial(2)"), seed=15)) == 4
-        assert len(commutant_basis(rep_of("circle_plus_trivial"), seed=15)) == 3
-        assert len(commutant_basis(rep_of("circle_double"), seed=15)) == 8
+    @pytest.mark.parametrize("name", sorted(COMMUTANT_DIMENSIONS))
+    def test_catalog_dimensions_are_pinned(self, name):
+        rep = rep_of(name)
+        dimensions = (len(commutant_basis(rep)), len(commutant_basis(prolonged(rep))))
+        assert dimensions == COMMUTANT_DIMENSIONS[name]
+
+    @pytest.mark.parametrize("name", sorted(DESCRIPTOR_COMMUTANT_DIMENSIONS))
+    def test_descriptor_dimensions_are_pinned(self, name):
+        document, (base, lifted) = DESCRIPTOR_COMMUTANT_DIMENSIONS[name]
+        rep = load_representation(document())
+        assert len(commutant_basis(rep)) == base
+        if lifted is not None:
+            assert len(commutant_basis(prolonged(rep))) == lifted
 
     def test_scalar_commutant_is_spanned_by_identity(self):
-        (basis,) = commutant_basis(rep_of("gl_identity(2)"), seed=16)
+        (basis,) = commutant_basis(rep_of("gl_identity(2)"))
         normalized = basis / basis[0, 0]
         np.testing.assert_allclose(normalized, np.eye(2), atol=1e-9)
 
     def test_elements_commute_with_fresh_images(self):
         rep = rep_of("circle_double")
-        for M in commutant_basis(rep, seed=17):
+        for M in commutant_basis(rep):
             for i in range(10):
                 image = rep_image(rep, sample_tangent_element(rep.group, (1000, i)).base)
                 assert np.max(np.abs(M @ image - image @ M)) < 1e-8
+
+    def test_trivial_group_commutant_is_every_matrix(self):
+        rep = Representation(special_linear(1), 1, lambda a: a.matrix, lambda B: B.matrix)
+        assert len(commutant_basis(rep)) == 1
+        assert len(commutant_basis(prolonged(rep))) == 4
+        assert reducibility_probe(prolonged(rep)).witness["classification"] == "reducible"
 
 
 class TestReducibilityProbe:
     def test_irreducible_classification(self):
         for name in ["gl_identity(2)", "so3_standard", "sl2_standard"]:
-            report = reducibility_probe(rep_of(name), seed=18)
+            report = reducibility_probe(rep_of(name))
             assert report.passed
             assert report.witness["classification"] == "irreducible"
+            assert report.witness["commutant_type"] == "R"
 
     def test_reducible_classification_with_verified_subspace(self):
-        report = reducibility_probe(rep_of("circle_double"), seed=18)
+        report = reducibility_probe(rep_of("circle_double"))
         assert report.passed
         assert report.witness["classification"] == "reducible"
         vectors = np.array(report.witness["invariant_subspace"])
         U = SubspaceBasis(4, vectors)
         assert is_invariant_subspace(rep_of("circle_double"), U, 60, seed=19).passed
 
-    def test_trivial_representation_is_reducible(self):
-        report = reducibility_probe(rep_of("trivial(2)"), seed=18)
-        assert report.passed
-        assert report.witness["classification"] == "reducible"
-
-    def test_rotation_commutant_alone_is_inconclusive(self):
-        # The commutant is two-dimensional but symmetrizing any element of
-        # it yields a scalar matrix, so no eigenspace splits off.
-        report = reducibility_probe(rep_of("circle_rotation"), seed=18)
-        assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.witness["classification"] == "inconclusive"
-        assert report.witness["commutant_dimension"] == 2
-
-
-class TestLineSweep:
-    def test_rotation_representation_is_irreducible(self):
-        report = certify_irreducible_lines_2d(rep_of("circle_rotation"), seed=20)
-        assert report.passed
-        assert report.witness["classification"] == "irreducible"
-
-    def test_identity_representation_is_irreducible(self):
-        report = certify_irreducible_lines_2d(rep_of("gl_identity(2)"), seed=20)
-        assert report.passed
-        assert report.witness["classification"] == "irreducible"
-
-    def test_finds_invariant_line_of_reducible_representation(self):
+    def test_finds_invariant_line_of_reducible_plane(self):
         rep = direct_sum(rep_of("trivial(1)"), rep_of("trivial(1)"))
-        report = certify_irreducible_lines_2d(rep, seed=20)
+        report = reducibility_probe(rep)
         assert report.passed
         assert report.witness["classification"] == "reducible"
+        assert report.witness["subspace_dimension"] == 1
+        U = SubspaceBasis(2, report.witness["invariant_subspace"])
+        assert is_invariant_subspace(rep, U, 200, seed=20).passed
 
-    def test_only_two_dimensional(self):
-        with pytest.raises(ValueError):
-            certify_irreducible_lines_2d(rep_of("so3_standard"))
+    def test_trivial_representation_is_reducible(self):
+        report = reducibility_probe(rep_of("trivial(2)"))
+        assert report.passed
+        assert report.witness["classification"] == "reducible"
 
     @pytest.mark.parametrize(
-        ("name", "floor"),
-        [("circle_rotation", 0.8387241950260579), ("gl_identity(2)", 0.7630130975876549)],
+        "rep",
+        [
+            lambda: rep_of("circle_rotation"),
+            lambda: rep_of("circle_winding_2"),
+            lambda: load_representation(circle_winding()),
+        ],
+        ids=["circle_rotation", "circle_winding_2", "circle_winding"],
     )
-    def test_min_line_residual_is_pinned(self, name, floor):
-        report = certify_irreducible_lines_2d(rep_of(name), seed=20)
-        assert report.witness["min_line_residual"] == floor
+    def test_rotation_commutant_is_complex_so_irreducible(self, rep):
+        # span{I, J} with J^2 = -I is a field: by Schur's lemma no line of
+        # the plane is invariant.
+        report = reducibility_probe(rep())
+        assert report.passed
+        assert report.witness == {
+            "classification": "irreducible",
+            "commutant_dimension": 2,
+            "commutant_type": "C",
+        }
+
+    @pytest.mark.parametrize("name", sorted(BASE_CLASSIFICATIONS))
+    def test_catalog_classifications(self, name):
+        report = reducibility_probe(rep_of(name))
+        assert report.passed
+        assert report.witness["classification"] == BASE_CLASSIFICATIONS[name]
+
+    @pytest.mark.parametrize(
+        ("document", "classification"),
+        [
+            (so3_doubled, "reducible"),
+            (sl2_conjugated, "irreducible"),
+            (gl3_units, "irreducible"),
+            (lambda: symmetric_power(4), "irreducible"),
+            (lambda: symmetric_power(20), "irreducible"),
+            (determinant, "irreducible"),
+            (lambda: adjoint("SpecialLinear", 2), "irreducible"),
+            (lambda: adjoint("SpecialOrthogonal", 4), "reducible"),
+        ],
+    )
+    def test_descriptor_classifications(self, document, classification):
+        report = reducibility_probe(load_representation(document()))
+        assert report.passed
+        assert report.witness["classification"] == classification
+
+    @pytest.mark.parametrize("name", sorted(BASE_CLASSIFICATIONS))
+    def test_every_prolongation_is_reducible_with_a_witness_that_replays(self, name):
+        rep = prolonged(rep_of(name))
+        report = reducibility_probe(rep)
+        assert report.passed
+        assert report.witness["classification"] == "reducible"
+        assert report.max_residual < 1e-9
+        U = SubspaceBasis(rep.target_dim, report.witness["invariant_subspace"])
+        assert 0 < U.dimension < rep.target_dim
+        assert is_invariant_subspace(rep, U, 200, seed=23, tol=1e-9).passed
+
+    # trivial(1) is left out: its prolongation is trivial too, and any line
+    # is a witness.
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n, c in BASE_CLASSIFICATIONS.items() if c == "irreducible" and n != "trivial(1)"),
+    )
+    def test_irreducible_base_prolongs_to_its_vertical_subspace(self, name):
+        rep = rep_of(name)
+        n = rep.target_dim
+        witness = reducibility_probe(prolonged(rep)).witness
+        U = np.array(witness["invariant_subspace"])
+        assert U.shape == (n, 2 * n)
+        np.testing.assert_allclose(U[:, :n], 0.0, atol=1e-12)
+
+    def test_non_semisimple_gl1_image_is_reducible(self):
+        # a |-> [[1, log a], [0, 1]]: the line e_0 is invariant and has no
+        # invariant complement, so the commutant is span{I, N}, N nilpotent.
+        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = Representation(
+            general_linear(1),
+            2,
+            lambda a: np.eye(2) + np.log(a.matrix[..., :1, :1]) * N,
+            lambda B: B.matrix[..., :1, :1] * N,
+        )
+        report = reducibility_probe(rep)
+        assert report.witness["classification"] == "reducible"
+        (line,) = np.array(report.witness["invariant_subspace"])
+        np.testing.assert_allclose(np.abs(line), [1.0, 0.0], atol=1e-12)
+
+    def test_probes_draw_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the probe drew a sample")
+
+        monkeypatch.setattr(rep_algebra, "_tangent_sample", refuse)
+        monkeypatch.setattr(groups, "_uniform_draws", refuse)
+        for entry in catalog_list():
+            for rep in (entry.rep, prolonged(entry.rep)):
+                assert commutant_basis(rep)
+                assert reducibility_probe(rep).passed
 
 
 class TestDirectSum:
@@ -621,6 +746,15 @@ class TestSharedDriver:
             )
         report = check_equivalence_transfer(rep, samples, seed)
         assert report.max_residual == max(per_conjugation)
+
+    def test_unevaluable_image_names_the_first_failing_sample(self):
+        # The stack fails first at the product image of a later pair; sample
+        # 0 already fails on its own, in apply.
+        rep = load_representation(gl1_power(800.0))
+        message = "homomorphism check, seed 10, sample index 0: apply returned non-finite entries"
+        with pytest.raises(NonFiniteImageError) as info:
+            rep_algebra._homomorphism_checks(rep, 256, 10)
+        assert str(info.value) == message
 
     def test_failing_equivalence_names_conjugation_and_sample(self):
         report = check_equivalence_transfer(rep_of("sl2_standard"), 300, seed=6, tol=1e-17)
