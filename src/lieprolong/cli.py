@@ -58,6 +58,7 @@ from .prolongation import (
     tangent_action_oracle,
 )
 from .rep_algebra import (
+    _ORACLE_TOL,
     CheckReport,
     Verdict,
     _homomorphism_checks,
@@ -84,6 +85,11 @@ _SUITE_NAMES = (
     "directsum",
     "faithfulness",
 )
+
+# Default tolerance of `prolong`'s differential_consistency row: an absolute
+# max-abs gap between the analytic and the central-difference differential.
+_DIFFERENTIAL_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -314,15 +320,17 @@ def cmd_prolong(config: RunConfig) -> int:
     discrepancy = float(np.max(np.abs(analytic - numeric)))
     worst = float(np.max(relative_residual(direct, oracle, axis=-1)))
 
-    tol = config.tol if config.tol is not None else 1e-5
+    gap_tol, oracle_tol = _DIFFERENTIAL_TOL, _ORACLE_TOL
+    if config.tol is not None:
+        gap_tol = oracle_tol = config.tol
     checks = [
         _verdict(
             "differential_consistency",
             discrepancy,
-            tol,
+            gap_tol,
             {"discrepancy": discrepancy, "analytic": True},
         ),
-        _verdict("action_oracle", worst, tol, {"residual": worst, "probes": 5}),
+        _verdict("action_oracle", worst, oracle_tol, {"residual": worst, "probes": 5}),
     ]
     return _finish(
         config,

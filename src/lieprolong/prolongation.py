@@ -299,10 +299,6 @@ class ProlongedRepresentation:
     def target_dim(self) -> int:
         return 2 * self.base.target_dim
 
-    @property
-    def name(self) -> str:
-        return f"prolonged({self.base.name})" if self.base.name else "prolonged"
-
     def apply(self, X) -> np.ndarray:
         return prolong(self.base, X).dense()
 

@@ -72,7 +72,6 @@ from .tangent_space import TangentVector
 
 __all__ = [
     "CheckReport",
-    "Intertwiner",
     "SubspaceBasis",
     "Verdict",
     "check_action_oracle",
@@ -114,6 +113,9 @@ _CONJUGATIONS = 20
 
 # Default tolerance of the homomorphism checks, plain and prolonged.
 _HOMOMORPHISM_TOL = 1e-9
+
+# Default tolerance of the action oracle, a relative residual.
+_ORACLE_TOL = 1e-5
 
 RepLike = Union[Representation, ProlongedRepresentation]
 
@@ -216,10 +218,14 @@ def _algebra_images(rep: RepLike) -> np.ndarray:
     return images
 
 
-def _chunks(samples: int) -> Iterator[np.ndarray]:
-    """Sample indices 0..samples-1 in stacks of at most ``_CHUNK``."""
+def _require_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError("a sampled check needs at least one sample")
+
+
+def _chunks(samples: int) -> Iterator[np.ndarray]:
+    """Sample indices 0..samples-1 in stacks of at most ``_CHUNK``."""
+    _require_samples(samples)
     for start in range(0, samples, _CHUNK):
         yield np.arange(start, min(start + _CHUNK, samples))
 
@@ -331,7 +337,7 @@ def check_action_oracle(
     rep: Representation,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-5,
+    tol: float = _ORACLE_TOL,
 ) -> CheckReport:
     """Compare the block-matrix action with the differentiated action curve.
 
@@ -353,33 +359,15 @@ def check_action_oracle(
     return _sampled_check("action_oracle", samples, seed, tol, residuals)
 
 
-@dataclass(frozen=True, eq=False)
-class Intertwiner:
-    """A linear map asserted to commute with a pair of representations."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"an intertwiner must be a matrix, got ndim {m.ndim}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("intertwiner entries must be finite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def full_rank(self) -> bool:
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return False
-        return bool(np.sum(s > _RANK_RTOL * s[0]) == min(self.matrix.shape))
-
-
 def _intertwiner_matrix(A) -> np.ndarray:
-    if isinstance(A, Intertwiner):
-        return A.matrix
-    return Intertwiner(A).matrix
+    """``A`` as a read-only float matrix, checked to be 2-D and finite."""
+    matrix = np.array(A, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"an intertwiner must be a matrix, got ndim {matrix.ndim}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("intertwiner entries must be finite")
+    matrix.flags.writeable = False
+    return matrix
 
 
 def is_intertwiner(
@@ -392,7 +380,8 @@ def is_intertwiner(
 ) -> CheckReport:
     """Check A @ rho1(x) = rho2(x) @ A on sampled elements.
 
-    Both representations must live over the same group and at the same
+    ``A`` must be a finite matrix of shape (dim rho2, dim rho1); its rank
+    is not checked.  Both representations must live over the same group and at the same
     level (both plain or both prolonged) so that a single sampled element
     can be pushed through each side.
     """
@@ -423,14 +412,18 @@ def _intertwining_residuals(A: np.ndarray, images1, images2) -> np.ndarray:
     return relative_residual(A @ images1, images2 @ A, axis=(-2, -1))
 
 
-def prolong_intertwiner(A) -> Intertwiner:
-    """Lift an intertwiner to tangent coordinates: block-diag(A, A).
+def prolong_intertwiner(A) -> np.ndarray:
+    """Lift an intertwiner to tangent coordinates: the read-only matrix
+    block-diag(A, A).
 
     The lift is returned regardless of rank; callers asserting an
-    equivalence should consult :attr:`Intertwiner.full_rank` first.
+    equivalence should check that ``A`` has full rank first, for instance
+    with ``np.linalg.matrix_rank``.
     """
     matrix = _intertwiner_matrix(A)
-    return Intertwiner(block_diag(matrix, matrix))
+    lift = block_diag(matrix, matrix)
+    lift.flags.writeable = False
+    return lift
 
 
 def random_conjugator(n: int, seed=0) -> np.ndarray:
@@ -477,15 +470,17 @@ def check_equivalence_transfer(
     intertwine the prolongation of ``rep`` with the prolongation of the
     conjugated representation, to the same tolerance.  Every conjugation is
     tested on the same samples, so ``rep`` is sampled and prolonged once
-    per stack; each conjugated side is prolonged on its own.
+    per stack; each conjugated side is prolonged on its own.  One
+    singular-value pass over the stack of conjugators decides their ranks,
+    and a rank-deficient one makes the check INCONCLUSIVE: only the
+    conjugators before it are tested.
     """
-    lifts, others = [], []
-    for A in _conjugators(rep.target_dim, seed):
-        lifted = prolong_intertwiner(A)
-        if not lifted.full_rank:
-            break
-        lifts.append(lifted.matrix)
-        others.append(prolonged(conjugate_representation(rep, A)))
+    conjugators = _conjugators(rep.target_dim, seed)
+    s = np.linalg.svd(conjugators, compute_uv=False)
+    deficient = np.flatnonzero(np.any(s <= _RANK_RTOL * s[:, :1], axis=-1))
+    conjugators = conjugators[: deficient[0] if deficient.size else _CONJUGATIONS]
+    lifts = block_diag(conjugators, conjugators)
+    others = [prolonged(conjugate_representation(rep, A)) for A in conjugators]
     sample_seed = _derive(seed, 1)
 
     def residuals(indices):
@@ -499,7 +494,7 @@ def check_equivalence_transfer(
         )
 
     per_conjugation, indices = ([0.0], [0])
-    if lifts:
+    if len(lifts):
         per_conjugation, indices = _scan("equivalence_transfer", samples, sample_seed, residuals)
     c = int(np.argmax(per_conjugation))
     worst = float(per_conjugation[c])
@@ -571,8 +566,9 @@ def is_invariant_subspace(
 
     The residual for a sampled element is the worst projection defect of
     an image vector, scaled by max(1, its magnitude).  The zero subspace
-    passes vacuously.
+    passes vacuously, over at least one sample like any other.
     """
+    _require_samples(samples)
     if U.ambient_dim != rep.target_dim:
         raise ValueError(
             f"subspace lives in R^{U.ambient_dim}, representation acts on "
@@ -659,10 +655,7 @@ def check_invariance_transfer(
     detail = {
         "base": base_report.witness,
         "prolonged": _witness(tangent_seed, index[0], parts["prolonged"]),
-        "base_extraction": {
-            "sample_index": int(index[1]),
-            "residual": parts["base_extraction"],
-        },
+        "base_extraction": _witness(tangent_seed, index[1], parts["base_extraction"]),
     }[failing]
     witness = {"direction": failing, "residuals": parts, **(detail or {})}
     return _verdict("invariance_transfer", parts[failing], tol, witness)

@@ -313,7 +313,6 @@ class TestProlongedRepresentation:
         lifted = prolonged(rep)
         assert lifted.group == rep.group
         assert lifted.target_dim == 4
-        assert lifted.name == "prolonged(circle_rotation)"
         X = sample_tangent_element(circle(), 13)
         np.testing.assert_array_equal(lifted.apply(X), prolong(rep, X).dense())
 

@@ -17,7 +17,6 @@ from elements import circle_element
 
 from lieprolong import (
     CheckReport,
-    Intertwiner,
     NonFiniteImageError,
     ProlongedMatrix,
     Representation,
@@ -160,21 +159,29 @@ class TestIntertwiners:
 
     def test_lift_is_block_diagonal(self):
         lifted = prolong_intertwiner([[2.0]])
-        np.testing.assert_array_equal(lifted.matrix, [[2.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(lifted, [[2.0, 0.0], [0.0, 2.0]])
+        assert not lifted.flags.writeable
 
     def test_lift_of_rectangular_intertwiner(self):
         lifted = prolong_intertwiner([[1.0, 2.0]])
-        np.testing.assert_array_equal(lifted.matrix, [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
-        assert prolong_intertwiner(np.ones((2, 3))).matrix.shape == (4, 6)
-
-    def test_full_rank_detection(self):
-        assert Intertwiner(np.eye(2)).full_rank
-        assert not Intertwiner(np.zeros((2, 2))).full_rank
-        assert not Intertwiner([[1.0, 1.0], [1.0, 1.0]]).full_rank
+        np.testing.assert_array_equal(lifted, [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
+        assert prolong_intertwiner(np.ones((2, 3))).shape == (4, 6)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Intertwiner([[np.inf]])
+        rep = rep_of("circle_rotation")
+        for bad in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                is_intertwiner(bad, rep, rep)
+            with pytest.raises(ValueError, match="finite"):
+                prolong_intertwiner(bad)
+
+    def test_rejects_non_matrices(self):
+        rep = rep_of("circle_rotation")
+        for bad in (1.0, [1.0, 0.0], np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match="must be a matrix"):
+                is_intertwiner(bad, rep, rep)
+            with pytest.raises(ValueError, match="must be a matrix"):
+                prolong_intertwiner(bad)
 
 
 class TestEquivalenceTransfer:
@@ -194,6 +201,25 @@ class TestEquivalenceTransfer:
             A = random_conjugator(3, seed=s)
             assert np.isfinite(np.linalg.cond(A))
             assert np.linalg.cond(A) < 1e6
+
+    def test_rank_deficient_conjugator_is_inconclusive(self, monkeypatch):
+        rep = rep_of("so3_standard")
+        stack = rep_algebra._conjugators(3, 4)
+        stack[3] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+        monkeypatch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
+        conjugated, conjugate = [], rep_algebra.conjugate_representation
+
+        def recorded(rep, A):
+            conjugated.append(np.array(A))
+            return conjugate(rep, A)
+
+        monkeypatch.setattr(rep_algebra, "conjugate_representation", recorded)
+        report = check_equivalence_transfer(rep, 30, seed=4)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.witness == {"conjugation_index": 3, "reason": "conjugator not full rank"}
+        assert len(conjugated) == 3
+        for A, B in zip(conjugated, stack):
+            np.testing.assert_array_equal(A, B)
 
 
 class TestSubspaces:
@@ -296,6 +322,22 @@ class TestInvarianceTransfer:
     def test_zero_subspace_transfers_vacuously(self):
         U = SubspaceBasis(2, np.zeros((0, 2)))
         assert check_invariance_transfer(rep_of("circle_rotation"), U, 10, seed=13).passed
+
+    def test_base_extraction_witness_replays(self):
+        rep = rep_of("so3_standard")
+        U = SubspaceBasis(3, [[1.0, 1.0, 1.0]])
+        report = check_invariance_transfer(rep, U, 1, seed=13)
+        witness = report.witness
+        assert report.verdict is Verdict.FAIL
+        assert witness["direction"] == "base_extraction"
+        assert witness["seed"] == (13, 5)
+        assert witness["sample_index"] == 0
+        assert witness["residual"] == report.max_residual == pytest.approx(0.336, abs=1e-3)
+        # The base components of the lifted (u, 0) are rho(x) u at the base
+        # point x of the tangent sample: the witness's seed and index replay
+        # it as a plain invariance check.
+        replay = is_invariant_subspace(rep, U, witness["sample_index"] + 1, witness["seed"])
+        assert replay.max_residual == pytest.approx(witness["residual"], rel=1e-12)
 
 
 def sympy_commutant_pair_nullspace(m1, m2):
@@ -771,6 +813,9 @@ class TestSharedDriver:
             lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.eye(2)), 0),
             lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.eye(2)), 0),
             lambda rep: check_direct_sum_commutation(rep, rep, 0),
+            lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.zeros((0, 2))), 0),
+            lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.zeros((0, 2))), -5),
+            lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.zeros((0, 2))), 0),
         ],
     )
     def test_no_check_passes_over_zero_samples(self, run):
@@ -830,6 +875,19 @@ class TestSampleMemo:
         # kept on the sampled bases, and the identity each conjugated
         # representation checks when it is built carries its own.
         assert len(calls) == 20
+
+    def test_equivalence_decides_ranks_in_one_singular_value_call(self, monkeypatch):
+        rep = rep_of("so3_standard")
+        self.clear()
+        svd, calls = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert check_equivalence_transfer(rep, 20, seed=0).passed
+        assert calls == [(20, 3, 3)]
 
     def test_homomorphism_suite_takes_each_product_logarithm_once(
         self, monkeypatch, capsys, tmp_path
