@@ -234,7 +234,8 @@ def _first_failure(ok: np.ndarray) -> Optional[int]:
     return int(np.argwhere(~ok)[:, -1].min()) if ok.ndim else None
 
 
-def _require_invertible(matrix: np.ndarray) -> None:
+def _require_invertible(matrix: np.ndarray) -> np.ndarray:
+    """``cond(matrix)`` per slice, refused when any exceeds ``_COND_LIMIT``."""
     cond = np.linalg.cond(matrix)
     ok = cond <= _COND_LIMIT
     if not np.all(ok):
@@ -243,6 +244,7 @@ def _require_invertible(matrix: np.ndarray) -> None:
         )
         error.position = _first_failure(ok)
         raise error
+    return cond
 
 
 def _trusted(cls, **fields):

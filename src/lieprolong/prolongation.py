@@ -110,13 +110,19 @@ class Representation:
     def __post_init__(self) -> None:
         if self.target_dim < 1:
             raise ValueError("target_dim must be positive")
-        image = rep_image(self, identity_element(self.group))
-        gap = float(np.max(np.abs(image - np.eye(self.target_dim))))
-        if gap > IDENTITY_TOL:
-            raise ValueError(
-                f"representation {self.name or '<anonymous>'} sends the identity to a "
-                f"matrix {gap:.3e} away from the identity"
-            )
+        _require_identity(self.name, rep_image(self, identity_element(self.group)))
+
+
+def _require_identity(name: str, images: np.ndarray) -> None:
+    """Refuse the first of the identity's images, one ``(n, n)`` matrix or a
+    stack of them, that lies more than ``IDENTITY_TOL`` from the identity."""
+    gaps = np.max(np.abs(images - np.eye(images.shape[-1])), axis=(-2, -1))
+    far = np.flatnonzero(gaps > IDENTITY_TOL)
+    if far.size:
+        raise ValueError(
+            f"representation {name or '<anonymous>'} sends the identity to a "
+            f"matrix {gaps.flat[far[0]]:.3e} away from the identity"
+        )
 
 
 def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
@@ -176,12 +182,7 @@ class ProlongedMatrix:
     def dense(self) -> np.ndarray:
         """The full 2n x 2n matrix [[R, 0], [L, R]] (a stack of them for
         stacked blocks)."""
-        n = self.n
-        out = np.zeros(self.top_left.shape[:-2] + (2 * n, 2 * n))
-        out[..., :n, :n] = self.top_left
-        out[..., n:, :n] = self.bottom_left
-        out[..., n:, n:] = self.top_left
-        return out
+        return _dense(self.top_left, self.bottom_left)
 
     def __matmul__(self, other: "ProlongedMatrix") -> "ProlongedMatrix":
         if not isinstance(other, ProlongedMatrix):
@@ -191,6 +192,16 @@ class ProlongedMatrix:
             top_left=self.top_left @ other.top_left,
             bottom_left=self.bottom_left @ other.top_left + self.top_left @ other.bottom_left,
         )
+
+
+def _dense(R: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """``[[R, 0], [L, R]]`` from blocks of shape ``(..., n, n)``."""
+    n = R.shape[-1]
+    out = np.zeros(R.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = R
+    out[..., n:, :n] = L
+    out[..., n:, n:] = R
+    return out
 
 
 def jn_embed(X) -> ProlongedMatrix:
@@ -237,15 +248,33 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
 
     R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
     left, with K the differential of ``rep`` in direction B.  This is the
-    one place that checks that representation images are invertible.
+    one place that checks that representation images are invertible; the
+    equivalence check applies the same gate to the images it conjugates.
     """
+    R, _, L, _ = _prolong_blocks(rep, X)
+    return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)
+
+
+def _prolong_blocks(rep: Representation, X):
+    """``R``, ``K``, ``L = K R`` and ``cond(R)`` for the tangent pair(s)
+    ``X = [a, B]``, with every check of :func:`prolong`."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
-    # Finite images can still over- or underflow: K R not finite, R singular.
+    return R, K, _product_block(K, R), _condition(R)
+
+
+def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``K R``, refused when it is not finite: finite images can still
+    over- or underflow, as ``K R`` here or as a singular ``R``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        L = _require_finite(K @ R, "prolonged image K R has")
+        return _require_finite(K @ R, "prolonged image K R has")
+
+
+def _condition(R: np.ndarray) -> np.ndarray:
+    """``cond(R)`` per slice, refused above the limit as a prolonged image
+    that cannot be inverted."""
     try:
-        return ProlongedMatrix(R, L)
+        return _require_invertible(R)
     except MembershipError as exc:
         raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
 

@@ -45,6 +45,7 @@ from .groups import (
     GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
+    _COND_LIMIT,
     _rng,
     _uniform_draws,
     algebra_basis,
@@ -61,10 +62,15 @@ from .prolongation import (
     NonFiniteImageError,
     ProlongedRepresentation,
     Representation,
+    _condition,
+    _dense,
+    _product_block,
+    _prolong_blocks,
+    _require_finite,
+    _require_identity,
     apply_prolonged,
     differential_rep,
     prolong,
-    prolonged,
     rep_image,
     tangent_action_oracle,
 )
@@ -454,8 +460,12 @@ def conjugate_representation(rep: Representation, A) -> Representation:
         target_dim=rep.target_dim,
         apply=lambda a: matrix @ rep.apply(a) @ inverse,
         differential=lambda B: matrix @ rep.differential(B) @ inverse,
-        name=f"conj({rep.name})" if rep.name else "conj",
+        name=_conjugate_name(rep),
     )
+
+
+def _conjugate_name(rep: Representation) -> str:
+    return f"conj({rep.name})" if rep.name else "conj"
 
 
 def check_equivalence_transfer(
@@ -469,44 +479,88 @@ def check_equivalence_transfer(
     For each of twenty random invertible A the lift block-diag(A, A) must
     intertwine the prolongation of ``rep`` with the prolongation of the
     conjugated representation, to the same tolerance.  Every conjugation is
-    tested on the same samples, so ``rep`` is sampled and prolonged once
-    per stack; each conjugated side is prolonged on its own.  One
+    tested on the same samples, so ``rep`` is evaluated and prolonged once
+    per stack, and the conjugated images ``A R A^-1`` and ``A K A^-1`` are
+    formed from those as stacked products, at most ``_CHUNK`` conjugation
+    by sample slices at a time.  Each conjugated image gets the checks
+    :func:`prolong` would run on :func:`conjugate_representation`'s, and a
+    refusal is the one the first refused conjugator would raise.  One
     singular-value pass over the stack of conjugators decides their ranks,
     and a rank-deficient one makes the check INCONCLUSIVE: only the
     conjugators before it are tested.
     """
+    _require_samples(samples)
     conjugators = _conjugators(rep.target_dim, seed)
     s = np.linalg.svd(conjugators, compute_uv=False)
     deficient = np.flatnonzero(np.any(s <= _RANK_RTOL * s[:, :1], axis=-1))
-    conjugators = conjugators[: deficient[0] if deficient.size else _CONJUGATIONS]
+    tested = deficient[0] if deficient.size else _CONJUGATIONS
+    conjugators, s = conjugators[:tested], s[:tested]
+    inverses = np.linalg.inv(conjugators)
+    # The identity check each conjugated Representation would run when
+    # built, on all of them at once.  The images are finite, since
+    # cond(A) < 1 / _RANK_RTOL.
+    identity = rep_image(rep, identity_element(rep.group))
+    _require_identity(_conjugate_name(rep), conjugators @ identity @ inverses)
     lifts = block_diag(conjugators, conjugators)
-    others = [prolonged(conjugate_representation(rep, A)) for A in conjugators]
+    # cond(A R A^-1) <= cond(A)^2 cond(R), so only where this bound nears
+    # the limit can a conjugated image be refused when R is not; the factor
+    # 2 covers rounding in the singular values, about eps cond <= 1e-4.
+    squared_cond = (s[:, 0] / s[:, -1]) ** 2
     sample_seed = _derive(seed, 1)
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(sample_seed, indices))
-        images = prolong(rep, X).dense()
-        return np.stack(
-            [
-                _intertwining_residuals(L, images, other.apply(X))
-                for L, other in zip(lifts, others)
-            ]
-        )
+        R, K, L, cond = _prolong_blocks(rep, X)
+        images = _dense(R, L)
+        width = max(1, _CHUNK // len(indices))
+        rows = []
+        for start in range(0, tested, width):
+            group = slice(start, start + width)
+            exact = np.max(squared_cond[group]) * np.max(cond) > _COND_LIMIT / 2
+            conjugated = _conjugated_images(conjugators[group], inverses[group], R, K, exact)
+            rows.append(_intertwining_residuals(lifts[group, None], images, conjugated))
+        return np.concatenate(rows)
 
     per_conjugation, indices = ([0.0], [0])
-    if len(lifts):
+    if tested:
         per_conjugation, indices = _scan("equivalence_transfer", samples, sample_seed, residuals)
     c = int(np.argmax(per_conjugation))
     worst = float(per_conjugation[c])
-    if len(lifts) < _CONJUGATIONS:
+    if tested < _CONJUGATIONS:
         return CheckReport(
             "equivalence_transfer",
             Verdict.INCONCLUSIVE,
             worst,
-            {"conjugation_index": len(lifts), "reason": "conjugator not full rank"},
+            {"conjugation_index": int(tested), "reason": "conjugator not full rank"},
         )
     witness = {"conjugation_index": c, **_witness(sample_seed, indices[c], worst)}
     return _verdict("equivalence_transfer", worst, tol, witness)
+
+
+def _conjugated_images(
+    conjugators: np.ndarray, inverses: np.ndarray, R: np.ndarray, K: np.ndarray, exact: bool
+) -> np.ndarray:
+    """The dense prolonged images of ``A R A^-1`` and ``A K A^-1`` for each
+    conjugator ``A``, a ``(conjugators, samples, 2n, 2n)`` stack, refused as
+    :func:`prolong` refuses each conjugated representation's: the shapes
+    hold by construction; ``R``, ``K`` and ``K R`` must be finite, and
+    ``cond(R)``, taken only when ``exact``, at most the limit.  A refusal is
+    the first refused conjugator's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, inverse = conjugators[:, None], inverses[:, None]
+        R, K = A @ R @ inverse, A @ K @ inverse
+        L = K @ R
+    ok = all(np.all(np.isfinite(M)) for M in (R, K, L))
+    if ok and exact:
+        ok = np.all(np.linalg.cond(R) <= _COND_LIMIT)
+    if not ok:
+        for c in range(len(R)):
+            _require_finite(R[c], "apply returned")
+            _require_finite(K[c], "differential returned")
+            _product_block(K[c], R[c])
+            if exact:
+                _condition(R[c])
+    return _dense(R, L)
 
 
 @dataclass(frozen=True, eq=False)

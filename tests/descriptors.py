@@ -192,6 +192,19 @@ def gl1_power(image) -> dict:
     }
 
 
+def gl2_det_power(power: float) -> dict:
+    """GL(2) on the plane, a |-> diag(det(a)^power, 1): diagonal images
+    whose condition number det(a)^|power| nears 1e12 for a power near 14."""
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    scalar = [[power, 0.0], [0.0, 0.0]]
+    return {
+        "name": "gl2_det_power",
+        "group": {"kind": "GeneralLinear", "dim": 2},
+        "target_dim": 2,
+        "map": {"kind": "generators", "generator_images": [scalar, zero, zero, scalar]},
+    }
+
+
 GENERATOR_DESCRIPTORS = {
     "so3_doubled": so3_doubled,
     "circle_winding": circle_winding,

@@ -8,9 +8,12 @@ from descriptors import (
     circle_winding,
     determinant,
     gl1_power,
+    gl2_det_power,
+    gl3_dense_conjugated,
     gl3_units,
     sl2_conjugated,
     so3_doubled,
+    so4_dense_conjugated,
     symmetric_power,
 )
 from elements import circle_element
@@ -26,6 +29,7 @@ from lieprolong import (
     algebra_from_coordinates,
     catalog_entry,
     catalog_list,
+    catalog_names,
     check_action_oracle,
     check_direct_sum_commutation,
     check_equivalence_transfer,
@@ -42,6 +46,7 @@ from lieprolong import (
     is_intertwiner,
     is_invariant_subspace,
     load_representation,
+    prolong,
     prolong_intertwiner,
     prolong_subspace,
     prolonged,
@@ -207,19 +212,22 @@ class TestEquivalenceTransfer:
         stack = rep_algebra._conjugators(3, 4)
         stack[3] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
         monkeypatch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
-        conjugated, conjugate = [], rep_algebra.conjugate_representation
+        scored, score = [], rep_algebra._intertwining_residuals
 
-        def recorded(rep, A):
-            conjugated.append(np.array(A))
-            return conjugate(rep, A)
+        def recorded(lifts, images1, images2):
+            scored.append(np.array(lifts))
+            return score(lifts, images1, images2)
 
-        monkeypatch.setattr(rep_algebra, "conjugate_representation", recorded)
+        monkeypatch.setattr(rep_algebra, "_intertwining_residuals", recorded)
         report = check_equivalence_transfer(rep, 30, seed=4)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.witness == {"conjugation_index": 3, "reason": "conjugator not full rank"}
-        assert len(conjugated) == 3
-        for A, B in zip(conjugated, stack):
-            np.testing.assert_array_equal(A, B)
+        # One stack of 30 samples holds every tested conjugator: the scored
+        # lifts are those of conjugators 0-2 alone.
+        [lifts] = scored
+        assert lifts.shape[0] == 3
+        for L, A in zip(lifts[:, 0], stack):
+            np.testing.assert_array_equal(L, prolong_intertwiner(A))
 
 
 class TestSubspaces:
@@ -756,6 +764,14 @@ class TestFaithfulnessProbe:
         assert rep_algebra._tangent_sample.cache_info().currsize == 0
 
 
+def equivalence_with_singular_first_conjugator(rep, samples):
+    """The equivalence check with conjugator 0 singular, which tests no
+    conjugation at all."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rep_algebra, "_conjugators", lambda n, seed: np.zeros((20, n, n)))
+        return check_equivalence_transfer(rep, samples)
+
+
 class TestSharedDriver:
     """The stacked checks against plain loops over single elements."""
 
@@ -816,11 +832,168 @@ class TestSharedDriver:
             lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.zeros((0, 2))), 0),
             lambda rep: is_invariant_subspace(rep, SubspaceBasis(2, np.zeros((0, 2))), -5),
             lambda rep: check_invariance_transfer(rep, SubspaceBasis(2, np.zeros((0, 2))), 0),
+            lambda rep: equivalence_with_singular_first_conjugator(rep, 0),
+            lambda rep: equivalence_with_singular_first_conjugator(rep, -3),
         ],
     )
     def test_no_check_passes_over_zero_samples(self, run):
         with pytest.raises(ValueError):
             run(rep_of("circle_rotation"))
+
+
+# Every tests/descriptors.py maker that loads (parametrized ones at one or
+# two values), for checks that compare against independent references.
+LOADED_DESCRIPTORS = {
+    "so3_doubled": so3_doubled,
+    "circle_winding": circle_winding,
+    "sl2_conjugated": sl2_conjugated,
+    "gl3_units": gl3_units,
+    "determinant": determinant,
+    "adjoint_sl2": lambda: adjoint("SpecialLinear", 2),
+    "adjoint_so4": lambda: adjoint("SpecialOrthogonal", 4),
+    "symmetric_power_4": lambda: symmetric_power(4),
+    "gl3_dense_conjugated": gl3_dense_conjugated,
+    "so4_dense_conjugated": so4_dense_conjugated,
+    "gl1_power_3": lambda: gl1_power(3.0),
+    "gl2_det_power_2": lambda: gl2_det_power(2.0),
+}
+
+
+def catalog_or_descriptor(name: str) -> Representation:
+    if name in LOADED_DESCRIPTORS:
+        return load_representation(LOADED_DESCRIPTORS[name]())
+    return rep_of(name)
+
+
+def per_conjugator_scan(rep, samples, seed):
+    """The equivalence scan evaluated one conjugator at a time: each
+    conjugated representation is built and prolonged on its own."""
+    conjugators = rep_algebra._conjugators(rep.target_dim, seed)
+    others = [prolonged(conjugate_representation(rep, A)) for A in conjugators]
+    sample_seed = (seed, 1)
+
+    def residuals(indices):
+        X = rep_algebra._tangent_sample(rep.group, rep_algebra._keys(sample_seed, indices))
+        images = prolong(rep, X).dense()
+        rows = []
+        for A, other in zip(conjugators, others):
+            L = prolong_intertwiner(A)
+            rows.append(relative_residual(L @ images, other.apply(X) @ L, axis=(-2, -1)))
+        return np.stack(rows)
+
+    return rep_algebra._scan("equivalence_transfer", samples, sample_seed, residuals)
+
+
+def refusal(run) -> str:
+    with pytest.raises(NonFiniteImageError) as info:
+        run()
+    return str(info.value)
+
+
+class TestStackedEquivalence:
+    """The equivalence check forms every conjugated image from one
+    evaluation of ``rep`` per sample stack; these tests hold it to the
+    conjugated representations it stands for, evaluated one by one."""
+
+    def record(self, monkeypatch, module, name) -> list:
+        """Record the return value of every call to ``module.name``."""
+        results, original = [], getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+        return results
+
+    @pytest.mark.parametrize("samples", [40, 300])
+    @pytest.mark.parametrize("name", [*catalog_names(), *LOADED_DESCRIPTORS])
+    def test_each_conjugation_is_its_intertwiner_check_bit_for_bit(
+        self, monkeypatch, name, samples
+    ):
+        rep, seed = catalog_or_descriptor(name), 12
+        scans = self.record(monkeypatch, rep_algebra, "_scan")
+        scored = self.record(monkeypatch, rep_algebra, "_intertwining_residuals")
+        report = check_equivalence_transfer(rep, samples, seed)
+        [(worst, index)] = scans
+        assert max(r.size for r in scored) <= rep_algebra._CHUNK
+        # 300 samples: a stack of 256 holds one conjugator per evaluation,
+        # the last 44 five at a time.
+        assert len(scored) == (4 if samples == 40 else 24)
+        monkeypatch.undo()
+        for c in range(20):  # the check's fixed number of conjugators
+            A = random_conjugator(rep.target_dim, (seed, 2, c))
+            other = prolonged(conjugate_representation(rep, A))
+            # At tolerance 0 every report carries its witness.
+            reference = is_intertwiner(
+                prolong_intertwiner(A), prolonged(rep), other, samples, (seed, 1), tol=0.0
+            )
+            assert worst[c] == reference.max_residual
+            assert index[c] == reference.witness["sample_index"]
+        assert report.max_residual == np.max(worst)
+
+    @pytest.mark.parametrize(("image", "seed"), [(1000.0, 5), (1000.0, 1), (720.0, 0)])
+    def test_overflowing_images_are_refused_as_one_by_one(self, image, seed):
+        # The first failing sample fails in apply, as an underflowed
+        # (singular) image and in K R respectively.
+        rep = load_representation(gl1_power(image))
+        expected = refusal(lambda: per_conjugator_scan(rep, 200, seed))
+        assert expected.startswith(f"equivalence_transfer check, seed [{seed}, 1], sample index")
+        assert refusal(lambda: check_equivalence_transfer(rep, 200, seed)) == expected
+
+    def test_overflowing_conjugated_image_is_refused_as_one_by_one(self, monkeypatch):
+        # A 1 x 1 conjugator of 1e300 has full rank, and A R overflows
+        # wherever R exceeds about 1.8e8 while R itself is finite.
+        rep = load_representation(gl1_power(40.0))
+        stack = rep_algebra._conjugators(1, 3)
+        stack[5] = [[1e300]]
+        monkeypatch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
+        expected = refusal(lambda: per_conjugator_scan(rep, 200, 3))
+        assert expected.endswith(": apply returned non-finite entries")
+        assert refusal(lambda: check_equivalence_transfer(rep, 200, 3)) == expected
+
+    def test_ill_conditioned_conjugated_image_is_refused_as_one_by_one(self, monkeypatch):
+        rep, seed = load_representation(gl2_det_power(14.5)), 5
+        expected = refusal(lambda: per_conjugator_scan(rep, 200, seed))
+        conds = self.record(monkeypatch, np.linalg, "cond")
+        assert refusal(lambda: check_equivalence_transfer(rep, 200, seed)) == expected
+        assert expected == (
+            "equivalence_transfer check, seed [5, 1], sample index 46: prolonged image: "
+            "matrix is singular or too ill-conditioned to invert (cond=1.222e+12)"
+        )
+        # The base image at that sample is accepted: only the exact cond of a
+        # conjugated stack, (conjugators, samples), refuses it.
+        X = rep_algebra._tangent_sample(rep.group, rep_algebra._keys((seed, 1), [46]))
+        assert np.linalg.cond(prolong(rep, X).top_left)[0] <= 1e12
+        assert any(np.ndim(c) == 2 for c in conds)
+
+    def test_well_conditioned_conjugations_take_no_cond(self, monkeypatch):
+        # cond(A)^2 cond(R) stays far below 1e12, so only the base stack's
+        # cond is taken, once.  The first run draws the samples, whose
+        # validation takes a cond of its own.
+        rep = rep_of("so3_standard")
+        assert check_equivalence_transfer(rep, 30, seed=0).passed
+        calls, cond = [], np.linalg.cond
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        assert check_equivalence_transfer(rep, 30, seed=0).passed
+        assert calls == [(30, 3, 3)]
+
+    def test_conjugated_identity_is_refused_as_one_by_one(self):
+        # 9e-13 from the identity passes; some conjugate moves it past 1e-12.
+        spec = general_linear(2)
+        offset = np.array([[0.0, 9e-13], [0.0, 0.0]])
+        rep = Representation(spec, 2, lambda a: a.matrix + offset, lambda B: B.matrix, "tilted")
+        with pytest.raises(ValueError) as expected:
+            per_conjugator_scan(rep, 10, 0)
+        assert "conj(tilted) sends the identity" in str(expected.value)
+        with pytest.raises(ValueError) as info:
+            check_equivalence_transfer(rep, 10, 0)
+        assert str(info.value) == str(expected.value)
 
 
 class TestSampleMemo:
@@ -924,6 +1097,28 @@ class TestSampleMemo:
             assert row["max_residual"] == report.max_residual
             assert row.get("witness") == report.witness
         assert reports[1].witness is not None
+
+    def test_report_cond_calls_and_equivalence_stacks_stay_bounded(self, monkeypatch, capsys):
+        # Counts, unlike wall time, repeat exactly: 420 cond calls when each
+        # conjugated representation was prolonged on its own, 200 now.
+        calls, cond = [], np.linalg.cond
+        sizes, score = [], rep_algebra._intertwining_residuals
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return cond(x, *args, **kwargs)
+
+        def recorded(*args):
+            sizes.append(score(*args).size)
+            return score(*args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        monkeypatch.setattr(rep_algebra, "_intertwining_residuals", recorded)
+        self.clear()
+        self.report(capsys)
+        assert len(calls) <= 211
+        assert sizes == [200] * len(catalog_list())
+        assert max(sizes) <= rep_algebra._CHUNK
 
     def test_report_builds_no_generator_per_key(self, monkeypatch, capsys):
         built, default_rng = [], np.random.default_rng
