@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,6 +76,8 @@ _EXP_NORM_LIMIT = 700.0
 
 # Condition-number ceiling beyond which a matrix is treated as singular.
 _COND_LIMIT = 1e12
+
+_EPS = float(np.finfo(float).eps)
 
 SeedLike = Union[int, Sequence[int]]
 
@@ -176,7 +178,8 @@ def relative_residual(actual, reference, axis=None):
     if actual.shape != reference.shape:
         raise ValueError(f"shape mismatch {actual.shape} vs {reference.shape}")
     scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis, initial=0.0))
-    return np.max(np.abs(actual - reference), axis=axis, initial=0.0) / scale
+    gap = np.asarray(actual - reference)
+    return np.max(np.abs(gap, out=gap), axis=axis, initial=0.0) / scale
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -235,7 +238,32 @@ def _first_failure(ok: np.ndarray) -> Optional[int]:
 
 
 def _require_invertible(matrix: np.ndarray) -> np.ndarray:
-    """``cond(matrix)`` per slice, refused when any exceeds ``_COND_LIMIT``."""
+    """An upper bound on ``cond(matrix)`` per slice, refused when any slice's
+    ``cond`` exceeds ``_COND_LIMIT``.
+
+    With ``X`` the computed inverse and ``r`` a bound on the Frobenius norm
+    of ``M X - I``, ``cond(M) <= |M|_F |X|_F / (1 - r)`` when ``r < 1``; the
+    rounding of the residual, at most ``n u |M|_F |X|_F`` with ``u`` the
+    unit roundoff, goes into ``r`` four times over.  A stack whose bounds
+    all stay below half the limit, with every ``r`` below 1/2, is accepted
+    without an SVD.  Otherwise, or when ``inv`` fails, the exact
+    ``np.linalg.cond`` of the whole stack decides and is returned, and the
+    error's ``position`` is the first slice it refuses.
+    """
+    n = matrix.shape[-1]
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:  # an exactly singular slice
+            inverse = None
+        if inverse is not None:
+            norms = np.sqrt(_sum_squares(matrix) * _sum_squares(inverse))
+            residual = np.sqrt(_sum_squares(matrix @ inverse - np.eye(n)))
+            residual = residual + (2.0 * n * _EPS) * norms
+            bound = norms / (1.0 - residual)
+            # An overflowed inverse gives NaN or inf, which fails here too.
+            if ((residual < 0.5) & (bound <= _COND_LIMIT / 2)).all():
+                return bound
     cond = np.linalg.cond(matrix)
     ok = cond <= _COND_LIMIT
     if not np.all(ok):
@@ -245,6 +273,11 @@ def _require_invertible(matrix: np.ndarray) -> np.ndarray:
         error.position = _first_failure(ok)
         raise error
     return cond
+
+
+def _sum_squares(matrix: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each slice."""
+    return np.einsum("...ij,...ij->...", matrix, matrix)
 
 
 def _trusted(cls, **fields):
@@ -330,6 +363,16 @@ class TangentGroupElement:
     @property
     def spec(self) -> GroupSpec:
         return self.base.spec
+
+    def _kept(self, key, compute: Callable[[], object]):
+        """``compute()``, taken on the first call with ``key`` and kept on
+        this element after: the element is immutable, so what depends only
+        on it (and on what ``key`` names) is computed once per element and
+        dropped with it."""
+        kept = self.__dict__.setdefault("_kept_values", {})
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
 
 
 def identity_element(spec: GroupSpec) -> GroupElement:

@@ -256,8 +256,8 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
 
 
 def _prolong_blocks(rep: Representation, X):
-    """``R``, ``K``, ``L = K R`` and ``cond(R)`` for the tangent pair(s)
-    ``X = [a, B]``, with every check of :func:`prolong`."""
+    """``R``, ``K``, ``L = K R`` and an upper bound on ``cond(R)`` for the
+    tangent pair(s) ``X = [a, B]``, with every check of :func:`prolong`."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
     return R, K, _product_block(K, R), _condition(R)
@@ -271,8 +271,8 @@ def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _condition(R: np.ndarray) -> np.ndarray:
-    """``cond(R)`` per slice, refused above the limit as a prolonged image
-    that cannot be inverted."""
+    """An upper bound on ``cond(R)`` per slice, refused where ``cond(R)``
+    exceeds the limit as a prolonged image that cannot be inverted."""
     try:
         return _require_invertible(R)
     except MembershipError as exc:
@@ -303,15 +303,19 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
         raise ValueError(
             f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"
         )
-    B = X.algebra
     base = _matvec(rep_image(rep, X.base), Y.base)
-
-    def curve(t: float) -> np.ndarray:
-        at = group_multiply(mat_exp(B, t), X.base)
-        return _matvec(rep_image(rep, at), Y.base + t * Y.fiber)
-
-    fiber = (curve(_FD_STEP) - curve(-_FD_STEP)) / (2.0 * _FD_STEP)
-    return TangentVector(base, _check_quotient(fiber))
+    # The curve points exp(t B) a depend on the tangent pair alone, so they
+    # are kept on it: every representation checked on one sample stack
+    # differentiates through the same points.
+    steps = (_FD_STEP, -_FD_STEP)
+    points = X._kept(
+        ("curve", steps),
+        lambda: tuple(group_multiply(mat_exp(X.algebra, t), X.base) for t in steps),
+    )
+    plus, minus = (
+        _matvec(rep_image(rep, at), Y.base + t * Y.fiber) for at, t in zip(points, steps)
+    )
+    return TangentVector(base, _check_quotient((plus - minus) / (2.0 * _FD_STEP)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,9 +43,11 @@ from .groups import (
     GroupElement,
     GroupKind,
     GroupSpec,
+    MembershipError,
     SpecMismatchError,
     TangentGroupElement,
     _COND_LIMIT,
+    _require_invertible,
     _rng,
     _uniform_draws,
     algebra_basis,
@@ -109,8 +111,11 @@ _EIGEN_CLUSTER = 1e-6
 # Samples are drawn and evaluated in stacks of at most this many, which
 # bounds the memory a check needs whatever the sample count.  The sample
 # memo keeps at most _SAMPLE_MEMO stacks, so it stays bounded too: at most
-# 64 x 256 tangent elements (2.4 MB over a 3 x 3 group, 3.6 MB with the
-# bases' coordinates), however many samples a run draws.
+# 64 x 256 tangent elements, however many samples a run draws.  Over a
+# 3 x 3 group an element is 18 floats, 27 with its base's coordinates, and
+# what checks keep on it adds at most 63 more (a product with a partner
+# and two curve points, all with coordinates): 11.8 MB in all, plus 2m
+# floats per element for each target dimension m the oracle probes on it.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
@@ -178,8 +183,10 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # A stack depends only on its group and its keys, and every element is
 # read-only, so checks that draw the same keys (the same check over the
 # catalog entries of one group, or checks sharing a seed prefix) share
-# one draw, and the exponential coordinates kept on it, within a process.
-# The public samplers stay unmemoized: their stacks can be any size.
+# one draw within a process, and with it what is kept on the draw: the
+# exponential coordinates, the homomorphism check's products and the
+# oracle's curve points and probe vectors.  Clearing the memo drops them
+# all.  The public samplers stay unmemoized: their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
     spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
@@ -309,7 +316,10 @@ def _homomorphism_checks(
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(seed, 2 * indices))
         Y = _tangent_sample(rep.group, _keys(seed, 2 * indices + 1))
-        xy, x, y = (prolong(rep, Z) for Z in (tg_multiply(X, Y), X, Y))
+        # Kept on X with Y in its key: every representation checked on
+        # these stacks takes the same product.
+        product = X._kept(("product", Y), lambda: tg_multiply(X, Y))
+        xy, x, y = (prolong(rep, Z) for Z in (product, X, Y))
         return np.stack(
             [
                 relative_residual(xy.top_left, x.top_left @ y.top_left, axis=(-2, -1)),
@@ -356,13 +366,25 @@ def check_action_oracle(
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(seed, indices, 53))
-        draws = _uniform_draws(_keys(seed, indices, 59), 2 * n).reshape(-1, 2, n)
+        # The probes depend on the seed and the indices, as X does: kept on
+        # X, they are drawn once for every representation of one target
+        # dimension checked on it.
+        probe_keys = _keys(seed, indices, 59)
+        draws = X._kept(("probes", probe_keys, n), lambda: _probe_draws(probe_keys, n))
         Y = TangentVector(draws[:, 0], draws[:, 1])
         direct = apply_prolonged(prolong(rep, X), Y)
         oracle = tangent_action_oracle(rep, X, Y)
         return relative_residual(direct.coordinates, oracle.coordinates, axis=-1)
 
     return _sampled_check("action_oracle", samples, seed, tol, residuals)
+
+
+def _probe_draws(keys, n: int) -> np.ndarray:
+    """The oracle's probe vectors ``(p, v)`` under ``keys``, a read-only
+    ``(len(keys), 2, n)`` stack."""
+    draws = _uniform_draws(keys, 2 * n).reshape(-1, 2, n)
+    draws.flags.writeable = False
+    return draws
 
 
 def _intertwiner_matrix(A) -> np.ndarray:
@@ -414,8 +436,14 @@ def is_intertwiner(
 
 
 def _intertwining_residuals(A: np.ndarray, images1, images2) -> np.ndarray:
-    """Per stacked image: relative residual of A rho1(x) = rho2(x) A."""
-    return relative_residual(A @ images1, images2 @ A, axis=(-2, -1))
+    """Per stacked image: relative residual of A rho1(x) = rho2(x) A.  Finite
+    images can still overflow in these products, which are then refused as
+    images floating point cannot hold."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = A @ images1, images2 @ A
+    _require_finite(left, "intertwined image A rho1(x) has")
+    _require_finite(right, "intertwined image rho2(x) A has")
+    return relative_residual(left, right, axis=(-2, -1))
 
 
 def prolong_intertwiner(A) -> np.ndarray:
@@ -447,6 +475,29 @@ def _conjugators(n: int, seed) -> np.ndarray:
 
     draws = _uniform_draws(_keys(seed, range(_CONJUGATIONS), 2), n * n)
     return scipy.linalg.expm(0.5 * draws.reshape(-1, n, n))
+
+
+# Conjugations of one (target dimension, seed) are shared by every
+# representation of that dimension checked under the seed, as the catalog
+# entries of one report are; a few KB each.
+@functools.lru_cache(maxsize=4)
+def _conjugations(n: int, seed: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The equivalence check's conjugators ``A`` up to the first
+    rank-deficient one, their inverses and ``cond(A)^2``, read-only.
+
+    One singular-value pass over the stack decides the ranks.  ``cond(A R
+    A^-1) <= cond(A)^2 cond(R)``, so only where this bound nears the limit
+    can a conjugated image be refused when ``R`` is not.
+    """
+    conjugators = _conjugators(n, seed)
+    s = np.linalg.svd(conjugators, compute_uv=False)
+    deficient = np.flatnonzero(np.any(s <= _RANK_RTOL * s[:, :1], axis=-1))
+    tested = deficient[0] if deficient.size else _CONJUGATIONS
+    conjugators, s = conjugators[:tested], s[:tested]
+    facts = (conjugators, np.linalg.inv(conjugators), (s[:, 0] / s[:, -1]) ** 2)
+    for array in facts:
+        array.flags.writeable = False
+    return facts
 
 
 def conjugate_representation(rep: Representation, A) -> Representation:
@@ -490,22 +541,14 @@ def check_equivalence_transfer(
     conjugators before it are tested.
     """
     _require_samples(samples)
-    conjugators = _conjugators(rep.target_dim, seed)
-    s = np.linalg.svd(conjugators, compute_uv=False)
-    deficient = np.flatnonzero(np.any(s <= _RANK_RTOL * s[:, :1], axis=-1))
-    tested = deficient[0] if deficient.size else _CONJUGATIONS
-    conjugators, s = conjugators[:tested], s[:tested]
-    inverses = np.linalg.inv(conjugators)
+    conjugators, inverses, squared_cond = _conjugations(rep.target_dim, _derive(seed))
+    tested = len(conjugators)
     # The identity check each conjugated Representation would run when
     # built, on all of them at once.  The images are finite, since
     # cond(A) < 1 / _RANK_RTOL.
     identity = rep_image(rep, identity_element(rep.group))
     _require_identity(_conjugate_name(rep), conjugators @ identity @ inverses)
     lifts = block_diag(conjugators, conjugators)
-    # cond(A R A^-1) <= cond(A)^2 cond(R), so only where this bound nears
-    # the limit can a conjugated image be refused when R is not; the factor
-    # 2 covers rounding in the singular values, about eps cond <= 1e-4.
-    squared_cond = (s[:, 0] / s[:, -1]) ** 2
     sample_seed = _derive(seed, 1)
 
     def residuals(indices):
@@ -516,6 +559,8 @@ def check_equivalence_transfer(
         rows = []
         for start in range(0, tested, width):
             group = slice(start, start + width)
+            # cond(R) is bounded from above; the factor 2 covers rounding in
+            # the singular values of A, about eps cond <= 1e-4.
             exact = np.max(squared_cond[group]) * np.max(cond) > _COND_LIMIT / 2
             conjugated = _conjugated_images(conjugators[group], inverses[group], R, K, exact)
             rows.append(_intertwining_residuals(lifts[group, None], images, conjugated))
@@ -544,15 +589,18 @@ def _conjugated_images(
     conjugator ``A``, a ``(conjugators, samples, 2n, 2n)`` stack, refused as
     :func:`prolong` refuses each conjugated representation's: the shapes
     hold by construction; ``R``, ``K`` and ``K R`` must be finite, and
-    ``cond(R)``, taken only when ``exact``, at most the limit.  A refusal is
-    the first refused conjugator's."""
+    ``R`` invertible, tested only when ``exact``.  A refusal is the first
+    refused conjugator's."""
     with np.errstate(over="ignore", invalid="ignore"):
         A, inverse = conjugators[:, None], inverses[:, None]
         R, K = A @ R @ inverse, A @ K @ inverse
         L = K @ R
     ok = all(np.all(np.isfinite(M)) for M in (R, K, L))
     if ok and exact:
-        ok = np.all(np.linalg.cond(R) <= _COND_LIMIT)
+        try:
+            _require_invertible(R)
+        except MembershipError:
+            ok = False
     if not ok:
         for c in range(len(R)):
             _require_finite(R[c], "apply returned")

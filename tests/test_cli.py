@@ -730,6 +730,23 @@ class TestMalformedInput:
         assert out == ""
         assert err == f"error: cannot evaluate the representation: {failure}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_intertwined_image_exits_2(self, capsys, tmp_path):
+        # Every image at sample 50 is finite, K R near 1.8e308 among them,
+        # but a lift times it is not: the product is refused like an image.
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(gl1_power(710.0)))
+        code, out, err = run_cli(
+            capsys, "check", "--rep", str(path), "--suite", "equivalence",
+            "--samples", "200", "--seed", "45",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: cannot evaluate the representation: equivalence_transfer check, "
+            "seed [45, 1], sample index 50: intertwined image A rho1(x) has non-finite entries\n"
+        )
+
     def test_overflowing_images_exit_2_in_prolong_at_large_coordinates(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(gl1_power(1000.0)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from descriptors import gl2_det_power
 from elements import circle_element
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,9 +26,11 @@ from lieprolong import (
     group_membership_residual,
     group_multiply,
     identity_element,
+    load_representation,
     mat_exp,
     principal_log,
     relative_residual,
+    rep_image,
     sample_tangent_element,
     sample_tangent_elements,
     special_linear,
@@ -35,7 +38,7 @@ from lieprolong import (
     tg_inverse,
     tg_multiply,
 )
-from lieprolong.groups import _uniform_draws
+from lieprolong.groups import _require_invertible, _uniform_draws
 
 SPECS = [
     general_linear(1),
@@ -146,6 +149,108 @@ class TestMembership:
         ):
             with pytest.raises(ValueError):
                 element.matrix[0, 0] = 5.0
+
+
+def exact_gate(matrix: np.ndarray):
+    """The refusal of the plain gate ``np.linalg.cond <= 1e12`` as (message,
+    position), or ``None`` when it accepts."""
+    cond = np.linalg.cond(matrix)
+    ok = cond <= 1e12
+    if np.all(ok):
+        return None
+    message = f"matrix is singular or too ill-conditioned to invert (cond={np.max(cond):.3e})"
+    return message, (int(np.flatnonzero(~ok)[0]) if ok.ndim else None)
+
+
+def assert_gate_is_exact(matrix) -> None:
+    """``_require_invertible`` accepts and refuses as the plain gate does,
+    and what it returns on acceptance bounds ``cond`` from above."""
+    matrix = np.array(matrix, dtype=float)
+    expected = exact_gate(matrix)
+    if expected is None:
+        assert np.all(_require_invertible(matrix) >= np.linalg.cond(matrix))
+    else:
+        with pytest.raises(MembershipError) as info:
+            _require_invertible(matrix)
+        assert (str(info.value), info.value.position) == expected
+
+
+def rotations(count: int) -> np.ndarray:
+    return sample_tangent_elements(circle(), [(3, i) for i in range(count)]).base.matrix.copy()
+
+
+class TestInvertibilityCertificate:
+    """The gate behind every group element and prolonged image takes an SVD
+    only where a cheap bound cannot place ``cond`` well inside the limit;
+    its verdicts are the exact gate's."""
+
+    @pytest.mark.parametrize(
+        ("power", "worst"),
+        [(13.5, (1e11, 5e11)), (14.0, (1e11, 5e11)), (14.5, (5e11, 1e12)), (15.0, (1e12, 1e13))],
+    )
+    def test_det_power_images_straddling_the_limit(self, power, worst):
+        # cond = det(a)^power: the worst of these samples is certified at
+        # powers 13.5 and 14, needs the SVD to be accepted at 14.5 and is
+        # refused at 15.
+        rep = load_representation(gl2_det_power(power))
+        bases = sample_tangent_elements(general_linear(2), [(9, i) for i in range(200)]).base
+        images = rep_image(rep, bases)
+        low, high = worst
+        assert low < np.max(np.linalg.cond(images)) <= high
+        assert_gate_is_exact(images)
+        for image in images:
+            assert_gate_is_exact(image)
+            assert_gate_is_exact(image[None])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 2.0], [2.0, 4.0 + 1e-13]],
+            [[1.0, 0.0], [0.0, 9e-13]],
+            [[1.0, 0.0], [0.0, 1.5e-12]],
+            [[1e-200, 0.0], [0.0, 1e-200]],
+        ],
+        ids=["singular", "zero", "near_singular", "past_limit", "below_limit", "tiny_scalar"],
+    )
+    def test_one_bad_slice_in_a_stack(self, bad):
+        stack = rotations(6)
+        stack[3] = bad
+        assert_gate_is_exact(stack)
+        assert_gate_is_exact(stack[3])
+
+    def test_inverse_too_inaccurate_to_bound_anything(self):
+        # Singular in exact arithmetic, not after rounding: LU's inverse
+        # leaves |M X - I| above 1, where the bound's denominator turns
+        # negative.
+        bad = np.arange(1.0, 17.0).reshape(4, 4) / 10
+        stack = np.stack([np.eye(4), bad, np.eye(4)])
+        assert_gate_is_exact(stack)
+        assert_gate_is_exact(bad)
+
+    @pytest.mark.parametrize("value", [3.0, -2.5, 1.0, 1e300, 1e-300, 1e-310, 0.0])
+    def test_one_by_one(self, value):
+        assert_gate_is_exact([[value]])
+        stack = np.linspace(0.5, 4.0, 7).reshape(7, 1, 1)
+        assert_gate_is_exact(stack)
+        stack[4] = value
+        assert_gate_is_exact(stack)
+
+    def test_well_conditioned_stacks_take_no_svd(self, monkeypatch):
+        stacks = [
+            rotations(50),
+            sample_tangent_elements(general_linear(3), range(50)).base.matrix,
+            np.linspace(0.5, 4.0, 7).reshape(7, 1, 1),
+        ]
+        exact = [np.linalg.cond(stack) for stack in stacks]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        for stack, cond in zip(stacks, exact):
+            assert np.all(_require_invertible(stack) >= cond)
 
 
 def dense_embed(X: TangentGroupElement) -> np.ndarray:

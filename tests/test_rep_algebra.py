@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lieprolong import (
     Representation,
     SpecMismatchError,
     SubspaceBasis,
+    TangentGroupElement,
     Verdict,
     algebra_from_coordinates,
     catalog_entry,
@@ -68,6 +70,9 @@ def rep_of(name: str) -> Representation:
     return catalog_entry(name).rep
 
 
+CIRCLE_ENTRIES = [entry.name for entry in catalog_list() if entry.rep.group == circle()]
+
+
 def skewed_identity(spec) -> Representation:
     """Identity map distorted away from multiplicativity at order 1e-3."""
 
@@ -75,6 +80,13 @@ def skewed_identity(spec) -> Representation:
         return a.matrix + 1e-3 * (a.matrix - np.eye(spec.dim))
 
     return Representation(spec, spec.dim, apply, lambda B: 1.001 * B.matrix, "skewed")
+
+
+def patch_conjugators(patch, stack: np.ndarray) -> None:
+    """Make the equivalence check test ``stack``: ``_conjugators`` is
+    replaced and its cached consequences are computed afresh."""
+    patch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
+    patch.setattr(rep_algebra, "_conjugations", rep_algebra._conjugations.__wrapped__)
 
 
 class TestCheckReport:
@@ -180,6 +192,20 @@ class TestIntertwiners:
             with pytest.raises(ValueError, match="finite"):
                 prolong_intertwiner(bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_product_is_refused_with_its_sample(self):
+        # The images are finite, A times one of them is not; the first
+        # sample whose image exceeds 1.8 overflows.
+        rep, A = rep_of("gl_identity(1)"), [[1e308]]
+        bases = [sample_tangent_element(general_linear(1), (0, i)).base.matrix for i in range(50)]
+        first = next(i for i, a in enumerate(bases) if a[0, 0] > np.finfo(float).max / 1e308)
+        with pytest.raises(NonFiniteImageError) as info:
+            is_intertwiner(A, rep, rep, 50, seed=0)
+        assert str(info.value) == (
+            f"intertwiner check, seed 0, sample index {first}: "
+            "intertwined image A rho1(x) has non-finite entries"
+        )
+
     def test_rejects_non_matrices(self):
         rep = rep_of("circle_rotation")
         for bad in (1.0, [1.0, 0.0], np.ones((1, 2, 2))):
@@ -211,7 +237,7 @@ class TestEquivalenceTransfer:
         rep = rep_of("so3_standard")
         stack = rep_algebra._conjugators(3, 4)
         stack[3] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
-        monkeypatch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
+        patch_conjugators(monkeypatch, stack)
         scored, score = [], rep_algebra._intertwining_residuals
 
         def recorded(lifts, images1, images2):
@@ -768,7 +794,7 @@ def equivalence_with_singular_first_conjugator(rep, samples):
     """The equivalence check with conjugator 0 singular, which tests no
     conjugation at all."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rep_algebra, "_conjugators", lambda n, seed: np.zeros((20, n, n)))
+        patch_conjugators(patch, np.zeros((20, rep.target_dim, rep.target_dim)))
         return check_equivalence_transfer(rep, samples)
 
 
@@ -947,7 +973,7 @@ class TestStackedEquivalence:
         rep = load_representation(gl1_power(40.0))
         stack = rep_algebra._conjugators(1, 3)
         stack[5] = [[1e300]]
-        monkeypatch.setattr(rep_algebra, "_conjugators", lambda n, seed: stack.copy())
+        patch_conjugators(monkeypatch, stack)
         expected = refusal(lambda: per_conjugator_scan(rep, 200, 3))
         assert expected.endswith(": apply returned non-finite entries")
         assert refusal(lambda: check_equivalence_transfer(rep, 200, 3)) == expected
@@ -968,9 +994,9 @@ class TestStackedEquivalence:
         assert any(np.ndim(c) == 2 for c in conds)
 
     def test_well_conditioned_conjugations_take_no_cond(self, monkeypatch):
-        # cond(A)^2 cond(R) stays far below 1e12, so only the base stack's
-        # cond is taken, once.  The first run draws the samples, whose
-        # validation takes a cond of its own.
+        # cond(A)^2 cond(R) stays far below 1e12, so no conjugated stack is
+        # tested, and the base stack's images are certified without an SVD.
+        # The first run draws the samples.
         rep = rep_of("so3_standard")
         assert check_equivalence_transfer(rep, 30, seed=0).passed
         calls, cond = [], np.linalg.cond
@@ -981,7 +1007,7 @@ class TestStackedEquivalence:
 
         monkeypatch.setattr(np.linalg, "cond", counted)
         assert check_equivalence_transfer(rep, 30, seed=0).passed
-        assert calls == [(30, 3, 3)]
+        assert calls == []
 
     def test_conjugated_identity_is_refused_as_one_by_one(self):
         # 9e-13 from the identity passes; some conjugate moves it past 1e-12.
@@ -1001,6 +1027,7 @@ class TestSampleMemo:
 
     def clear(self):
         rep_algebra._tangent_sample.cache_clear()
+        rep_algebra._conjugations.cache_clear()
 
     def count_logm(self, monkeypatch) -> list:
         logm = scipy.linalg.logm
@@ -1100,7 +1127,8 @@ class TestSampleMemo:
 
     def test_report_cond_calls_and_equivalence_stacks_stay_bounded(self, monkeypatch, capsys):
         # Counts, unlike wall time, repeat exactly: 420 cond calls when each
-        # conjugated representation was prolonged on its own, 200 now.
+        # conjugated representation was prolonged on its own, 200 when each
+        # stack took one, none now that a cheap bound certifies every image.
         calls, cond = [], np.linalg.cond
         sizes, score = [], rep_algebra._intertwining_residuals
 
@@ -1116,7 +1144,7 @@ class TestSampleMemo:
         monkeypatch.setattr(rep_algebra, "_intertwining_residuals", recorded)
         self.clear()
         self.report(capsys)
-        assert len(calls) <= 211
+        assert calls == []
         assert sizes == [200] * len(catalog_list())
         assert max(sizes) <= rep_algebra._CHUNK
 
@@ -1140,6 +1168,50 @@ class TestSampleMemo:
                 assert stack.shape == (20, n, n)
                 for c, A in enumerate(stack):
                     np.testing.assert_array_equal(A, random_conjugator(n, (seed, 2, c)))
+
+    @pytest.mark.parametrize("name", CIRCLE_ENTRIES)
+    def test_circle_reports_do_not_depend_on_the_entries_before(self, monkeypatch, name):
+        # The other circle entries leave products, curve points, probe
+        # vectors and conjugations on the memo that this entry then reads.
+        config = cli.RunConfig("check", samples=40, seed=8)
+
+        def reports(entry_name):
+            entry = catalog_entry(entry_name)
+            return [
+                repr(cli._run_suite(suite, entry.rep, entry, config)) for suite in cli._SUITE_NAMES
+            ]
+
+        self.clear()
+        cold = reports(name)
+        self.clear()
+        for other in CIRCLE_ENTRIES:
+            if other != name:
+                reports(other)
+        products = []
+        monkeypatch.setattr(
+            rep_algebra, "tg_multiply", lambda X, Y: products.append(X) or tg_multiply(X, Y)
+        )
+        assert reports(name) == cold
+        assert products == []
+
+    def test_clearing_the_memo_releases_what_its_stacks_keep(self):
+        rep, indices = rep_of("circle_rotation"), np.arange(10)
+        self.clear()
+        assert check_homomorphism(rep, 10, seed=2).passed
+        assert check_action_oracle(rep, 10, seed=2).passed
+        X, Y, Z = (
+            rep_algebra._tangent_sample(rep.group, rep_algebra._keys(2, *args))
+            for args in ((2 * indices,), (2 * indices + 1,), (indices, 53))
+        )
+        [product] = X._kept_values.values()
+        probes, (plus, minus) = Z._kept_values.values()
+        assert isinstance(product, TangentGroupElement)
+        assert probes.shape == (10, 2, 2)
+        refs = [weakref.ref(obj) for obj in (X, Y, Z, product, plus, minus, probes)]
+        del X, Y, Z, product, plus, minus, probes
+        assert all(ref() is not None for ref in refs)
+        rep_algebra._tangent_sample.cache_clear()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_memo_stays_bounded(self):
         self.clear()
