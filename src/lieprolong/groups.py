@@ -19,7 +19,16 @@ take whole stacks and give the same bits as a loop over the slices.
 :func:`sample_tangent_elements` draws such stacks, seeding every key in
 one vectorized pass that gives numpy's ``default_rng(key)`` streams
 (SeedSequence and PCG64) bit for bit; a group or algebra draw is the
-``base`` or ``algebra`` of a tangent one.
+``base`` or ``algebra`` of a tangent one.  A stack holds the seeded
+streams it was drawn from, with the rows drawn so far, so a draw under
+the same keys while it lives, for any group and any count, seeds
+nothing again; the streams go with the last stack that holds them.
+
+A group element keeps an upper bound on the condition number of its
+slices.  An exponential knows one for free, ``cond(e^A) <= |e^A|
+|e^-A| <= e^(2|A|)``, and a product the product of its factors' bounds,
+so they pass the invertibility gate without inverting anything while
+the bound stays well inside the limit.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -296,13 +306,20 @@ class GroupElement:
     """An invertible matrix tagged with the group it belongs to.
 
     ``matrix`` may also be a stack of shape ``(..., n, n)``; every slice is
-    then validated by one array reduction.
+    then validated by one array reduction.  The element keeps an upper
+    bound on the ``cond`` of every slice, from its invertibility gate.
     """
 
     matrix: np.ndarray
     spec: GroupSpec
 
     def __post_init__(self) -> None:
+        self._validate(None)
+
+    def _validate(self, cond: Optional[float]) -> None:
+        """Membership and finiteness, and invertibility unless ``cond``, a
+        known upper bound on the ``cond`` of every slice, stays within half
+        the limit; the other half leaves room for rounding in the bound."""
         m = _as_square(self.matrix, self.spec.dim)
         residual = group_membership_residual(m, self.spec)
         if residual > MEMBERSHIP_TOL:
@@ -310,8 +327,10 @@ class GroupElement:
                 f"matrix is not in {self.spec.describe()}: residual {residual:.3e} "
                 f"exceeds {MEMBERSHIP_TOL:.0e}"
             )
-        _require_invertible(m)
+        if cond is None or not cond <= _COND_LIMIT / 2:
+            cond = float(np.max(_require_invertible(m), initial=1.0))
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_cond", cond)
 
     @functools.cached_property
     def _coordinates(self) -> np.ndarray:
@@ -375,10 +394,23 @@ class TangentGroupElement:
         return kept[key]
 
 
+def _bounded(matrix: np.ndarray, spec: GroupSpec, cond: float) -> GroupElement:
+    """A :class:`GroupElement` of ``matrix``, the ``cond`` of whose slices
+    is known to be at most ``cond``: validated as any other, except that
+    the invertibility gate runs only when the bound exceeds half the limit."""
+    out = object.__new__(GroupElement)
+    object.__setattr__(out, "matrix", matrix)
+    object.__setattr__(out, "spec", spec)
+    out._validate(cond)
+    return out
+
+
 def identity_element(spec: GroupSpec) -> GroupElement:
     """The identity, carrying its exponential coordinates (exact zeros)."""
     coords = np.zeros(len(algebra_basis(spec)))
-    return _trusted(GroupElement, matrix=np.eye(spec.dim), spec=spec, _coordinates=coords)
+    return _trusted(
+        GroupElement, matrix=np.eye(spec.dim), spec=spec, _coordinates=coords, _cond=1.0
+    )
 
 
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
@@ -401,7 +433,11 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
             )
     import scipy.linalg
 
-    return GroupElement(scipy.linalg.expm(scaled), B.spec)
+    # cond(e^A) <= |e^A| |e^-A| <= e^(2 |A|), and |A|_2 <= |A|_F; the factor
+    # 2 covers the rounding of the computed exponential.
+    with np.errstate(over="ignore"):
+        cond = 2.0 * np.exp(2.0 * np.sqrt(np.max(_sum_squares(scaled), initial=0.0)))
+    return _bounded(scipy.linalg.expm(scaled), B.spec, float(cond))
 
 
 def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -409,7 +445,12 @@ def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
         raise SpecMismatchError(
             f"cannot multiply elements of {a.spec.describe()} and {b.spec.describe()}"
         )
-    return GroupElement(a.matrix @ b.matrix, a.spec)
+    # cond(a b) <= c = cond(a) cond(b).  The computed product lies within
+    # d |a| |b| of a b in the 2-norm, d = n^2 eps, so its cond is at most
+    # c (1 + d) / (1 - d c), where d c < 1.
+    c, d = a._cond * b._cond, a.spec.dim**2 * _EPS
+    cond = c * (1.0 + d) / (1.0 - d * c) if d * c < 1.0 else math.inf
+    return _bounded(a.matrix @ b.matrix, a.spec, cond)
 
 
 def tg_multiply(X: TangentGroupElement, Y: TangentGroupElement) -> TangentGroupElement:
@@ -485,14 +526,32 @@ def _jump_table(count: int) -> np.ndarray:
     return np.array(rows, np.uint64)
 
 
-def _uniform_draws(keys: Sequence[SeedLike], count: int) -> np.ndarray:
-    """Row ``r`` is, bit for bit, ``_rng(keys[r]).uniform(-1.0, 1.0, count)``,
-    computed for all keys at once."""
+def _normalized(keys: Iterable[SeedLike]) -> tuple[tuple[int, ...], ...]:
+    """Each key as the tuple of its elements mod 2**63, as ``_rng`` reduces
+    them: keys with equal tuples have equal streams.  Keys already in that
+    form, as the checks' keys are, come back as they are, copying nothing."""
+    if isinstance(keys, tuple) and all(
+        type(key) is tuple and all(type(e) is int and 0 <= e < 2**63 for e in key)
+        for key in keys
+    ):
+        return keys
+    return tuple(
+        (int(key) % 2**63,)
+        if isinstance(key, (int, np.integer))
+        else tuple(int(e) % 2**63 for e in key)
+        for key in keys
+    )
+
+
+def _seed(keys: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """PCG64's seed and increment for each normalized key, computed for all
+    keys at once (SeedSequence's pool, ``generate_state(4, uint64)``,
+    srandom): a ``(4, len(keys), 1)`` uint64 array of the seed's high and
+    low words, then the increment's."""
     # SeedSequence's entropy: one 32-bit word per key element, two from 2**32.
-    entropy = []
-    for key in keys:
-        row = [int(e) % 2**63 for e in ([key] if isinstance(key, (int, np.integer)) else key)]
-        entropy.append([w for e in row for w in ((e & _MASK32, e >> 32) if e >> 32 else (e,))])
+    entropy = [
+        [w for e in key for w in ((e & _MASK32, e >> 32) if e >> 32 else (e,))] for key in keys
+    ]
     lengths = np.array([len(words) for words in entropy], dtype=int)
     width = max(4, int(lengths.max(initial=0)))
     words = np.array([w + [0] * (width - len(w)) for w in entropy], np.uint32)
@@ -506,22 +565,75 @@ def _uniform_draws(keys: Sequence[SeedLike], count: int) -> np.ndarray:
     for src in range(4, words.shape[1]):
         hashed, const = _hashmix(words[:, [src] * 4], const, _MULT_A)
         pool = np.where((lengths > src)[:, None], _mix(pool, hashed), pool)
-    # generate_state(4, uint64), then PCG64's srandom.
     half = _hashmix(np.tile(pool, 2), _INIT_B, _MULT_B)[0].astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = (half[:, 0::2] | (half[:, 1::2] << 32)).T[:, :, None]
-    seed, inc = (seed_hi, seed_lo), ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1)
-    # The output states from a jump table, a block of positions at a time,
-    # then the XSL-RR output.
-    powers, sums = _jump_table(count)
-    bits = np.empty((len(keys), count), np.uint64)
-    for start in range(0, count, _JUMP_BLOCK):
-        block = slice(start, start + _JUMP_BLOCK)
+    state = (half[:, 0::2] | (half[:, 1::2] << 32)).T[:, :, None]
+    seq_hi, seq_lo = state[2:]
+    state[2:] = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    return state
+
+
+def _outputs(state: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``Generator.uniform(-1.0, 1.0)`` at positions ``start`` to ``stop - 1``
+    of each stream seeded to ``state``: the output states from the jump
+    table, a block of positions at a time, then the XSL-RR output."""
+    seed, inc = state[:2], state[2:]
+    powers, sums = _jump_table(stop)
+    bits = np.empty((state.shape[1], stop - start), np.uint64)
+    for first in range(start, stop, _JUMP_BLOCK):
+        block = slice(first, min(first + _JUMP_BLOCK, stop))
         (hi, lo), (add_hi, add_lo) = _mul128(seed, powers[:, block]), _mul128(inc, sums[:, block])
         lo = lo + add_lo
         hi = hi + add_hi + (lo < add_lo)
         x, rot = hi ^ lo, hi >> 58
-        bits[:, block] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+        bits[:, first - start : block.stop - start] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
     return -1.0 + 2.0 * (bits * 2.0**-53)
+
+
+class _Stream:
+    """The uniform streams of one key set, seeded once and drawn as far as
+    asked.  Output ``k`` does not depend on how many are drawn, so the rows
+    drawn so far are kept: a longer draw computes only the new positions,
+    a shorter one is a slice."""
+
+    __slots__ = ("_state", "_rows", "__weakref__")
+
+    def __init__(self, keys: tuple[tuple[int, ...], ...]):
+        self._state = _seed(keys)
+        self._rows = np.empty((len(keys), 0))
+        self._rows.flags.writeable = False
+
+    def draws(self, count: int) -> np.ndarray:
+        """Read-only ``(keys, count)`` draws: row ``r`` is, bit for bit,
+        ``_rng(keys[r]).uniform(-1.0, 1.0, count)``."""
+        drawn = self._rows.shape[1]
+        if count > drawn:
+            rows = np.concatenate([self._rows, _outputs(self._state, drawn, count)], axis=1)
+            rows.flags.writeable = False
+            self._rows = rows
+        return self._rows[:, :count]
+
+
+# The streams by normalized key set, held weakly: only the stacks drawn
+# from a stream hold it (sample_tangent_elements keeps it on its stack, the
+# action oracle keeps its probes' stream on the tangent stack it probes),
+# so draws under one key set share one seeding while such a stack lives,
+# and no stream outlives them.
+_STREAMS: "weakref.WeakValueDictionary[tuple, _Stream]" = weakref.WeakValueDictionary()
+
+
+def _stream(keys: Iterable[SeedLike]) -> _Stream:
+    """The streams of ``keys``, seeded now unless a live stack holds them."""
+    keys = _normalized(keys)
+    stream = _STREAMS.get(keys)
+    if stream is None:
+        stream = _STREAMS[keys] = _Stream(keys)
+    return stream
+
+
+def _uniform_draws(keys: Iterable[SeedLike], count: int) -> np.ndarray:
+    """Row ``r`` is, bit for bit, ``_rng(keys[r]).uniform(-1.0, 1.0, count)``,
+    computed for all keys at once; read-only."""
+    return _stream(keys).draws(count)
 
 
 def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
@@ -551,8 +663,12 @@ def sample_tangent_elements(
     spec: GroupSpec, seeds: Iterable[SeedLike]
 ) -> TangentGroupElement:
     """Stack of :func:`sample_tangent_element` over ``seeds``, bit for bit,
-    drawn for all seeds at once."""
-    return _tangent_draw(spec, functools.partial(_uniform_draws, list(seeds)))
+    drawn for all seeds at once.  The stack holds the streams it was drawn
+    from, so a draw under the same seeds while it lives seeds nothing."""
+    stream = _stream(seeds)
+    X = _tangent_draw(spec, stream.draws)
+    object.__setattr__(X, "_stream", stream)
+    return X
 
 
 @functools.lru_cache(maxsize=None)

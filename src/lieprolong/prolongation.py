@@ -257,10 +257,13 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
 
 def _prolong_blocks(rep: Representation, X):
     """``R``, ``K``, ``L = K R`` and an upper bound on ``cond(R)`` for the
-    tangent pair(s) ``X = [a, B]``, with every check of :func:`prolong`."""
+    tangent pair(s) ``X = [a, B]``, with every check of :func:`prolong`.
+    When ``apply`` returned the base's own read-only matrix, as an identity
+    map does, the bound is the one the base keeps."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
-    return R, K, _product_block(K, R), _condition(R)
+    L = _product_block(K, R)
+    return R, K, L, X.base._cond if R is X.base.matrix else _condition(R)
 
 
 def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:

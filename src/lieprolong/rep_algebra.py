@@ -49,6 +49,7 @@ from .groups import (
     _COND_LIMIT,
     _require_invertible,
     _rng,
+    _stream,
     _uniform_draws,
     algebra_basis,
     algebra_coordinates,
@@ -113,9 +114,11 @@ _EIGEN_CLUSTER = 1e-6
 # memo keeps at most _SAMPLE_MEMO stacks, so it stays bounded too: at most
 # 64 x 256 tangent elements, however many samples a run draws.  Over a
 # 3 x 3 group an element is 18 floats, 27 with its base's coordinates, and
-# what checks keep on it adds at most 63 more (a product with a partner
-# and two curve points, all with coordinates): 11.8 MB in all, plus 2m
-# floats per element for each target dimension m the oracle probes on it.
+# 49 with the streams it was drawn from (4 words of seeded state and 18
+# draws); what checks keep on it adds at most 63 more (a product with a
+# partner and two curve points, all with coordinates): 14.7 MB in all,
+# plus 4 words of probe-stream state and 2m floats per element for each
+# target dimension m the oracle probes on it.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
@@ -184,9 +187,10 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # read-only, so checks that draw the same keys (the same check over the
 # catalog entries of one group, or checks sharing a seed prefix) share
 # one draw within a process, and with it what is kept on the draw: the
-# exponential coordinates, the homomorphism check's products and the
-# oracle's curve points and probe vectors.  Clearing the memo drops them
-# all.  The public samplers stay unmemoized: their stacks can be any size.
+# exponential coordinates, the homomorphism check's products, the oracle's
+# curve points and probe vectors, and the seeded streams of the draw's keys
+# and of the probes' keys.  Clearing the memo drops them all.  The public
+# samplers stay unmemoized: their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
     spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
@@ -366,25 +370,19 @@ def check_action_oracle(
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(seed, indices, 53))
-        # The probes depend on the seed and the indices, as X does: kept on
-        # X, they are drawn once for every representation of one target
-        # dimension checked on it.
+        # The probes depend on the seed and the indices, as X does: their
+        # stream is kept on X, so it is seeded once for every target
+        # dimension probed on X, and the probes are kept too, drawn once for
+        # every representation of one target dimension.
         probe_keys = _keys(seed, indices, 59)
-        draws = X._kept(("probes", probe_keys, n), lambda: _probe_draws(probe_keys, n))
+        stream = X._kept(("probe stream", probe_keys), lambda: _stream(probe_keys))
+        draws = X._kept(("probes", probe_keys, n), lambda: stream.draws(2 * n).reshape(-1, 2, n))
         Y = TangentVector(draws[:, 0], draws[:, 1])
         direct = apply_prolonged(prolong(rep, X), Y)
         oracle = tangent_action_oracle(rep, X, Y)
         return relative_residual(direct.coordinates, oracle.coordinates, axis=-1)
 
     return _sampled_check("action_oracle", samples, seed, tol, residuals)
-
-
-def _probe_draws(keys, n: int) -> np.ndarray:
-    """The oracle's probe vectors ``(p, v)`` under ``keys``, a read-only
-    ``(len(keys), 2, n)`` stack."""
-    draws = _uniform_draws(keys, 2 * n).reshape(-1, 2, n)
-    draws.flags.writeable = False
-    return draws
 
 
 def _intertwiner_matrix(A) -> np.ndarray:
@@ -916,7 +914,8 @@ def check_direct_sum_commutation(
     def residuals(indices):
         X = _tangent_sample(rep1.group, _keys(seed, indices, 41))
         joint = prolong(summed, X).dense()[..., perm[:, None], perm]
-        split = block_diag(prolong(rep1, X).dense(), prolong(rep2, X).dense())
+        first = prolong(rep1, X).dense()
+        split = block_diag(first, first if rep2 is rep1 else prolong(rep2, X).dense())
         return relative_residual(joint, split, axis=(-2, -1))
 
     return _sampled_check("direct_sum_commutation", samples, seed, tol, residuals)

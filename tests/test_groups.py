@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from lieprolong import (
     tg_inverse,
     tg_multiply,
 )
+from lieprolong import groups
 from lieprolong.groups import _require_invertible, _uniform_draws
 
 SPECS = [
@@ -253,6 +255,84 @@ class TestInvertibilityCertificate:
             assert np.all(_require_invertible(stack) >= cond)
 
 
+class TestExponentialCertificate:
+    """Exponentials and their products carry a bound on ``cond`` and skip
+    the gate while it stays within half the limit; everything else is
+    gated as before."""
+
+    def count_gates(self, monkeypatch) -> list:
+        gate, calls = groups._require_invertible, []
+        monkeypatch.setattr(groups, "_require_invertible", lambda m: calls.append(m) or gate(m))
+        return calls
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_sampled_stacks_take_no_inverse(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inverse was taken")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        calls = self.count_gates(monkeypatch)
+        X = sample_tangent_elements(spec, [(37, i) for i in range(50)])
+        Y = sample_tangent_elements(spec, [(41, i) for i in range(50)])
+        product = group_multiply(X.base, Y.base)
+        # The oracle's curve points.
+        for t in (1e-6, -1e-6):
+            group_multiply(mat_exp(X.algebra, t), X.base)
+        group_multiply(product, mat_exp(Y.algebra, 2.0))
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_bound_is_at_least_the_exact_cond(self, spec, t):
+        X = sample_tangent_elements(spec, [(43, i) for i in range(40)])
+        Y = sample_tangent_elements(spec, [(47, i) for i in range(40)])
+        a, b = mat_exp(X.algebra, t), mat_exp(Y.algebra, -t)
+        for element in (a, b, group_multiply(a, b), group_multiply(group_multiply(a, b), a)):
+            assert element._cond >= np.max(np.linalg.cond(element.matrix))
+
+    @pytest.mark.parametrize("d", [13.0, 13.5])
+    def test_wide_exponential_is_accepted_through_the_gate(self, monkeypatch, d):
+        calls = self.count_gates(monkeypatch)
+        a = mat_exp(AlgebraElement(np.diag([d, -d]), general_linear(2)))
+        assert len(calls) == 1
+        assert a._cond >= np.linalg.cond(a.matrix) == pytest.approx(math.exp(2 * d))
+
+    def test_too_wide_exponential_is_refused_as_before(self, monkeypatch):
+        calls = self.count_gates(monkeypatch)
+        with pytest.raises(MembershipError) as info:
+            mat_exp(AlgebraElement(np.diag([14.0, -14.0]), general_linear(2)))
+        assert str(info.value) == (
+            "matrix is singular or too ill-conditioned to invert (cond=1.446e+12)"
+        )
+        assert len(calls) == 1
+
+    def test_product_bound_covers_the_rounding_of_the_product(self):
+        # a = Q diag(1, delta) Q^T: the gate's bound on cond(a) is nearly
+        # exact, and the rounding of a a moves its cond by up to 1e-5, past
+        # cond(a)^2.
+        spec = general_linear(2)
+        for theta in np.linspace(0.1, 1.5, 40):
+            for delta in (1e-4, 1e-5, 3e-6):
+                c, s = math.cos(theta), math.sin(theta)
+                Q = np.array([[c, s], [-s, c]])
+                a = GroupElement(Q @ np.diag([1.0, delta]) @ Q.T, spec)
+                product = group_multiply(a, a)
+                assert product._cond >= np.linalg.cond(product.matrix)
+
+    def test_user_elements_and_inverses_are_gated(self, monkeypatch):
+        calls = self.count_gates(monkeypatch)
+        spec = general_linear(2)
+        user = GroupElement([[2.0, 1.0], [0.0, 1.0]], spec)
+        assert len(calls) == 1
+        X = sample_tangent_elements(spec, [(53, i) for i in range(5)])
+        tg_inverse(X)
+        assert len(calls) == 2
+        with pytest.raises(MembershipError, match="ill-conditioned"):
+            GroupElement([[1.0, 2.0], [2.0, 4.0 + 1e-13]], spec)
+        # A product of gated elements keeps the gate's bounds.
+        assert group_multiply(user, user)._cond >= np.linalg.cond(user.matrix @ user.matrix)
+
+
 def dense_embed(X: TangentGroupElement) -> np.ndarray:
     """Independent 2x2-block picture of a tangent pair, used as the oracle
     for the tangent group law."""
@@ -388,6 +468,39 @@ class TestUniformDraws:
             np.testing.assert_array_equal(row, rng.uniform(-1.0, 1.0, count))
             # The circle's scalar draw is the first of the same stream.
             assert row[0] == np.random.default_rng(key).uniform(-1.0, 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        keys=st.lists(KEYS, min_size=1, max_size=6),
+        counts=st.lists(st.integers(0, 3 * 64 + 5), min_size=1, max_size=5),
+    )
+    def test_a_held_stream_extends_and_slices(self, keys, counts):
+        # Increasing counts, then the same decreasing: each draw is numpy's
+        # prefix, whether it extends the held stream or slices it.  A tuple
+        # of the same keys, taken as it is when already reduced, names the
+        # same stream.
+        ascending = sorted(counts)
+        stream = groups._stream(keys)
+        for k, count in enumerate(ascending + ascending[::-1]):
+            same = tuple(keys) if k % 2 else keys
+            assert groups._stream(same) is stream
+            draws = _uniform_draws(same, count)
+            assert draws.shape == (len(keys), count)
+            assert not draws.flags.writeable
+            for row, key in zip(draws, keys):
+                rng = np.random.default_rng(key if isinstance(key, int) else list(key))
+                np.testing.assert_array_equal(row, rng.uniform(-1.0, 1.0, count))
+
+    def test_a_stream_lives_as_long_as_a_stack_drawn_from_it(self):
+        keys = [(59, i) for i in range(7)]
+        X = sample_tangent_elements(circle(), keys)
+        Y = sample_tangent_elements(general_linear(3), keys)
+        assert X._stream is Y._stream is groups._stream(keys)
+        ref = weakref.ref(X._stream)
+        del X
+        assert ref() is not None
+        del Y
+        assert ref() is None
 
     def test_keys_are_reduced_like_the_scalar_generator(self):
         keys = [-1, 2**64 + 3, (-5, 2**70), ()]

@@ -1,3 +1,5 @@
+import collections
+import gc
 import json
 import weakref
 
@@ -616,6 +618,9 @@ class TestReducibilityProbe:
 
         monkeypatch.setattr(rep_algebra, "_tangent_sample", refuse)
         monkeypatch.setattr(groups, "_uniform_draws", refuse)
+        # Every draw, whatever calls it, goes through a stream.
+        monkeypatch.setattr(groups._Stream, "draws", refuse)
+        monkeypatch.setattr(groups, "_seed", refuse)
         for entry in catalog_list():
             for rep in (entry.rep, prolonged(entry.rep)):
                 assert commutant_basis(rep)
@@ -671,6 +676,27 @@ class TestDirectSum:
         )
         assert report.passed, report
         assert report.max_residual < 1e-12
+
+    @pytest.mark.parametrize("name", ["circle_double", "sl2_standard", "trivial(2)"])
+    def test_a_sum_of_one_representation_prolongs_it_once_per_stack(self, monkeypatch, name):
+        # The CLI's directsum suite sums an entry with itself: the stack is
+        # prolonged for the sum and once for both summands, and the report
+        # is the one a distinct but equal second summand gives.
+        rep = rep_of(name)
+        twin = Representation(rep.group, rep.target_dim, rep.apply, rep.differential, rep.name)
+        calls = []
+
+        def counted(r, X):
+            calls.append(r)
+            return prolong(r, X)
+
+        monkeypatch.setattr(rep_algebra, "prolong", counted)
+        report = check_direct_sum_commutation(rep, rep, samples=40, seed=7)
+        assert len(calls) == 2
+        calls.clear()
+        assert check_direct_sum_commutation(rep, twin, samples=40, seed=7) == report
+        assert len(calls) == 3
+        assert report.passed
 
     def test_commutation_check_rejects_group_mismatch(self):
         with pytest.raises(SpecMismatchError):
@@ -1204,14 +1230,41 @@ class TestSampleMemo:
             for args in ((2 * indices,), (2 * indices + 1,), (indices, 53))
         )
         [product] = X._kept_values.values()
-        probes, (plus, minus) = Z._kept_values.values()
+        stream, probes, (plus, minus) = Z._kept_values.values()
         assert isinstance(product, TangentGroupElement)
+        assert isinstance(stream, groups._Stream)
         assert probes.shape == (10, 2, 2)
         refs = [weakref.ref(obj) for obj in (X, Y, Z, product, plus, minus, probes)]
-        del X, Y, Z, product, plus, minus, probes
+        refs += [weakref.ref(obj) for obj in (X._stream, Y._stream, Z._stream, stream)]
+        del X, Y, Z, product, plus, minus, probes, stream
         assert all(ref() is not None for ref in refs)
         rep_algebra._tangent_sample.cache_clear()
         assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_clearing_the_memo_leaves_no_seeded_stream(self, capsys):
+        self.clear()
+        gc.collect()  # stacks in reference cycles earlier tests left behind
+        assert len(groups._STREAMS) == 0
+        self.report(capsys)
+        assert len(groups._STREAMS) > 0
+        rep_algebra._tangent_sample.cache_clear()
+        assert len(groups._STREAMS) == 0
+
+    def test_report_seeds_each_key_set_once(self, monkeypatch, capsys):
+        # 51 seedings when each draw seeded its keys: the six groups draw
+        # under the same keys, and so do the oracle's probes for each target
+        # dimension.  The conjugators' keys, drawn once per (dimension, seed)
+        # and held by no stack, are seeded once per target dimension.
+        seed, calls = groups._seed, []
+        monkeypatch.setattr(groups, "_seed", lambda keys: calls.append(keys) or seed(keys))
+        self.clear()
+        assert main(["report", "--samples", "50", "--seed", "5"]) == 1
+        capsys.readouterr()
+        counts = collections.Counter(calls)
+        conjugator_keys = rep_algebra._keys(5, range(rep_algebra._CONJUGATIONS), 2)
+        assert counts.pop(conjugator_keys) == 4  # target dimensions 1 to 4
+        assert set(counts.values()) == {1}
+        assert len(calls) <= 13
 
     def test_memo_stays_bounded(self):
         self.clear()
