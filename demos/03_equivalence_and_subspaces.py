@@ -40,7 +40,8 @@ report = is_intertwiner(lifted, prolonged(rotation), prolonged(other), 100, seed
 print("lifted conjugator intertwines the prolongations:", report.verdict.value,
       f"(residual {report.max_residual:.2e})")
 
-# twenty conjugations, bundled
+# the bundled check: rho_2 built from the conjugated generator images,
+# hypothesis and conclusion scored on the same samples
 print("equivalence transfer:",
       check_equivalence_transfer(rotation, 100, seed=5).verdict.value)
 

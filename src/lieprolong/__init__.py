@@ -10,7 +10,7 @@ are decided exactly from the generator images, without sampling: whether
 the prolongation is faithful, the commutant, and reducibility.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Each module's __all__ is the one list of its public names.
 from . import catalog, groups, prolongation, rep_algebra, tangent_space

@@ -638,7 +638,9 @@ def _uniform_draws(keys: Iterable[SeedLike], count: int) -> np.ndarray:
 
 def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
     """Tangent elements from ``draw(count)``, which gives ``(..., count)``
-    uniform draws: the base's algebra element first, then the fiber."""
+    uniform draws: the base's algebra element first, then the fiber.  The
+    exponent ``B_0`` of the base is kept read-only as ``_exponent``: it is
+    a logarithm of the base, though not always the principal one."""
     n = spec.dim
     if spec.kind is GroupKind.CIRCLE:
         algebra = draw(2)[..., None, None] * _CIRCLE_GENERATOR
@@ -650,8 +652,10 @@ def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
         algebra = algebra - (trace / n)[..., None, None] * np.eye(n)
     elif spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
         algebra = (algebra - np.swapaxes(algebra, -1, -2)) / 2.0
-    base = mat_exp(AlgebraElement(algebra[..., 0, :, :], spec))
-    return TangentGroupElement(base, AlgebraElement(algebra[..., 1, :, :], spec))
+    exponent = AlgebraElement(algebra[..., 0, :, :], spec)
+    X = TangentGroupElement(mat_exp(exponent), AlgebraElement(algebra[..., 1, :, :], spec))
+    object.__setattr__(X, "_exponent", exponent)
+    return X
 
 
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:

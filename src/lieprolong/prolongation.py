@@ -248,8 +248,7 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
 
     R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
     left, with K the differential of ``rep`` in direction B.  This is the
-    one place that checks that representation images are invertible; the
-    equivalence check applies the same gate to the images it conjugates.
+    one place that checks that representation images are invertible.
     """
     R, _, L, _ = _prolong_blocks(rep, X)
     return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)

@@ -18,6 +18,15 @@ stack, and the check is a reduction over it.  The witness is the first
 sample index attaining the worst residual.  A check over zero samples
 raises instead of passing.
 
+A structural claim is checked against something computed independently
+of it.  :func:`check_equivalence_transfer` takes its second
+representation from the conjugated generator images, evaluated at the
+exponent each sample was drawn from, never from ``apply``; so it also
+ties ``apply`` to ``differential``.  Claims that hold for any matrices
+``R`` and ``K`` in ``[[R, 0], [K R, R]]``, as the invariance of the fiber
+directions and the prolongation of ``rep + rep`` do, are not sampled by
+the CLI suites at all.
+
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
 that are allowed to give up, such as :func:`reducibility_probe` when its
@@ -43,12 +52,8 @@ from .groups import (
     GroupElement,
     GroupKind,
     GroupSpec,
-    MembershipError,
     SpecMismatchError,
     TangentGroupElement,
-    _COND_LIMIT,
-    _require_invertible,
-    _rng,
     _stream,
     _uniform_draws,
     algebra_basis,
@@ -65,12 +70,9 @@ from .prolongation import (
     NonFiniteImageError,
     ProlongedRepresentation,
     Representation,
-    _condition,
     _dense,
-    _product_block,
     _prolong_blocks,
     _require_finite,
-    _require_identity,
     apply_prolonged,
     differential_rep,
     prolong,
@@ -113,17 +115,16 @@ _EIGEN_CLUSTER = 1e-6
 # bounds the memory a check needs whatever the sample count.  The sample
 # memo keeps at most _SAMPLE_MEMO stacks, so it stays bounded too: at most
 # 64 x 256 tangent elements, however many samples a run draws.  Over a
-# 3 x 3 group an element is 18 floats, 27 with its base's coordinates, and
-# 49 with the streams it was drawn from (4 words of seeded state and 18
-# draws); what checks keep on it adds at most 63 more (a product with a
-# partner and two curve points, all with coordinates): 14.7 MB in all,
-# plus 4 words of probe-stream state and 2m floats per element for each
-# target dimension m the oracle probes on it.
+# 3 x 3 group an element is 18 floats, 27 with the exponent B_0 its base
+# was drawn as, 36 with its base's coordinates, and 58 with the streams it
+# was drawn from (4 words of seeded state and 18 draws); what checks keep
+# on it adds at most 63 more (a product with a partner and two curve
+# points, all with coordinates): 15.9 MB in all, plus 4 words of
+# probe-stream state and 2m floats per element for each target dimension
+# m the oracle probes on it, and per stack the equivalence conjugator's
+# stream and an m x m conjugator per target dimension m.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
-
-# Random conjugators tried by the equivalence transfer check.
-_CONJUGATIONS = 20
 
 # Default tolerance of the homomorphism checks, plain and prolonged.
 _HOMOMORPHISM_TOL = 1e-9
@@ -188,8 +189,9 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # catalog entries of one group, or checks sharing a seed prefix) share
 # one draw within a process, and with it what is kept on the draw: the
 # exponential coordinates, the homomorphism check's products, the oracle's
-# curve points and probe vectors, and the seeded streams of the draw's keys
-# and of the probes' keys.  Clearing the memo drops them all.  The public
+# curve points and probe vectors, the equivalence check's conjugator, and
+# the seeded streams of the draw's keys, of the probes' keys and of the
+# conjugator's key.  Clearing the memo drops them all.  The public
 # samplers stay unmemoized: their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
@@ -459,43 +461,14 @@ def prolong_intertwiner(A) -> np.ndarray:
 
 
 def random_conjugator(n: int, seed=0) -> np.ndarray:
-    """A deterministic random invertible matrix with moderate conditioning."""
+    """A deterministic random invertible matrix with moderate conditioning:
+    ``expm(U / 2)``, with ``U`` drawn as ``np.random.default_rng(seed)``
+    draws it uniformly from (-1, 1).  Its determinant ``e^(tr U / 2)`` is
+    positive."""
     import scipy.linalg
 
-    rng = _rng(_derive(seed))
-    return scipy.linalg.expm(0.5 * rng.uniform(-1.0, 1.0, (n, n)))
-
-
-def _conjugators(n: int, seed) -> np.ndarray:
-    """``random_conjugator(n, _derive(seed, 2, c))`` for each conjugation
-    ``c``, drawn and exponentiated as one stack."""
-    import scipy.linalg
-
-    draws = _uniform_draws(_keys(seed, range(_CONJUGATIONS), 2), n * n)
-    return scipy.linalg.expm(0.5 * draws.reshape(-1, n, n))
-
-
-# Conjugations of one (target dimension, seed) are shared by every
-# representation of that dimension checked under the seed, as the catalog
-# entries of one report are; a few KB each.
-@functools.lru_cache(maxsize=4)
-def _conjugations(n: int, seed: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The equivalence check's conjugators ``A`` up to the first
-    rank-deficient one, their inverses and ``cond(A)^2``, read-only.
-
-    One singular-value pass over the stack decides the ranks.  ``cond(A R
-    A^-1) <= cond(A)^2 cond(R)``, so only where this bound nears the limit
-    can a conjugated image be refused when ``R`` is not.
-    """
-    conjugators = _conjugators(n, seed)
-    s = np.linalg.svd(conjugators, compute_uv=False)
-    deficient = np.flatnonzero(np.any(s <= _RANK_RTOL * s[:, :1], axis=-1))
-    tested = deficient[0] if deficient.size else _CONJUGATIONS
-    conjugators, s = conjugators[:tested], s[:tested]
-    facts = (conjugators, np.linalg.inv(conjugators), (s[:, 0] / s[:, -1]) ** 2)
-    for array in facts:
-        array.flags.writeable = False
-    return facts
+    draws = _uniform_draws([_derive(seed)], n * n)
+    return scipy.linalg.expm(0.5 * draws.reshape(n, n))
 
 
 def conjugate_representation(rep: Representation, A) -> Representation:
@@ -509,12 +482,8 @@ def conjugate_representation(rep: Representation, A) -> Representation:
         target_dim=rep.target_dim,
         apply=lambda a: matrix @ rep.apply(a) @ inverse,
         differential=lambda B: matrix @ rep.differential(B) @ inverse,
-        name=_conjugate_name(rep),
+        name=f"conj({rep.name})" if rep.name else "conj",
     )
-
-
-def _conjugate_name(rep: Representation) -> str:
-    return f"conj({rep.name})" if rep.name else "conj"
 
 
 def check_equivalence_transfer(
@@ -523,90 +492,52 @@ def check_equivalence_transfer(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Conjugating a representation conjugates its prolongation.
+    """Equivalent representations have equivalent prolongations.
 
-    For each of twenty random invertible A the lift block-diag(A, A) must
-    intertwine the prolongation of ``rep`` with the prolongation of the
-    conjugated representation, to the same tolerance.  Every conjugation is
-    tested on the same samples, so ``rep`` is evaluated and prolonged once
-    per stack, and the conjugated images ``A R A^-1`` and ``A K A^-1`` are
-    formed from those as stacked products, at most ``_CHUNK`` conjugation
-    by sample slices at a time.  Each conjugated image gets the checks
-    :func:`prolong` would run on :func:`conjugate_representation`'s, and a
-    refusal is the one the first refused conjugator would raise.  One
-    singular-value pass over the stack of conjugators decides their ranks,
-    and a rank-deficient one makes the check INCONCLUSIVE: only the
-    conjugators before it are tested.
+    With ``A = random_conjugator(n, (seed, 2, 0))``, ``rho_2`` is the
+    representation whose generator images are ``A D_i A^-1``.  It is
+    evaluated without ``rep.apply``: at a sample ``exp(B_0)`` it is
+    ``expm(A d rho(B_0) A^-1)``, since ``rho(exp B_0) = exp(d rho(B_0))``
+    for any logarithm ``B_0``.  On the same samples the check scores the
+    hypothesis, that ``A`` intertwines ``rep`` with ``rho_2``, and the
+    conclusion, that block-diag(A, A) intertwines their prolongations.  The
+    residual is the worse of the two, and a witness names its ``part``
+    (``hypothesis`` or ``conclusion``).  So the check fails where ``apply``
+    and ``differential`` disagree, as well as where the prolongation does
+    not transfer the equivalence.
     """
+    import scipy.linalg
+
     _require_samples(samples)
-    conjugators, inverses, squared_cond = _conjugations(rep.target_dim, _derive(seed))
-    tested = len(conjugators)
-    # The identity check each conjugated Representation would run when
-    # built, on all of them at once.  The images are finite, since
-    # cond(A) < 1 / _RANK_RTOL.
-    identity = rep_image(rep, identity_element(rep.group))
-    _require_identity(_conjugate_name(rep), conjugators @ identity @ inverses)
-    lifts = block_diag(conjugators, conjugators)
-    sample_seed = _derive(seed, 1)
+    n, key, sample_seed = rep.target_dim, _derive(seed, 2, 0), _derive(seed, 1)
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(sample_seed, indices))
-        R, K, L, cond = _prolong_blocks(rep, X)
-        images = _dense(R, L)
-        width = max(1, _CHUNK // len(indices))
-        rows = []
-        for start in range(0, tested, width):
-            group = slice(start, start + width)
-            # cond(R) is bounded from above; the factor 2 covers rounding in
-            # the singular values of A, about eps cond <= 1e-4.
-            exact = np.max(squared_cond[group]) * np.max(cond) > _COND_LIMIT / 2
-            conjugated = _conjugated_images(conjugators[group], inverses[group], R, K, exact)
-            rows.append(_intertwining_residuals(lifts[group, None], images, conjugated))
-        return np.concatenate(rows)
-
-    per_conjugation, indices = ([0.0], [0])
-    if tested:
-        per_conjugation, indices = _scan("equivalence_transfer", samples, sample_seed, residuals)
-    c = int(np.argmax(per_conjugation))
-    worst = float(per_conjugation[c])
-    if tested < _CONJUGATIONS:
-        return CheckReport(
-            "equivalence_transfer",
-            Verdict.INCONCLUSIVE,
-            worst,
-            {"conjugation_index": int(tested), "reason": "conjugator not full rank"},
+        # The conjugator's stream is kept on X, as the oracle keeps its
+        # probes': it is seeded once for every representation checked on
+        # X's keys, and dropped with X.
+        X._kept(("conjugator stream", key), lambda: _stream([key]))
+        A = X._kept(("conjugator", key, n), lambda: random_conjugator(n, key))
+        inverse = np.linalg.inv(A)
+        R, K, L, _ = _prolong_blocks(rep, X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            R2 = scipy.linalg.expm(A @ differential_rep(rep, X._exponent) @ inverse)
+            L2 = A @ K @ inverse @ R2
+        lift = prolong_intertwiner(A)
+        return np.stack(
+            [
+                _intertwining_residuals(A, R, R2),
+                _intertwining_residuals(lift, _dense(R, L), _dense(R2, L2)),
+            ]
         )
-    witness = {"conjugation_index": c, **_witness(sample_seed, indices[c], worst)}
-    return _verdict("equivalence_transfer", worst, tol, witness)
 
-
-def _conjugated_images(
-    conjugators: np.ndarray, inverses: np.ndarray, R: np.ndarray, K: np.ndarray, exact: bool
-) -> np.ndarray:
-    """The dense prolonged images of ``A R A^-1`` and ``A K A^-1`` for each
-    conjugator ``A``, a ``(conjugators, samples, 2n, 2n)`` stack, refused as
-    :func:`prolong` refuses each conjugated representation's: the shapes
-    hold by construction; ``R``, ``K`` and ``K R`` must be finite, and
-    ``R`` invertible, tested only when ``exact``.  A refusal is the first
-    refused conjugator's."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        A, inverse = conjugators[:, None], inverses[:, None]
-        R, K = A @ R @ inverse, A @ K @ inverse
-        L = K @ R
-    ok = all(np.all(np.isfinite(M)) for M in (R, K, L))
-    if ok and exact:
-        try:
-            _require_invertible(R)
-        except MembershipError:
-            ok = False
-    if not ok:
-        for c in range(len(R)):
-            _require_finite(R[c], "apply returned")
-            _require_finite(K[c], "differential returned")
-            _product_block(K[c], R[c])
-            if exact:
-                _condition(R[c])
-    return _dense(R, L)
+    worst, index = _scan("equivalence_transfer", samples, sample_seed, residuals)
+    part = int(np.argmax(worst))
+    witness = {
+        "part": ("hypothesis", "conclusion")[part],
+        **_witness(sample_seed, index[part], worst[part]),
+    }
+    return _verdict("equivalence_transfer", float(worst[part]), tol, witness)
 
 
 @dataclass(frozen=True, eq=False)

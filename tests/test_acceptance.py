@@ -123,7 +123,7 @@ def test_criterion_04_equivalence_transfers_to_prolongations():
         4,
         "equivalence_transfer",
         worst < 1e-9,
-        f"20 conjugations per rep, worst residual {worst:.2e}",
+        f"hypothesis and conclusion per rep, worst residual {worst:.2e}",
     )
 
 

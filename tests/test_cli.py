@@ -218,7 +218,9 @@ class TestProlongCommand:
 
 
 # The library function behind each suite and the default tolerance it
-# applies when --tol is not given.
+# applies when --tol is not given.  The suites' vertical and direct-sum rows
+# hold by construction and call nothing; the public checks that test the
+# same claims on any subspace or pair keep the contract.
 SUITE_CHECKS = [
     ("homomorphism", check_homomorphism, 1e-9),
     ("oracle", check_action_oracle, 1e-5),
@@ -566,7 +568,6 @@ def strict_json(text: str):
 
 
 NON_FINITE = "apply returned non-finite entries"
-SINGULAR = "prolonged image: matrix is singular or too ill-conditioned to invert (cond=inf)"
 
 
 class TestMalformedInput:
@@ -710,8 +711,6 @@ class TestMalformedInput:
             ("homomorphism", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
             ("oracle", "action_oracle check, seed 5, sample index 1: " + NON_FINITE),
             ("equivalence", "equivalence_transfer check, seed [5, 1], sample index 1: " + NON_FINITE),
-            ("invariance", "invariant_subspace check, seed 5, sample index 8: " + NON_FINITE),
-            ("directsum", "direct_sum_commutation check, seed 5, sample index 9: " + SINGULAR),
             ("all", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
         ],
     )
@@ -732,19 +731,20 @@ class TestMalformedInput:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_intertwined_image_exits_2(self, capsys, tmp_path):
-        # Every image at sample 50 is finite, K R near 1.8e308 among them,
-        # but a lift times it is not: the product is refused like an image.
+        # Every image at sample 44 is finite, K R = 1.66e308 among them, but
+        # the lift diag(A, A), A = 1.55, times it is not: the product is
+        # refused like an image.
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(gl1_power(710.0)))
         code, out, err = run_cli(
             capsys, "check", "--rep", str(path), "--suite", "equivalence",
-            "--samples", "200", "--seed", "45",
+            "--samples", "200", "--seed", "317",
         )
         assert code == 2
         assert out == ""
         assert err == (
             "error: cannot evaluate the representation: equivalence_transfer check, "
-            "seed [45, 1], sample index 50: intertwined image A rho1(x) has non-finite entries\n"
+            "seed [317, 1], sample index 44: intertwined image A rho1(x) has non-finite entries\n"
         )
 
     def test_overflowing_images_exit_2_in_prolong_at_large_coordinates(self, capsys, tmp_path):

@@ -6,14 +6,22 @@ packages must emit the same bytes for the same invocation, which pins
 every residual, witness and verdict independently of the platform's
 floating point, except for one projection:
 
-- ``version``, which is 0.2.0 here;
+- ``version``, which is 0.3.0 here;
 - the catalog's ``has_kernel_witness``, which said ``known_faithful``
   a second time and is gone;
+- ``prolong``'s constant ``"analytic": true`` in a failing
+  ``differential_consistency`` witness, which is gone;
 - the verdict, residual and witness of every ``faithfulness_probe`` row,
   in json, csv and text.  The exact certificate replaced the reference's
   declared kernel elements and sampled collision search, so these rows
   differ by design.  They are pinned here by value instead, in
-  ``FAITHFULNESS``; they depend on neither the seed nor the sample count.
+  ``FAITHFULNESS``; they depend on neither the seed nor the sample count;
+- the same of every ``equivalence_transfer`` row.  The reference compared
+  the prolongation with images conjugated from its own, which holds for
+  any matrices; the check now compares it with a representation built
+  from the conjugated generator images, so the residuals differ by
+  design.  They are pinned by value in ``EQUIVALENCE``, by sample count
+  and seed.
 """
 
 import contextlib
@@ -37,6 +45,7 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 PROBE = "faithfulness_probe"
+EQUIVALENCE = "equivalence_transfer"
 
 
 def passing(rank: int, margin: float) -> dict:
@@ -86,6 +95,57 @@ FAITHFULNESS = {
 }
 
 
+# The residual of every equivalence row compared below, by (samples, seed):
+# each passes, without a witness.
+EQUIVALENCE_RESIDUALS = {
+    (10, 5): {
+        "circle_rotation": 3.0628580320454007e-16,
+        "circle_winding_2": 4.1748464268744517e-16,
+        "gl_identity(1)": 2.684737587751392e-16,
+        "gl_identity(2)": 4.3421376972358873e-16,
+        "gl_identity(3)": 1.7550722579067482e-15,
+        "sl2_standard": 3.8548834416900246e-16,
+        "so3_standard": 3.3306690738754696e-16,
+        "trivial(1)": 0.0,
+        "trivial(2)": 0.0,
+        "circle_double": 4.2586192164665744e-16,
+        "circle_plus_trivial": 3.3306690738754696e-16,
+    },
+    (10, 1310): {
+        "circle_rotation": 3.3306690738754696e-16,
+        "circle_winding_2": 8.338174851114667e-16,
+        "gl_identity(1)": 4.0912092117489266e-16,
+        "gl_identity(2)": 3.048318065737316e-16,
+        "gl_identity(3)": 3.793377743230087e-16,
+        "sl2_standard": 1.95123757604194e-16,
+        "so3_standard": 4.056180919087037e-16,
+        "trivial(1)": 0.0,
+        "trivial(2)": 0.0,
+        "circle_double": 5.531774995781027e-16,
+        "circle_plus_trivial": 4.03465878143404e-16,
+    },
+    (3, 3): {
+        "circle_rotation": 1.3877787807814457e-16,
+        "circle_winding_2": 3.3306690738754696e-16,
+        "gl_identity(1)": 1.3877787807814457e-17,
+        "gl_identity(2)": 4.440892098500626e-16,
+        "gl_identity(3)": 2.4441439910733053e-16,
+        "sl2_standard": 2.220446049250313e-16,
+        "so3_standard": 2.220446049250313e-16,
+        "trivial(1)": 0.0,
+        "trivial(2)": 0.0,
+        "circle_double": 1.6653345369377348e-16,
+        "circle_plus_trivial": 1.1102230246251565e-16,
+    },
+    (5, 0): {"circle_winding_2": 2.220446049250313e-16},
+    (20, 4): {
+        "circle_winding": 6.751720728388577e-16,
+        "sl2_conjugated": 1.4551945037221791e-15,
+        "so3_doubled": 6.567970250756751e-16,
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def reference_cli():
     sys.path.insert(0, str(YARDSTICK))
@@ -102,9 +162,14 @@ def run(module, argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def without_analytic(witness: dict) -> dict:
+    return {key: value for key, value in witness.items() if key != "analytic"}
+
+
 def project(fmt: str, text: str):
     """The output with the projected fields taken out, and its faithfulness
-    rows as (name, row) pairs: a check dict in json, a line otherwise."""
+    and equivalence rows as (name, row) pairs: a check dict in json, a line
+    otherwise."""
     rows = []
     if fmt == "json":
         document = json.loads(text)
@@ -114,56 +179,82 @@ def project(fmt: str, text: str):
         for entry in document.get("entries", []):
             entry.pop("has_kernel_witness", None)
         for k, check in enumerate(document["checks"]):
-            if check["name"].endswith(PROBE):
+            if check["name"].endswith((PROBE, EQUIVALENCE)):
                 rows.append((check["name"], check))
                 document["checks"][k] = {"name": check["name"]}
+            elif check["name"] == "differential_consistency" and "witness" in check:
+                check["witness"] = without_analytic(check["witness"])
         return json.dumps(document, indent=2, sort_keys=True), rows
     lines = text.split("\n")
     for k, line in enumerate(lines):
         name = line.partition("," if fmt == "csv" else ": ")[0]
-        if name.endswith(PROBE):
+        if name.endswith((PROBE, EQUIVALENCE)):
             rows.append((name, line))
             lines[k] = name
+        elif fmt == "csv" and name == "differential_consistency":
+            [row] = csv.reader([line])
+            if row[3]:
+                row[3] = json.dumps(without_analytic(json.loads(row[3])), sort_keys=True)
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="").writerow(row)
+            lines[k] = buffer.getvalue()
     return "\n".join(lines), rows
 
 
 def rendered(fmt: str, name: str, payload: dict):
-    """A pinned faithfulness payload as the CLI writes it in ``fmt``."""
+    """A pinned payload as the CLI writes it in ``fmt``."""
     if fmt == "json":
         return {"name": name, **payload}
     if fmt == "csv":
         buffer = io.StringIO()
+        witness = json.dumps(payload["witness"], sort_keys=True) if "witness" in payload else ""
         csv.writer(buffer, lineterminator="").writerow(
-            [name, payload["verdict"], repr(payload["max_residual"]),
-             json.dumps(payload["witness"], sort_keys=True)]
+            [name, payload["verdict"], repr(payload["max_residual"]), witness]
         )
         return buffer.getvalue()
     return f"{name}: {payload['verdict'].upper()} (max residual {payload['max_residual']:.3e})"
 
 
-def compare(reference_cli, argv: list[str], rep=None, code=None) -> list[str]:
+def flag(argv: list[str], name: str, default: str) -> str:
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def compare(reference_cli, argv: list[str], rep=None, code=None) -> dict:
     """Run both packages; assert that the projections match byte for byte,
     that the exit codes match (or equal ``code``), and that every
-    faithfulness row is the pinned one.  Returns the rows' owners."""
-    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    faithfulness and equivalence row is the pinned one.  Returns the rows'
+    owners, by check name."""
+    fmt = flag(argv, "--format", "json")
+    residuals = EQUIVALENCE_RESIDUALS.get((int(flag(argv, "--samples", "200")),
+                                           int(flag(argv, "--seed", "0"))))
     (our_code, ours), (their_code, theirs) = run(cli, argv), run(reference_cli, argv)
     assert our_code == (their_code if code is None else code)
     projected, rows = project(fmt, ours)
     assert projected == project(fmt, theirs)[0]
+    assert "analytic" not in ours
     if fmt == "json":
-        assert json.loads(ours)["version"] == "0.2.0"
-    owners = []
+        assert json.loads(ours)["version"] == "0.3.0"
+    owners = {PROBE: [], EQUIVALENCE: []}
     for name, row in rows:
         owner = name.partition("::")[0] if "::" in name else rep
-        assert row == rendered(fmt, name, FAITHFULNESS[owner]), owner
-        owners.append(owner)
+        if name.endswith(PROBE):
+            payload, kind = FAITHFULNESS[owner], PROBE
+        else:
+            payload = {"verdict": "pass", "max_residual": residuals[owner]}
+            kind = EQUIVALENCE
+        assert row == rendered(fmt, name, payload), owner
+        owners[kind].append(owner)
     return owners
+
+
+def owned(names: list[str]) -> dict:
+    return {PROBE: names, EQUIVALENCE: names}
 
 
 @pytest.mark.parametrize("seed", ["5", "1310"])
 def test_catalog_report_bytes_match_the_reference(reference_cli, seed):
     argv = ["report", "--samples", "10", "--seed", seed]
-    assert compare(reference_cli, argv, code=1) == catalog_names()
+    assert compare(reference_cli, argv, code=1) == owned(catalog_names())
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_DESCRIPTORS))
@@ -173,7 +264,7 @@ def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path, nam
     argv = ["check", "--rep", str(path), "--suite", "all", "--samples", "20", "--seed", "4"]
     # The reference passed the angle doubler, whose kernel it could not see.
     code = 1 if FAITHFULNESS[name]["verdict"] == "fail" else 0
-    assert compare(reference_cli, argv, rep=name, code=code) == [name]
+    assert compare(reference_cli, argv, rep=name, code=code) == owned([name])
 
 
 COMMANDS = {
@@ -197,4 +288,4 @@ ROWS = {"check-all": ["circle_winding_2"], "report": catalog_names()}
 def test_every_command_and_format_matches_the_reference(reference_cli, command, fmt):
     argv = COMMANDS[command] + ["--format", fmt]
     owners = compare(reference_cli, argv, rep="circle_winding_2")
-    assert owners == ROWS.get(command, [])
+    assert owners == owned(ROWS.get(command, []))
