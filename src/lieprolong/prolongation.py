@@ -250,19 +250,21 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     left, with K the differential of ``rep`` in direction B.  This is the
     one place that checks that representation images are invertible.
     """
-    R, _, L, _ = _prolong_blocks(rep, X)
+    R, _, L = _prolong_blocks(rep, X)
     return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)
 
 
 def _prolong_blocks(rep: Representation, X):
-    """``R``, ``K``, ``L = K R`` and an upper bound on ``cond(R)`` for the
-    tangent pair(s) ``X = [a, B]``, with every check of :func:`prolong`.
-    When ``apply`` returned the base's own read-only matrix, as an identity
-    map does, the bound is the one the base keeps."""
+    """``R``, ``K`` and ``L = K R`` for the tangent pair(s) ``X = [a, B]``,
+    with every check of :func:`prolong`.  When ``apply`` returned the base's
+    own read-only matrix, as an identity map does, the base's own gate has
+    already certified it."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
     L = _product_block(K, R)
-    return R, K, L, X.base._cond if R is X.base.matrix else _condition(R)
+    if R is not X.base.matrix:
+        _condition(R)
+    return R, K, L
 
 
 def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -272,11 +274,11 @@ def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:
         return _require_finite(K @ R, "prolonged image K R has")
 
 
-def _condition(R: np.ndarray) -> np.ndarray:
-    """An upper bound on ``cond(R)`` per slice, refused where ``cond(R)``
-    exceeds the limit as a prolonged image that cannot be inverted."""
+def _condition(R: np.ndarray) -> None:
+    """Refuse ``R`` where ``cond(R)`` exceeds the limit, as a prolonged
+    image that cannot be inverted."""
     try:
-        return _require_invertible(R)
+        _require_invertible(R)
     except MembershipError as exc:
         raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
 

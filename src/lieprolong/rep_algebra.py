@@ -15,8 +15,10 @@ off that commutant.
 The sampled checks share one driver: samples are drawn as stacks of at
 most ``_CHUNK`` elements, the representation is evaluated on the whole
 stack, and the check is a reduction over it.  The witness is the first
-sample index attaining the worst residual.  A check over zero samples
-raises instead of passing.
+sample index attaining the worst residual.  A check that scores several
+parts of its claim on one stack, as the transfer checks do, takes the
+worst part's residual, and its witness names that part.  A check over
+zero samples raises instead of passing.
 
 A structural claim is checked against something computed independently
 of it.  :func:`check_equivalence_transfer` takes its second
@@ -119,10 +121,10 @@ _EIGEN_CLUSTER = 1e-6
 # was drawn as, 36 with its base's coordinates, and 58 with the streams it
 # was drawn from (4 words of seeded state and 18 draws); what checks keep
 # on it adds at most 63 more (a product with a partner and two curve
-# points, all with coordinates): 15.9 MB in all, plus 4 words of
-# probe-stream state and 2m floats per element for each target dimension
-# m the oracle probes on it, and per stack the equivalence conjugator's
-# stream and an m x m conjugator per target dimension m.
+# points, all with coordinates): 15.9 MB in all, plus the oracle's probe
+# stream, 4 words of state and 2m draws per element for the largest target
+# dimension m probed on it, and per stack the equivalence conjugator's
+# stream, 4 words and m^2 draws for the largest m.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
@@ -189,10 +191,10 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # catalog entries of one group, or checks sharing a seed prefix) share
 # one draw within a process, and with it what is kept on the draw: the
 # exponential coordinates, the homomorphism check's products, the oracle's
-# curve points and probe vectors, the equivalence check's conjugator, and
-# the seeded streams of the draw's keys, of the probes' keys and of the
-# conjugator's key.  Clearing the memo drops them all.  The public
-# samplers stay unmemoized: their stacks can be any size.
+# curve points, and the seeded streams, with the rows drawn from them, of
+# the draw's keys, of the probes' keys and of the conjugator's key.
+# Clearing the memo drops them all.  The public samplers stay unmemoized:
+# their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
     spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
@@ -305,9 +307,17 @@ def _sampled_check(
     seed,
     tol: float,
     residuals: Callable[[np.ndarray], np.ndarray],
+    parts: tuple[str, ...] = (),
 ) -> CheckReport:
-    worst, index = _scan(name, samples, seed, residuals)
-    return _verdict(name, float(worst), tol, _witness(seed, index, worst))
+    """:func:`_scan` and :func:`_verdict`.  With ``parts``, ``residuals``
+    returns one row per part: the residual is the worst part's, and the
+    witness names that ``part``."""
+    worst, index = (np.ravel(a) for a in _scan(name, samples, seed, residuals))
+    k = int(np.argmax(worst))
+    witness = _witness(seed, index[k], worst[k])
+    if parts:
+        witness = {"part": parts[k], **witness}
+    return _verdict(name, float(worst[k]), tol, witness)
 
 
 def _homomorphism_checks(
@@ -374,11 +384,11 @@ def check_action_oracle(
         X = _tangent_sample(rep.group, _keys(seed, indices, 53))
         # The probes depend on the seed and the indices, as X does: their
         # stream is kept on X, so it is seeded once for every target
-        # dimension probed on X, and the probes are kept too, drawn once for
-        # every representation of one target dimension.
+        # dimension probed on X, and the probes are read off the rows it
+        # keeps.
         probe_keys = _keys(seed, indices, 59)
         stream = X._kept(("probe stream", probe_keys), lambda: _stream(probe_keys))
-        draws = X._kept(("probes", probe_keys, n), lambda: stream.draws(2 * n).reshape(-1, 2, n))
+        draws = stream.draws(2 * n).reshape(-1, 2, n)
         Y = TangentVector(draws[:, 0], draws[:, 1])
         direct = apply_prolonged(prolong(rep, X), Y)
         oracle = tangent_action_oracle(rep, X, Y)
@@ -508,7 +518,6 @@ def check_equivalence_transfer(
     """
     import scipy.linalg
 
-    _require_samples(samples)
     n, key, sample_seed = rep.target_dim, _derive(seed, 2, 0), _derive(seed, 1)
 
     def residuals(indices):
@@ -517,9 +526,9 @@ def check_equivalence_transfer(
         # probes': it is seeded once for every representation checked on
         # X's keys, and dropped with X.
         X._kept(("conjugator stream", key), lambda: _stream([key]))
-        A = X._kept(("conjugator", key, n), lambda: random_conjugator(n, key))
+        A = random_conjugator(n, key)
         inverse = np.linalg.inv(A)
-        R, K, L, _ = _prolong_blocks(rep, X)
+        R, K, L = _prolong_blocks(rep, X)
         with np.errstate(over="ignore", invalid="ignore"):
             R2 = scipy.linalg.expm(A @ differential_rep(rep, X._exponent) @ inverse)
             L2 = A @ K @ inverse @ R2
@@ -531,13 +540,8 @@ def check_equivalence_transfer(
             ]
         )
 
-    worst, index = _scan("equivalence_transfer", samples, sample_seed, residuals)
-    part = int(np.argmax(worst))
-    witness = {
-        "part": ("hypothesis", "conclusion")[part],
-        **_witness(sample_seed, index[part], worst[part]),
-    }
-    return _verdict("equivalence_transfer", float(worst[part]), tol, witness)
+    parts = ("hypothesis", "conclusion")
+    return _sampled_check("equivalence_transfer", samples, sample_seed, tol, residuals, parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,6 +603,21 @@ def is_invariant_subspace(
     an image vector, scaled by max(1, its magnitude).  The zero subspace
     passes vacuously, over at least one sample like any other.
     """
+    q = U.orthonormal()
+
+    def residuals(indices):
+        images = _image(rep, _sample(rep, _keys(seed, indices))) @ q.T
+        return _projection_defects(images, q)
+
+    return _subspace_check("invariant_subspace", rep, U, samples, seed, tol, residuals)
+
+
+def _subspace_check(
+    name: str, rep: RepLike, U: SubspaceBasis, samples: int, seed, tol: float, residuals, parts=()
+) -> CheckReport:
+    """:func:`_sampled_check` of a subspace of ``rep``'s space, refused when
+    it lives in another dimension; the zero subspace passes vacuously, over
+    at least one sample like any other."""
     _require_samples(samples)
     if U.ambient_dim != rep.target_dim:
         raise ValueError(
@@ -606,14 +625,8 @@ def is_invariant_subspace(
             f"R^{rep.target_dim}"
         )
     if U.dimension == 0:
-        return CheckReport("invariant_subspace", Verdict.PASS, 0.0)
-    q = U.orthonormal()
-
-    def residuals(indices):
-        images = _image(rep, _sample(rep, _keys(seed, indices))) @ q.T
-        return _projection_defects(images, q)
-
-    return _sampled_check("invariant_subspace", samples, seed, tol, residuals)
+        return CheckReport(name, Verdict.PASS, 0.0)
+    return _sampled_check(name, samples, seed, tol, residuals, parts)
 
 
 def _projection_defects(images: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -653,43 +666,25 @@ def check_invariance_transfer(
 ) -> CheckReport:
     """Invariance of U transfers to its lift, and back.
 
-    Three residuals are combined: U under the base representation, the
-    lifted subspace under the prolongation, and the base components of
-    prolonged images of (u, 0) against span(U), which is the executable
-    form of the reverse implication.  The last two share their samples, so
-    each tangent stack is drawn and prolonged once.
+    The prolonged image ``[[R, 0], [K R, R]]`` maps ``(u, 0)`` to ``(R u,
+    K R u)`` and ``(0, u)`` to ``(0, R u)``, so the lift is invariant
+    exactly when U is invariant under ``R`` and under ``K = d rho(B)``.
+    Each tangent stack is prolonged once and scores two parts: ``base``, U
+    under the diagonal blocks ``R``, and ``prolonged``, the lift under the
+    whole image.  The residual is the worse part's, and a witness names its
+    ``part``; a ``base`` witness replays through :func:`is_invariant_subspace`.
     """
-    base_report = is_invariant_subspace(rep, U, samples, _derive(seed, 3), tol)
+    q, lifted_q = U.orthonormal(), prolong_subspace(U).orthonormal()
     tangent_seed = _derive(seed, 5)
-    worst, index = (0.0, 0.0), (0, 0)
-    if U.dimension > 0:
-        n = U.ambient_dim
-        q = U.orthonormal()
-        lifted_q = prolong_subspace(U).orthonormal()
-        horizontal = np.zeros((2 * n, U.dimension))
-        horizontal[:n] = q.T
 
-        def residuals(indices):
-            X = _tangent_sample(rep.group, _keys(tangent_seed, indices))
-            images = prolong(rep, X).dense()
-            lifted = _projection_defects(images @ lifted_q.T, lifted_q)
-            extracted = _projection_defects((images @ horizontal)[..., :n, :], q)
-            return np.stack([lifted, extracted])
+    def residuals(indices):
+        M = prolong(rep, _tangent_sample(rep.group, _keys(tangent_seed, indices)))
+        base = _projection_defects(M.top_left @ q.T, q)
+        return np.stack([base, _projection_defects(M.dense() @ lifted_q.T, lifted_q)])
 
-        worst, index = _scan("invariance_transfer", samples, tangent_seed, residuals)
-    parts = {
-        "base": base_report.max_residual,
-        "prolonged": float(worst[0]),
-        "base_extraction": float(worst[1]),
-    }
-    failing = max(parts, key=parts.get)
-    detail = {
-        "base": base_report.witness,
-        "prolonged": _witness(tangent_seed, index[0], parts["prolonged"]),
-        "base_extraction": _witness(tangent_seed, index[1], parts["base_extraction"]),
-    }[failing]
-    witness = {"direction": failing, "residuals": parts, **(detail or {})}
-    return _verdict("invariance_transfer", parts[failing], tol, witness)
+    return _subspace_check(
+        "invariance_transfer", rep, U, samples, tangent_seed, tol, residuals, ("base", "prolonged")
+    )
 
 
 def commutant_basis(rep: RepLike) -> list[np.ndarray]:
@@ -845,8 +840,7 @@ def check_direct_sum_commutation(
     def residuals(indices):
         X = _tangent_sample(rep1.group, _keys(seed, indices, 41))
         joint = prolong(summed, X).dense()[..., perm[:, None], perm]
-        first = prolong(rep1, X).dense()
-        split = block_diag(first, first if rep2 is rep1 else prolong(rep2, X).dense())
+        split = block_diag(prolong(rep1, X).dense(), prolong(rep2, X).dense())
         return relative_residual(joint, split, axis=(-2, -1))
 
     return _sampled_check("direct_sum_commutation", samples, seed, tol, residuals)
