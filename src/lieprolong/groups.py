@@ -28,7 +28,9 @@ A group element keeps an upper bound on the condition number of its
 slices.  An exponential knows one for free, ``cond(e^A) <= |e^A|
 |e^-A| <= e^(2|A|)``, and a product the product of its factors' bounds,
 so they pass the invertibility gate without inverting anything while
-the bound stays well inside the limit.
+the bound stays well inside the limit.  An exponential also keeps its
+exponent, the principal logarithm of each slice inside ``||tB||_F < pi``,
+so the logarithm of a drawn element takes no ``logm``.
 
 SciPy is imported inside the functions that call it, so importing the
 package or listing the catalog loads none of it.
@@ -418,7 +420,9 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
 
     Uses a scaling-and-squaring Pade kernel.  Raises
     :class:`ExponentOverflowError` when ``||t B||`` is large enough that
-    the result would overflow double precision.
+    the result would overflow double precision.  The exponent ``t B`` is
+    kept, read-only, on the result: :func:`principal_log` takes it as the
+    logarithm of every slice with ``||t B||_F < pi``.
     """
     if not np.isfinite(t):
         raise ValueError("the scale t must be finite")
@@ -437,7 +441,10 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
     # 2 covers the rounding of the computed exponential.
     with np.errstate(over="ignore"):
         cond = 2.0 * np.exp(2.0 * np.sqrt(np.max(_sum_squares(scaled), initial=0.0)))
-    return _bounded(scipy.linalg.expm(scaled), B.spec, float(cond))
+    out = _bounded(scipy.linalg.expm(scaled), B.spec, float(cond))
+    scaled.flags.writeable = False
+    object.__setattr__(out, "_exponent", scaled)
+    return out
 
 
 def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -639,7 +646,7 @@ def _uniform_draws(keys: Iterable[SeedLike], count: int) -> np.ndarray:
 def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
     """Tangent elements from ``draw(count)``, which gives ``(..., count)``
     uniform draws: the base's algebra element first, then the fiber.  The
-    exponent ``B_0`` of the base is kept read-only as ``_exponent``: it is
+    base keeps the exponent ``B_0`` it was drawn as (see :func:`mat_exp`):
     a logarithm of the base, though not always the principal one."""
     n = spec.dim
     if spec.kind is GroupKind.CIRCLE:
@@ -652,10 +659,8 @@ def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
         algebra = algebra - (trace / n)[..., None, None] * np.eye(n)
     elif spec.kind is GroupKind.SPECIAL_ORTHOGONAL:
         algebra = (algebra - np.swapaxes(algebra, -1, -2)) / 2.0
-    exponent = AlgebraElement(algebra[..., 0, :, :], spec)
-    X = TangentGroupElement(mat_exp(exponent), AlgebraElement(algebra[..., 1, :, :], spec))
-    object.__setattr__(X, "_exponent", exponent)
-    return X
+    base = mat_exp(AlgebraElement(algebra[..., 0, :, :], spec))
+    return TangentGroupElement(base, AlgebraElement(algebra[..., 1, :, :], spec))
 
 
 def sample_tangent_element(spec: GroupSpec, seed: SeedLike = 0) -> TangentGroupElement:
@@ -763,23 +768,14 @@ def _logm(slices: np.ndarray) -> np.ndarray:
         np.random.set_state(state)
 
 
-def principal_log(a: GroupElement) -> AlgebraElement:
-    """Principal matrix logarithm of ``a`` (one element or a stack), as an
-    algebra element.
-
-    The circle group is handled by angle extraction, so the full chart
-    (-pi, pi] is available including the boundary.  For other kinds the
-    principal logarithm must be real and reconstruct ``a``; elements
-    outside that chart raise :class:`ChartError`.
-    """
-    spec = a.spec
-    slices = a.matrix.reshape(-1, spec.dim, spec.dim)
-    stack = a.matrix.shape[:-2]
+def _chart_log(spec: GroupSpec, slices: np.ndarray) -> np.ndarray:
+    """The real principal logarithm of each slice of an ``(S, n, n)``
+    stack, or :class:`ChartError` if one has none."""
     if spec.kind is GroupKind.CIRCLE:
         # math.atan2 per slice: np.arctan2 can differ in the last bit.
-        theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices]).reshape(stack)
-        return AlgebraElement(theta[..., None, None] * _CIRCLE_GENERATOR, spec)
-    log = _logm(slices).reshape(a.matrix.shape)
+        theta = np.array([math.atan2(m[0, 1], m[0, 0]) for m in slices])
+        return theta[:, None, None] * _CIRCLE_GENERATOR
+    log = _logm(slices)
     if np.max(np.abs(np.imag(log))) > 1e-9:
         raise ChartError(
             "element has no real principal logarithm; supply exponential "
@@ -788,14 +784,37 @@ def principal_log(a: GroupElement) -> AlgebraElement:
     log = np.real(log)
     import scipy.linalg
 
-    if np.max(relative_residual(scipy.linalg.expm(log), a.matrix, axis=(-2, -1))) > 1e-6:
+    if np.max(relative_residual(scipy.linalg.expm(log), slices, axis=(-2, -1))) > 1e-6:
         raise ChartError("principal logarithm failed to reconstruct the element")
-    return AlgebraElement(log, spec)
+    return log
+
+
+def principal_log(a: GroupElement) -> AlgebraElement:
+    """Principal matrix logarithm of ``a`` (one element or a stack), as an
+    algebra element.
+
+    A slice of ``mat_exp(B, t)`` with ``||tB||_F < pi`` takes ``tB``: its
+    eigenvalues lie in the strip ``|Im z| < pi``, so it is the principal
+    logarithm (Higham, Functions of Matrices, 2008, Thm 1.31).  Other
+    slices take it from the matrix, so a stack's logarithm is its slices'
+    bit for bit.  The circle group is handled by angle extraction, so the
+    full chart (-pi, pi] is available including the boundary.  For other
+    kinds the principal logarithm must be real and reconstruct the slice;
+    elements outside that chart raise :class:`ChartError`.
+    """
+    n = a.spec.dim
+    # An element that is no exponential takes every slice from the matrix.
+    log = getattr(a, "_exponent", np.full_like(a.matrix, np.inf)).reshape(-1, n, n).copy()
+    todo = np.sqrt(_sum_squares(log)) >= math.pi
+    if todo.any():
+        log[todo] = _chart_log(a.spec, a.matrix.reshape(-1, n, n)[todo])
+    return AlgebraElement(log.reshape(a.matrix.shape), a.spec)
 
 
 def group_coordinates(a: GroupElement) -> np.ndarray:
     """Exponential coordinates of ``a`` in the canonical algebra basis,
-    shape ``(..., k)`` for a stack.
+    shape ``(..., k)`` for a stack: those of :func:`principal_log`, so a
+    drawn element's are its exponent's wherever ``||B_0||_F < pi``.
 
     Computed on the first call and kept, read-only, on ``a``.
     """

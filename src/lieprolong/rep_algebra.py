@@ -530,7 +530,8 @@ def check_equivalence_transfer(
         inverse = np.linalg.inv(A)
         R, K, L = _prolong_blocks(rep, X)
         with np.errstate(over="ignore", invalid="ignore"):
-            R2 = scipy.linalg.expm(A @ differential_rep(rep, X._exponent) @ inverse)
+            B0 = AlgebraElement(X.base._exponent, rep.group)
+            R2 = scipy.linalg.expm(A @ differential_rep(rep, B0) @ inverse)
             L2 = A @ K @ inverse @ R2
         lift = prolong_intertwiner(A)
         return np.stack(

@@ -650,10 +650,58 @@ class TestStacks:
         a = sample_tangent_elements(spec, range(8)).base
         coords = group_coordinates(a)
         assert group_coordinates(a) is coords
-        np.testing.assert_array_equal(coords, group_coordinates(GroupElement(a.matrix, spec)))
         np.testing.assert_array_equal(coords, algebra_coordinates(principal_log(a)))
         with pytest.raises(ValueError):
             coords[0] = 0.0
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
+    def test_drawn_coordinates_are_the_exponent_s(self, spec):
+        # Every draw here has |B_0|_F < pi, so no slice takes a logm; a
+        # fresh element of the same matrices takes one per slice.
+        a = sample_tangent_elements(spec, range(8)).base
+        assert np.all(np.linalg.norm(a._exponent, axis=(-2, -1)) < math.pi)
+        exponent = AlgebraElement(a._exponent, spec)
+        np.testing.assert_array_equal(group_coordinates(a), algebra_coordinates(exponent))
+        fresh = group_coordinates(GroupElement(a.matrix, spec))
+        assert relative_residual(group_coordinates(a), fresh) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec", SPECS + [special_linear(3), special_orthogonal(4)], ids=lambda s: s.describe()
+    )
+    def test_a_stack_across_the_bound_matches_its_slices_bit_for_bit(self, spec):
+        # Slices scaled by 3.5 mostly lie past |tB|_F = pi and take their
+        # logarithm from the matrix; the others keep their exponent.
+        B = sample_tangent_elements(spec, range(8)).algebra.matrix
+        scaled = B * np.array([0.5, 3.5] * 4)[:, None, None]
+        norms = np.linalg.norm(scaled, axis=(-2, -1))
+        assert np.any(norms < math.pi) and np.any(norms >= math.pi)
+        a = mat_exp(AlgebraElement(scaled, spec))
+        logs, coords = principal_log(a), group_coordinates(a)
+        for i in range(8):
+            x = mat_exp(AlgebraElement(scaled[i], spec))
+            np.testing.assert_array_equal(logs.matrix[i], principal_log(x).matrix)
+            np.testing.assert_array_equal(coords[i], group_coordinates(x))
+
+    def test_a_slice_outside_the_bound_gets_the_principal_coordinate(self):
+        spec = special_orthogonal(3)
+        turn = mat_exp(AlgebraElement(algebra_basis(spec)[0], spec), 4.0)
+        coords = group_coordinates(turn)
+        np.testing.assert_allclose(coords, [4.0 - 2.0 * math.pi, 0.0, 0.0], atol=1e-12)
+        # |2 E|_F = 2 sqrt(2) < pi: the exponent itself.
+        inside = mat_exp(AlgebraElement(algebra_basis(spec)[0], spec), 2.0)
+        np.testing.assert_array_equal(
+            group_coordinates(inside), algebra_coordinates(AlgebraElement(inside._exponent, spec))
+        )
+
+    def test_an_exponential_outside_the_chart_still_raises(self):
+        # exp of this slice is -I, whose principal logarithm is not real.
+        half_turn = np.array([[0.0, 2.0 * math.pi], [-math.pi / 2.0, 0.0]])
+        stack = np.stack([0.1 * np.eye(2), half_turn])
+        a = mat_exp(AlgebraElement(stack, general_linear(2)))
+        with pytest.raises(ChartError):
+            principal_log(a)
+        inside = mat_exp(AlgebraElement(stack[0], general_linear(2)))
+        np.testing.assert_array_equal(principal_log(inside).matrix, stack[0])
 
     @pytest.mark.parametrize("spec", SPECS, ids=[s.describe() for s in SPECS])
     def test_identity_carries_exact_zero_coordinates(self, spec):
@@ -681,7 +729,8 @@ class TestStacks:
     def test_logarithm_does_not_depend_on_the_global_random_state(self, spec):
         # SciPy's logm estimates 1-norms with random probe vectors drawn
         # from numpy's global RNG; on these slices that changed last bits.
-        stack = sample_tangent_elements(spec, range(100)).base
+        # A fresh element of drawn matrices: it keeps no exponent.
+        stack = GroupElement(sample_tangent_elements(spec, range(100)).base.matrix, spec)
         logs = []
         for seed in range(4):
             np.random.seed(seed)
@@ -693,5 +742,6 @@ class TestStacks:
         np.random.seed(17)
         expected = np.random.random(4)
         np.random.seed(17)
-        principal_log(sample_tangent_elements(general_linear(3), range(8)).base)
+        spec = general_linear(3)
+        principal_log(GroupElement(sample_tangent_elements(spec, range(8)).base.matrix, spec))
         np.testing.assert_array_equal(np.random.random(4), expected)

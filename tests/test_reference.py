@@ -21,7 +21,11 @@ floating point, except for one projection:
   any matrices; the check now compares it with a representation built
   from the conjugated generator images, so the residuals differ by
   design.  They are pinned by value in ``EQUIVALENCE``, by sample count
-  and seed.
+  and seed;
+- the residual of a generator descriptor's homomorphism and oracle rows
+  where it differs in the last bits.  A drawn element keeps the exponent
+  it was drawn as, and takes it as its logarithm, where the reference
+  took ``logm``.  They are pinned by value in ``DESCRIPTOR_RESIDUALS``.
 """
 
 import contextlib
@@ -139,9 +143,24 @@ EQUIVALENCE_RESIDUALS = {
     },
     (5, 0): {"circle_winding_2": 2.220446049250313e-16},
     (20, 4): {
-        "circle_winding": 6.751720728388577e-16,
-        "sl2_conjugated": 1.4551945037221791e-15,
-        "so3_doubled": 6.567970250756751e-16,
+        "circle_winding": 7.341255725072258e-16,
+        "sl2_conjugated": 1.0975270865726171e-15,
+        "so3_doubled": 5.546566241464737e-16,
+    },
+}
+
+# The generator-descriptor rows, at 20 samples and seed 4, whose residual
+# differs from the reference's: each passes, without a witness.
+DESCRIPTOR_RESIDUALS = {
+    "circle_winding": {},
+    "sl2_conjugated": {
+        "homomorphism(base)": 1.376906952605955e-15,
+        "homomorphism(prolonged)": 1.3003741504934177e-14,
+    },
+    "so3_doubled": {
+        "homomorphism(base)": 1.1657341758564144e-15,
+        "homomorphism(prolonged)": 1.1657341758564144e-15,
+        "action_oracle": 3.6245949164887884e-10,
     },
 }
 
@@ -166,10 +185,10 @@ def without_analytic(witness: dict) -> dict:
     return {key: value for key, value in witness.items() if key != "analytic"}
 
 
-def project(fmt: str, text: str):
-    """The output with the projected fields taken out, and its faithfulness
-    and equivalence rows as (name, row) pairs: a check dict in json, a line
-    otherwise."""
+def project(fmt: str, text: str, pinned=()):
+    """The output with the projected fields taken out, and its faithfulness,
+    equivalence and ``pinned`` rows as (name, row) pairs: a check dict in
+    json, a line otherwise."""
     rows = []
     if fmt == "json":
         document = json.loads(text)
@@ -179,7 +198,7 @@ def project(fmt: str, text: str):
         for entry in document.get("entries", []):
             entry.pop("has_kernel_witness", None)
         for k, check in enumerate(document["checks"]):
-            if check["name"].endswith((PROBE, EQUIVALENCE)):
+            if check["name"].endswith((PROBE, EQUIVALENCE)) or check["name"] in pinned:
                 rows.append((check["name"], check))
                 document["checks"][k] = {"name": check["name"]}
             elif check["name"] == "differential_consistency" and "witness" in check:
@@ -188,7 +207,7 @@ def project(fmt: str, text: str):
     lines = text.split("\n")
     for k, line in enumerate(lines):
         name = line.partition("," if fmt == "csv" else ": ")[0]
-        if name.endswith((PROBE, EQUIVALENCE)):
+        if name.endswith((PROBE, EQUIVALENCE)) or name in pinned:
             rows.append((name, line))
             lines[k] = name
         elif fmt == "csv" and name == "differential_consistency":
@@ -219,24 +238,31 @@ def flag(argv: list[str], name: str, default: str) -> str:
     return argv[argv.index(name) + 1] if name in argv else default
 
 
-def compare(reference_cli, argv: list[str], rep=None, code=None) -> dict:
+def compare(reference_cli, argv: list[str], rep=None, code=None, pinned=None) -> dict:
     """Run both packages; assert that the projections match byte for byte,
     that the exit codes match (or equal ``code``), and that every
-    faithfulness and equivalence row is the pinned one.  Returns the rows'
-    owners, by check name."""
+    faithfulness and equivalence row, and every row named in ``pinned``
+    (a residual by name), is the pinned one.  Returns the faithfulness and
+    equivalence rows' owners, by check name."""
+    pinned = pinned or {}
     fmt = flag(argv, "--format", "json")
     residuals = EQUIVALENCE_RESIDUALS.get((int(flag(argv, "--samples", "200")),
                                            int(flag(argv, "--seed", "0"))))
     (our_code, ours), (their_code, theirs) = run(cli, argv), run(reference_cli, argv)
     assert our_code == (their_code if code is None else code)
-    projected, rows = project(fmt, ours)
-    assert projected == project(fmt, theirs)[0]
+    projected, rows = project(fmt, ours, pinned)
+    assert projected == project(fmt, theirs, pinned)[0]
     assert "analytic" not in ours
     if fmt == "json":
         assert json.loads(ours)["version"] == "0.3.0"
     owners = {PROBE: [], EQUIVALENCE: []}
+    assert sorted(name for name, _ in rows if name in pinned) == sorted(pinned)
     for name, row in rows:
         owner = name.partition("::")[0] if "::" in name else rep
+        if name in pinned:
+            payload = {"verdict": "pass", "max_residual": pinned[name]}
+            assert row == rendered(fmt, name, payload), owner
+            continue
         if name.endswith(PROBE):
             payload, kind = FAITHFULNESS[owner], PROBE
         else:
@@ -264,7 +290,8 @@ def test_descriptor_check_bytes_match_the_reference(reference_cli, tmp_path, nam
     argv = ["check", "--rep", str(path), "--suite", "all", "--samples", "20", "--seed", "4"]
     # The reference passed the angle doubler, whose kernel it could not see.
     code = 1 if FAITHFULNESS[name]["verdict"] == "fail" else 0
-    assert compare(reference_cli, argv, rep=name, code=code) == owned([name])
+    pinned = DESCRIPTOR_RESIDUALS[name]
+    assert compare(reference_cli, argv, rep=name, code=code, pinned=pinned) == owned([name])
 
 
 COMMANDS = {

@@ -23,6 +23,7 @@ from descriptors import (
 from elements import circle_element
 
 from lieprolong import (
+    AlgebraElement,
     CheckReport,
     NonFiniteImageError,
     ProlongedMatrix,
@@ -31,6 +32,7 @@ from lieprolong import (
     SubspaceBasis,
     TangentGroupElement,
     Verdict,
+    algebra_basis,
     algebra_from_coordinates,
     catalog_entry,
     catalog_list,
@@ -52,6 +54,7 @@ from lieprolong import (
     is_intertwiner,
     is_invariant_subspace,
     load_representation,
+    mat_exp,
     prolong,
     prolong_intertwiner,
     prolong_subspace,
@@ -63,10 +66,11 @@ from lieprolong import (
     sample_tangent_element,
     sample_tangent_elements,
     special_linear,
+    special_orthogonal,
     tg_multiply,
     vertical_subspace,
 )
-from lieprolong import cli, groups, rep_algebra
+from lieprolong import catalog, cli, groups, rep_algebra
 from lieprolong.cli import main
 
 
@@ -268,6 +272,35 @@ class TestEquivalenceTransfer:
         assert report.verdict is Verdict.FAIL
         assert report.witness["part"] == "conclusion"
         assert report.max_residual > 1e-4
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_only_the_conjugator_s_lift_intertwines_the_prolongations(self, monkeypatch, name):
+        # rho_2 is the generator representation with images A D_i A^-1,
+        # given on its own.  Its apply takes the samples' kept exponents as
+        # their logarithms, so no logm runs.  A + 1e-3 J, with J the
+        # reversed identity, intertwines only where A^-1 J commutes with
+        # every image: on the three entries whose images are scalars.
+        rep = rep_of(name)
+        spec, n = rep.group, rep.target_dim
+        A = random_conjugator(n, (5, 2, 0))
+        inverse = np.linalg.inv(A)
+        images = [
+            A @ differential_rep(rep, AlgebraElement(b, spec)) @ inverse
+            for b in algebra_basis(spec)
+        ]
+        rho2 = prolonged(catalog._generator_representation(spec, n, images, "conjugated"))
+
+        def refuse(m):
+            raise AssertionError("a sample took a logarithm")
+
+        rep_algebra._tangent_sample.cache_clear()
+        monkeypatch.setattr(scipy.linalg, "logm", refuse)
+        right = is_intertwiner(prolong_intertwiner(A), prolonged(rep), rho2, 30, seed=5)
+        assert right.passed, right
+        wrong = prolong_intertwiner(A + 1e-3 * np.eye(n)[::-1])
+        report = is_intertwiner(wrong, prolonged(rep), rho2, 30, seed=5)
+        assert report.passed == (name in ("gl_identity(1)", "trivial(1)", "trivial(2)")), report
+
 
 class TestSubspaces:
     def test_basis_validation(self):
@@ -919,7 +952,8 @@ def equivalence_loop(rep, samples, seed) -> np.ndarray:
     for i in range(samples):
         x = sample_tangent_element(rep.group, (seed, 1, i))
         image = prolong(rep, x)
-        R2 = scipy.linalg.expm(A @ differential_rep(rep, x._exponent) @ inverse)
+        B0 = AlgebraElement(x.base._exponent, rep.group)
+        R2 = scipy.linalg.expm(A @ differential_rep(rep, B0) @ inverse)
         other = ProlongedMatrix(R2, A @ differential_rep(rep, x.algebra) @ inverse @ R2)
         rows.append(
             [
@@ -992,14 +1026,14 @@ class TestSampleMemo:
             x.matrix, sample_tangent_elements(rep.group, keys).base.matrix
         )
 
-    def test_equivalence_takes_one_logarithm_per_sample(self, monkeypatch):
+    def test_equivalence_takes_no_logarithm_on_a_descriptor(self, monkeypatch):
         rep = load_representation(so3_doubled())
         self.clear()
         calls = self.count_logm(monkeypatch)
         assert check_equivalence_transfer(rep, 20, seed=0).passed
-        # One per sample, taken by the descriptor's own apply: rho_2 is
-        # evaluated at the exponents the samples were drawn from.
-        assert len(calls) == 20
+        # rho_2 is evaluated at the exponents the samples were drawn from,
+        # and the descriptor's apply takes them as the samples' logarithms.
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("name", ["gl_identity(3)", "sl2_standard", "so3_standard"])
     def test_equivalence_takes_no_logarithm_of_its_own(self, monkeypatch, name):
@@ -1035,9 +1069,41 @@ class TestSampleMemo:
         argv = ["check", "--rep", str(path), "--suite", "homomorphism", "--samples", "30"]
         assert main(argv) == 0
         capsys.readouterr()
-        # x, y and their product, per sample: the plain and prolonged rows
-        # are read off one prolonged evaluation.
-        assert len(calls) == 90
+        # The product of each pair: x and y keep the exponents they were
+        # drawn as, and the plain and prolonged rows are read off one
+        # prolonged evaluation.
+        assert len(calls) == 30
+
+    def test_oracle_suite_takes_a_logarithm_per_curve_point(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        path = tmp_path / "so3_doubled.json"
+        path.write_text(json.dumps(so3_doubled()))
+        self.clear()
+        calls = self.count_logm(monkeypatch)
+        argv = ["check", "--rep", str(path), "--suite", "oracle", "--samples", "30"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # exp(+-hB) a per sample: products keep no exponent.
+        assert len(calls) == 60
+
+    def test_prolong_takes_no_logarithm_of_the_element_it_prolongs(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        path = tmp_path / "so3_doubled.json"
+        path.write_text(json.dumps(so3_doubled()))
+        calls = self.count_logm(monkeypatch)
+        coords = [0.1, 0.2, 0.3]
+        argv = ["prolong", "--rep", str(path), "--a-coords", ",".join(map(str, coords)),
+                "--fiber", "1,0,0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # The base and the finite difference's exp(+-hB) keep their
+        # exponents; only the oracle's two curve points exp(+-hB) a, which
+        # are products, take a logarithm.
+        a = mat_exp(algebra_from_coordinates(coords, special_orthogonal(3)))
+        assert len(calls) == 2
+        assert not any(np.array_equal(m, a.matrix) for m in calls)
 
     @pytest.mark.parametrize("source", ["so3_standard", "circle_plus_trivial", "so3_doubled"])
     def test_homomorphism_suite_rows_are_the_public_checks(self, capsys, tmp_path, source):

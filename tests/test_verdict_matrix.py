@@ -75,8 +75,10 @@ MATRIX = {
     "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail"),
     # Valid: every cell should pass.  The max(1, max|reference|) scale
     # ignores cancellation in the conjugated products, and the residuals
-    # land at 1.1e-9 to 8.5e-5 (item 5, residuals scaled by their operands).
-    "gl3_dense_conjugated": ("fail", "fail", "fail", "fail"),
+    # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
+    # their drawn exponents) and 1.2e-9 to 8.5e-5 (item 5, residuals
+    # scaled by their operands).
+    "gl3_dense_conjugated": ("pass", "fail", "fail", "fail"),
     "so4_dense_conjugated": ("pass", "pass", "pass", "pass"),
     "symmetric_power(4)": ("pass", "pass", "pass", "pass"),
     # Valid: every cell should pass.  cond(Sym^n a) = cond(a)^n, and the
