@@ -149,13 +149,6 @@ def catalog_entry(name: str) -> CatalogEntry:
     )
 
 
-_DESCRIPTOR_KINDS = {
-    "GeneralLinear": general_linear,
-    "SpecialLinear": special_linear,
-    "SpecialOrthogonal": special_orthogonal,
-    "Circle": lambda n: circle(),
-}
-
 # One-parameter subgroups generated by the canonical basis of these kinds
 # close up after 2*pi, so generator images must satisfy exp(2*pi*D) = I.
 _COMPACT_KINDS = (GroupKind.CIRCLE, GroupKind.SPECIAL_ORTHOGONAL)
@@ -167,16 +160,15 @@ def _descriptor_group(document: Mapping[str, Any]) -> GroupSpec:
         raise DescriptorError("descriptor needs a 'group' object with kind and dim")
     kind = group.get("kind")
     dim = group.get("dim")
-    if kind not in _DESCRIPTOR_KINDS:
-        raise DescriptorError(
-            f"unsupported group kind {kind!r}; expected one of "
-            f"{sorted(_DESCRIPTOR_KINDS)}"
-        )
+    kinds = sorted(k.value for k in GroupKind)
+    if kind not in kinds:
+        raise DescriptorError(f"unsupported group kind {kind!r}; expected one of {kinds}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise DescriptorError(f"group dim must be a positive integer, got {dim!r}")
-    if kind == "Circle" and dim != 2:
-        raise DescriptorError("circle descriptors must use dim 2")
-    return _DESCRIPTOR_KINDS[kind](dim)
+    try:
+        return GroupSpec(kind, dim)
+    except ValueError as exc:  # the circle outside dim 2, SL(1) and SO(1)
+        raise DescriptorError(str(exc)) from None
 
 
 def _generator_images(raw: Any, count: int, dim: int) -> list[np.ndarray]:

@@ -143,6 +143,8 @@ class GroupSpec:
             raise ValueError(f"group dimension must be positive, got {self.dim}")
         if self.kind is GroupKind.CIRCLE and self.dim != 2:
             raise ValueError("the circle group is realized by 2x2 rotation matrices")
+        if self.dim == 1 and self.kind in (GroupKind.SPECIAL_LINEAR, GroupKind.SPECIAL_ORTHOGONAL):
+            raise ValueError(f"{self.describe()} is the trivial group, whose Lie algebra is zero")
 
     def describe(self) -> str:
         return f"{self.kind.value}({self.dim})"
@@ -478,9 +480,8 @@ def tg_inverse(X: TangentGroupElement) -> TangentGroupElement:
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed) % 2**63)
-    return np.random.default_rng([int(s) % 2**63 for s in seed])
+    # SeedSequence reads an integer n as it reads the list [n].
+    return np.random.default_rng(list(_normalized([seed])[0]))
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (a 128-bit
@@ -534,9 +535,10 @@ def _jump_table(count: int) -> np.ndarray:
 
 
 def _normalized(keys: Iterable[SeedLike]) -> tuple[tuple[int, ...], ...]:
-    """Each key as the tuple of its elements mod 2**63, as ``_rng`` reduces
-    them: keys with equal tuples have equal streams.  Keys already in that
-    form, as the checks' keys are, come back as they are, copying nothing."""
+    """Each key as the tuple of its elements mod 2**63, the one reduction of
+    every seed and key: keys with equal tuples have equal streams.  Keys
+    already in that form, as the checks' keys are, come back as they are,
+    copying nothing."""
     if isinstance(keys, tuple) and all(
         type(key) is tuple and all(type(e) is int and 0 <= e < 2**63 for e in key)
         for key in keys

@@ -113,15 +113,14 @@ class Representation:
         _require_identity(self.name, rep_image(self, identity_element(self.group)))
 
 
-def _require_identity(name: str, images: np.ndarray) -> None:
-    """Refuse the first of the identity's images, one ``(n, n)`` matrix or a
-    stack of them, that lies more than ``IDENTITY_TOL`` from the identity."""
-    gaps = np.max(np.abs(images - np.eye(images.shape[-1])), axis=(-2, -1))
-    far = np.flatnonzero(gaps > IDENTITY_TOL)
-    if far.size:
+def _require_identity(name: str, image: np.ndarray) -> None:
+    """Refuse the identity's image when it lies more than ``IDENTITY_TOL``
+    from the identity."""
+    gap = np.max(np.abs(image - np.eye(len(image))))
+    if gap > IDENTITY_TOL:
         raise ValueError(
             f"representation {name or '<anonymous>'} sends the identity to a "
-            f"matrix {gaps.flat[far[0]]:.3e} away from the identity"
+            f"matrix {gap:.3e} away from the identity"
         )
 
 
@@ -194,10 +193,13 @@ class ProlongedMatrix:
         )
 
 
-def _dense(R: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """``[[R, 0], [L, R]]`` from blocks of shape ``(..., n, n)``."""
-    n = R.shape[-1]
-    out = np.zeros(R.shape[:-2] + (2 * n, 2 * n))
+def _dense(R, L) -> np.ndarray:
+    """``[[R, 0], [L, R]]`` from blocks of shape ``(..., n, n)``, either of
+    which may be the scalar 0: the one layout of a prolonged image in
+    tangent coordinates (base, fiber)."""
+    shape = np.shape(R) or np.shape(L)
+    n = shape[-1]
+    out = np.zeros(shape[:-2] + (2 * n, 2 * n))
     out[..., :n, :n] = R
     out[..., n:, :n] = L
     out[..., n:, n:] = R

@@ -56,6 +56,7 @@ from .groups import (
     GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
+    _normalized,
     _stream,
     _uniform_draws,
     algebra_basis,
@@ -173,17 +174,16 @@ def _payload(value):
 
 
 def _derive(seed, *indices: int) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        head: tuple[int, ...] = (int(seed) % 2**63,)
-    else:
-        head = tuple(int(s) % 2**63 for s in seed)
-    return head + tuple(int(i) % 2**63 for i in indices)
+    """The key ``(*seed, *indices)``, reduced as every key is."""
+    head = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    return _normalized((head + indices,))[0]
 
 
 def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
-    """Per-sample keys ``_derive(seed, *prefix, i)`` for each index ``i``."""
+    """Per-sample keys ``_derive(seed, *prefix, i)`` for each sample index
+    ``i``, which is already reduced."""
     head = _derive(seed, *prefix)
-    return tuple(head + (int(i) % 2**63,) for i in indices)
+    return tuple(head + (int(i),) for i in indices)
 
 
 # A stack depends only on its group and its keys, and every element is
@@ -217,8 +217,8 @@ def _image(rep: RepLike, element) -> np.ndarray:
 
 def _algebra_images(rep: RepLike) -> np.ndarray:
     """The images ``D_i = d rho(B_i)`` of the canonical algebra basis, a
-    ``(k, m, m)`` stack (empty for SL(1)).  For a prolongation, the 2k
-    images of the basis of the tangent algebra, g acting on itself:
+    ``(k, m, m)`` stack.  For a prolongation, the 2k images of the basis of
+    the tangent algebra, g acting on itself, in :func:`prolong`'s layout:
     ``[[D_i, 0], [0, D_i]]``, then ``[[0, 0], [D_i, 0]]``.
 
     ``exp(g)`` generates the identity component, the part of the group the
@@ -226,16 +226,9 @@ def _algebra_images(rep: RepLike) -> np.ndarray:
     is invariant under every image, exactly when the same holds for these.
     """
     base = rep.base if isinstance(rep, ProlongedRepresentation) else rep
-    basis = algebra_basis(rep.group)
-    if not basis:
-        images = np.zeros((0, base.target_dim, base.target_dim))
-    else:
-        images = differential_rep(base, AlgebraElement(np.stack(basis), rep.group))
+    images = differential_rep(base, AlgebraElement(np.stack(algebra_basis(rep.group)), rep.group))
     if isinstance(rep, ProlongedRepresentation):
-        zero = np.zeros_like(images)
-        return np.concatenate(
-            [np.block([[images, zero], [zero, images]]), np.block([[zero, zero], [images, zero]])]
-        )
+        return np.concatenate([_dense(images, 0), _dense(0, images)])
     return images
 
 
@@ -477,7 +470,7 @@ def random_conjugator(n: int, seed=0) -> np.ndarray:
     positive."""
     import scipy.linalg
 
-    draws = _uniform_draws([_derive(seed)], n * n)
+    draws = _uniform_draws([seed], n * n)
     return scipy.linalg.expm(0.5 * draws.reshape(n, n))
 
 
@@ -600,9 +593,9 @@ def is_invariant_subspace(
 ) -> CheckReport:
     """Least-squares membership of the images of U's basis in span(U).
 
-    The residual for a sampled element is the worst projection defect of
-    an image vector, scaled by max(1, its magnitude).  The zero subspace
-    passes vacuously, over at least one sample like any other.
+    The residual for a sampled element is the :func:`relative_residual` of
+    those images' projection onto span(U).  The zero subspace passes
+    vacuously, over at least one sample like any other.
     """
     q = U.orthonormal()
 
@@ -631,11 +624,10 @@ def _subspace_check(
 
 
 def _projection_defects(images: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per stacked image block: distance of its columns from span(q's rows),
-    scaled by max(1, the block's magnitude)."""
-    defect = images - q.T @ (q @ images)
-    scale = np.maximum(1.0, np.max(np.abs(images), axis=(-2, -1)))
-    return np.max(np.abs(defect), axis=(-2, -1)) / scale
+    """Per stacked image block: the :func:`relative_residual` of its columns'
+    projection onto span(q's rows), their distance from that span scaled
+    by max(1, the block's magnitude)."""
+    return relative_residual(q.T @ (q @ images), images, axis=(-2, -1))
 
 
 def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
@@ -644,18 +636,12 @@ def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
     Base-direction vectors come first, in the order of U, then the fiber
     copies in the same order.
     """
-    k, n = U.vectors.shape
-    lifted = np.zeros((2 * k, 2 * n))
-    lifted[:k, :n] = U.vectors
-    lifted[k:, n:] = U.vectors
-    return SubspaceBasis(2 * n, lifted)
+    return SubspaceBasis(2 * U.ambient_dim, block_diag(U.vectors, U.vectors))
 
 
 def vertical_subspace(n: int) -> SubspaceBasis:
     """The fiber directions {(0, v)} inside trivialized tangent coordinates."""
-    rows = np.zeros((n, 2 * n))
-    rows[:, n:] = np.eye(n)
-    return SubspaceBasis(2 * n, rows)
+    return SubspaceBasis(2 * n, np.eye(n, 2 * n, n))
 
 
 def check_invariance_transfer(
@@ -699,8 +685,6 @@ def commutant_basis(rep: RepLike) -> list[np.ndarray]:
     n = rep.target_dim
     eye = np.eye(n)
     images = _algebra_images(rep)
-    if not len(images):  # SL(1): every matrix commutes
-        return list(np.eye(n * n).reshape(-1, n, n))
     stacked = np.vstack([np.kron(eye, D.T) - np.kron(D, eye) for D in images])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     return [vh[j].reshape(n, n) for j in range(vh.shape[0]) if s[j] <= _RANK_RTOL * s[0]]
@@ -881,9 +865,6 @@ def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:
     spec = rep.group
     images = _algebra_images(rep)
     k, m = len(images), rep.target_dim
-    if not k:  # SL(1), the trivial group
-        facts = {"rank": 0, "margin": 1.0, "scope": "identity component"}
-        return CheckReport("faithfulness_probe", Verdict.PASS, 0.0, facts)
     _, s, vh = np.linalg.svd(images.reshape(k, -1).T)
     s = np.pad(s, (0, k - s.size))
     facts = {

@@ -624,6 +624,16 @@ class TestMalformedInput:
                 "map": {"kind": "generators", "generator_images": [[[1.0]]]},
             },
             {
+                "group": {"kind": ["GeneralLinear"], "dim": 1},
+                "target_dim": 1,
+                "map": {"kind": "generators", "generator_images": [[[1.0]]]},
+            },
+            {
+                "group": {"kind": "Circle", "dim": 3},
+                "target_dim": 1,
+                "map": {"kind": "generators", "generator_images": [[[0.0]]]},
+            },
+            {
                 "group": {"kind": "GeneralLinear", "dim": 1},
                 "target_dim": 2,
                 "map": {"kind": "generators", "generator_images": [[[0, "x"], [0, 0]]]},
@@ -665,6 +675,8 @@ class TestMalformedInput:
             "overflowing_images",
             "boolean_target_dim",
             "boolean_group_dim",
+            "unhashable_group_kind",
+            "circle_in_dim_3",
             "non_numeric_image_entry",
             "ragged_image_row",
             "integer_past_the_float_range",
@@ -690,6 +702,25 @@ class TestMalformedInput:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["SpecialLinear", "SpecialOrthogonal"])
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "--suite", "all"], ["prolong", "--a-coords", "", "--fiber", ""]],
+        ids=["check", "prolong"],
+    )
+    def test_trivial_group_descriptors_exit_2(self, capsys, tmp_path, kind, command):
+        # Dimension 1 makes both kinds the trivial group, with no generators.
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({
+            "group": {"kind": kind, "dim": 1},
+            "target_dim": 1,
+            "map": {"kind": "generators", "generator_images": []},
+        }))
+        code, out, err = run_cli(capsys, command[0], "--rep", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {kind}(1) is the trivial group, whose Lie algebra is zero\n"
 
     @pytest.mark.parametrize(("image", "samples"), [(380.0, "3000"), (500.0, "200")])
     def test_images_overflowing_during_a_check_exit_2(self, capsys, tmp_path, image, samples):

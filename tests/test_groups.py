@@ -135,6 +135,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             GroupElement(np.ones((2, 3)), general_linear(2))
 
+    def test_trivial_groups_are_refused(self):
+        for make in (special_linear, special_orthogonal):
+            with pytest.raises(ValueError, match=r"\(1\) is the trivial group"):
+                make(1)
+
     def test_algebra_constraints(self):
         assert algebra_membership_residual([[1.0, 2.0], [3.0, -1.0]], special_linear(2)) == 0.0
         with pytest.raises(MembershipError):

@@ -65,7 +65,6 @@ from lieprolong import (
     rep_image,
     sample_tangent_element,
     sample_tangent_elements,
-    special_linear,
     special_orthogonal,
     tg_multiply,
     vertical_subspace,
@@ -551,12 +550,15 @@ class TestCommutant:
             for i in range(10):
                 image = rep_image(rep, sample_tangent_element(rep.group, (1000, i)).base)
                 assert np.max(np.abs(M @ image - image @ M)) < 1e-8
-
-    def test_trivial_group_commutant_is_every_matrix(self):
-        rep = Representation(special_linear(1), 1, lambda a: a.matrix, lambda B: B.matrix)
-        assert len(commutant_basis(rep)) == 1
-        assert len(commutant_basis(prolonged(rep))) == 4
-        assert reducibility_probe(prolonged(rep)).witness["classification"] == "reducible"
+        # The prolonged generator images are laid out as prolong lays out
+        # its image, so the commutant they give commutes with prolong's.
+        for entry in catalog_list():
+            lifted = prolonged(entry.rep)
+            for M in commutant_basis(lifted):
+                for i in range(10):
+                    image = lifted.apply(sample_tangent_element(entry.rep.group, (1000, i)))
+                    gap = np.max(np.abs(M @ image - image @ M))
+                    assert gap <= 1e-12 * max(1.0, np.max(np.abs(image))), entry.name
 
 
 class TestReducibilityProbe:
@@ -847,10 +849,6 @@ class TestFaithfulnessProbe:
         report = faithfulness_probe(rotation_by_log())
         assert report.verdict is Verdict.INCONCLUSIVE
         assert "zero real part" in report.witness["reason"]
-
-    def test_trivial_group_passes(self):
-        rep = Representation(special_linear(1), 1, lambda a: a.matrix, lambda B: B.matrix)
-        assert faithfulness_probe(rep).passed
 
     def test_probe_samples_nothing_and_takes_no_logarithm(self, monkeypatch):
         rep = load_representation(so3_doubled())

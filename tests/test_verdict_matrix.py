@@ -29,30 +29,42 @@ from lieprolong import (
 SAMPLES, SEED = 50, 3
 
 
-def so3(**maps):
-    return dataclasses.replace(catalog_entry("so3_standard").rep, **maps)
+def broken_maps(entry: str) -> dict:
+    """Seven maps built on a catalog entry, each broken in one way.
+
+    Scaling d rho is an automorphism of the tangent group, so those
+    prolongations are homomorphisms; apply = I and d rho = 0 keep a
+    homomorphism as their base.
+    """
+
+    def rep(**maps):
+        return dataclasses.replace(catalog_entry(entry).rep, **maps)
+
+    def scaled_differential(scale):
+        return lambda: rep(differential=lambda B: scale * B.matrix)
+
+    return {
+        "apply = a^2": lambda: rep(apply=lambda a: a.matrix @ a.matrix),
+        "apply = a^T": lambda: rep(apply=lambda a: np.swapaxes(a.matrix, -1, -2)),
+        "apply = I": lambda: rep(
+            apply=lambda a: np.broadcast_to(np.eye(a.spec.dim), a.matrix.shape)
+        ),
+        "d rho = 0": scaled_differential(0.0),
+        "d rho x 2": scaled_differential(2.0),
+        "d rho x (1 + 1e-3)": scaled_differential(1 + 1e-3),
+        "d rho x (1 + 1e-6)": scaled_differential(1 + 1e-6),
+    }
 
 
-def scaled_differential(scale):
-    return so3(differential=lambda B: scale * B.matrix)
-
-
-# Broken maps are built on so3_standard.  Scaling d rho is an automorphism
-# of the tangent group, so those prolongations are homomorphisms; apply = I
-# and d rho = 0 keep a homomorphism as their base.
 ROWS = {
-    "apply = a^2": lambda: so3(apply=lambda a: a.matrix @ a.matrix),
-    "apply = a^T": lambda: so3(apply=lambda a: np.swapaxes(a.matrix, -1, -2)),
-    "apply = I": lambda: so3(apply=lambda a: np.broadcast_to(np.eye(3), a.matrix.shape)),
-    "d rho = 0": lambda: scaled_differential(0.0),
-    "d rho x 2": lambda: scaled_differential(2.0),
-    "d rho x (1 + 1e-3)": lambda: scaled_differential(1 + 1e-3),
-    "d rho x (1 + 1e-6)": lambda: scaled_differential(1 + 1e-6),
+    **broken_maps("so3_standard"),
+    **{f"gl2: {row}": make for row, make in broken_maps("gl_identity(2)").items()},
     "gl3_dense_conjugated": lambda: load_representation(gl3_dense_conjugated()),
     "so4_dense_conjugated": lambda: load_representation(so4_dense_conjugated()),
     "symmetric_power(4)": lambda: load_representation(symmetric_power(4)),
     "symmetric_power(10)": lambda: load_representation(symmetric_power(10)),
     "symmetric_power(20)": lambda: load_representation(symmetric_power(20)),
+    "symmetric_power(40)": lambda: load_representation(symmetric_power(40)),
 }
 
 COLUMNS = {
@@ -73,6 +85,16 @@ MATRIX = {
     # The oracle should fail: its residual, 9.2e-7, sits under its
     # finite-difference tolerance of 1e-5 (item 6, an exact oracle).
     "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail"),
+    # The same seven maps on GL(2), which is neither compact nor semisimple:
+    # the cells match SO(3)'s.
+    "gl2: apply = a^2": ("fail", "fail", "fail", "fail"),
+    "gl2: apply = a^T": ("fail", "fail", "fail", "fail"),
+    "gl2: apply = I": ("pass", "fail", "fail", "fail"),
+    "gl2: d rho = 0": ("pass", "pass", "fail", "fail"),
+    "gl2: d rho x 2": ("pass", "pass", "fail", "fail"),
+    "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail"),
+    # The oracle should fail, as on SO(3) (item 6, an exact oracle).
+    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail"),
     # Valid: every cell should pass.  The max(1, max|reference|) scale
     # ignores cancellation in the conjugated products, and the residuals
     # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
@@ -86,6 +108,8 @@ MATRIX = {
     # refusal).
     "symmetric_power(10)": ("refused", "refused", "pass", "pass"),
     "symmetric_power(20)": ("refused", "refused", "refused", "refused"),
+    # Valid: every cell should pass, as for symmetric_power(10) (item 5).
+    "symmetric_power(40)": ("refused", "refused", "refused", "refused"),
 }
 
 
