@@ -15,6 +15,8 @@ the input representation is: the plane rotation action has no invariant
 line, yet its prolongation has an invariant plane.
 """
 
+import numpy as np
+
 from lieprolong import (
     SubspaceBasis,
     catalog_entry,
@@ -27,7 +29,6 @@ from lieprolong import (
     random_conjugator,
     reducibility_probe,
     conjugate_representation,
-    vertical_subspace,
 )
 
 rotation = catalog_entry("circle_rotation").rep
@@ -59,7 +60,9 @@ print()
 print("rotation rep:", probe.witness["classification"],
       f"(commutant type {probe.witness['commutant_type']})")
 
-fiber_plane = vertical_subspace(2)
+# the fiber directions (0, v) of the tangent coordinates (p, v), n = 2
+n = rotation.target_dim
+fiber_plane = SubspaceBasis(2 * n, np.eye(n, 2 * n, n))
 report = is_invariant_subspace(prolonged(rotation), fiber_plane, 100, seed=7)
 print("fiber plane under the prolongation:", report.verdict.value)
 

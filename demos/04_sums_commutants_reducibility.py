@@ -6,7 +6,9 @@ Prolongation commutes with direct sums once coordinates are interleaved:
 prolonging rep1 + rep2 and conjugating by the permutation that sends
 (p1, p2, v1, v2) to (p1, v1, p2, v2) gives exactly the direct sum of the
 two prolongations.  Exactly, because permuting indices involves no
-arithmetic.
+arithmetic.  The identity holds for any two maps, since a direct sum's
+images are block diagonals, so nothing here samples it: the demo shows it
+on one element, and the test suite proves it on symbolic blocks.
 
 The commutant (matrices commuting with every image) measures how far a
 representation is from irreducible.  It is the nullspace of the
@@ -20,11 +22,10 @@ invariant subspace that every generator keeps.
 import numpy as np
 
 from lieprolong import (
+    block_diag,
     catalog_entry,
-    check_direct_sum_commutation,
     commutant_basis,
     direct_sum,
-    interleave_permutation,
     prolong,
     prolonged,
     reducibility_probe,
@@ -34,21 +35,17 @@ from lieprolong import (
 rotation = catalog_entry("circle_rotation").rep
 winding = catalog_entry("circle_winding_2").rep
 
-# the interleaving for two plane representations
-perm = interleave_permutation(2, 2)
+# the interleaving for two plane representations: the sum's tangent
+# coordinates (p1, p2, v1, v2) are indices 0-7, two each, taken in the
+# order p1, v1, p2, v2
+p1, p2, v1, v2 = np.arange(8).reshape(4, 2)
+perm = np.concatenate([p1, v1, p2, v2])
 print("interleave (2, 2):", perm)
 
-summed = direct_sum(rotation, winding)
 X = sample_tangent_element(rotation.group, 9)
-joint = prolong(summed, X).dense()[np.ix_(perm, perm)]
-split_blocks = prolong(rotation, X).dense(), prolong(winding, X).dense()
-split = np.zeros((8, 8))
-split[:4, :4], split[4:, 4:] = split_blocks
+joint = prolong(direct_sum(rotation, winding), X).dense()[np.ix_(perm, perm)]
+split = block_diag(prolong(rotation, X).dense(), prolong(winding, X).dense())
 print("shuffled joint == blockwise split:", np.array_equal(joint, split))
-
-report = check_direct_sum_commutation(rotation, winding, 200, seed=9)
-print("commutation check over 200 samples:", report.verdict.value,
-      f"(max residual {report.max_residual:.1e})")
 
 # commutant dimensions tell the splitting story
 print()

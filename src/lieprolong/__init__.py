@@ -4,8 +4,8 @@ A representation of a matrix group on R^n extends canonically to a
 representation of the group's tangent bundle on the tangent bundle of
 R^n.  This package computes that extension in explicit block-matrix
 form, provides independent oracles for its action, and ships a battery
-of sampling-based structural checks: homomorphism tests, equivalence and
-invariant-subspace transfer, and direct-sum commutation.  Three claims
+of sampling-based structural checks: homomorphism tests, and equivalence
+and invariant-subspace transfer.  Three claims
 are decided exactly from the generator images, without sampling: whether
 the prolongation is faithful, the commutant, and reducibility.
 """

@@ -262,8 +262,8 @@ def _run_suite(
         # whatever R and K are, so this row holds by construction.
         return checks + [CheckReport("vertical_invariance", Verdict.PASS, 0.0)]
     if suite == "directsum":
-        # The prolongation of rep + rep, a sum of blocks, is two interleaved
-        # copies of rep's whatever its images are: it holds by construction.
+        # direct_sum builds block diagonals, so the prolongation of any sum is
+        # the interleaved sum of the prolongations: it holds by construction.
         return [CheckReport("direct_sum_commutation", Verdict.PASS, 0.0)]
     if suite == "faithfulness":
         return [faithfulness_probe(rep, **tol)]

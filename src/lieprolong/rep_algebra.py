@@ -25,9 +25,10 @@ of it.  :func:`check_equivalence_transfer` takes its second
 representation from the conjugated generator images, evaluated at the
 exponent each sample was drawn from, never from ``apply``; so it also
 ties ``apply`` to ``differential``.  Claims that hold for any matrices
-``R`` and ``K`` in ``[[R, 0], [K R, R]]``, as the invariance of the fiber
-directions and the prolongation of ``rep + rep`` do, are not sampled by
-the CLI suites at all.
+``R`` and ``K`` in ``[[R, 0], [K R, R]]`` are not sampled at all: the
+invariance of the fiber directions, and the prolongation of a
+:func:`direct_sum` as the sum of the prolongations, are proved in sympy on
+symbolic blocks by ``tests/test_acceptance.py``, criterion 07.
 
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
@@ -90,7 +91,6 @@ __all__ = [
     "SubspaceBasis",
     "Verdict",
     "check_action_oracle",
-    "check_direct_sum_commutation",
     "check_equivalence_transfer",
     "check_homomorphism",
     "check_invariance_transfer",
@@ -98,14 +98,12 @@ __all__ = [
     "conjugate_representation",
     "direct_sum",
     "faithfulness_probe",
-    "interleave_permutation",
     "is_intertwiner",
     "is_invariant_subspace",
     "prolong_intertwiner",
     "prolong_subspace",
     "random_conjugator",
     "reducibility_probe",
-    "vertical_subspace",
 ]
 
 # Relative threshold for rank and nullspace decisions: a singular value
@@ -636,11 +634,6 @@ def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(2 * U.ambient_dim, block_diag(U.vectors, U.vectors))
 
 
-def vertical_subspace(n: int) -> SubspaceBasis:
-    """The fiber directions {(0, v)} inside trivialized tangent coordinates."""
-    return SubspaceBasis(2 * n, np.eye(n, 2 * n, n))
-
-
 def check_invariance_transfer(
     rep: Representation,
     U: SubspaceBasis,
@@ -780,52 +773,6 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         differential=differential,
         name=f"{rep1.name or 'rep'}+{rep2.name or 'rep'}",
     )
-
-
-def interleave_permutation(n1: int, n2: int) -> np.ndarray:
-    """Gather indices sending (p1, p2, v1, v2) to (p1, v1, p2, v2).
-
-    Conjugating the prolongation of a direct sum by this permutation
-    yields the direct sum of the prolongations; see
-    :func:`check_direct_sum_commutation`.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("summand dimensions must be positive")
-    total = n1 + n2
-    return np.concatenate(
-        [
-            np.arange(n1),
-            np.arange(total, total + n1),
-            np.arange(n1, total),
-            np.arange(total + n1, 2 * total),
-        ]
-    )
-
-
-def check_direct_sum_commutation(
-    rep1: Representation,
-    rep2: Representation,
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> CheckReport:
-    """Prolonging a direct sum equals the direct sum of prolongations.
-
-    The two sides differ only by the coordinate interleaving, so the
-    conjugated matrices are compared entry by entry at a tolerance near
-    machine precision.  The permutation is applied by index shuffling,
-    which is exact.
-    """
-    summed = direct_sum(rep1, rep2)
-    perm = interleave_permutation(rep1.target_dim, rep2.target_dim)
-
-    def residuals(indices):
-        X = _tangent_sample(rep1.group, _keys(seed, indices, 41))
-        joint = prolong(summed, X).dense()[..., perm[:, None], perm]
-        split = block_diag(prolong(rep1, X).dense(), prolong(rep2, X).dense())
-        return relative_residual(joint, split, axis=(-2, -1))
-
-    return _sampled_check("direct_sum_commutation", samples, seed, tol, residuals)
 
 
 def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:

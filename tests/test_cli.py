@@ -16,7 +16,6 @@ from lieprolong import (
     GroupElement,
     __version__,
     check_action_oracle,
-    check_direct_sum_commutation,
     check_equivalence_transfer,
     check_homomorphism,
     check_invariance_transfer,
@@ -26,7 +25,7 @@ from lieprolong import (
     load_representation,
     sample_tangent_elements,
 )
-from lieprolong import cli, rep_algebra
+from lieprolong import cli, groups, rep_algebra
 from lieprolong.cli import SEED_ENV_VAR, main
 
 REPORT_SCHEMA = {
@@ -219,15 +218,15 @@ class TestProlongCommand:
 
 # The library function behind each suite and the default tolerance it
 # applies when --tol is not given.  The suites' vertical and direct-sum rows
-# hold by construction and call nothing; the public checks that test the
-# same claims on any subspace or pair keep the contract.
+# hold by construction and call nothing (acceptance criterion 07 proves
+# both); is_invariant_subspace, which tests the vertical claim on any
+# subspace, keeps the contract.
 SUITE_CHECKS = [
     ("homomorphism", check_homomorphism, 1e-9),
     ("oracle", check_action_oracle, 1e-5),
     ("equivalence", check_equivalence_transfer, 1e-9),
     ("invariance", check_invariance_transfer, 1e-9),
     ("invariance", is_invariant_subspace, 1e-9),
-    ("directsum", check_direct_sum_commutation, 1e-12),
 ]
 
 
@@ -283,6 +282,36 @@ class TestCheckCommand:
             "invariance_transfer[1]",
             "vertical_invariance",
         ]
+
+    def test_structural_rows_draw_nothing(self, capsys, monkeypatch):
+        # The direct-sum and vertical rows hold by construction, so they draw
+        # no sample however many --samples asks for.  so3_standard declares
+        # no invariant subspace, so its invariance suite is the vertical row.
+        draw, calls = groups.sample_tangent_elements, []
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        # rep_algebra draws through its own binding, behind the sample memo.
+        monkeypatch.setattr(groups, "sample_tangent_elements", counted)
+        monkeypatch.setattr(rep_algebra, "sample_tangent_elements", counted)
+        rep_algebra._tangent_sample.cache_clear()
+        for suite, samples, name in [
+            ("directsum", "5000", "direct_sum_commutation"),
+            ("invariance", "200", "vertical_invariance"),
+        ]:
+            code, document, _ = run_json(
+                capsys, "check", "--rep", "so3_standard", "--suite", suite, "--samples", samples
+            )
+            assert code == 0
+            rows = [(c["name"], c["verdict"], c["max_residual"]) for c in document["checks"]]
+            assert rows == [(name, "pass", 0.0)]
+        assert calls == []
+
+        # The wrapper sees the draws of a sampled row.
+        run_json(capsys, "check", "--rep", "so3_standard", "--suite", "oracle", "--samples", "5")
+        assert calls
 
     def test_trivial_homomorphism_residual_is_exactly_zero(self, capsys):
         code, document, _ = run_json(

@@ -1,11 +1,12 @@
-"""What each sampled suite catches: its verdict on broken maps and on valid
-but hard representations, at 50 samples and seed 3.  One cell is pinned at
-the CLI defaults as well, where that seed hides a failure.
+"""What each gate catches: its verdict on broken maps, on valid but hard
+representations and on false claims, at 50 samples and seed 3.  One cell
+is pinned at the CLI defaults as well, where that seed hides a failure.
 
 A cell is ``pass``, ``fail`` or ``refused`` (the check raises, and the CLI
-exits 2).  A cell that differs from what the theory predicts says so, with
-the ROADMAP item meant to bring it there.  A change that flips a cell edits
-it here and says why in CHANGES.md.
+exits 2), or ``-`` where the row makes no claim for the column to check.
+A cell that differs from what the theory predicts says so, with the
+ROADMAP item meant to bring it there.  A change that flips a cell edits it
+here and says why in CHANGES.md.
 """
 
 import dataclasses
@@ -18,12 +19,17 @@ from descriptors import gl3_dense_conjugated, so4_dense_conjugated, symmetric_po
 from lieprolong import (
     ExponentOverflowError,
     NonFiniteImageError,
+    Representation,
     StepSizeError,
+    SubspaceBasis,
     catalog_entry,
     check_action_oracle,
     check_equivalence_transfer,
     check_homomorphism,
     circle,
+    faithfulness_probe,
+    is_intertwiner,
+    is_invariant_subspace,
     load_representation,
     prolonged,
     special_orthogonal,
@@ -78,6 +84,16 @@ def spin_half() -> list:
     return [np.multiply(-0.5, k), np.multiply(0.5, j), np.multiply(-0.5, i)]
 
 
+def collapse(a):
+    """The map of test_prolongation's test_singular_image_rejected, on a
+    stack: the identity at the identity, but it collapses a row at a quarter
+    turn, and d rho = 0."""
+    images = np.zeros(a.matrix.shape)
+    images[..., 0, 0] = 1.0
+    images[..., 1, 1] = a.matrix[..., 0, 0]
+    return images
+
+
 CIRCLE_GENERATOR = [[0.0, 1.0], [-1.0, 0.0]]
 
 ROWS = {
@@ -94,6 +110,9 @@ ROWS = {
         circle(), [np.multiply(1 + 1e-6, CIRCLE_GENERATOR)], "w1+1e-6"
     ),
     "so3: spin 1/2 on R^4": generator_map(special_orthogonal(3), spin_half(), "spin1/2"),
+    "circle: collapse": lambda: Representation(circle(), 2, collapse, lambda B: 0.0 * B.matrix),
+    "so3: line e_0": lambda: catalog_entry("so3_standard").rep,
+    "so3: diag(1, 2, 3)": lambda: catalog_entry("so3_standard").rep,
 }
 
 COLUMNS = {
@@ -101,52 +120,87 @@ COLUMNS = {
     "homomorphism(prolonged)": lambda rep: check_homomorphism(prolonged(rep), SAMPLES, SEED),
     "action_oracle": lambda rep: check_action_oracle(rep, SAMPLES, SEED),
     "equivalence_transfer": lambda rep: check_equivalence_transfer(rep, SAMPLES, SEED),
+    "faithfulness_probe": faithfulness_probe,
 }
 
+# Claims a row makes beside its map, each checked in its own column: false
+# ones about a valid representation.  Rows without a claim there have "-".
+CLAIMS = {
+    "is_invariant_subspace": {
+        "so3: line e_0": lambda rep: is_invariant_subspace(
+            rep, SubspaceBasis(3, [[1.0, 0.0, 0.0]]), SAMPLES, SEED
+        ),
+    },
+    "is_intertwiner": {
+        "so3: diag(1, 2, 3)": lambda rep: is_intertwiner(
+            np.diag([1.0, 2.0, 3.0]), rep, rep, SAMPLES, SEED
+        ),
+    },
+}
+
+ALL_COLUMNS = [*COLUMNS, *CLAIMS]
+
 MATRIX = {
-    # homomorphism(base), homomorphism(prolonged), action_oracle, equivalence_transfer
-    "apply = a^2": ("fail", "fail", "fail", "fail"),
-    "apply = a^T": ("fail", "fail", "fail", "fail"),
-    "apply = I": ("pass", "fail", "fail", "fail"),
-    "d rho = 0": ("pass", "pass", "fail", "fail"),
-    "d rho x 2": ("pass", "pass", "fail", "fail"),
-    "d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail"),
+    # homomorphism(base), homomorphism(prolonged), action_oracle, equivalence_transfer,
+    # faithfulness_probe, is_invariant_subspace, is_intertwiner
+    #
+    # faithfulness_probe reads d rho alone, as a representation's
+    # differential: a broken apply leaves its cell at pass, and where d rho
+    # keeps no bracket (d rho x c, c != 1, off the circle) its verdict is
+    # about no representation.  Such rows should be refused before it runs
+    # (item 5(a), the bracket test for every representation).
+    "apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
+    "apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
+    "apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
+    "d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
+    "d rho x 2": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
+    "d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
     # The oracle should fail: its residual, 9.2e-7, sits under its
     # finite-difference tolerance of 1e-5 (item 8, an exact oracle).
-    "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail"),
+    "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-"),
     # The same seven maps on GL(2), which is neither compact nor semisimple:
-    # the cells match SO(3)'s.
-    "gl2: apply = a^2": ("fail", "fail", "fail", "fail"),
-    "gl2: apply = a^T": ("fail", "fail", "fail", "fail"),
-    "gl2: apply = I": ("pass", "fail", "fail", "fail"),
-    "gl2: d rho = 0": ("pass", "pass", "fail", "fail"),
-    "gl2: d rho x 2": ("pass", "pass", "fail", "fail"),
-    "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail"),
+    # the cells match SO(3)'s, except that GL(2) holds -I = exp(pi J), and
+    # exp(pi d rho(J)) = I at d rho x 2.
+    "gl2: apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
+    "gl2: apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
+    "gl2: apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
+    "gl2: d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
+    "gl2: d rho x 2": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
+    "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
     # The oracle should fail, as on SO(3) (item 8, an exact oracle).
-    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail"),
+    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-"),
     # Valid: every cell should pass.  The max(1, max|reference|) scale
     # ignores cancellation in the conjugated products, and the residuals
     # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
     # their drawn exponents) and 1.2e-9 to 8.5e-5 (item 9, residuals scaled
     # by their operands).
-    "gl3_dense_conjugated": ("pass", "fail", "fail", "fail"),
-    "so4_dense_conjugated": ("pass", "pass", "pass", "pass"),
-    "symmetric_power(4)": ("pass", "pass", "pass", "pass"),
-    # Valid: every cell should pass.  cond(Sym^n a) = cond(a)^n, and the
-    # invertibility gate refuses cond > 1e12 (item 9, evidence in place of
-    # refusal).
-    "symmetric_power(10)": ("refused", "refused", "pass", "pass"),
-    "symmetric_power(20)": ("refused", "refused", "refused", "refused"),
-    # Valid: every cell should pass, as for symmetric_power(10) (item 9).
-    "symmetric_power(40)": ("refused", "refused", "refused", "refused"),
+    "gl3_dense_conjugated": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
+    "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
+    "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-"),
+    # Valid: every sampled cell should pass.  cond(Sym^n a) = cond(a)^n, and
+    # the invertibility gate refuses cond > 1e12 (item 9, evidence in place
+    # of refusal).  The faithfulness cells fail rightly: Sym^n sends -I to
+    # (-1)^n = I when n is even.
+    "symmetric_power(10)": ("refused", "refused", "pass", "pass", "fail", "-", "-"),
+    "symmetric_power(20)": ("refused", "refused", "refused", "refused", "fail", "-", "-"),
+    # Valid: every sampled cell should pass, as for symmetric_power(10)
+    # (item 9).
+    "symmetric_power(40)": ("refused", "refused", "refused", "refused", "fail", "-", "-"),
     # Not representations: apply = expm(d rho(log a)) with loops that do not
     # close, weight 3/2 and weight 1 + 1e-6 on the circle, and exp(2 pi D) = -I
     # for spin 1/2.  Every cell should fail.  They pass, since no drawn
     # sample or product of two leaves the principal chart, and only a
     # descriptor's load tests the loops (item 5, generator certificates).
-    "circle: weight 3/2": ("pass", "pass", "pass", "pass"),
-    "circle: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "pass"),
-    "so3: spin 1/2 on R^4": ("pass", "pass", "pass", "pass"),
+    "circle: weight 3/2": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
+    "circle: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
+    "so3: spin 1/2 on R^4": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
+    # Not a representation: every cell should fail, and does; d rho = 0
+    # gives the probe a kernel.
+    "circle: collapse": ("fail", "fail", "fail", "fail", "fail", "-", "-"),
+    # so3_standard with a false claim: the map passes, the claim fails on a
+    # sample (item 5(c) adds a generator witness).
+    "so3: line e_0": ("pass", "pass", "pass", "pass", "pass", "fail", "-"),
+    "so3: diag(1, 2, 3)": ("pass", "pass", "pass", "pass", "pass", "-", "fail"),
 }
 
 
@@ -156,21 +210,31 @@ def representation(row: str):
 
 
 def verdict(row: str, column: str) -> str:
+    check = COLUMNS[column] if column in COLUMNS else CLAIMS[column][row]
     try:
-        return COLUMNS[column](representation(row)).verdict.value
+        return check(representation(row)).verdict.value
     except (NonFiniteImageError, StepSizeError, ExponentOverflowError):
         return "refused"
 
 
 def test_the_matrix_covers_every_row_and_column():
     assert list(MATRIX) == list(ROWS)
-    assert all(len(cells) == len(COLUMNS) for cells in MATRIX.values())
+    for row, cells in MATRIX.items():
+        claimed = [column in COLUMNS or row in CLAIMS[column] for column in ALL_COLUMNS]
+        assert [cell != "-" for cell in cells] == claimed, row
 
 
-@pytest.mark.parametrize("column", list(COLUMNS))
-@pytest.mark.parametrize("row", list(ROWS))
+CELLS = [
+    (row, column)
+    for row, cells in MATRIX.items()
+    for column, cell in zip(ALL_COLUMNS, cells)
+    if cell != "-"
+]
+
+
+@pytest.mark.parametrize("row, column", CELLS)
 def test_cell(row, column):
-    assert verdict(row, column) == MATRIX[row][list(COLUMNS).index(column)]
+    assert verdict(row, column) == MATRIX[row][ALL_COLUMNS.index(column)]
 
 
 def test_so4_dense_conjugated_oracle_at_the_cli_defaults():
