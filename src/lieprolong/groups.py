@@ -166,16 +166,25 @@ def circle() -> GroupSpec:
     return GroupSpec(GroupKind.CIRCLE, 2)
 
 
+def _real(values, what: str) -> np.ndarray:
+    """A read-only float copy of ``values``, refused when complex or not
+    finite: the one rule for every array that enters the package."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    out = np.array(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} entries must be finite")
+    out.flags.writeable = False
+    return out
+
+
 def _as_square(matrix, dim: int | None = None) -> np.ndarray:
-    """A read-only float copy of a square matrix or of a stack of them."""
-    out = np.array(matrix, dtype=float)
+    """A :func:`_real` square matrix or stack of them."""
+    out = _real(matrix, "matrix")
     if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {out.shape}")
     if dim is not None and out.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got {out.shape[-1]}x{out.shape[-1]}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
-    out.flags.writeable = False
     return out
 
 
@@ -517,8 +526,8 @@ def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
     kept, read-only, on the result: :func:`principal_log` takes it as the
     logarithm of every slice with ``||t B||_F < pi``.
     """
-    if not np.isfinite(t):
-        raise ValueError("the scale t must be finite")
+    if np.iscomplexobj(t) or not np.isfinite(t):
+        raise ValueError("the scale t must be real and finite")
     scaled = t * B.matrix
     # An n x n slice's 2-norm is at most n times its largest entry, so the
     # SVDs are only needed near the guard.
@@ -574,7 +583,7 @@ def _rng(seed: SeedLike) -> np.random.Generator:
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (a 128-bit
-# LCG with XSL-RR output), whose recipes _uniform_draws runs on whole arrays.
+# LCG with XSL-RR output), whose recipes _Stream runs on whole arrays.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -728,12 +737,6 @@ def _stream(keys: Iterable[SeedLike]) -> _Stream:
     return stream
 
 
-def _uniform_draws(keys: Iterable[SeedLike], count: int) -> np.ndarray:
-    """Row ``r`` is, bit for bit, ``_rng(keys[r]).uniform(-1.0, 1.0, count)``,
-    computed for all keys at once; read-only."""
-    return _stream(keys).draws(count)
-
-
 def _tangent_draw(spec: GroupSpec, draw) -> TangentGroupElement:
     """Tangent elements from ``draw(count)``, which gives ``(..., count)``
     uniform draws: the base's algebra element first, then the fiber.  The
@@ -830,7 +833,7 @@ def algebra_coordinates(B: AlgebraElement) -> np.ndarray:
 
 
 def algebra_from_coordinates(coords, spec: GroupSpec) -> AlgebraElement:
-    coords = np.asarray(coords, dtype=float).reshape(-1)
+    coords = _real(coords, "coordinate vector").reshape(-1)
     basis = algebra_basis(spec)
     if coords.shape[0] != len(basis):
         raise ValueError(

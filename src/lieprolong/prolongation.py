@@ -125,10 +125,13 @@ def _require_identity(name: str, image: np.ndarray) -> None:
 
 
 def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
-    """``fn`` on one element or a stack, with its ``(..., n, n)`` shape and
-    finiteness checked once."""
+    """``fn`` on one element or a stack, with its ``(..., n, n)`` shape,
+    realness and finiteness checked once."""
     stack = element.matrix.shape[:-2]
-    out = np.asarray(fn(element), dtype=float)
+    out = fn(element)
+    if np.iscomplexobj(out):
+        raise ValueError(f"{what} returned complex entries")
+    out = np.asarray(out, dtype=float)
     if out.shape != stack + (n, n):
         raise ValueError(f"{what} returned shape {out.shape}, expected {stack + (n, n)}")
     return _require_finite(out, f"{what} returned")

@@ -57,10 +57,12 @@ from .groups import (
     GroupSpec,
     SpecMismatchError,
     TangentGroupElement,
+    _as_square,
     _expm,
     _normalized,
+    _real,
+    _require_invertible,
     _stream,
-    _uniform_draws,
     algebra_basis,
     algebra_coordinates,
     algebra_from_coordinates,
@@ -201,17 +203,13 @@ def _tangent_sample(
     return sample_tangent_elements(spec, keys)
 
 
-def _sample(rep: RepLike, keys):
-    # The group draw under a key is, bit for bit, the base of the tangent
-    # draw under it: both exponentiate the first draw of the key's generator.
-    X = _tangent_sample(rep.group, keys)
-    return X if isinstance(rep, ProlongedRepresentation) else X.base
-
-
-def _image(rep: RepLike, element) -> np.ndarray:
+def _image(rep: RepLike, X: TangentGroupElement) -> np.ndarray:
+    """``rep`` at a memoized tangent stack: a prolongation at ``X``, a plain
+    representation at ``X.base``, which is bit for bit the group draw under
+    the same keys (both exponentiate the first draws of each key)."""
     if isinstance(rep, ProlongedRepresentation):
-        return rep.apply(element)
-    return rep_image(rep, element)
+        return rep.apply(X)
+    return rep_image(rep, X.base)
 
 
 def _algebra_images(rep: RepLike) -> np.ndarray:
@@ -231,14 +229,18 @@ def _algebra_images(rep: RepLike) -> np.ndarray:
     return images
 
 
-def _require_samples(samples: int) -> None:
+def _require_gate(tol: float, samples: int = 1) -> None:
+    """Refuse a check that says nothing: one over no sample, or one whose
+    ``tol`` is NaN, infinite or negative, which every residual passes or none
+    does."""
     if samples < 1:
         raise ValueError("a sampled check needs at least one sample")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 def _chunks(samples: int) -> Iterator[np.ndarray]:
     """Sample indices 0..samples-1 in stacks of at most ``_CHUNK``."""
-    _require_samples(samples)
     for start in range(0, samples, _CHUNK):
         yield np.arange(start, min(start + _CHUNK, samples))
 
@@ -304,6 +306,7 @@ def _sampled_check(
     """:func:`_scan` and :func:`_verdict`.  With ``parts``, ``residuals``
     returns one row per part: the residual is the worst part's, and the
     witness names that ``part``."""
+    _require_gate(tol, samples)
     worst, index = (np.ravel(a) for a in _scan(name, samples, seed, residuals))
     k = int(np.argmax(worst))
     witness = _witness(seed, index[k], worst[k])
@@ -320,6 +323,7 @@ def _homomorphism_checks(
     carries the plain image ``R`` on its diagonal, so each product and each
     factor is prolonged once and both residuals are read off it.
     """
+    _require_gate(tol, samples)
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(seed, 2 * indices))
@@ -390,13 +394,10 @@ def check_action_oracle(
 
 
 def _intertwiner_matrix(A) -> np.ndarray:
-    """``A`` as a read-only float matrix, checked to be 2-D and finite."""
-    matrix = np.array(A, dtype=float)
+    """``A`` as a :func:`_real` matrix, checked to be 2-D."""
+    matrix = _real(A, "intertwiner")
     if matrix.ndim != 2:
         raise ValueError(f"an intertwiner must be a matrix, got ndim {matrix.ndim}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("intertwiner entries must be finite")
-    matrix.flags.writeable = False
     return matrix
 
 
@@ -410,7 +411,7 @@ def is_intertwiner(
 ) -> CheckReport:
     """Check A @ rho1(x) = rho2(x) @ A on sampled elements.
 
-    ``A`` must be a finite matrix of shape (dim rho2, dim rho1); its rank
+    ``A`` must be a real, finite matrix of shape (dim rho2, dim rho1); its rank
     is not checked.  Both representations must live over the same group and at the same
     level (both plain or both prolonged) so that a single sampled element
     can be pushed through each side.
@@ -431,8 +432,8 @@ def is_intertwiner(
         )
 
     def residuals(indices):
-        x = _sample(rep1, _keys(seed, indices))
-        return _intertwining_residuals(matrix, _image(rep1, x), _image(rep2, x))
+        X = _tangent_sample(rep1.group, _keys(seed, indices))
+        return _intertwining_residuals(matrix, _image(rep1, X), _image(rep2, X))
 
     return _sampled_check("intertwiner", samples, seed, tol, residuals)
 
@@ -467,15 +468,17 @@ def random_conjugator(n: int, seed=0) -> np.ndarray:
     ``expm(U / 2)``, with ``U`` drawn as ``np.random.default_rng(seed)``
     draws it uniformly from (-1, 1).  Its determinant ``e^(tr U / 2)`` is
     positive."""
-    draws = _uniform_draws([seed], n * n)
+    draws = _stream([seed]).draws(n * n)
     return _expm(0.5 * draws.reshape(n, n))
 
 
 def conjugate_representation(rep: Representation, A) -> Representation:
-    """The equivalent representation a |-> A rho(a) A^{-1}."""
-    matrix = np.asarray(A, dtype=float)
-    if matrix.shape != (rep.target_dim, rep.target_dim):
-        raise ValueError("conjugator shape does not match the representation")
+    """The equivalent representation a |-> A rho(a) A^{-1}, for a real
+    invertible ``target_dim x target_dim`` matrix ``A``."""
+    matrix = _as_square(A, rep.target_dim)
+    if matrix.ndim != 2:
+        raise ValueError("a conjugator must be one matrix, not a stack")
+    _require_invertible(matrix)
     inverse = np.linalg.inv(matrix)
     return Representation(
         group=rep.group,
@@ -547,7 +550,7 @@ class SubspaceBasis:
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        v = np.array(self.vectors, dtype=float)
+        v = _real(self.vectors, "basis")
         if v.size == 0:
             v = v.reshape(0, self.ambient_dim)
         if v.ndim == 1:
@@ -558,13 +561,10 @@ class SubspaceBasis:
             )
         if v.shape[0] > self.ambient_dim:
             raise ValueError("more vectors than the ambient dimension")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("basis entries must be finite")
         if v.shape[0] > 0:
             s = np.linalg.svd(v, compute_uv=False)
             if s[0] == 0.0 or np.sum(s > _RANK_RTOL * s[0]) < v.shape[0]:
                 raise ValueError("basis vectors are linearly dependent")
-        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -595,7 +595,7 @@ def is_invariant_subspace(
     q = U.orthonormal()
 
     def residuals(indices):
-        images = _image(rep, _sample(rep, _keys(seed, indices))) @ q.T
+        images = _image(rep, _tangent_sample(rep.group, _keys(seed, indices))) @ q.T
         return _projection_defects(images, q)
 
     return _subspace_check("invariant_subspace", rep, U, samples, seed, tol, residuals)
@@ -607,7 +607,7 @@ def _subspace_check(
     """:func:`_sampled_check` of a subspace of ``rep``'s space, refused when
     it lives in another dimension; the zero subspace passes vacuously, over
     at least one sample like any other."""
-    _require_samples(samples)
+    _require_gate(tol, samples)
     if U.ambient_dim != rep.target_dim:
         raise ValueError(
             f"subspace lives in R^{U.ambient_dim}, representation acts on "
@@ -804,6 +804,7 @@ def faithfulness_probe(rep: Representation, tol: float = 1e-12) -> CheckReport:
     prolonged image from I, which is also the residual.  Every verdict
     reports the rank of ``d rho`` and the margin ``sigma_min / sigma_max``.
     """
+    _require_gate(tol)
     spec = rep.group
     images = _algebra_images(rep)
     k, m = len(images), rep.target_dim

@@ -12,17 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import _real
+
 __all__ = ["TangentVector"]
-
-
-def _as_vector(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    if out.ndim == 0:
-        out = out.reshape(1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("vector entries must be finite")
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +29,7 @@ class TangentVector:
     fiber: np.ndarray
 
     def __post_init__(self) -> None:
-        base = _as_vector(self.base)
-        fiber = _as_vector(self.fiber)
+        base, fiber = (np.atleast_1d(_real(v, "vector")) for v in (self.base, self.fiber))
         if fiber.shape != base.shape:
             raise ValueError(f"fiber shape {fiber.shape} differs from base shape {base.shape}")
         object.__setattr__(self, "base", base)

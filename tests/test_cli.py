@@ -504,28 +504,9 @@ class TestSeeds:
             left["checks"][1]["max_residual"] != right["checks"][1]["max_residual"]
         )
 
-    def test_gl3_descriptor_check_ignores_the_global_random_state(self, capsys, tmp_path):
-        # Each process starts from its own OS-seeded numpy global state, which
-        # SciPy's logm draws from; reseeding it in-process stands in for
-        # fresh processes.  Here a last-bit change in one logarithm moves the
-        # direct-sum residual off exact zero.
-        path = tmp_path / "gl3_units.json"
-        path.write_text(json.dumps(gl3_units()))
-        argv = ["check", "--rep", str(path), "--suite", "directsum", "--samples", "30"]
-        outputs = set()
-        for global_seed in range(5):
-            np.random.seed(global_seed)
-            # A fresh process starts with an empty sample memo, so every run
-            # takes its own logarithms.
-            rep_algebra._tangent_sample.cache_clear()
-            code, out, _ = run_cli(capsys, *argv, "--seed", "0")
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
-
     def test_gl3_descriptor_images_ignore_the_global_random_state(self):
-        # Unlike the check above, this fails when logm is left to draw from
-        # the global state: some of these 100 slices change in the last bit.
+        # This fails when logm is left to draw from the global state: some
+        # of these 100 slices change in the last bit.
         rep = load_representation(gl3_units())
         stack = sample_tangent_elements(general_linear(3), range(100)).base
         digests = set()

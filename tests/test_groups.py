@@ -46,7 +46,7 @@ from lieprolong import (
 )
 from lieprolong import groups, rep_algebra
 from lieprolong.cli import main
-from lieprolong.groups import _require_invertible, _uniform_draws
+from lieprolong.groups import _require_invertible
 
 SPECS = [
     general_linear(1),
@@ -604,7 +604,7 @@ class TestUniformDraws:
     @given(keys=st.lists(KEYS, min_size=1, max_size=8), count=st.integers(1, 2 * 16**2))
     @example(keys=[0, (2**32, 1), (2**63 - 1, 0, 5, 7, 2**40, 3), (1, 2, 3, 4, 5)], count=2 * 16**2)
     def test_each_row_is_numpys_stream(self, keys, count):
-        draws = _uniform_draws(keys, count)
+        draws = groups._stream(keys).draws(count)
         assert draws.shape == (len(keys), count)
         for row, key in zip(draws, keys):
             rng = np.random.default_rng(key if isinstance(key, int) else list(key))
@@ -627,7 +627,7 @@ class TestUniformDraws:
         for k, count in enumerate(ascending + ascending[::-1]):
             same = tuple(keys) if k % 2 else keys
             assert groups._stream(same) is stream
-            draws = _uniform_draws(same, count)
+            draws = groups._stream(same).draws(count)
             assert draws.shape == (len(keys), count)
             assert not draws.flags.writeable
             for row, key in zip(draws, keys):
@@ -650,7 +650,7 @@ class TestUniformDraws:
         expected = [np.random.default_rng(2**63 - 1), np.random.default_rng(3)]
         expected += [np.random.default_rng([2**63 - 5, 2**70 % 2**63])]
         expected += [np.random.default_rng([])]
-        draws = _uniform_draws(keys, 5)
+        draws = groups._stream(keys).draws(5)
         for row, rng in zip(draws, expected):
             np.testing.assert_array_equal(row, rng.uniform(-1.0, 1.0, 5))
 

@@ -1,10 +1,31 @@
 """The package's public names, written out: adding or removing one is a
-deliberate edit of this list."""
+deliberate edit of this list.  And the one rule every array that enters
+through them obeys: real, finite, taken as a read-only float copy."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import lieprolong
+from lieprolong import (
+    AlgebraElement,
+    GroupElement,
+    MembershipError,
+    ProlongedMatrix,
+    Representation,
+    SubspaceBasis,
+    TangentVector,
+    algebra_from_coordinates,
+    catalog_entry,
+    circle,
+    conjugate_representation,
+    is_intertwiner,
+    mat_exp,
+    prolong_intertwiner,
+    special_orthogonal,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,3 +117,81 @@ def test_every_public_name_is_used_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(set(lieprolong.__all__) - read) == []
+
+
+def _rep(name):
+    return catalog_entry(name).rep
+
+
+_J = [[0.0, 1.0], [-1.0, 0.0]]
+
+# Each entry point, called with input that holds the imaginary unit.  A
+# cast to float would drop it and read, say, I + 0.5i I as the identity.
+COMPLEX_INPUT = {
+    "GroupElement": lambda: GroupElement(np.eye(2) * (1 + 0.5j), special_orthogonal(2)),
+    "AlgebraElement": lambda: AlgebraElement(np.multiply(1j, _J), circle()),
+    "ProlongedMatrix": lambda: ProlongedMatrix(np.eye(2), 1j * np.eye(2)),
+    "TangentVector": lambda: TangentVector([1.0, 2.0], [1j, 0.0]),
+    "SubspaceBasis": lambda: SubspaceBasis(2, [[1.0, 1j]]),
+    "algebra_from_coordinates": lambda: algebra_from_coordinates([1j], circle()),
+    "mat_exp": lambda: mat_exp(AlgebraElement(_J, circle()), 1j),
+    "is_intertwiner": lambda: is_intertwiner(
+        (1 + 1j) * np.eye(2), _rep("circle_rotation"), _rep("circle_rotation"), 5
+    ),
+    "prolong_intertwiner": lambda: prolong_intertwiner(1j * np.eye(2)),
+    "conjugate_representation": lambda: conjugate_representation(
+        _rep("so3_standard"), (1 + 1j) * np.eye(3)
+    ),
+    "apply": lambda: Representation(
+        circle(), 2, apply=lambda a: a.matrix + 1e-3j, differential=lambda B: B.matrix
+    ),
+}
+
+
+@pytest.mark.parametrize("call", COMPLEX_INPUT.values(), ids=COMPLEX_INPUT.keys())
+def test_complex_input_is_refused(call):
+    with pytest.raises(ValueError, match="real|complex"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "A, error, message",
+    [
+        (np.diag([1.0, 1.0, 0.0]), MembershipError, "singular or too ill-conditioned"),
+        (np.diag([1.0, 1.0, 1e-17]), MembershipError, "singular or too ill-conditioned"),
+        (np.eye(2), ValueError, "expected a 3x3 matrix"),
+        (np.stack([np.eye(3)] * 2), ValueError, "one matrix, not a stack"),
+    ],
+    ids=["singular", "ill-conditioned", "wrong size", "stack"],
+)
+def test_a_conjugator_is_one_invertible_matrix_of_the_right_size(A, error, message):
+    with pytest.raises(error, match=message):
+        conjugate_representation(_rep("so3_standard"), A)
+
+
+# Integer and nested-list input, and what each entry point keeps of it.
+REAL_INPUT = {
+    "GroupElement": (lambda: GroupElement([[0, 1], [-1, 0]], circle()).matrix, _J),
+    "AlgebraElement": (lambda: AlgebraElement([[0, 1], [-1, 0]], circle()).matrix, _J),
+    "ProlongedMatrix": (lambda: ProlongedMatrix([[2]], [[3]]).dense(), [[2, 0], [3, 2]]),
+    "TangentVector": (lambda: TangentVector([1, 2], [3, 4]).coordinates, [1, 2, 3, 4]),
+    "SubspaceBasis": (lambda: SubspaceBasis(2, [[1, 2]]).vectors, [[1, 2]]),
+    "algebra_from_coordinates": (
+        lambda: algebra_from_coordinates([2], circle()).matrix,
+        np.multiply(2, _J),
+    ),
+    "prolong_intertwiner": (lambda: prolong_intertwiner([[1, 2]]), [[1, 2, 0, 0], [0, 0, 1, 2]]),
+    "conjugate_representation": (
+        lambda: conjugate_representation(_rep("circle_rotation"), [[2, 0], [0, 1]]).apply(
+            GroupElement(_J, circle())
+        ),
+        [[0, 2], [-0.5, 0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", REAL_INPUT.values(), ids=REAL_INPUT.keys())
+def test_integer_and_list_input_keeps_its_bits(call, expected):
+    out = call()
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.array(expected, dtype=float))

@@ -96,6 +96,35 @@ class TestCheckReport:
         assert not CheckReport("x", Verdict.INCONCLUSIVE, 0.0).passed
 
 
+# Each public check with a tolerance, on so3_standard; the subspace checks
+# also on the zero subspace, which they pass without sampling.
+_LINE, _ZERO = SubspaceBasis(3, [[1.0, 0.0, 0.0]]), SubspaceBasis(3, np.zeros((0, 3)))
+TOLERANT_CHECKS = {
+    "homomorphism": lambda rep, tol: check_homomorphism(rep, 2, tol=tol),
+    "prolonged_homomorphism": lambda rep, tol: check_homomorphism(prolonged(rep), 2, tol=tol),
+    "action_oracle": lambda rep, tol: check_action_oracle(rep, 2, tol=tol),
+    "equivalence_transfer": lambda rep, tol: check_equivalence_transfer(rep, 2, tol=tol),
+    "intertwiner": lambda rep, tol: is_intertwiner(np.eye(3), rep, rep, 2, tol=tol),
+    "invariant_subspace": lambda rep, tol: is_invariant_subspace(rep, _LINE, 2, tol=tol),
+    "zero_subspace": lambda rep, tol: is_invariant_subspace(rep, _ZERO, 2, tol=tol),
+    "invariance_transfer": lambda rep, tol: check_invariance_transfer(rep, _LINE, 2, tol=tol),
+    "zero_transfer": lambda rep, tol: check_invariance_transfer(rep, _ZERO, 2, tol=tol),
+    "faithfulness": lambda rep, tol: faithfulness_probe(rep, tol),
+}
+
+
+@pytest.mark.parametrize("check", TOLERANT_CHECKS.values(), ids=TOLERANT_CHECKS.keys())
+def test_tolerances_that_make_a_gate_vacuous_are_refused(check):
+    # An infinite tol passes any residual; a NaN or negative one passes
+    # none, except where a probe compares the other way.  Zero is kept: it
+    # forces a witness.
+    rep = rep_of("so3_standard")
+    for tol in (np.inf, np.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            check(rep, tol)
+    assert isinstance(check(rep, 0.0), CheckReport)
+
+
 class TestHomomorphism:
     def test_catalog_representations_pass(self):
         for name in ["circle_rotation", "gl_identity(2)", "so3_standard"]:
@@ -670,7 +699,6 @@ class TestReducibilityProbe:
             raise AssertionError("the probe drew a sample")
 
         monkeypatch.setattr(rep_algebra, "_tangent_sample", refuse)
-        monkeypatch.setattr(groups, "_uniform_draws", refuse)
         # Every draw, whatever calls it, goes through a stream.
         monkeypatch.setattr(groups._Stream, "draws", refuse)
         monkeypatch.setattr(groups, "_seed", refuse)
@@ -973,12 +1001,16 @@ class TestSampleMemo:
         drawn = rep_algebra._tangent_sample.cache_info().misses
         assert check_homomorphism(prolonged(rep), 10, seed=4).passed
         assert rep_algebra._tangent_sample.cache_info().misses == drawn
+        # A plain check reads its group draw off the base of the tangent
+        # draw under the same keys, so it draws no stack of its own.
+        assert is_intertwiner(np.eye(6), prolonged(rep), prolonged(rep), 10, seed=4).passed
+        drawn = rep_algebra._tangent_sample.cache_info().misses
+        assert is_intertwiner(np.eye(3), rep, rep, 10, seed=4).passed
+        assert rep_algebra._tangent_sample.cache_info().misses == drawn
         keys = rep_algebra._keys(4, range(10))
-        x = rep_algebra._sample(rep, keys)
-        assert x is rep_algebra._sample(prolonged(rep), keys).base
-        np.testing.assert_array_equal(
-            x.matrix, sample_tangent_elements(rep.group, keys).base.matrix
-        )
+        X = rep_algebra._tangent_sample(rep.group, keys)
+        group_draw = sample_tangent_elements(rep.group, keys).base
+        np.testing.assert_array_equal(rep_algebra._image(rep, X), rep_image(rep, group_draw))
 
     def test_equivalence_takes_no_logarithm_on_a_descriptor(self, monkeypatch):
         rep = load_representation(so3_doubled())
