@@ -13,17 +13,15 @@ the prolongation is faithful, the commutant, and reducibility.
 __version__ = "0.3.0"
 
 # Each module's __all__ is the one list of its public names.
-from . import catalog, groups, prolongation, rep_algebra, tangent_space
+from . import catalog, groups, prolongation, rep_algebra
 from .catalog import *
 from .groups import *
 from .prolongation import *
 from .rep_algebra import *
-from .tangent_space import *
 
 __all__ = [
     *catalog.__all__,
     *groups.__all__,
     *prolongation.__all__,
     *rep_algebra.__all__,
-    *tangent_space.__all__,
 ]

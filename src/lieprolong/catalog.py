@@ -207,9 +207,7 @@ def _generator_representation(
         return (rows @ flat).reshape(coords.shape[:-1] + (target_dim, target_dim))
 
     def apply(a: GroupElement) -> np.ndarray:
-        # An overflowing image is reported by the finiteness check, not warned.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _expm(combine(group_coordinates(a)))
+        return _expm(combine(group_coordinates(a)))
 
     def differential(B: AlgebraElement) -> np.ndarray:
         return combine(algebra_coordinates(B))

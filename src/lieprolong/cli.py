@@ -50,6 +50,7 @@ from .prolongation import (
     NonFiniteImageError,
     Representation,
     StepSizeError,
+    TangentVector,
     apply_prolonged,
     differential_rep,
     finite_difference_differential,
@@ -67,7 +68,6 @@ from .rep_algebra import (
     check_invariance_transfer,
     faithfulness_probe,
 )
-from .tangent_space import TangentVector
 
 __all__ = ["RunConfig", "build_parser", "main"]
 
@@ -102,9 +102,6 @@ class RunConfig:
     a_coords: Optional[str] = None
     fiber: Optional[str] = None
     kind: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 class _InputError(Exception):
@@ -219,7 +216,7 @@ def _finish(config: RunConfig, checks: list[CheckReport], **extra) -> int:
     """Emit the report of one command; its exit code is 1 when a check failed."""
     envelope = {
         "command": config.command,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
         "checks": [_check_payload(c) for c in checks],
         **extra,
         "version": __version__,
@@ -377,26 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
         if rep:
             p.add_argument(
                 "--rep",
+                dest="rep_source",
                 required=True,
                 help="catalog entry name or path to a descriptor file",
             )
         if samples:
-            p.add_argument("--samples", type=int, default=RunConfig.samples)
+            p.add_argument("--samples", type=int)
         if rep or samples:  # the commands that evaluate a representation
             p.add_argument(
                 "--seed",
                 type=int,
-                default=None,
                 help=f"sampling seed (default 0, or ${SEED_ENV_VAR} when set)",
             )
             p.add_argument(
                 "--tol",
                 type=float,
-                default=None,
                 help="override the per-suite default tolerance",
             )
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--output", default=None, help="write the report to a file")
+        p.add_argument("--format", choices=["json", "csv", "text"])
+        p.add_argument("--output", help="write the report to a file")
 
     p_prolong = sub.add_parser(
         "prolong", help="evaluate a prolonged matrix at one tangent element"
@@ -435,33 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # A command without a flag echoes the RunConfig default in its place.
-    seed = getattr(args, "seed", None)
-    if seed is None:
+    # A flag left out is None, so RunConfig's default is echoed in its place.
+    if getattr(args, "seed", None) is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            seed = int(raw)
+            args.seed = int(raw)
         except ValueError:
             raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    samples = getattr(args, "samples", RunConfig.samples)
-    if samples < 1:
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     tol = getattr(args, "tol", None)
     if tol is not None and not (np.isfinite(tol) and tol > 0):
         raise _InputError(f"--tol must be positive and finite, got {tol}")
-    return RunConfig(
-        command=args.command,
-        rep_source=getattr(args, "rep", None),
-        samples=samples,
-        seed=seed,
-        tol=tol,
-        output=args.output,
-        format=args.format,
-        suite=getattr(args, "suite", None),
-        a_coords=getattr(args, "a_coords", None),
-        fiber=getattr(args, "fiber", None),
-        kind=getattr(args, "kind", None),
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 _COMMANDS = {

@@ -166,12 +166,18 @@ def circle() -> GroupSpec:
     return GroupSpec(GroupKind.CIRCLE, 2)
 
 
+def _float(values, what: str) -> np.ndarray:
+    """``values`` as a float array, copied only when it is not one, and
+    refused when complex rather than cast with a warning."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    return np.asarray(values, dtype=float)
+
+
 def _real(values, what: str) -> np.ndarray:
     """A read-only float copy of ``values``, refused when complex or not
     finite: the one rule for every array that enters the package."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real")
-    out = np.array(values, dtype=float)
+    out = np.array(_float(values, what))
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{what} entries must be finite")
     out.flags.writeable = False
@@ -196,8 +202,8 @@ def relative_residual(actual, reference, axis=None):
     With ``axis`` both maxima are taken over those axes only, giving one
     residual per remaining index (one per slice of a stack).
     """
-    actual = np.asarray(actual, dtype=float)
-    reference = np.asarray(reference, dtype=float)
+    actual = _float(actual, "actual")
+    reference = _float(reference, "reference")
     if actual.shape != reference.shape:
         raise ValueError(f"shape mismatch {actual.shape} vs {reference.shape}")
     scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis, initial=0.0))
@@ -210,7 +216,7 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 
     Leading stack axes broadcast.
     """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    blocks = [_float(b, "block") for b in blocks]
     stack = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
     rows = sum(b.shape[-2] for b in blocks)
     cols = sum(b.shape[-1] for b in blocks)
@@ -232,13 +238,13 @@ def group_membership_residual(matrix, spec: GroupSpec) -> float:
     ``a^T a`` from the identity (plus the determinant residual) for the
     special orthogonal and circle groups.  For a stack, the worst slice.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = _float(matrix, "matrix")
     if spec.kind is GroupKind.GENERAL_LINEAR:
         return 0.0
+    det = float(np.abs(np.linalg.det(m) - 1.0).max(initial=0.0))
     if spec.kind is GroupKind.SPECIAL_LINEAR:
-        return float(np.abs(np.linalg.det(m) - 1.0).max())
-    ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim))))
-    det = float(np.abs(np.linalg.det(m) - 1.0).max())
+        return det
+    ortho = float(np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(spec.dim)), initial=0.0))
     return max(ortho, det)
 
 
@@ -247,12 +253,12 @@ def algebra_membership_residual(matrix, spec: GroupSpec) -> float:
 
     For a stack, the worst slice.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = _float(matrix, "matrix")
     if spec.kind is GroupKind.GENERAL_LINEAR:
         return 0.0
     if spec.kind is GroupKind.SPECIAL_LINEAR:
-        return float(np.abs(np.trace(m, axis1=-2, axis2=-1)).max())
-    return float(np.max(np.abs(m + np.swapaxes(m, -1, -2))))
+        return float(np.abs(np.trace(m, axis1=-2, axis2=-1)).max(initial=0.0))
+    return float(np.max(np.abs(m + np.swapaxes(m, -1, -2)), initial=0.0))
 
 
 def _first_failure(ok: np.ndarray) -> Optional[int]:

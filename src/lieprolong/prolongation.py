@@ -20,6 +20,10 @@ Two independent ways to compute the action are provided.  The direct one,
 
 at t = 0 with a central difference and never looks at the block formula.
 
+Both act on :class:`TangentVector`, held here: a point (base, fiber) of the
+trivial bundle TR^n, whose stacked coordinates in R^{2n} carry its vector
+space structure.
+
 Every function here also takes stacked elements (see :mod:`lieprolong.groups`)
 and returns stacked results, validated once per stack.
 """
@@ -39,6 +43,7 @@ from .groups import (
     SpecMismatchError,
     _as_square,
     _first_failure,
+    _real,
     _require_invertible,
     _trusted,
     group_multiply,
@@ -46,7 +51,6 @@ from .groups import (
     mat_exp,
     relative_residual,
 )
-from .tangent_space import TangentVector
 
 __all__ = [
     "NonFiniteImageError",
@@ -54,6 +58,7 @@ __all__ = [
     "ProlongedRepresentation",
     "Representation",
     "StepSizeError",
+    "TangentVector",
     "apply_prolonged",
     "differential_rep",
     "finite_difference_differential",
@@ -110,25 +115,22 @@ class Representation:
     def __post_init__(self) -> None:
         if self.target_dim < 1:
             raise ValueError("target_dim must be positive")
-        _require_identity(self.name, rep_image(self, identity_element(self.group)))
-
-
-def _require_identity(name: str, image: np.ndarray) -> None:
-    """Refuse the identity's image when it lies more than ``IDENTITY_TOL``
-    from the identity."""
-    gap = np.max(np.abs(image - np.eye(len(image))))
-    if gap > IDENTITY_TOL:
-        raise ValueError(
-            f"representation {name or '<anonymous>'} sends the identity to a "
-            f"matrix {gap:.3e} away from the identity"
-        )
+        image = rep_image(self, identity_element(self.group))
+        gap = np.max(np.abs(image - np.eye(self.target_dim)))
+        if gap > IDENTITY_TOL:
+            raise ValueError(
+                f"representation {self.name or '<anonymous>'} sends the identity to a "
+                f"matrix {gap:.3e} away from the identity"
+            )
 
 
 def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
     """``fn`` on one element or a stack, with its ``(..., n, n)`` shape,
-    realness and finiteness checked once."""
+    realness and finiteness checked once.  An overflow inside ``fn`` is
+    reported by the finiteness check, not warned."""
     stack = element.matrix.shape[:-2]
-    out = fn(element)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(element)
     if np.iscomplexobj(out):
         raise ValueError(f"{what} returned complex entries")
     out = np.asarray(out, dtype=float)
@@ -220,8 +222,10 @@ def jn_embed(X) -> ProlongedMatrix:
     return _trusted(ProlongedMatrix, top_left=a, bottom_left=X.algebra.matrix @ a)
 
 
-def _check_quotient(quotient: np.ndarray) -> np.ndarray:
-    """A central-difference quotient, rejected when any entry is non-finite."""
+def _quotient(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """The central-difference quotient, refused, not warned, when non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotient = (plus - minus) / (2.0 * _FD_STEP)
     if not np.all(np.isfinite(quotient)):
         raise StepSizeError(f"difference quotient at step {_FD_STEP:.1e} is non-finite")
     return quotient
@@ -234,7 +238,7 @@ def finite_difference_differential(rep: Representation, B: AlgebraElement) -> np
     """
     plus = rep_image(rep, mat_exp(B, _FD_STEP))
     minus = rep_image(rep, mat_exp(B, -_FD_STEP))
-    return _check_quotient((plus - minus) / (2.0 * _FD_STEP))
+    return _quotient(plus, minus)
 
 
 def differential_rep(rep: Representation, B: AlgebraElement) -> np.ndarray:
@@ -261,31 +265,49 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
 
 def _prolong_blocks(rep: Representation, X):
     """``R``, ``K`` and ``L = K R`` for the tangent pair(s) ``X = [a, B]``,
-    with every check of :func:`prolong`.  When ``apply`` returned the base's
-    own read-only matrix, as an identity map does, the base's own gate has
-    already certified it."""
+    with every check of :func:`prolong`.  Finite images can still over- or
+    underflow, as ``K R`` or as a singular ``R``; both are refused.  When
+    ``apply`` returned the base's own read-only matrix, as an identity map
+    does, the base's own gate has already certified it."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
-    L = _product_block(K, R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = _require_finite(K @ R, "prolonged image K R has")
     if R is not X.base.matrix:
-        _condition(R)
+        try:
+            _require_invertible(R)
+        except MembershipError as exc:
+            raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
     return R, K, L
 
 
-def _product_block(K: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """``K R``, refused when it is not finite: finite images can still
-    over- or underflow, as ``K R`` here or as a singular ``R``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _require_finite(K @ R, "prolonged image K R has")
+@dataclass(frozen=True, eq=False)
+class TangentVector:
+    """A point of TR^n: base point plus fiber velocity, same length.
 
+    ``base`` and ``fiber`` may also be stacks of shape ``(..., n)``, one
+    tangent vector per leading index.
+    """
 
-def _condition(R: np.ndarray) -> None:
-    """Refuse ``R`` where ``cond(R)`` exceeds the limit, as a prolonged
-    image that cannot be inverted."""
-    try:
-        _require_invertible(R)
-    except MembershipError as exc:
-        raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
+    base: np.ndarray
+    fiber: np.ndarray
+
+    def __post_init__(self) -> None:
+        base, fiber = (np.atleast_1d(_real(v, "vector")) for v in (self.base, self.fiber))
+        if fiber.shape != base.shape:
+            raise ValueError(f"fiber shape {fiber.shape} differs from base shape {base.shape}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fiber", fiber)
+
+    @property
+    def dim(self) -> int:
+        """Dimension n of the underlying space (the vector lives in R^{2n})."""
+        return self.base.shape[-1]
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """Trivialized coordinates: base stacked before fiber."""
+        return np.concatenate([self.base, self.fiber], axis=-1)
 
 
 def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -324,7 +346,7 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
     plus, minus = (
         _matvec(rep_image(rep, at), Y.base + t * Y.fiber) for at, t in zip(points, steps)
     )
-    return TangentVector(base, _check_quotient((plus - minus) / (2.0 * _FD_STEP)))
+    return TangentVector(base, _quotient(plus, minus))
 
 
 @dataclass(frozen=True, eq=False)

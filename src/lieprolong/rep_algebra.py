@@ -77,6 +77,7 @@ from .prolongation import (
     NonFiniteImageError,
     ProlongedRepresentation,
     Representation,
+    TangentVector,
     _dense,
     _prolong_blocks,
     _require_finite,
@@ -86,7 +87,6 @@ from .prolongation import (
     rep_image,
     tangent_action_oracle,
 )
-from .tangent_space import TangentVector
 
 __all__ = [
     "CheckReport",

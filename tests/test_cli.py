@@ -545,6 +545,86 @@ class TestSeeds:
         assert outputs[0] == outputs[1]
 
 
+class TestConfigEcho:
+    """The whole ``config`` object of each command, run with no optional
+    flag and with every flag it takes: a flag left out echoes RunConfig's
+    default, and the seed falls back to the environment."""
+
+    BARE = {
+        "command": None,
+        "rep_source": None,
+        "samples": 200,
+        "seed": 0,
+        "tol": None,
+        "output": None,
+        "format": "json",
+        "suite": None,
+        "a_coords": None,
+        "fiber": None,
+        "kind": None,
+    }
+    REQUIRED = {
+        "catalog": ([], {}),
+        "prolong": (
+            ["--rep", "so3_standard", "--a-coords", "0.1,0.2,0.3", "--fiber", "1,0,0"],
+            {"rep_source": "so3_standard", "a_coords": "0.1,0.2,0.3", "fiber": "1,0,0"},
+        ),
+        "check": (
+            ["--rep", "circle_rotation", "--suite", "faithfulness"],
+            {"rep_source": "circle_rotation", "suite": "faithfulness"},
+        ),
+        "report": ([], {}),
+    }
+    OPTIONAL = {
+        "catalog": (["--kind", "Circle"], {"kind": "Circle"}),
+        "prolong": (["--seed", "-3", "--tol", "0.5"], {"seed": -3, "tol": 0.5}),
+        "check": (
+            ["--samples", "7", "--seed", "-3", "--tol", "0.5"],
+            {"samples": 7, "seed": -3, "tol": 0.5},
+        ),
+        "report": (
+            ["--samples", "1", "--seed", "-3", "--tol", "0.5"],
+            {"samples": 1, "seed": -3, "tol": 0.5},
+        ),
+    }
+
+    @pytest.fixture(params=[None, "9"], ids=["no_env_seed", "env_seed"])
+    def env_seed(self, request, monkeypatch):
+        if request.param is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, request.param)
+        return request.param
+
+    @pytest.mark.parametrize("command", ["catalog", "prolong", "check", "report"])
+    def test_bare_command(self, capsys, command, env_seed):
+        argv, fields = self.REQUIRED[command]
+        _, document, _ = run_json(capsys, command, *argv)
+        expected = {**self.BARE, **fields, "command": command}
+        if env_seed is not None:
+            expected["seed"] = int(env_seed)
+        assert document["config"] == expected
+
+    @pytest.mark.parametrize("command", ["catalog", "prolong", "check", "report"])
+    def test_every_flag(self, capsys, tmp_path, command, env_seed):
+        target = tmp_path / "report.json"
+        argv, fields = self.REQUIRED[command]
+        flags, options = self.OPTIONAL[command]
+        main([command, *argv, *flags, "--format", "json", "--output", str(target)])
+        assert capsys.readouterr().out == ""
+        expected = {
+            **self.BARE,
+            **fields,
+            **options,
+            "command": command,
+            "format": "json",
+            "output": str(target),
+        }
+        if command == "catalog" and env_seed is not None:
+            expected["seed"] = int(env_seed)  # catalog takes no --seed
+        assert json.loads(target.read_text())["config"] == expected
+
+
 class TestReportCommand:
     def test_catalog_wide_report(self, capsys):
         code, document, _ = run_json(capsys, "report", "--samples", "8", "--seed", "3")
@@ -618,6 +698,20 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_overflowing_user_map_prints_only_its_error_line(self):
+        # 2 * 1e308 overflows inside circle_winding_2's differential.  In
+        # process pytest records the RuntimeWarning before capsys could see
+        # it, so the command runs as a child and its whole stderr is read.
+        argv = ["prolong", "--rep", "circle_winding_2", "--a-coords", "3.14159",
+                "--fiber", "1e308"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieprolong", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "document",

@@ -576,6 +576,18 @@ class TestSampling:
             B = sample_tangent_element(spec, (31, i)).algebra
             assert algebra_membership_residual(B.matrix, spec) < 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        [general_linear(2), circle(), special_linear(2), special_orthogonal(3)],
+        ids=lambda s: s.describe(),
+    )
+    def test_no_seeds_give_an_empty_stack(self, spec):
+        X = sample_tangent_elements(spec, [])
+        n = spec.dim
+        assert X.base.matrix.shape == X.algebra.matrix.shape == (0, n, n)
+        assert group_membership_residual(X.base.matrix, spec) == 0.0
+        assert algebra_membership_residual(X.algebra.matrix, spec) == 0.0
+
     def test_multiplication_preserves_membership(self):
         spec = special_orthogonal(3)
         a = sample_tangent_element(spec, 1).base

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from elements import circle_element
 from lieprolong import (
     AlgebraElement,
     GroupElement,
+    NonFiniteImageError,
     ProlongedMatrix,
     Representation,
     SpecMismatchError,
@@ -164,13 +166,27 @@ class TestDifferential:
 
         steep = Representation(spec, 1, cusp, lambda B: B.matrix)
         B = AlgebraElement([[1.0]], spec)
-        with np.errstate(over="ignore"), pytest.raises(StepSizeError):
-            finite_difference_differential(steep, B)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StepSizeError):
+                finite_difference_differential(steep, B)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_spec_mismatch_rejected(self):
         rep = catalog_entry("circle_rotation").rep
         with pytest.raises(SpecMismatchError):
             differential_rep(rep, AlgebraElement([[1.0]], general_linear(1)))
+
+    def test_overflowing_user_map_is_refused_without_a_warning(self):
+        # 2 * 1e308 overflows inside the catalog's own lambda: the finiteness
+        # check reports it, and no RuntimeWarning leaks from the user map.
+        rep = catalog_entry("circle_winding_2").rep
+        B = AlgebraElement(1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]]), circle())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteImageError, match="differential returned"):
+                differential_rep(rep, B)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestProlong:

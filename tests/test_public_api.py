@@ -18,12 +18,16 @@ from lieprolong import (
     SubspaceBasis,
     TangentVector,
     algebra_from_coordinates,
+    algebra_membership_residual,
+    block_diag,
     catalog_entry,
     circle,
     conjugate_representation,
+    group_membership_residual,
     is_intertwiner,
     mat_exp,
     prolong_intertwiner,
+    relative_residual,
     special_orthogonal,
 )
 
@@ -145,6 +149,14 @@ COMPLEX_INPUT = {
     "apply": lambda: Representation(
         circle(), 2, apply=lambda a: a.matrix + 1e-3j, differential=lambda B: B.matrix
     ),
+    "relative_residual": lambda: relative_residual((1 + 1j) * np.eye(2), np.eye(2)),
+    "group_membership_residual": lambda: group_membership_residual(
+        (1 + 0.5j) * np.eye(2), special_orthogonal(2)
+    ),
+    "algebra_membership_residual": lambda: algebra_membership_residual(
+        1j * np.eye(2), circle()
+    ),
+    "block_diag": lambda: block_diag(1j * np.eye(2), np.eye(2)),
 }
 
 
