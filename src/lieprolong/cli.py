@@ -49,7 +49,6 @@ from .groups import (
 from .prolongation import (
     NonFiniteImageError,
     Representation,
-    StepSizeError,
     TangentVector,
     apply_prolonged,
     differential_rep,
@@ -274,7 +273,7 @@ def cmd_check(config: RunConfig) -> int:
     try:
         for suite in suites:
             checks.extend(_run_suite(suite, rep, entry, config))
-    except (ExponentOverflowError, StepSizeError, NonFiniteImageError) as exc:
+    except (ExponentOverflowError, NonFiniteImageError) as exc:
         raise _InputError(f"cannot evaluate the representation: {exc}") from None
     return _finish(config, checks)
 
@@ -304,7 +303,7 @@ def cmd_prolong(config: RunConfig) -> int:
         analytic = differential_rep(rep, algebra)
         direct = apply_prolonged(matrix, Y).coordinates
         oracle = tangent_action_oracle(rep, X, Y).coordinates
-    except (ExponentOverflowError, StepSizeError, ValueError) as exc:
+    except (ExponentOverflowError, ValueError) as exc:
         raise _InputError(f"cannot evaluate the prolongation there: {exc}") from None
     discrepancy = float(np.max(np.abs(analytic - numeric)))
     worst = float(np.max(relative_residual(direct, oracle, axis=-1)))
@@ -464,7 +463,3 @@ def main(argv=None) -> int:
     except (_InputError, DescriptorError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -207,7 +208,8 @@ def relative_residual(actual, reference, axis=None):
     if actual.shape != reference.shape:
         raise ValueError(f"shape mismatch {actual.shape} vs {reference.shape}")
     scale = np.maximum(1.0, np.max(np.abs(reference), axis=axis, initial=0.0))
-    gap = np.asarray(actual - reference)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinite residual
+        gap = np.asarray(actual - reference)
     return np.max(np.abs(gap, out=gap), axis=axis, initial=0.0) / scale
 
 
@@ -828,13 +830,6 @@ def algebra_coordinates(B: AlgebraElement) -> np.ndarray:
     stack = B.matrix.shape[:-2]
     targets = B.matrix.reshape(-1, basis.shape[0]).T
     coords, *_ = np.linalg.lstsq(basis, targets, rcond=None)
-    residual = np.max(np.abs(basis @ coords - targets), axis=0, initial=0.0)
-    scale = np.maximum(1.0, np.max(np.abs(targets), axis=0, initial=0.0))
-    if np.any(residual > 1e-9 * scale):
-        raise MembershipError(
-            f"matrix does not lie in the span of the algebra basis "
-            f"(residual {float(np.max(residual)):.3e})"
-        )
     return coords.T.reshape(stack + (basis.shape[1],))
 
 
@@ -854,15 +849,19 @@ def _logm(slices: np.ndarray) -> np.ndarray:
     matrix), the same bits on every call.  Its randomized 1-norm estimator
     draws from numpy's global RNG, which is reseeded before each slice and
     restored afterwards; not safe if other threads use that RNG meanwhile.
+    Its accuracy warnings are silenced: :func:`_chart_log` refuses a
+    logarithm that is complex or fails to reconstruct its slice.
     """
     import scipy.linalg
 
     state = np.random.get_state()
     try:
-        logs = []
-        for m in slices:
-            np.random.seed(0)
-            logs.append(scipy.linalg.logm(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            logs = []
+            for m in slices:
+                np.random.seed(0)
+                logs.append(scipy.linalg.logm(m))
         return np.stack(logs)
     finally:
         np.random.set_state(state)

@@ -25,7 +25,10 @@ trivial bundle TR^n, whose stacked coordinates in R^{2n} carry its vector
 space structure.
 
 Every function here also takes stacked elements (see :mod:`lieprolong.groups`)
-and returns stacked results, validated once per stack.
+and returns stacked results, validated once per stack.  An overflow in
+``apply``, ``differential``, ``K R``, a difference quotient or the
+prolonged action is refused as :class:`NonFiniteImageError`, never warned,
+and a sampled check names its seed and sample index for each such refusal.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "ProlongedMatrix",
     "ProlongedRepresentation",
     "Representation",
-    "StepSizeError",
     "TangentVector",
     "apply_prolonged",
     "differential_rep",
@@ -75,15 +77,12 @@ IDENTITY_TOL = 1e-12
 _FD_STEP = 1e-6
 
 
-class StepSizeError(FloatingPointError):
-    """A finite-difference quotient came out non-finite."""
-
-
 class NonFiniteImageError(ValueError):
-    """Images floating point cannot hold: ``apply`` or ``differential``
-    returned non-finite entries, or a prolonged image overflowed or came out
-    singular.  ``position`` is the first failing slice on the last stack
-    axis (``None`` for a single element)."""
+    """Values floating point cannot hold: ``apply`` or ``differential``
+    returned non-finite entries, a prolonged image overflowed or came out
+    singular, or a difference quotient or prolonged action overflowed.
+    ``position`` is the first failing slice on the last stack axis
+    (``None`` for a single element)."""
 
     def __init__(self, message: str, position: Optional[int] = None):
         super().__init__(message)
@@ -140,8 +139,10 @@ def _evaluate(fn, element, n: int, what: str) -> np.ndarray:
 
 
 def _require_finite(out: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        position = _first_failure(np.isfinite(out).all(axis=(-2, -1)))
+    """``out``, a matrix or stack, refused here when any entry is not finite."""
+    ok = np.isfinite(out)
+    if not ok.all():
+        position = _first_failure(ok.all(axis=(-2, -1)))
         raise NonFiniteImageError(f"{what} non-finite entries", position)
     return out
 
@@ -226,9 +227,7 @@ def _quotient(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """The central-difference quotient, refused, not warned, when non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         quotient = (plus - minus) / (2.0 * _FD_STEP)
-    if not np.all(np.isfinite(quotient)):
-        raise StepSizeError(f"difference quotient at step {_FD_STEP:.1e} is non-finite")
-    return quotient
+    return _require_finite(quotient, f"difference quotient at step {_FD_STEP:.1e} has")
 
 
 def finite_difference_differential(rep: Representation, B: AlgebraElement) -> np.ndarray:
@@ -310,18 +309,16 @@ class TangentVector:
         return np.concatenate([self.base, self.fiber], axis=-1)
 
 
-def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix @ vector, slice by slice over any leading stack axes."""
-    return (matrix @ vector[..., None])[..., 0]
-
-
 def apply_prolonged(M: ProlongedMatrix, Y: TangentVector) -> TangentVector:
     """Act on a tangent vector: (p, v) |-> (R p, L p + R v)."""
     if Y.dim != M.n:
         raise ValueError(f"vector dimension {Y.dim} does not match block size {M.n}")
-    base = _matvec(M.top_left, Y.base)
-    fiber = _matvec(M.bottom_left, Y.base) + _matvec(M.top_left, Y.fiber)
-    return TangentVector(base, fiber)
+    # Vectors are columns here, so each slice is a matrix to _require_finite.
+    p, v, R = Y.base[..., None], Y.fiber[..., None], M.top_left
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = np.concatenate([R @ p, M.bottom_left @ p + R @ v], axis=-2)
+    image = _require_finite(image, "prolonged action has")[..., 0]
+    return _trusted(TangentVector, base=image[..., : M.n], fiber=image[..., M.n :])
 
 
 def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVector:
@@ -334,7 +331,6 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
         raise ValueError(
             f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"
         )
-    base = _matvec(rep_image(rep, X.base), Y.base)
     # The curve points exp(t B) a depend on the tangent pair alone, so they
     # are kept on it: every representation checked on one sample stack
     # differentiates through the same points.
@@ -343,10 +339,11 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
         ("curve", steps),
         lambda: tuple(group_multiply(mat_exp(X.algebra, t), X.base) for t in steps),
     )
-    plus, minus = (
-        _matvec(rep_image(rep, at), Y.base + t * Y.fiber) for at, t in zip(points, steps)
-    )
-    return TangentVector(base, _quotient(plus, minus))
+    p, v = Y.base[..., None], Y.fiber[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = _require_finite(rep_image(rep, X.base) @ p, "prolonged action has")
+        plus, minus = (rep_image(rep, at) @ (p + t * v) for at, t in zip(points, steps))
+    return _trusted(TangentVector, base=base[..., 0], fiber=_quotient(plus, minus)[..., 0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -405,6 +405,12 @@ class TestDescriptorValidation:
         with pytest.raises(DescriptorError, match="target_dim"):
             load_representation(document)
 
+    def test_requires_group_object(self):
+        document = winding_generator_descriptor()
+        document["group"] = "Circle"
+        with pytest.raises(DescriptorError, match="descriptor needs a 'group' object with kind"):
+            load_representation(document)
+
     def test_rejects_boolean_group_dim(self):
         document = winding_generator_descriptor()
         document["group"] = {"kind": "GeneralLinear", "dim": True}

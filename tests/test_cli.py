@@ -215,6 +215,21 @@ class TestProlongCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        ("a_coords", "message"),
+        [
+            ("1000,0,0", "||tB|| = 1.000e+03 exceeds the overflow guard 700"),
+            ("inf,0,0", "coordinate vector entries must be finite"),
+            (",", "--a-coords must contain at least one number"),
+        ],
+        ids=["overflow_guard", "non_finite", "no_number"],
+    )
+    def test_unusable_base_coordinates_exit_2(self, capsys, a_coords, message):
+        code, out, err = run_cli(
+            capsys, "prolong", "--rep", "so3_standard", "--a-coords", a_coords, "--fiber", "1,0,0"
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 # The library function behind each suite and the default tolerance it
 # applies when --tol is not given.  The suites' vertical and direct-sum rows
@@ -699,12 +714,10 @@ class TestMalformedInput:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_overflowing_user_map_prints_only_its_error_line(self):
-        # 2 * 1e308 overflows inside circle_winding_2's differential.  In
-        # process pytest records the RuntimeWarning before capsys could see
-        # it, so the command runs as a child and its whole stderr is read.
-        argv = ["prolong", "--rep", "circle_winding_2", "--a-coords", "3.14159",
-                "--fiber", "1e308"]
+    @staticmethod
+    def assert_only_an_error_line(*argv):
+        # In process pytest records a warning before capsys could see it, so
+        # the command runs as a child and its whole stderr is read.
         proc = subprocess.run(
             [sys.executable, "-m", "lieprolong", *argv], capture_output=True, text=True
         )
@@ -712,6 +725,21 @@ class TestMalformedInput:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
+
+    def test_overflowing_user_map_prints_only_its_error_line(self):
+        # 2 * 1e308 overflows inside circle_winding_2's differential.
+        self.assert_only_an_error_line(
+            "prolong", "--rep", "circle_winding_2", "--a-coords", "3.14159", "--fiber", "1e308"
+        )
+
+    def test_nearly_singular_logarithm_prints_only_its_error_line(self, tmp_path):
+        # The difference quotient takes logm at exp(-1e-6 B), about exp(-700),
+        # where SciPy warns that its input is nearly singular.
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(gl1_power(1.015)))
+        self.assert_only_an_error_line(
+            "prolong", "--rep", str(path), "--a-coords", "0", "--fiber", "6.99e8"
+        )
 
     @pytest.mark.parametrize(
         "document",

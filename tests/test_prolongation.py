@@ -13,12 +13,12 @@ from lieprolong import (
     ProlongedMatrix,
     Representation,
     SpecMismatchError,
-    StepSizeError,
     TangentGroupElement,
     TangentVector,
     apply_prolonged,
     catalog_entry,
     catalog_names,
+    check_action_oracle,
     circle,
     differential_rep,
     finite_difference_differential,
@@ -36,6 +36,27 @@ from lieprolong import (
     tangent_action_oracle,
     tg_multiply,
 )
+
+
+def cusp(scale: float) -> Representation:
+    """GL(1) with a square-root cusp at the identity: values at h = 1e-6 are
+    about 1e-3 * scale and finite, but for a large scale their difference
+    quotient, and the images far from the identity, overflow."""
+
+    def apply(a):
+        gap = a.matrix - np.eye(1)
+        return np.eye(1) + np.sign(gap) * np.sqrt(np.abs(gap)) * scale
+
+    return Representation(general_linear(1), 1, apply, lambda B: B.matrix)
+
+
+def vec(base, fiber) -> TangentVector:
+    return TangentVector(np.array(base, dtype=float), np.array(fiber, dtype=float))
+
+
+def assert_exact(u: TangentVector, w: TangentVector) -> None:
+    np.testing.assert_array_equal(u.base, w.base)
+    np.testing.assert_array_equal(u.fiber, w.fiber)
 
 
 def scalar_pair(a: float, b: float) -> TangentGroupElement:
@@ -155,21 +176,14 @@ class TestDifferential:
         with pytest.raises(TypeError):
             Representation(base.group, base.target_dim, base.apply)
 
-    def test_overflowing_quotient_raises_step_error(self):
-        # Square-root cusp at the identity: values at h = 1e-6 are ~1e303
-        # and finite, but the difference quotient overflows to inf.
-        spec = general_linear(1)
-
-        def cusp(a):
-            gap = a.matrix - np.eye(1)
-            return np.eye(1) + np.sign(gap) * np.sqrt(np.abs(gap)) * 1e306
-
-        steep = Representation(spec, 1, cusp, lambda B: B.matrix)
-        B = AlgebraElement([[1.0]], spec)
+    def test_overflowing_quotient_raises_non_finite_image_error(self):
+        # Values at h = 1e-6 are ~1e303 and finite, but the difference
+        # quotient overflows to inf.
+        B = AlgebraElement([[1.0]], general_linear(1))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(StepSizeError):
-                finite_difference_differential(steep, B)
+            with pytest.raises(NonFiniteImageError, match="difference quotient"):
+                finite_difference_differential(cusp(1e306), B)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_spec_mismatch_rejected(self):
@@ -242,6 +256,26 @@ class TestProlong:
             prolong(rep, X)
 
 
+class TestTangentVector:
+    def test_coordinates_round_trip(self):
+        u = vec([1, 2, 3], [4, 5, 6])
+        np.testing.assert_array_equal(u.coordinates, [1, 2, 3, 4, 5, 6])
+        assert_exact(TangentVector(u.coordinates[:3], u.coordinates[3:]), u)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            TangentVector(np.zeros(2), np.zeros(3))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            vec([np.inf], [0.0])
+
+    def test_vectors_are_read_only(self):
+        u = vec([1.0], [2.0])
+        with pytest.raises(ValueError):
+            u.base[0] = 9.0
+
+
 class TestApplyProlonged:
     def test_circle_action_frozen(self):
         rep = catalog_entry("circle_rotation").rep
@@ -287,6 +321,19 @@ class TestApplyProlonged:
         with pytest.raises(ValueError):
             apply_prolonged(M, TangentVector([1.0], [2.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_action_is_refused_at_its_slice(self):
+        # Finite blocks and vectors; on the second vector L p + R v is
+        # 1e308 + 1e308, which overflows.
+        M = ProlongedMatrix(np.eye(2), [[1e308, 0.0], [0.0, 1.0]])
+        Y = TangentVector([[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]])
+        with pytest.raises(NonFiniteImageError, match="prolonged action has") as info:
+            apply_prolonged(M, Y)
+        assert info.value.position == 1
+        out = apply_prolonged(M, TangentVector(Y.base[0], Y.fiber[0]))
+        np.testing.assert_array_equal(out.coordinates, M.dense() @ [0.5, 0.0, 0.0, 0.0])
+        assert not out.base.flags.writeable and not out.fiber.flags.writeable
+
 
 class TestActionOracle:
     @pytest.mark.parametrize("name", ["circle_rotation", "gl_identity(2)", "so3_standard"])
@@ -310,6 +357,17 @@ class TestActionOracle:
         np.testing.assert_allclose(
             oracle.base, rep_image(rep, X.base) @ Y.base, atol=1e-15
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_overflow_on_the_checked_path_names_its_sample(self):
+        # The cusp's images, difference quotients and prolonged actions
+        # overflow in turn across these seeds; each is refused by the check
+        # with a replayable seed and sample index, never warned.
+        rep = cusp(1.5e308)
+        for seed in range(30):
+            with pytest.raises(NonFiniteImageError) as info:
+                check_action_oracle(rep, 200, seed)
+            assert str(info.value).startswith(f"action_oracle check, seed {seed}, sample index ")
 
     def test_rejects_mismatches(self):
         rep = catalog_entry("circle_rotation").rep

@@ -50,7 +50,6 @@ PUBLIC_API = [
     "ProlongedRepresentation",
     "Representation",
     "SpecMismatchError",
-    "StepSizeError",
     "SubspaceBasis",
     "TangentGroupElement",
     "TangentVector",

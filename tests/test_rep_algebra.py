@@ -335,6 +335,13 @@ class TestSubspaces:
             SubspaceBasis(2, np.ones((3, 2)))
         with pytest.raises(ValueError):
             SubspaceBasis(2, [[np.nan, 0.0]])
+        with pytest.raises(ValueError, match=r"expected vectors of length 3, got shape \(1, 2\)"):
+            SubspaceBasis(3, [1.0, 2.0])
+
+    def test_one_vector_is_one_row(self):
+        U = SubspaceBasis(3, [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(U.vectors, [[1.0, 2.0, 0.0]])
+        assert U.dimension == 1
 
     def test_zero_dimensional_subspace_allowed(self):
         U = SubspaceBasis(3, np.zeros((0, 3)))
@@ -587,6 +594,16 @@ class TestReducibilityProbe:
             assert report.passed
             assert report.witness["classification"] == "irreducible"
             assert report.witness["commutant_type"] == "R"
+
+    def test_quaternion_commutant_is_inconclusive(self):
+        # The verdict matrix's spin-1/2 map: R^4 as the quaternions under
+        # left multiplication, whose commutant, right multiplication, is the
+        # quaternions again: dimension 4, neither type R nor type C.
+        from test_verdict_matrix import ROWS
+
+        report = reducibility_probe(ROWS["so3: spin 1/2 on R^4"]())
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.witness == {"classification": "inconclusive", "commutant_dimension": 4}
 
     def test_reducible_classification_with_verified_subspace(self):
         report = reducibility_probe(rep_of("circle_double"))

@@ -20,7 +20,6 @@ from lieprolong import (
     ExponentOverflowError,
     NonFiniteImageError,
     Representation,
-    StepSizeError,
     SubspaceBasis,
     catalog_entry,
     check_action_oracle,
@@ -213,7 +212,7 @@ def verdict(row: str, column: str) -> str:
     check = COLUMNS[column] if column in COLUMNS else CLAIMS[column][row]
     try:
         return check(representation(row)).verdict.value
-    except (NonFiniteImageError, StepSizeError, ExponentOverflowError):
+    except (NonFiniteImageError, ExponentOverflowError):
         return "refused"
 
 
