@@ -2,12 +2,13 @@
 Equivalence and invariant subspaces under prolongation
 ======================================================
 
-Structure of a representation survives prolongation in two ways that can
-be checked by sampling.  First, conjugating the representation by an
-invertible A conjugates the prolongation by block-diag(A, A).  Second,
-an invariant subspace U lifts to the invariant subspace
-span{(u, 0)} + span{(0, u)} of the prolongation, and invariance can be
-pulled back from the lift as well.
+Structure of a representation survives prolongation in two ways.  First,
+conjugating the representation by an invertible A conjugates the
+prolongation by block-diag(A, A).  Second, an invariant subspace U lifts
+to the invariant subspace span{(u, 0)} + span{(0, u)} of the
+prolongation, and invariance can be pulled back from the lift as well.
+Both are block algebra, proved in sympy by the acceptance tests; here
+they are seen on samples.
 
 The fiber directions {(0, v)} are invariant for EVERY prolongation.
 That single fact means a prolongation is never irreducible, even when
@@ -41,8 +42,9 @@ report = is_intertwiner(lifted, prolonged(rotation), prolonged(other), 100, seed
 print("lifted conjugator intertwines the prolongations:", report.verdict.value,
       f"(residual {report.max_residual:.2e})")
 
-# the bundled check: rho_2 built from the conjugated generator images,
-# hypothesis and conclusion scored on the same samples
+# the bundled check: the transfer is proved once, so it samples only the
+# tie rho(exp B0) = expm(d rho(B0)) that makes A rho(x) A^-1 the image of
+# the representation with conjugated generator images
 print("equivalence transfer:",
       check_equivalence_transfer(rotation, 100, seed=5).verdict.value)
 

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -142,6 +143,22 @@ def _check_payload(report: CheckReport) -> dict:
     return payload
 
 
+def _strict(check: dict) -> dict:
+    """``check`` as strict JSON can hold it.  A residual that is infinite or
+    NaN, as an overflowing gap makes it, and the witness values that repeat
+    it are written as the largest finite double, and the witness names the
+    value they stand for."""
+    residual = check["max_residual"]
+    if math.isfinite(residual):
+        return check
+    witness = {
+        key: sys.float_info.max if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in check.get("witness", {}).items()
+    }
+    witness["non_finite_residual"] = str(residual)
+    return {**check, "max_residual": sys.float_info.max, "witness": witness}
+
+
 def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -155,6 +172,7 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _emit(envelope: dict, config: RunConfig) -> None:
     if config.format == "json":
+        envelope = {**envelope, "checks": [_strict(check) for check in envelope["checks"]]}
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
         _write(text + "\n", config.output)
         return

@@ -730,9 +730,9 @@ class _Stream:
 
 # The streams by normalized key set, held weakly: only the stacks drawn
 # from a stream hold it (sample_tangent_elements keeps it on its stack, and
-# checks keep their probes' and conjugator's streams on the stacks they
-# sample), so draws under one key set share one seeding while such a stack
-# lives, and no stream outlives them.
+# the action oracle keeps its probes' stream on the stack it probes), so
+# draws under one key set share one seeding while such a stack lives, and
+# no stream outlives them.
 _STREAMS: "weakref.WeakValueDictionary[tuple, _Stream]" = weakref.WeakValueDictionary()
 
 

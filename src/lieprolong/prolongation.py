@@ -257,17 +257,11 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
     left, with K the differential of ``rep`` in direction B.  This is the
     one place that checks that representation images are invertible.
+    Finite images can still over- or underflow, as ``K R`` or as a singular
+    ``R``; both are refused.  When ``apply`` returned the base's own
+    read-only matrix, as an identity map does, the base's own gate has
+    already certified it.
     """
-    R, _, L = _prolong_blocks(rep, X)
-    return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)
-
-
-def _prolong_blocks(rep: Representation, X):
-    """``R``, ``K`` and ``L = K R`` for the tangent pair(s) ``X = [a, B]``,
-    with every check of :func:`prolong`.  Finite images can still over- or
-    underflow, as ``K R`` or as a singular ``R``; both are refused.  When
-    ``apply`` returned the base's own read-only matrix, as an identity map
-    does, the base's own gate has already certified it."""
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +271,7 @@ def _prolong_blocks(rep: Representation, X):
             _require_invertible(R)
         except MembershipError as exc:
             raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
-    return R, K, L
+    return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,19 +16,23 @@ The sampled checks share one driver: samples are drawn as stacks of at
 most ``_CHUNK`` elements, the representation is evaluated on the whole
 stack, and the check is a reduction over it.  The witness is the first
 sample index attaining the worst residual.  A check that scores several
-parts of its claim on one stack, as the transfer checks do, takes the
+parts of its claim on one stack, as the invariance transfer does, takes the
 worst part's residual, and its witness names that part.  A check over
 zero samples raises instead of passing.
 
-A structural claim is checked against something computed independently
-of it.  :func:`check_equivalence_transfer` takes its second
-representation from the conjugated generator images, evaluated at the
-exponent each sample was drawn from, never from ``apply``; so it also
-ties ``apply`` to ``differential``.  Claims that hold for any matrices
-``R`` and ``K`` in ``[[R, 0], [K R, R]]`` are not sampled at all: the
-invariance of the fiber directions, and the prolongation of a
-:func:`direct_sum` as the sum of the prolongations, are proved in sympy on
-symbolic blocks by ``tests/test_acceptance.py``, criterion 07.
+Claims that hold for any matrices ``R`` and ``K`` in ``[[R, 0], [K R,
+R]]`` are not sampled at all.  ``tests/test_acceptance.py`` proves them in
+sympy on symbolic blocks: the transfer of an equivalence to the
+prolongations (criterion 04), the transfer of an invariant subspace to
+its lift and back (criterion 05), the invariance of the fiber directions,
+and the prolongation of a :func:`direct_sum` as the sum of the
+prolongations (criterion 07).  A check samples what such a proof assumes
+of the map: :func:`check_equivalence_transfer` scores ``rho(exp B_0)``
+against ``expm(d rho(B_0))``, at the exponent each sample was drawn from,
+which ties ``apply`` to ``differential``, and
+:func:`check_invariance_transfer` scores ``U`` and its lift under the
+images at sampled tangent elements, since a nonlinear ``d rho`` can keep
+``U`` invariant on a basis and not elsewhere.
 
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
@@ -79,7 +83,6 @@ from .prolongation import (
     Representation,
     TangentVector,
     _dense,
-    _prolong_blocks,
     _require_finite,
     apply_prolonged,
     differential_rep,
@@ -125,8 +128,7 @@ _EIGEN_CLUSTER = 1e-6
 # on it adds at most 63 more (a product with a partner and two curve
 # points, all with coordinates): 15.9 MB in all, plus the oracle's probe
 # stream, 4 words of state and 2m draws per element for the largest target
-# dimension m probed on it, and per stack the equivalence conjugator's
-# stream, 4 words and m^2 draws for the largest m.
+# dimension m probed on it.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
@@ -193,7 +195,7 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # one draw within a process, and with it what is kept on the draw: the
 # exponential coordinates, the homomorphism check's products, the oracle's
 # curve points, and the seeded streams, with the rows drawn from them, of
-# the draw's keys, of the probes' keys and of the conjugator's key.
+# the draw's keys and of the probes' keys.
 # Clearing the memo drops them all.  The public samplers stay unmemoized:
 # their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
@@ -433,20 +435,16 @@ def is_intertwiner(
 
     def residuals(indices):
         X = _tangent_sample(rep1.group, _keys(seed, indices))
-        return _intertwining_residuals(matrix, _image(rep1, X), _image(rep2, X))
+        images1, images2 = _image(rep1, X), _image(rep2, X)
+        # Finite images can still overflow in these products, which are then
+        # refused as images floating point cannot hold.
+        with np.errstate(over="ignore", invalid="ignore"):
+            left, right = matrix @ images1, images2 @ matrix
+        _require_finite(left, "intertwined image A rho1(x) has")
+        _require_finite(right, "intertwined image rho2(x) A has")
+        return relative_residual(left, right, axis=(-2, -1))
 
     return _sampled_check("intertwiner", samples, seed, tol, residuals)
-
-
-def _intertwining_residuals(A: np.ndarray, images1, images2) -> np.ndarray:
-    """Per stacked image: relative residual of A rho1(x) = rho2(x) A.  Finite
-    images can still overflow in these products, which are then refused as
-    images floating point cannot hold."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right = A @ images1, images2 @ A
-    _require_finite(left, "intertwined image A rho1(x) has")
-    _require_finite(right, "intertwined image rho2(x) A has")
-    return relative_residual(left, right, axis=(-2, -1))
 
 
 def prolong_intertwiner(A) -> np.ndarray:
@@ -497,43 +495,29 @@ def check_equivalence_transfer(
 ) -> CheckReport:
     """Equivalent representations have equivalent prolongations.
 
-    With ``A = random_conjugator(n, (seed, 2, 0))``, ``rho_2`` is the
-    representation whose generator images are ``A D_i A^-1``.  It is
-    evaluated without ``rep.apply``: at a sample ``exp(B_0)`` it is
-    ``expm(A d rho(B_0) A^-1)``, since ``rho(exp B_0) = exp(d rho(B_0))``
-    for any logarithm ``B_0``.  On the same samples the check scores the
-    hypothesis, that ``A`` intertwines ``rep`` with ``rho_2``, and the
-    conclusion, that block-diag(A, A) intertwines their prolongations.  The
-    residual is the worse of the two, and a witness names its ``part``
-    (``hypothesis`` or ``conclusion``).  So the check fails where ``apply``
-    and ``differential`` disagree, as well as where the prolongation does
-    not transfer the equivalence.
+    The theorem is block algebra, proved once in sympy by
+    ``tests/test_acceptance.py``, criterion 04: when ``R_2 = A R A^-1`` and
+    ``K_2 = A K A^-1``, block-diag(A, A) intertwines ``[[R, 0], [K R, R]]``
+    with ``[[R_2, 0], [K_2 R_2, R_2]]``.  The representation ``rho_2`` with
+    generator images ``A D_i A^-1`` takes ``exp(B_0)`` to ``A expm(d
+    rho(B_0)) A^-1``, so ``A`` intertwines ``rep`` with ``rho_2`` exactly
+    when ``rho(exp B_0) = expm(d rho(B_0))``.  That tie between ``apply``
+    and ``differential`` is what the check samples: each sample is drawn
+    as ``exp(B_0)`` under the key ``(seed, 1, i)``, and ``rho`` there is
+    scored against ``expm(d rho(B_0))``, with no logarithm.  An exponential
+    that overflows is refused as a :class:`NonFiniteImageError`.
     """
-    n, key, sample_seed = rep.target_dim, _derive(seed, 2, 0), _derive(seed, 1)
+    sample_seed = _derive(seed, 1)
 
     def residuals(indices):
         X = _tangent_sample(rep.group, _keys(sample_seed, indices))
-        # The conjugator's stream is kept on X, as the oracle keeps its
-        # probes': it is seeded once for every representation checked on
-        # X's keys, and dropped with X.
-        X._kept(("conjugator stream", key), lambda: _stream([key]))
-        A = random_conjugator(n, key)
-        inverse = np.linalg.inv(A)
-        R, K, L = _prolong_blocks(rep, X)
+        image = rep_image(rep, X.base)
         with np.errstate(over="ignore", invalid="ignore"):
-            B0 = AlgebraElement(X.base._exponent, rep.group)
-            R2 = _expm(A @ differential_rep(rep, B0) @ inverse)
-            L2 = A @ K @ inverse @ R2
-        lift = prolong_intertwiner(A)
-        return np.stack(
-            [
-                _intertwining_residuals(A, R, R2),
-                _intertwining_residuals(lift, _dense(R, L), _dense(R2, L2)),
-            ]
-        )
+            tied = _expm(differential_rep(rep, AlgebraElement(X.base._exponent, rep.group)))
+        _require_finite(tied, "exponential expm(d rho(B_0)) has")
+        return relative_residual(image, tied, axis=(-2, -1))
 
-    parts = ("hypothesis", "conclusion")
-    return _sampled_check("equivalence_transfer", samples, sample_seed, tol, residuals, parts)
+    return _sampled_check("equivalence_transfer", samples, sample_seed, tol, residuals)
 
 
 @dataclass(frozen=True, eq=False)

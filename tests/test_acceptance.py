@@ -109,6 +109,36 @@ def test_criterion_03_block_action_matches_the_differentiated_action():
 
 
 def test_criterion_04_equivalence_transfers_to_prolongations():
+    # A proof, not a sample.  On n x n blocks of symbolic n, an equivalence
+    # A with R2 = A R A^-1 and K2 = A K A^-1 lifts to diag(A, A), which
+    # intertwines [[R, 0], [K R, R]] with [[R2, 0], [K2 R2, R2]] whatever
+    # the blocks are; the lift diag(A, A^T) leaves two blocks unequal.
+    # prolong_intertwiner builds diag(A, A) (tests/test_rep_algebra.py pins
+    # its block form).  The second representation's images are A rho(x) A^-1
+    # at x = exp(B0) when rho(exp B0) = expm(d rho(B0)), the tie that
+    # check_equivalence_transfer samples below on every catalog entry.
+    start = time.perf_counter()
+    from sympy import BlockMatrix, MatrixSymbol, ZeroMatrix, block_collapse, symbols
+
+    n = symbols("n", integer=True, positive=True)
+    A, R, K = (MatrixSymbol(name, n, n) for name in "ARK")
+
+    def diag(X, Y):
+        return BlockMatrix([[X, ZeroMatrix(n, n)], [ZeroMatrix(n, n), Y]])
+
+    def prolonged_block(R, K):
+        return BlockMatrix([[R, ZeroMatrix(n, n)], [K * R, R]])
+
+    def intertwining(lift):
+        """The blocks of lift rho1~ and of rho2~ lift, in pairs."""
+        left = block_collapse(lift * prolonged_block(R, K))
+        right = block_collapse(prolonged_block(A * R * A.I, A * K * A.I) * lift)
+        return [(left.blocks[i, j], right.blocks[i, j]) for i in (0, 1) for j in (0, 1)]
+
+    proved = all(left == right for left, right in intertwining(diag(A, A)))
+    unequal = sum(left != right for left, right in intertwining(diag(A, A.T)))
+    elapsed = time.perf_counter() - start
+
     worst = 0.0
     for entry in catalog_list():
         report = check_equivalence_transfer(entry.rep, 100, SEED, 1e-9)
@@ -117,8 +147,9 @@ def test_criterion_04_equivalence_transfers_to_prolongations():
     record(
         4,
         "equivalence_transfer",
-        worst < 1e-9,
-        f"hypothesis and conclusion per rep, worst residual {worst:.2e}",
+        proved and unequal == 2 and elapsed < 5.0 and worst < 1e-9,
+        f"sympy proof on symbolic n x n blocks, {elapsed:.2f}s; diag(A, A^T) leaves "
+        f"{unequal} blocks unequal; the sampled tie, worst residual {worst:.2e}",
     )
 
 
@@ -140,7 +171,49 @@ def random_invariant_subspaces(rep, split: int, count: int, seed: int):
     return out
 
 
+def invariance_transfer_proof() -> tuple[bool, bool]:
+    """Invariance transfer, proved in sympy on symbolic blocks: R and K
+    n x n, U n x k with independent columns, TU = diag(U, U) the lift
+    (prolong_subspace's, as columns).
+
+    Forward: R U = U M1 and K U = U M2 give M TU = TU [[M1, 0], [M2 M1,
+    M1]] for M = [[R, 0], [K R, R]], so TU is invariant.  Back: M TU =
+    TU N reads R U = U N11 and K R U = U N21 off its left column.  With R
+    invertible, R U has rank k, so the k x k block N11 is invertible, and
+    K R U N11^-1 is both K U and U N21 N11^-1: U is invariant under R and
+    K.  Each step is a rewrite by one hypothesis.
+    """
+    from sympy import BlockMatrix, MatrixSymbol, ZeroMatrix, block_collapse, symbols
+
+    n, k = symbols("n k", integer=True, positive=True)
+    R, K, U = MatrixSymbol("R", n, n), MatrixSymbol("K", n, n), MatrixSymbol("U", n, k)
+    M1, M2 = MatrixSymbol("M1", k, k), MatrixSymbol("M2", k, k)
+    N11, N21 = MatrixSymbol("N11", k, k), MatrixSymbol("N21", k, k)
+
+    def prolonged_block(R, K, zero):
+        return BlockMatrix([[R, zero], [K * R, R]])
+
+    TU = BlockMatrix([[U, ZeroMatrix(n, k)], [ZeroMatrix(n, k), U]])
+    image = block_collapse(prolonged_block(R, K, ZeroMatrix(n, n)) * TU)
+    restricted = block_collapse(TU * prolonged_block(M1, M2, ZeroMatrix(k, k)))
+    forward = image.subs(R * U, U * M1).subs(K * U, U * M2) == restricted
+
+    N = BlockMatrix([[N11, MatrixSymbol("N12", k, k)], [N21, MatrixSymbol("N22", k, k)]])
+    read = block_collapse(TU * N)
+    left_column = [image.blocks[0, 0], image.blocks[1, 0], read.blocks[0, 0], read.blocks[1, 0]]
+    chain = K * R * U * N11.I
+    back = (
+        left_column == [R * U, K * R * U, U * N11, U * N21]
+        and chain.subs(R * U, U * N11) == K * U
+        and chain.subs(K * R * U, U * N21) == U * N21 * N11.I
+    )
+    return forward, back
+
+
 def test_criterion_05_invariance_transfers_in_both_directions():
+    start = time.perf_counter()
+    forward, back = invariance_transfer_proof()
+    elapsed = time.perf_counter() - start
     worst = 0.0
     checked = 0
     for entry in catalog_list():
@@ -177,8 +250,9 @@ def test_criterion_05_invariance_transfers_in_both_directions():
     record(
         5,
         "invariant_subspace_transfer",
-        worst < 1e-9 and random_checked == 50,
-        f"{checked} declared + {random_checked} random subspaces, worst {worst:.2e}",
+        forward and back and elapsed < 5.0 and worst < 1e-9 and random_checked == 50,
+        f"sympy proof both ways on symbolic blocks, {elapsed:.2f}s; {checked} declared + "
+        f"{random_checked} random subspaces, worst {worst:.2e}",
     )
 
 

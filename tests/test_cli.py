@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -13,7 +14,9 @@ import pytest
 from descriptors import gl1_power, gl2_perturbed, gl3_units, so3_repeated_image
 
 from lieprolong import (
+    CheckReport,
     GroupElement,
+    Verdict,
     __version__,
     check_action_oracle,
     check_equivalence_transfer,
@@ -893,22 +896,20 @@ class TestMalformedInput:
         assert err == f"error: cannot evaluate the representation: {failure}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_intertwined_image_exits_2(self, capsys, tmp_path):
-        # Every image at sample 44 is finite, K R = 1.66e308 among them, but
-        # the lift diag(A, A), A = 1.55, times it is not: the product is
-        # refused like an image.
+    def test_equivalence_row_forms_no_product_of_its_images(self, capsys, tmp_path):
+        # Every image at sample 44 is finite, K R = 1.66e308 among them, and
+        # diag(A, A) times it would overflow for any A of norm above 1.08.
+        # The row scores rho(x) against expm(d rho(B_0)) alone, which a
+        # generator descriptor meets exactly.
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(gl1_power(710.0)))
-        code, out, err = run_cli(
+        code, document, err = run_json(
             capsys, "check", "--rep", str(path), "--suite", "equivalence",
             "--samples", "200", "--seed", "317",
         )
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: cannot evaluate the representation: equivalence_transfer check, "
-            "seed [317, 1], sample index 44: intertwined image A rho1(x) has non-finite entries\n"
-        )
+        assert (code, err) == (0, "")
+        [row] = document["checks"]
+        assert (row["verdict"], row["max_residual"]) == ("pass", 0.0)
 
     def test_overflowing_images_exit_2_in_prolong_at_large_coordinates(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
@@ -954,3 +955,28 @@ class TestStrictReports:
         document = strict_json(out)
         assert document["config"]["tol"] == 10.0
         assert document["checks"][0]["witness"]["part"] == "infinitesimal"
+
+    @pytest.mark.parametrize("residual", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_a_non_finite_residual_is_written_as_the_largest_double(self, capsys, residual):
+        # An overflowing gap is an infinite residual.  Strict JSON has no
+        # literal for it, so the json payload stays a number and names the
+        # value; csv and text print it as they always did.
+        witness = {"seed": [3, 1], "sample_index": 7, "residual": residual}
+        report = CheckReport("equivalence_transfer", Verdict.FAIL, residual, witness)
+        config = cli.RunConfig("check", rep_source="so3_standard", suite="equivalence")
+        assert cli._finish(config, [report]) == 1
+        document = strict_json(capsys.readouterr().out)
+        jsonschema.validate(document, REPORT_SCHEMA)
+        [row] = document["checks"]
+        assert row["max_residual"] == sys.float_info.max
+        assert row["witness"] == {
+            "seed": [3, 1],
+            "sample_index": 7,
+            "residual": sys.float_info.max,
+            "non_finite_residual": str(residual),
+        }
+        assert cli._finish(dataclasses.replace(config, format="csv"), [report]) == 1
+        [_, (_, _, written, _)] = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert written == str(residual)
+        assert cli._finish(dataclasses.replace(config, format="text"), [report]) == 1
+        assert capsys.readouterr().out == f"equivalence_transfer: FAIL (max residual {residual})\n"

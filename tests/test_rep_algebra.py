@@ -31,7 +31,6 @@ from lieprolong import (
     SubspaceBasis,
     TangentGroupElement,
     Verdict,
-    algebra_basis,
     algebra_from_coordinates,
     block_diag,
     catalog_entry,
@@ -66,7 +65,7 @@ from lieprolong import (
     special_orthogonal,
     tg_multiply,
 )
-from lieprolong import catalog, cli, groups, rep_algebra
+from lieprolong import cli, groups, prolongation, rep_algebra
 from lieprolong.cli import main
 
 
@@ -241,6 +240,30 @@ class TestIntertwiners:
                 prolong_intertwiner(bad)
 
 
+# Every tests/descriptors.py maker that loads (parametrized ones at one or
+# two values), for checks that compare against independent references.
+LOADED_DESCRIPTORS = {
+    "so3_doubled": so3_doubled,
+    "circle_winding": circle_winding,
+    "sl2_conjugated": sl2_conjugated,
+    "gl3_units": gl3_units,
+    "determinant": determinant,
+    "adjoint_sl2": lambda: adjoint("SpecialLinear", 2),
+    "adjoint_so4": lambda: adjoint("SpecialOrthogonal", 4),
+    "symmetric_power_4": lambda: symmetric_power(4),
+    "gl3_dense_conjugated": gl3_dense_conjugated,
+    "so4_dense_conjugated": so4_dense_conjugated,
+    "gl1_power_3": lambda: gl1_power(3.0),
+    "gl2_det_power_2": lambda: gl2_det_power(2.0),
+}
+
+
+def catalog_or_descriptor(name: str) -> Representation:
+    if name in LOADED_DESCRIPTORS:
+        return load_representation(LOADED_DESCRIPTORS[name]())
+    return rep_of(name)
+
+
 class TestEquivalenceTransfer:
     @pytest.mark.parametrize("name", ["circle_rotation", "sl2_standard"])
     def test_passes_on_catalog_representations(self, name):
@@ -267,64 +290,61 @@ class TestEquivalenceTransfer:
             )
 
     def test_failing_witness_replays_through_public_functions(self):
-        # d rho off by 1e-6 fails the hypothesis: A rho(x) against rho_2(x) A
-        # at the witness's sample, with rho_2(x) = expm(A d rho(B_0) A^-1)
-        # and B_0 the principal logarithm of the sampled base.
+        # d rho off by 1e-6 breaks the tie: rho(x) against expm(d rho(B_0))
+        # at the witness's sample, with B_0 the principal logarithm of the
+        # sampled base.
         so3 = rep_of("so3_standard")
         rep = dataclasses.replace(so3, differential=lambda B: (1 + 1e-6) * B.matrix)
         report = check_equivalence_transfer(rep, 50, seed=3)
         assert report.verdict is Verdict.FAIL
         witness = report.witness
-        assert witness["part"] == "hypothesis"
-        A = random_conjugator(3, (3, 2, 0))
+        assert set(witness) == {"seed", "sample_index", "residual"}
         x = sample_tangent_element(rep.group, (*witness["seed"], witness["sample_index"])).base
         B0 = algebra_from_coordinates(group_coordinates(x), rep.group)
-        image = scipy.linalg.expm(A @ differential_rep(rep, B0) @ np.linalg.inv(A))
-        residual = relative_residual(A @ rep_image(rep, x), image @ A)
+        image = scipy.linalg.expm(differential_rep(rep, B0))
+        residual = relative_residual(rep_image(rep, x), image)
         assert residual == pytest.approx(witness["residual"], rel=1e-8)
         assert report.max_residual == witness["residual"]
 
-    def test_a_wrong_conjugator_fails_the_conclusion_alone(self, monkeypatch):
-        # rho_2 built with A while block-diag(A', A') is scored: only the lift
-        # is wrong, so a representation that passes fails the conclusion.
-        rep = rep_of("sl2_standard")
-        assert check_equivalence_transfer(rep, 30, seed=2).passed
-        lift = rep_algebra.prolong_intertwiner
-        monkeypatch.setattr(
-            rep_algebra, "prolong_intertwiner", lambda A: lift(A + 1e-3 * np.eye(len(A))[::-1])
-        )
-        report = check_equivalence_transfer(rep, 30, seed=2)
-        assert report.verdict is Verdict.FAIL
-        assert report.witness["part"] == "conclusion"
-        assert report.max_residual > 1e-4
+    @pytest.mark.parametrize("name", [*catalog_names(), *LOADED_DESCRIPTORS])
+    def test_the_tie_needs_no_prolongation_conjugator_inverse_or_lift(self, monkeypatch, name):
+        # The transfer itself is criterion 04's sympy proof; the sampled row
+        # evaluates only rho and expm(d rho(B_0)).
+        rep = catalog_or_descriptor(name)
 
-    @pytest.mark.parametrize("name", catalog_names())
-    def test_only_the_conjugator_s_lift_intertwines_the_prolongations(self, monkeypatch, name):
-        # rho_2 is the generator representation with images A D_i A^-1,
-        # given on its own.  Its apply takes the samples' kept exponents as
-        # their logarithms, so no logm runs.  A + 1e-3 J, with J the
-        # reversed identity, intertwines only where A^-1 J commutes with
-        # every image: on the three entries whose images are scalars.
-        rep = rep_of(name)
-        spec, n = rep.group, rep.target_dim
-        A = random_conjugator(n, (5, 2, 0))
-        inverse = np.linalg.inv(A)
-        images = [
-            A @ differential_rep(rep, AlgebraElement(b, spec)) @ inverse
-            for b in algebra_basis(spec)
-        ]
-        rho2 = prolonged(catalog._generator_representation(spec, n, images, "conjugated"))
-
-        def refuse(m):
-            raise AssertionError("a sample took a logarithm")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the equivalence check left the tie")
 
         rep_algebra._tangent_sample.cache_clear()
-        monkeypatch.setattr(scipy.linalg, "logm", refuse)
-        right = is_intertwiner(prolong_intertwiner(A), prolonged(rep), rho2, 30, seed=5)
-        assert right.passed, right
-        wrong = prolong_intertwiner(A + 1e-3 * np.eye(n)[::-1])
-        report = is_intertwiner(wrong, prolonged(rep), rho2, 30, seed=5)
-        assert report.passed == (name in ("gl_identity(1)", "trivial(1)", "trivial(2)")), report
+        for module, attribute in [
+            (prolongation, "prolong"),
+            (rep_algebra, "prolong"),
+            (rep_algebra, "random_conjugator"),
+            (rep_algebra, "prolong_intertwiner"),
+            (rep_algebra, "_require_invertible"),
+            (prolongation, "_require_invertible"),
+            (groups, "_require_invertible"),
+            (np.linalg, "inv"),
+        ]:
+            monkeypatch.setattr(module, attribute, refuse)
+        assert isinstance(check_equivalence_transfer(rep, 30, seed=5), CheckReport)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_exponential_is_refused_with_its_sample(self):
+        # apply is the identity, finite everywhere, but d rho = 1000 B: the
+        # first sample with B_0 > log(max double) / 1000 overflows expm.
+        rep = dataclasses.replace(rep_of("gl_identity(1)"), differential=lambda B: 1e3 * B.matrix)
+        exponents = [
+            sample_tangent_element(general_linear(1), (4, 1, i)).base._exponent[0, 0]
+            for i in range(50)
+        ]
+        first = next(i for i, b in enumerate(exponents) if b > np.log(np.finfo(float).max) / 1e3)
+        with pytest.raises(NonFiniteImageError) as info:
+            check_equivalence_transfer(rep, 50, seed=4)
+        assert str(info.value) == (
+            f"equivalence_transfer check, seed [4, 1], sample index {first}: "
+            "exponential expm(d rho(B_0)) has non-finite entries"
+        )
 
 
 class TestSubspaces:
@@ -891,11 +911,10 @@ class TestSharedDriver:
             rep_algebra._homomorphism_checks(rep, 256, 10)
         assert str(info.value) == message
 
-    def test_failing_equivalence_names_part_and_sample(self):
-        report = check_equivalence_transfer(rep_of("sl2_standard"), 300, seed=6, tol=1e-17)
+    def test_failing_equivalence_names_its_sample(self):
+        report = check_equivalence_transfer(rep_of("circle_winding_2"), 300, seed=6, tol=1e-17)
         assert report.verdict is Verdict.FAIL
-        assert set(report.witness) == {"part", "seed", "sample_index", "residual"}
-        assert report.witness["part"] in ("hypothesis", "conclusion")
+        assert set(report.witness) == {"seed", "sample_index", "residual"}
         assert report.witness["residual"] == report.max_residual
 
     @pytest.mark.parametrize(
@@ -916,51 +935,16 @@ class TestSharedDriver:
             run(rep_of("circle_rotation"))
 
 
-# Every tests/descriptors.py maker that loads (parametrized ones at one or
-# two values), for checks that compare against independent references.
-LOADED_DESCRIPTORS = {
-    "so3_doubled": so3_doubled,
-    "circle_winding": circle_winding,
-    "sl2_conjugated": sl2_conjugated,
-    "gl3_units": gl3_units,
-    "determinant": determinant,
-    "adjoint_sl2": lambda: adjoint("SpecialLinear", 2),
-    "adjoint_so4": lambda: adjoint("SpecialOrthogonal", 4),
-    "symmetric_power_4": lambda: symmetric_power(4),
-    "gl3_dense_conjugated": gl3_dense_conjugated,
-    "so4_dense_conjugated": so4_dense_conjugated,
-    "gl1_power_3": lambda: gl1_power(3.0),
-    "gl2_det_power_2": lambda: gl2_det_power(2.0),
-}
-
-
-def catalog_or_descriptor(name: str) -> Representation:
-    if name in LOADED_DESCRIPTORS:
-        return load_representation(LOADED_DESCRIPTORS[name]())
-    return rep_of(name)
-
-
 def equivalence_loop(rep, samples, seed) -> np.ndarray:
-    """The equivalence check's hypothesis and conclusion residuals, a ``(2,
-    samples)`` array, evaluated one sampled element at a time: ``rho_2`` at
-    ``exp(B_0)`` is ``expm(A d rho(B_0) A^-1)``, with ``B_0`` the exponent
-    the element was drawn from."""
-    A = random_conjugator(rep.target_dim, (seed, 2, 0))
-    inverse, lift = np.linalg.inv(A), prolong_intertwiner(A)
-    rows = []
+    """The equivalence check's residuals, one per sample, evaluated one
+    sampled element at a time: ``rho`` at ``exp(B_0)`` against ``expm(d
+    rho(B_0))``, with ``B_0`` the exponent the element was drawn from."""
+    residuals = []
     for i in range(samples):
-        x = sample_tangent_element(rep.group, (seed, 1, i))
-        image = prolong(rep, x)
-        B0 = AlgebraElement(x.base._exponent, rep.group)
-        R2 = scipy.linalg.expm(A @ differential_rep(rep, B0) @ inverse)
-        other = ProlongedMatrix(R2, A @ differential_rep(rep, x.algebra) @ inverse @ R2)
-        rows.append(
-            [
-                relative_residual(A @ image.top_left, R2 @ A),
-                relative_residual(lift @ image.dense(), other.dense() @ lift),
-            ]
-        )
-    return np.array(rows).T
+        x = sample_tangent_element(rep.group, (seed, 1, i)).base
+        tied = scipy.linalg.expm(differential_rep(rep, AlgebraElement(x._exponent, rep.group)))
+        residuals.append(relative_residual(rep_image(rep, x), tied))
+    return np.array(residuals)
 
 
 class TestEquivalenceAgainstALoop:
@@ -972,12 +956,10 @@ class TestEquivalenceAgainstALoop:
         # At tolerance 0 every report carries its witness.
         report = check_equivalence_transfer(rep, samples, seed, tol=0.0)
         loop = equivalence_loop(rep, samples, seed)
-        part = int(np.argmax(np.max(loop, axis=1)))
         assert report.max_residual == np.max(loop)
         assert report.witness == {
-            "part": ("hypothesis", "conclusion")[part],
             "seed": (seed, 1),
-            "sample_index": int(np.argmax(loop[part])),
+            "sample_index": int(np.argmax(loop)),
             "residual": report.max_residual,
         }
 
@@ -1049,7 +1031,7 @@ class TestSampleMemo:
         assert check_equivalence_transfer(rep_of(name), 300, seed=0).passed
 
     def test_equivalence_takes_no_singular_value_decomposition(self, monkeypatch):
-        # One conjugator, exp(U / 2), has det e^{tr U / 2} > 0: no rank to decide.
+        # The tie compares rho(x) with an exponential: no rank to decide.
         rep = rep_of("so3_standard")
         self.clear()
         svd, calls = np.linalg.svd, []
@@ -1134,25 +1116,26 @@ class TestSampleMemo:
         # Counts, unlike wall time, repeat exactly: 420 cond calls when each
         # conjugated representation was prolonged on its own, 200 when each
         # stack took one, none now that a cheap bound certifies every image.
-        # The equivalence check scores its hypothesis and its conclusion on
-        # each stack of 10 samples (200 per stack for twenty conjugators).
+        # The equivalence check takes one stacked exponential per stack of
+        # 10 samples; the faithfulness probe's are single matrices.
         calls, cond = [], np.linalg.cond
-        sizes, score = [], rep_algebra._intertwining_residuals
+        sizes, expm = [], rep_algebra._expm
 
         def counted(x, *args, **kwargs):
             calls.append(np.shape(x))
             return cond(x, *args, **kwargs)
 
-        def recorded(*args):
-            sizes.append(score(*args).size)
-            return score(*args)
+        def recorded(m):
+            if np.ndim(m) == 3:
+                sizes.append(len(m))
+            return expm(m)
 
         monkeypatch.setattr(np.linalg, "cond", counted)
-        monkeypatch.setattr(rep_algebra, "_intertwining_residuals", recorded)
+        monkeypatch.setattr(rep_algebra, "_expm", recorded)
         self.clear()
         self.report(capsys)
         assert calls == []
-        assert sizes == [10] * 2 * len(catalog_list())
+        assert sizes == [10] * len(catalog_list())
         assert max(sizes) <= rep_algebra._CHUNK
 
     def test_report_builds_no_generator_per_key(self, monkeypatch, capsys):
@@ -1172,7 +1155,7 @@ class TestSampleMemo:
     @pytest.mark.parametrize("name", CIRCLE_ENTRIES)
     def test_circle_reports_do_not_depend_on_the_entries_before(self, monkeypatch, name):
         # The other circle entries leave products, curve points and probe
-        # and conjugator streams on the memo that this entry then reads.
+        # streams on the memo that this entry then reads.
         config = cli.RunConfig("check", samples=40, seed=8)
 
         def reports(entry_name):
@@ -1228,15 +1211,15 @@ class TestSampleMemo:
 
     def test_report_seeds_each_key_set_once(self, monkeypatch, capsys):
         # The six groups draw under the same keys, and so do the oracle's
-        # probes and the equivalence conjugator for each target dimension.
+        # probes for each target dimension.  No conjugator is drawn.
         seed, calls = groups._seed, []
         monkeypatch.setattr(groups, "_seed", lambda keys: calls.append(keys) or seed(keys))
         self.clear()
         assert main(["report", "--samples", "50", "--seed", "5"]) == 1
         capsys.readouterr()
         assert set(collections.Counter(calls).values()) == {1}
-        assert ((5, 2, 0),) in calls
-        assert len(calls) <= 7
+        assert ((5, 2, 0),) not in calls
+        assert len(calls) <= 6
 
     def test_memo_stays_bounded(self):
         self.clear()

@@ -110,6 +110,10 @@ ROWS = {
     ),
     "so3: spin 1/2 on R^4": generator_map(special_orthogonal(3), spin_half(), "spin1/2"),
     "circle: collapse": lambda: Representation(circle(), 2, collapse, lambda B: 0.0 * B.matrix),
+    "so3: d rho = B + 1e-7 B^2": lambda: dataclasses.replace(
+        catalog_entry("so3_standard").rep,
+        differential=lambda B: B.matrix + 1e-7 * B.matrix @ B.matrix,
+    ),
     "so3: line e_0": lambda: catalog_entry("so3_standard").rep,
     "so3: diag(1, 2, 3)": lambda: catalog_entry("so3_standard").rep,
 }
@@ -172,19 +176,21 @@ MATRIX = {
     # ignores cancellation in the conjugated products, and the residuals
     # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
     # their drawn exponents) and 1.2e-9 to 8.5e-5 (item 9, residuals scaled
-    # by their operands).
-    "gl3_dense_conjugated": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
+    # by their operands).  The equivalence row forms no product: a
+    # descriptor's apply is expm(d rho(B_0)), and it reads 0.
+    "gl3_dense_conjugated": ("pass", "fail", "fail", "pass", "pass", "-", "-"),
     "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
     "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-"),
     # Valid: every sampled cell should pass.  cond(Sym^n a) = cond(a)^n, and
-    # the invertibility gate refuses cond > 1e12 (item 9, evidence in place
-    # of refusal).  The faithfulness cells fail rightly: Sym^n sends -I to
-    # (-1)^n = I when n is even.
+    # the invertibility gate of prolong refuses cond > 1e12 (item 9,
+    # evidence in place of refusal); the equivalence row prolongs nothing,
+    # so no gate refuses it.  The faithfulness cells fail rightly: Sym^n
+    # sends -I to (-1)^n = I when n is even.
     "symmetric_power(10)": ("refused", "refused", "pass", "pass", "fail", "-", "-"),
-    "symmetric_power(20)": ("refused", "refused", "refused", "refused", "fail", "-", "-"),
+    "symmetric_power(20)": ("refused", "refused", "refused", "pass", "fail", "-", "-"),
     # Valid: every sampled cell should pass, as for symmetric_power(10)
     # (item 9).
-    "symmetric_power(40)": ("refused", "refused", "refused", "refused", "fail", "-", "-"),
+    "symmetric_power(40)": ("refused", "refused", "refused", "pass", "fail", "-", "-"),
     # Not representations: apply = expm(d rho(log a)) with loops that do not
     # close, weight 3/2 and weight 1 + 1e-6 on the circle, and exp(2 pi D) = -I
     # for spin 1/2.  Every cell should fail.  They pass, since no drawn
@@ -196,6 +202,12 @@ MATRIX = {
     # Not a representation: every cell should fail, and does; d rho = 0
     # gives the probe a kernel.
     "circle: collapse": ("fail", "fail", "fail", "fail", "fail", "-", "-"),
+    # Not a representation: d rho is not linear.  Every cell should fail.
+    # The homomorphism(base) and faithfulness cells read d rho only on the
+    # basis or not at all, and pass; the oracle's residual, 8.2e-8, sits
+    # under its tolerance.  The prolonged homomorphism (1.4e-7) and the
+    # equivalence row's tie (1.2e-7) fail (item 2, a linearity certificate).
+    "so3: d rho = B + 1e-7 B^2": ("pass", "fail", "pass", "fail", "pass", "-", "-"),
     # so3_standard with a false claim: the map passes, the claim fails on a
     # sample (item 5(c) adds a generator witness).
     "so3: line e_0": ("pass", "pass", "pass", "pass", "pass", "fail", "-"),
