@@ -201,7 +201,7 @@ def _emit(envelope: dict, config: RunConfig) -> None:
                         check["name"],
                         check["verdict"],
                         repr(check["max_residual"]),
-                        json.dumps(check["witness"], sort_keys=True)
+                        json.dumps(_strict(check)["witness"], sort_keys=True, allow_nan=False)
                         if "witness" in check
                         else "",
                     ]

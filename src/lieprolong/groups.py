@@ -436,20 +436,26 @@ def identity_element(spec: GroupSpec) -> GroupElement:
 
 @functools.cache
 def _pade_kernels():
-    """SciPy's compiled expm steps ``(pick_pade_structure, pade_UV_calc)``,
-    or None where they do not give the bits of ``scipy.linalg.expm``.  The
-    module is private, so its calling convention is tried once, on two
-    slices that scale and square."""
+    """SciPy's compiled expm steps ``(pick_pade_structure, pade_UV_calc)``
+    and the smallest n at which they give the bits of ``scipy.linalg.expm``,
+    or None where they do not at n = 3.  The module is private, so its
+    calling convention is tried once at n = 3 and once at n = 2, each on two
+    slices that scale and square: SciPy 1.9 to 1.11 took 2 x 2 exponentials
+    by a closed form (formula (2.2) of Al-Mohy & Higham 2009), not by the
+    kernels."""
     import scipy.linalg
     from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
     kernels = pick_pade_structure, pade_UV_calc
-    probe = np.array([[1.0, 2.0, 0.0], [-3.0, 1.0, 4.0], [0.0, -2.0, 5.0]]) * [[[1.0]], [[8.0]]]
-    try:
-        agrees = np.array_equal(_pade_expm(probe, kernels), scipy.linalg.expm(probe))
-    except (TypeError, ValueError):
-        agrees = False
-    return kernels if agrees else None
+    agrees = []
+    three, two = [[1.0, 2.0, 0.0], [-3.0, 1.0, 4.0], [0.0, -2.0, 5.0]], [[1.0, 2.0], [-3.0, 1.0]]
+    for probe in (three, two):
+        stack = np.array(probe) * [[[1.0]], [[8.0]]]
+        try:
+            agrees.append(np.array_equal(_pade_expm(stack, kernels), scipy.linalg.expm(stack)))
+        except (TypeError, ValueError):
+            agrees.append(False)
+    return (kernels, 2 if agrees[1] else 3) if agrees[0] else None
 
 
 @functools.cache
@@ -505,23 +511,24 @@ def _expm(A) -> np.ndarray:
     the slices in one stacked product per power, which numpy rounds as it
     does each slice alone.  Diagonal and triangular slices, whose squaring
     SciPy corrects by its own formula, slices a kernel reports an error on,
-    and any input but a float64 stack of n >= 2, go to SciPy's own call.
+    and any input but a float64 stack of a size :func:`_pade_kernels`
+    admits, go to SciPy's own call.
     """
     import scipy.linalg
 
     a = np.asarray(A)
-    kernels = _pade_kernels()
+    admitted = _pade_kernels()
     if (
-        kernels is None
+        admitted is None
         or a.dtype != np.float64
         or a.ndim < 2
-        or a.shape[-1] < 2
+        or a.shape[-1] < admitted[1]
         or a.shape[-1] != a.shape[-2]
         or a.size == 0
     ):
         return scipy.linalg.expm(a)
     n = a.shape[-1]
-    return _pade_expm(np.ascontiguousarray(a).reshape(-1, n, n), kernels).reshape(a.shape)
+    return _pade_expm(np.ascontiguousarray(a).reshape(-1, n, n), admitted[0]).reshape(a.shape)
 
 
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:

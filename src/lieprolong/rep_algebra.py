@@ -30,9 +30,9 @@ prolongations (criterion 07).  A check samples what such a proof assumes
 of the map: :func:`check_equivalence_transfer` scores ``rho(exp B_0)``
 against ``expm(d rho(B_0))``, at the exponent each sample was drawn from,
 which ties ``apply`` to ``differential``, and
-:func:`check_invariance_transfer` scores ``U`` and its lift under the
-images at sampled tangent elements, since a nonlinear ``d rho`` can keep
-``U`` invariant on a basis and not elsewhere.
+:func:`check_invariance_transfer` scores ``U`` under ``rho(a)`` and under
+``d rho(B)`` at sampled tangent elements, and never forms the lift: a
+nonlinear ``d rho`` can keep ``U`` invariant on a basis and not elsewhere.
 
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
@@ -106,7 +106,6 @@ __all__ = [
     "is_intertwiner",
     "is_invariant_subspace",
     "prolong_intertwiner",
-    "prolong_subspace",
     "random_conjugator",
     "reducibility_probe",
 ]
@@ -609,15 +608,6 @@ def _projection_defects(images: np.ndarray, q: np.ndarray) -> np.ndarray:
     return relative_residual(q.T @ (q @ images), images, axis=(-2, -1))
 
 
-def prolong_subspace(U: SubspaceBasis) -> SubspaceBasis:
-    """Lift span{u_i} to tangent coordinates: span{(u_i, 0)} + span{(0, u_i)}.
-
-    Base-direction vectors come first, in the order of U, then the fiber
-    copies in the same order.
-    """
-    return SubspaceBasis(2 * U.ambient_dim, block_diag(U.vectors, U.vectors))
-
-
 def check_invariance_transfer(
     rep: Representation,
     U: SubspaceBasis,
@@ -627,21 +617,22 @@ def check_invariance_transfer(
 ) -> CheckReport:
     """Invariance of U transfers to its lift, and back.
 
-    The prolonged image ``[[R, 0], [K R, R]]`` maps ``(u, 0)`` to ``(R u,
-    K R u)`` and ``(0, u)`` to ``(0, R u)``, so the lift is invariant
-    exactly when U is invariant under ``R`` and under ``K = d rho(B)``.
-    Each tangent stack is prolonged once and scores two parts: ``base``, U
-    under the diagonal blocks ``R``, and ``prolonged``, the lift under the
-    whole image.  The residual is the worse part's, and a witness names its
-    ``part``; a ``base`` witness replays through :func:`is_invariant_subspace`.
+    The lift ``block_diag(U, U)`` is invariant under ``[[R, 0], [K R, R]]``
+    when ``R U ⊆ U`` and ``K U ⊆ U``, and for invertible ``R`` only then:
+    block algebra, proved in sympy by ``tests/test_acceptance.py``, criterion
+    05.  The check samples those two facts on the tangent stack drawn under
+    the keys ``(seed, 5, i)``: ``base``, U under ``R = rho(a)``, and
+    ``prolonged``, U under ``K = d rho(B)``, the one fact the lift adds.  The
+    residual is the worse part's, and a witness names its ``part``; a
+    ``base`` witness replays through :func:`is_invariant_subspace`.
     """
-    q, lifted_q = U.orthonormal(), prolong_subspace(U).orthonormal()
+    q = U.orthonormal()
     tangent_seed = _derive(seed, 5)
 
     def residuals(indices):
-        M = prolong(rep, _tangent_sample(rep.group, _keys(tangent_seed, indices)))
-        base = _projection_defects(M.top_left @ q.T, q)
-        return np.stack([base, _projection_defects(M.dense() @ lifted_q.T, lifted_q)])
+        X = _tangent_sample(rep.group, _keys(tangent_seed, indices))
+        images = rep_image(rep, X.base), differential_rep(rep, X.algebra)
+        return np.stack([_projection_defects(image @ q.T, q) for image in images])
 
     return _subspace_check(
         "invariance_transfer", rep, U, samples, tangent_seed, tol, residuals, ("base", "prolonged")

@@ -173,8 +173,9 @@ def random_invariant_subspaces(rep, split: int, count: int, seed: int):
 
 def invariance_transfer_proof() -> tuple[bool, bool]:
     """Invariance transfer, proved in sympy on symbolic blocks: R and K
-    n x n, U n x k with independent columns, TU = diag(U, U) the lift
-    (prolong_subspace's, as columns).
+    n x n, U n x k with independent columns, TU = diag(U, U) the lift, its
+    base copy of U before its fiber copy.  check_invariance_transfer samples
+    the forward hypotheses, R U ⊆ U and K U ⊆ U, and never forms the lift.
 
     Forward: R U = U M1 and K U = U M2 give M TU = TU [[M1, 0], [M2 M1,
     M1]] for M = [[R, 0], [K R, R]], so TU is invariant.  Back: M TU =

@@ -959,8 +959,9 @@ class TestStrictReports:
     @pytest.mark.parametrize("residual", [math.inf, math.nan], ids=["inf", "nan"])
     def test_a_non_finite_residual_is_written_as_the_largest_double(self, capsys, residual):
         # An overflowing gap is an infinite residual.  Strict JSON has no
-        # literal for it, so the json payload stays a number and names the
-        # value; csv and text print it as they always did.
+        # literal for it, so the json payload and the csv witness cell stay
+        # numbers and name the value; the csv residual column and text print
+        # it as they always did.
         witness = {"seed": [3, 1], "sample_index": 7, "residual": residual}
         report = CheckReport("equivalence_transfer", Verdict.FAIL, residual, witness)
         config = cli.RunConfig("check", rep_source="so3_standard", suite="equivalence")
@@ -976,7 +977,8 @@ class TestStrictReports:
             "non_finite_residual": str(residual),
         }
         assert cli._finish(dataclasses.replace(config, format="csv"), [report]) == 1
-        [_, (_, _, written, _)] = csv.reader(io.StringIO(capsys.readouterr().out))
+        [_, (_, _, written, cell)] = csv.reader(io.StringIO(capsys.readouterr().out))
         assert written == str(residual)
+        assert strict_json(cell) == row["witness"]
         assert cli._finish(dataclasses.replace(config, format="text"), [report]) == 1
         assert capsys.readouterr().out == f"equivalence_transfer: FAIL (max residual {residual})\n"

@@ -145,12 +145,13 @@ class TestExpmKernel:
         assert_scipy_bits(np.random.default_rng(n).permutation(stack))
 
     def test_the_compiled_path_squares_each_slice_its_own_number_of_times(self):
-        # The compiled path itself, with or without the probe's consent.
+        # The compiled path itself, at each size the probe admits for it.
         from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
         kernels = pick_pade_structure, pade_UV_calc
+        smallest = (groups._pade_kernels() or (kernels, 3))[1]
         squarings = set()
-        for n in range(2, 13):
+        for n in range(smallest, 13):
             stack = structured_stack(n, n)
             try:
                 got = groups._pade_expm(stack, kernels)
@@ -162,7 +163,52 @@ class TestExpmKernel:
                 work[0] = a
                 squarings.add(pick_pade_structure(work)[1])
         assert min(squarings) == 0 and max(squarings) > 5
-        assert groups._pade_kernels() == kernels
+        assert groups._pade_kernels() == (kernels, smallest)
+
+    def test_a_closed_form_for_2x2_keeps_2x2_slices_from_the_kernels(self, monkeypatch):
+        # SciPy 1.9 to 1.11 took each 2 x 2 exponential by formula (2.2) of
+        # Al-Mohy & Higham, "A new scaling and squaring algorithm for the
+        # matrix exponential" (SIAM J. Matrix Anal. Appl. 31, 2009), as those
+        # releases' scipy/linalg/_matfuncs.py wrote it; SciPy 1.12 dropped it
+        # (scipy/scipy#19584).  Here it stands in for such a SciPy.
+        from numpy.lib.scimath import sqrt as csqrt
+
+        expm, calls = scipy.linalg.expm, []
+
+        def closed_form_expm(A):
+            a = np.asarray(A)
+            calls.append(a.shape)
+            if a.shape[-2:] != (2, 2):
+                return expm(a)
+            a1, a2 = a[..., [0], [0]], a[..., [0], [1]]
+            a3, a4 = a[..., [1], [0]], a[..., [1], [1]]
+            mu = csqrt((a1 - a4) ** 2 + 4 * a2 * a3) / 2.0
+            eApD2 = np.exp((a1 + a4) / 2.0)
+            AmD2 = (a1 - a4) / 2.0
+            coshMu = np.cosh(mu)
+            sinchMu = np.ones_like(coshMu)
+            mask = mu != 0
+            sinchMu[mask] = np.sinh(mu[mask]) / mu[mask]
+            eA = np.empty(a.shape, dtype=mu.dtype)
+            eA[..., [0], [0]] = eApD2 * (coshMu + AmD2 * sinchMu)
+            eA[..., [0], [1]] = eApD2 * a2 * sinchMu
+            eA[..., [1], [0]] = eApD2 * a3 * sinchMu
+            eA[..., [1], [1]] = eApD2 * (coshMu - AmD2 * sinchMu)
+            return eA.real
+
+        rng = np.random.default_rng(2)
+        twos, threes = rng.normal(size=(50, 2, 2)), rng.normal(size=(50, 3, 3))
+        assert not np.array_equal(closed_form_expm(twos), expm(twos))
+        monkeypatch.setattr(scipy.linalg, "expm", closed_form_expm)
+        groups._pade_kernels.cache_clear()
+        try:
+            assert np.array_equal(groups._expm(twos), closed_form_expm(twos))
+            assert groups._pade_kernels()[1] == 3
+            calls.clear()
+            assert np.array_equal(groups._expm(threes), expm(threes))
+            assert calls == []
+        finally:
+            groups._pade_kernels.cache_clear()
 
     def test_empty_one_by_one_and_non_float_inputs(self):
         for A in [

@@ -87,7 +87,6 @@ PUBLIC_API = [
     "principal_log",
     "prolong",
     "prolong_intertwiner",
-    "prolong_subspace",
     "prolonged",
     "random_conjugator",
     "read_descriptor",

@@ -20,6 +20,7 @@ from descriptors import (
     so4_dense_conjugated,
     symmetric_power,
 )
+from elements import broken_circle_plus_trivial
 
 from lieprolong import (
     AlgebraElement,
@@ -54,7 +55,6 @@ from lieprolong import (
     mat_exp,
     prolong,
     prolong_intertwiner,
-    prolong_subspace,
     prolonged,
     random_conjugator,
     reducibility_probe,
@@ -398,18 +398,6 @@ class TestSubspaces:
         with pytest.raises(ValueError):
             is_invariant_subspace(rep_of("circle_rotation"), SubspaceBasis(3, np.eye(3)), 5)
 
-    def test_lift_layout_frozen(self):
-        U = SubspaceBasis(2, [[1.0, 2.0]])
-        lifted = prolong_subspace(U)
-        np.testing.assert_array_equal(
-            lifted.vectors, [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]]
-        )
-        assert lifted.ambient_dim == 4
-
-    def test_lift_doubles_dimension(self):
-        U = SubspaceBasis(3, np.eye(3)[:2])
-        assert prolong_subspace(U).dimension == 4
-
     @pytest.mark.parametrize(
         "name", ["circle_rotation", "gl_identity(2)", "so3_standard", "circle_winding_2"]
     )
@@ -421,22 +409,16 @@ class TestSubspaces:
 
 
 class TestInvarianceTransfer:
-    def test_declared_subspaces_transfer(self):
-        entry = catalog_entry("circle_plus_trivial")
-        for U in entry.known_invariant_subspaces:
-            report = check_invariance_transfer(entry.rep, U, 60, seed=11)
-            assert report.passed, report
-
     def test_non_invariant_subspace_fails_with_direction(self):
         U = SubspaceBasis(2, [[1.0, 0.0]])
         report = check_invariance_transfer(rep_of("circle_rotation"), U, 40, seed=12)
         assert report.verdict is Verdict.FAIL
-        assert report.max_residual == 0.9599357998484216
+        assert report.max_residual == 0.9791184651660931
         assert report.witness == {
             "part": "prolonged",
             "seed": (12, 5),
-            "sample_index": 37,
-            "residual": 0.9599357998484216,
+            "sample_index": 4,
+            "residual": 0.9791184651660931,
         }
 
     def test_zero_subspace_transfers_vacuously(self):
@@ -462,14 +444,7 @@ class TestInvarianceTransfer:
     def test_a_broken_differential_fails_the_prolonged_part_alone(self):
         # apply is left whole, so span(e_2) stays invariant under every R,
         # but d rho(B) + theta E_02 sends e_2 to theta e_0, out of the span.
-        rep = rep_of("circle_plus_trivial")
-
-        def differential(B):
-            out = np.array(rep.differential(B))
-            out[..., 0, 2] = B.matrix[..., 0, 1]
-            return out
-
-        broken = dataclasses.replace(rep, differential=differential)
+        broken = broken_circle_plus_trivial()
         U = SubspaceBasis(3, [[0.0, 0.0, 1.0]])
         report = check_invariance_transfer(broken, U, 50, seed=3)
         assert report.verdict is Verdict.FAIL
@@ -480,6 +455,55 @@ class TestInvarianceTransfer:
             "residual": 0.9954610387004739,
         }
         assert is_invariant_subspace(broken, U, 50, (3, 5)).max_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "make, vectors",
+        [
+            (lambda: rep_of("circle_rotation"), [[1.0, 0.0]]),
+            (lambda: rep_of("circle_plus_trivial"), [[1.0, 0.0, 0.0]]),
+            (broken_circle_plus_trivial, [[0.0, 0.0, 1.0]]),
+        ],
+        ids=["circle_rotation", "circle_plus_trivial", "broken_circle_plus_trivial"],
+    )
+    def test_the_prolonged_part_is_d_rho_at_each_sampled_direction(self, make, vectors):
+        # One sample at a time, through public functions alone: d rho at the
+        # sampled direction B, and the distance of d rho(B) U from span(U).
+        rep = make()
+        U = SubspaceBasis(rep.target_dim, vectors)
+        q = U.orthonormal()
+        defects = []
+        for i in range(50):
+            B = sample_tangent_element(rep.group, (3, 5, i)).algebra
+            images = differential_rep(rep, B) @ q.T
+            defects.append(relative_residual(q.T @ (q @ images), images))
+        report = check_invariance_transfer(rep, U, 50, seed=3)
+        assert report.witness["part"] == "prolonged"
+        assert report.max_residual == max(defects)
+        assert report.witness["sample_index"] == int(np.argmax(defects))
+
+    @pytest.mark.parametrize(
+        "name", [entry.name for entry in catalog_list() if entry.known_invariant_subspaces]
+    )
+    def test_declared_subspaces_transfer(self, monkeypatch, name):
+        # The transfer itself is criterion 05's sympy proof; the sampled row
+        # evaluates only rho(a) and d rho(B).
+        def refuse(*args, **kwargs):
+            raise AssertionError("the invariance check prolonged or lifted")
+
+        rep_algebra._tangent_sample.cache_clear()
+        for module, attribute in [
+            (prolongation, "prolong"),
+            (rep_algebra, "prolong"),
+            (rep_algebra, "_dense"),
+            (prolongation, "_dense"),
+            (rep_algebra, "_require_invertible"),
+            (prolongation, "_require_invertible"),
+        ]:
+            monkeypatch.setattr(module, attribute, refuse)
+        entry = catalog_entry(name)
+        for U in entry.known_invariant_subspaces:
+            report = check_invariance_transfer(entry.rep, U, 60, seed=11)
+            assert report.passed, report
 
 
 def sympy_commutant_pair_nullspace(m1, m2):

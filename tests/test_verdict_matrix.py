@@ -1,5 +1,5 @@
 """What each gate catches: its verdict on broken maps, on valid but hard
-representations and on false claims, at 50 samples and seed 3.  One cell
+representations and on claims beside a map, at 50 samples and seed 3.  One cell
 is pinned at the CLI defaults as well, where that seed hides a failure.
 
 A cell is ``pass``, ``fail`` or ``refused`` (the check raises, and the CLI
@@ -15,6 +15,7 @@ import functools
 import numpy as np
 import pytest
 from descriptors import gl3_dense_conjugated, so4_dense_conjugated, symmetric_power
+from elements import broken_circle_plus_trivial
 
 from lieprolong import (
     ExponentOverflowError,
@@ -25,6 +26,7 @@ from lieprolong import (
     check_action_oracle,
     check_equivalence_transfer,
     check_homomorphism,
+    check_invariance_transfer,
     circle,
     faithfulness_probe,
     is_intertwiner,
@@ -114,6 +116,7 @@ ROWS = {
         catalog_entry("so3_standard").rep,
         differential=lambda B: B.matrix + 1e-7 * B.matrix @ B.matrix,
     ),
+    "circle_plus_trivial: d rho + B_01 E_02": broken_circle_plus_trivial,
     "so3: line e_0": lambda: catalog_entry("so3_standard").rep,
     "so3: diag(1, 2, 3)": lambda: catalog_entry("so3_standard").rep,
 }
@@ -127,12 +130,21 @@ COLUMNS = {
 }
 
 # Claims a row makes beside its map, each checked in its own column: false
-# ones about a valid representation.  Rows without a claim there have "-".
+# ones about a valid representation, and a true one about a broken map's
+# apply.  Rows without a claim there have "-".
+LINE_E0, LINE_E2 = SubspaceBasis(3, [[1.0, 0.0, 0.0]]), SubspaceBasis(3, [[0.0, 0.0, 1.0]])
 CLAIMS = {
     "is_invariant_subspace": {
-        "so3: line e_0": lambda rep: is_invariant_subspace(
-            rep, SubspaceBasis(3, [[1.0, 0.0, 0.0]]), SAMPLES, SEED
+        "circle_plus_trivial: d rho + B_01 E_02": lambda rep: is_invariant_subspace(
+            rep, LINE_E2, SAMPLES, SEED
         ),
+        "so3: line e_0": lambda rep: is_invariant_subspace(rep, LINE_E0, SAMPLES, SEED),
+    },
+    "invariance_transfer": {
+        "circle_plus_trivial: d rho + B_01 E_02": lambda rep: check_invariance_transfer(
+            rep, LINE_E2, SAMPLES, SEED
+        ),
+        "so3: line e_0": lambda rep: check_invariance_transfer(rep, LINE_E0, SAMPLES, SEED),
     },
     "is_intertwiner": {
         "so3: diag(1, 2, 3)": lambda rep: is_intertwiner(
@@ -145,73 +157,80 @@ ALL_COLUMNS = [*COLUMNS, *CLAIMS]
 
 MATRIX = {
     # homomorphism(base), homomorphism(prolonged), action_oracle, equivalence_transfer,
-    # faithfulness_probe, is_invariant_subspace, is_intertwiner
+    # faithfulness_probe, is_invariant_subspace, invariance_transfer, is_intertwiner
     #
     # faithfulness_probe reads d rho alone, as a representation's
     # differential: a broken apply leaves its cell at pass, and where d rho
     # keeps no bracket (d rho x c, c != 1, off the circle) its verdict is
     # about no representation.  Such rows should be refused before it runs
     # (item 5(a), the bracket test for every representation).
-    "apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
-    "apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
-    "apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
-    "d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
-    "d rho x 2": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
-    "d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
+    "apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
+    "d rho x 2": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
+    "d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
     # The oracle should fail: its residual, 9.2e-7, sits under its
     # finite-difference tolerance of 1e-5 (item 8, an exact oracle).
-    "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-"),
+    "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-", "-"),
     # The same seven maps on GL(2), which is neither compact nor semisimple:
     # the cells match SO(3)'s, except that GL(2) holds -I = exp(pi J), and
     # exp(pi d rho(J)) = I at d rho x 2.
-    "gl2: apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
-    "gl2: apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-"),
-    "gl2: apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-"),
-    "gl2: d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
-    "gl2: d rho x 2": ("pass", "pass", "fail", "fail", "fail", "-", "-"),
-    "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-"),
+    "gl2: apply = a^2": ("fail", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "gl2: apply = a^T": ("fail", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "gl2: apply = I": ("pass", "fail", "fail", "fail", "pass", "-", "-", "-"),
+    "gl2: d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
+    "gl2: d rho x 2": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
+    "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
     # The oracle should fail, as on SO(3) (item 8, an exact oracle).
-    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-"),
+    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-", "-"),
     # Valid: every cell should pass.  The max(1, max|reference|) scale
     # ignores cancellation in the conjugated products, and the residuals
     # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
     # their drawn exponents) and 1.2e-9 to 8.5e-5 (item 9, residuals scaled
     # by their operands).  The equivalence row forms no product: a
     # descriptor's apply is expm(d rho(B_0)), and it reads 0.
-    "gl3_dense_conjugated": ("pass", "fail", "fail", "pass", "pass", "-", "-"),
-    "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
-    "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-"),
+    "gl3_dense_conjugated": ("pass", "fail", "fail", "pass", "pass", "-", "-", "-"),
+    "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
+    "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-", "-"),
     # Valid: every sampled cell should pass.  cond(Sym^n a) = cond(a)^n, and
     # the invertibility gate of prolong refuses cond > 1e12 (item 9,
     # evidence in place of refusal); the equivalence row prolongs nothing,
     # so no gate refuses it.  The faithfulness cells fail rightly: Sym^n
     # sends -I to (-1)^n = I when n is even.
-    "symmetric_power(10)": ("refused", "refused", "pass", "pass", "fail", "-", "-"),
-    "symmetric_power(20)": ("refused", "refused", "refused", "pass", "fail", "-", "-"),
+    "symmetric_power(10)": ("refused", "refused", "pass", "pass", "fail", "-", "-", "-"),
+    "symmetric_power(20)": ("refused", "refused", "refused", "pass", "fail", "-", "-", "-"),
     # Valid: every sampled cell should pass, as for symmetric_power(10)
     # (item 9).
-    "symmetric_power(40)": ("refused", "refused", "refused", "pass", "fail", "-", "-"),
+    "symmetric_power(40)": ("refused", "refused", "refused", "pass", "fail", "-", "-", "-"),
     # Not representations: apply = expm(d rho(log a)) with loops that do not
     # close, weight 3/2 and weight 1 + 1e-6 on the circle, and exp(2 pi D) = -I
     # for spin 1/2.  Every cell should fail.  They pass, since no drawn
     # sample or product of two leaves the principal chart, and only a
     # descriptor's load tests the loops (item 5, generator certificates).
-    "circle: weight 3/2": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
-    "circle: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
-    "so3: spin 1/2 on R^4": ("pass", "pass", "pass", "pass", "pass", "-", "-"),
+    "circle: weight 3/2": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
+    "circle: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
+    "so3: spin 1/2 on R^4": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
     # Not a representation: every cell should fail, and does; d rho = 0
     # gives the probe a kernel.
-    "circle: collapse": ("fail", "fail", "fail", "fail", "fail", "-", "-"),
+    "circle: collapse": ("fail", "fail", "fail", "fail", "fail", "-", "-", "-"),
     # Not a representation: d rho is not linear.  Every cell should fail.
     # The homomorphism(base) and faithfulness cells read d rho only on the
     # basis or not at all, and pass; the oracle's residual, 8.2e-8, sits
     # under its tolerance.  The prolonged homomorphism (1.4e-7) and the
     # equivalence row's tie (1.2e-7) fail (item 2, a linearity certificate).
-    "so3: d rho = B + 1e-7 B^2": ("pass", "fail", "pass", "fail", "pass", "-", "-"),
+    "so3: d rho = B + 1e-7 B^2": ("pass", "fail", "pass", "fail", "pass", "-", "-", "-"),
+    # A broken d rho with a true claim about apply: span(e_2) is invariant
+    # under every image, so is_invariant_subspace passes, but d rho(B) sends
+    # e_2 out of it.  The plain subspace check cannot see d rho; the
+    # invariance transfer scores U under d rho(B) and catches the map.
+    "circle_plus_trivial: d rho + B_01 E_02": (
+        "pass", "fail", "fail", "fail", "pass", "pass", "fail", "-"
+    ),
     # so3_standard with a false claim: the map passes, the claim fails on a
     # sample (item 5(c) adds a generator witness).
-    "so3: line e_0": ("pass", "pass", "pass", "pass", "pass", "fail", "-"),
-    "so3: diag(1, 2, 3)": ("pass", "pass", "pass", "pass", "pass", "-", "fail"),
+    "so3: line e_0": ("pass", "pass", "pass", "pass", "pass", "fail", "fail", "-"),
+    "so3: diag(1, 2, 3)": ("pass", "pass", "pass", "pass", "pass", "-", "-", "fail"),
 }
 
 
