@@ -643,6 +643,31 @@ class TestConfigEcho:
         assert json.loads(target.read_text())["config"] == expected
 
 
+    def test_a_second_call_echoes_its_own_defaults(self, capsys, monkeypatch, env_seed):
+        # main parses with one parser per process; the first call's flags
+        # must not become the second's defaults.
+        build, builds = cli.build_parser, []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        argv, fields = self.REQUIRED["check"]
+        flags, _ = self.OPTIONAL["check"]
+        main(["check", *argv, *flags, "--format", "csv"])
+        capsys.readouterr()
+        _, document, _ = run_json(capsys, "check", *argv)
+        expected = {**self.BARE, **fields, "command": "check"}
+        if env_seed is not None:
+            expected["seed"] = int(env_seed)
+        assert document["config"] == expected
+        assert len(builds) == 1
+        # The public builder still returns a parser of the caller's own.
+        assert build() is not cli._parser()
+
+
 class TestReportCommand:
     def test_catalog_wide_report(self, capsys):
         code, document, _ = run_json(capsys, "report", "--samples", "8", "--seed", "3")

@@ -1,14 +1,22 @@
 import ast
+import importlib.util
 import json
 import math
 import pathlib
 import sys
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from descriptors import gl2_det_power, so3_doubled
+from descriptors import (
+    GENERATOR_DESCRIPTORS,
+    gl2_det_power,
+    gl3_dense_conjugated,
+    so3_doubled,
+    so4_dense_conjugated,
+)
 from elements import circle_element
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,6 +55,7 @@ from lieprolong import (
 from lieprolong import groups, rep_algebra
 from lieprolong.cli import main
 from lieprolong.groups import _require_invertible
+from lieprolong.prolongation import _FD_STEP
 
 SPECS = [
     general_linear(1),
@@ -946,3 +955,171 @@ class TestStacks:
         spec = general_linear(3)
         principal_log(GroupElement(sample_tangent_elements(spec, range(8)).base.matrix, spec))
         np.testing.assert_array_equal(np.random.random(4), expected)
+
+
+def benchmark_descriptor(seed: int) -> dict:
+    """The benchmark's ``descriptor_sweep`` document at ``seed``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker.descriptor_document(seed)
+
+
+class TestStackedLogarithm:
+    """``groups._logm`` against 40-digit logarithms and against SciPy's
+    ``logm``, to which it hands the slices it cannot certify."""
+
+    @staticmethod
+    def error(log, exact) -> float:
+        return float(relative_residual(np.real(log), exact))
+
+    @staticmethod
+    def forty_digits(matrix) -> np.ndarray:
+        with mpmath.workdps(40):
+            log = mpmath.logm(mpmath.matrix(matrix.tolist()))
+            return np.array(log.apply(mpmath.re).tolist(), dtype=float)
+
+    @staticmethod
+    def forty_digit_eigenlog(matrix) -> np.ndarray:
+        # Next to the branch cut mpmath's logm leaves the principal branch;
+        # the eigenvalues there are distinct, so V log(D) V^-1 is exact to
+        # the working precision.
+        with mpmath.workdps(40):
+            values, vectors = mpmath.eig(mpmath.matrix(matrix.tolist()))
+            logs = mpmath.diag([mpmath.log(v) for v in values])
+            log = vectors * logs * mpmath.inverse(vectors)
+            return np.array(log.apply(mpmath.re).tolist(), dtype=float)
+
+    @staticmethod
+    def count(monkeypatch, owner, name) -> list:
+        """The arrays ``owner.name`` is called on; a stack counts per slice."""
+        original, calls = getattr(owner, name), []
+
+        def counted(matrix, *args, **kwargs):
+            calls.extend(matrix if np.ndim(matrix) == 3 else [matrix])
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec",
+        [special_orthogonal(3), special_orthogonal(4), special_linear(2), general_linear(3)],
+        ids=lambda s: s.describe(),
+    )
+    def test_products_match_forty_digits(self, monkeypatch, spec):
+        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        x = sample_tangent_elements(spec, range(20)).base.matrix
+        y = sample_tangent_elements(spec, range(20, 40)).base.matrix
+        products = x @ y
+        logs, _ = groups._logm(products)
+        assert fallbacks == []
+        exact = [self.forty_digits(p) for p in products]
+        ours = [self.error(log, e) for log, e in zip(logs, exact)]
+        theirs = [self.error(log, e) for log, e in zip(groups._scipy_logm(products), exact)]
+        assert np.median(ours) <= 2.0 * np.median(theirs)
+        assert max(ours) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec",
+        [special_orthogonal(3), special_orthogonal(4), special_linear(2), general_linear(3)],
+        ids=lambda s: s.describe(),
+    )
+    def test_curve_difference_quotients_match_forty_digits(self, spec):
+        # The action oracle differentiates log(exp(+-hB) a) by a central
+        # difference, which divides the two logarithms' rounding by 2h:
+        # that quotient is no further from its 40-digit value than SciPy's.
+        h = _FD_STEP
+        X = sample_tangent_elements(spec, range(40, 60))
+        a, B = X.base.matrix, X.algebra.matrix
+        plus, minus = groups._expm(h * B) @ a, groups._expm(-h * B) @ a
+        with mpmath.workdps(40):
+            exact = [
+                np.array(
+                    ((mpmath.logm(mpmath.matrix(p.tolist())) - mpmath.logm(mpmath.matrix(m.tolist())))
+                     / (2 * h)).apply(mpmath.re).tolist(),
+                    dtype=float,
+                )
+                for p, m in zip(plus, minus)
+            ]
+
+        def errors(logm):
+            quotients = (np.real(logm(plus)) - np.real(logm(minus))) / (2 * h)
+            return [float(np.max(np.abs(q - e))) for q, e in zip(quotients, exact)]
+
+        ours, theirs = errors(lambda s: groups._logm(s)[0]), errors(groups._scipy_logm)
+        assert np.median(ours) <= np.median(theirs)
+        assert max(ours) <= max(theirs)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rotations_near_the_branch_cut(self, n):
+        # A rotation by pi - 10^-k: the square roots lose accuracy as k
+        # grows, and from some k the slice goes to SciPy.
+        q, r = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        q = q * np.sign(np.diag(r))
+        for k in range(1, 9):
+            B = np.zeros((n, n))
+            B[0, 1] = math.pi - 10.0**-k
+            if n == 4:
+                B[2, 3] = 0.7
+            rotation = q @ scipy.linalg.expm(B - B.T) @ q.T
+            exact = self.forty_digit_eigenlog(rotation)
+            ours = self.error(groups._logm(rotation[None])[0][0], exact)
+            theirs = self.error(groups._scipy_logm(rotation[None])[0], exact)
+            assert ours <= 2.0 * theirs, k
+
+    @pytest.mark.parametrize("exponent", [650.0, -650.0])
+    def test_gl1_near_the_overflow_guard(self, monkeypatch, exponent):
+        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        a = GroupElement([[math.exp(exponent)]], general_linear(1))
+        assert principal_log(a).matrix[0, 0] == pytest.approx(exponent, rel=1e-15)
+        assert fallbacks == []
+
+    def test_a_fallback_slice_is_reproducible_and_leaves_the_global_rng(self, monkeypatch):
+        # A rotation by pi - 1e-6 goes to SciPy, whose estimator draws from
+        # the global RNG; the other slice stays on the stacked pass.
+        B = np.zeros((3, 3))
+        B[0, 1], B[1, 0] = math.pi - 1e-6, -(math.pi - 1e-6)
+        stack = np.stack([scipy.linalg.expm(B), scipy.linalg.expm(0.5 * B)])
+        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        np.random.seed(17)
+        expected = np.random.random(4)
+        np.random.seed(17)
+        first = groups._logm(stack)[0]
+        np.testing.assert_array_equal(np.random.random(4), expected)
+        np.random.seed(3)
+        np.testing.assert_array_equal(groups._logm(stack)[0], first)
+        assert [np.array_equal(m, stack[0]) for m in fallbacks] == [True, True]
+
+    def test_no_slice_falls_back_on_the_benchmark_descriptor(self, monkeypatch, capsys, tmp_path):
+        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        taken = self.count(monkeypatch, groups, "_logm")
+        path = tmp_path / "descriptor.json"
+        for seed in range(10):
+            path.write_text(json.dumps(benchmark_descriptor(seed)))
+            for suite in ("homomorphism", "oracle"):
+                argv = ["check", "--rep", str(path), "--suite", suite, "--samples", "30"]
+                assert main([*argv, "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        # 30 products and 60 curve points per seed.
+        assert len(taken) == 900
+        assert fallbacks == []
+
+    def test_no_slice_falls_back_on_the_sampled_descriptor_suites(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # The (samples, seed) at which the reference and verdict-matrix
+        # tests run them.
+        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        taken = self.count(monkeypatch, groups, "_logm")
+        runs = [(make(), 20, 4) for make in GENERATOR_DESCRIPTORS.values()]
+        runs += [(make(), 50, 3) for make in (gl3_dense_conjugated, so4_dense_conjugated)]
+        path = tmp_path / "descriptor.json"
+        for document, samples, seed in runs:
+            path.write_text(json.dumps(document))
+            for suite in ("homomorphism", "oracle"):
+                argv = ["check", "--rep", str(path), "--suite", suite]
+                main([*argv, "--samples", str(samples), "--seed", str(seed)])
+        capsys.readouterr()
+        assert taken and fallbacks == []
