@@ -42,7 +42,7 @@ from .groups import (
     ExponentOverflowError,
     GroupKind,
     TangentGroupElement,
-    _rng,
+    _stream,
     algebra_basis,
     algebra_from_coordinates,
     mat_exp,
@@ -314,7 +314,8 @@ def cmd_prolong(config: RunConfig) -> int:
     except (ExponentOverflowError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     X = TangentGroupElement(base, algebra)
-    probes = _rng(config.seed).uniform(-1, 1, (5, 2, rep.target_dim))
+    # The bits of _rng(seed).uniform(-1, 1, (5, 2, m)), without numpy.random.
+    probes = _stream([config.seed]).draws(10 * rep.target_dim).reshape(5, 2, rep.target_dim)
     Y = TangentVector(probes[:, 0], probes[:, 1])
     try:
         matrix = prolong(rep, X)

@@ -38,13 +38,20 @@ polishes the last bits.  A slice the pass cannot certify, near or on the
 branch cut, goes to SciPy's ``logm``.
 
 SciPy is imported inside the functions that call it, so importing the
-package or listing the catalog loads none of it.
+package or listing the catalog loads none of it.  The exponential loads
+only SciPy's compiled Pade steps, from their own extension file, and
+``scipy.linalg`` only for what those steps do not take.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -439,27 +446,154 @@ def identity_element(spec: GroupSpec) -> GroupElement:
     )
 
 
+# The probe stacks of _pade_kernels, two n x n slices each that scale and
+# square, and the bits scipy.linalg.expm gives for them (SciPy 1.17 with its
+# bundled OpenBLAS on x86-64, as float.hex, slice by slice, row by row).
+_PROBE_SLICES = {
+    3: [[1.0, 2.0, 0.0], [-3.0, 1.0, 4.0], [0.0, -2.0, 5.0]],
+    2: [[1.0, 2.0], [-3.0, 1.0]],
+}
+_PROBE_BITS = {
+    3: """
+        0x1.7b859d3999185p+2 -0x1.2b28712a997fcp+3 0x1.78ad0b2d32bf8p+4
+        0x1.c0bca9bfe63f9p+3 -0x1.19cba3decc797p+4 0x1.c631a52fcbff7p+4
+        0x1.1a81c861e60fcp+4 -0x1.c631a52fcbffbp+3 0x1.c6e7c9b2e595fp+4
+        0x1.461782e2e99afp+37 -0x1.016319ea0fbeap+37 0x1.3b69ab0187e79p+38
+        0x1.8214a6df179dfp+37 -0x1.30bbd32026348p+37 0x1.75703c190010ep+38
+        0x1.d91e80824bdbap+37 -0x1.75703c1900112p+37 0x1.c9a192ca12e49p+38
+    """,
+    2: """
+        -0x1.0be18ced23e00p+1 0x1.6a973f0a37291p+0
+        -0x1.0ff16f47a95ecp+1 -0x1.0be18ced23dffp+1
+        0x1.11905df7f0b61p+11 0x1.9d25151078a3bp+10
+        -0x1.35dbcfcc5a7acp+11 0x1.11905df7f0b61p+11
+    """,
+}
+
+
+def _probe_stack(n: int) -> np.ndarray:
+    return np.array(_PROBE_SLICES[n]) * [[[1.0]], [[8.0]]]
+
+
+def _recorded_probe(n: int) -> np.ndarray:
+    bits = [float.fromhex(word) for word in _PROBE_BITS[n].split()]
+    return np.reshape(bits, (2, n, n))
+
+
+def _probe_agrees(kernels, n: int, want) -> bool:
+    """Whether the kernels give the bits ``want`` on the n x n probe stack."""
+    try:
+        return np.array_equal(_pade_expm(_probe_stack(n), kernels), want)
+    except (TypeError, ValueError):
+        return False
+
+
+class _RefuseScipyLinalg:
+    """A meta-path finder that refuses ``scipy.linalg`` and its submodules
+    to the thread that made it."""
+
+    def __init__(self) -> None:
+        self.thread = threading.get_ident()
+
+    def find_spec(self, fullname, path=None, target=None):
+        if threading.get_ident() == self.thread and (fullname + ".").startswith("scipy.linalg."):
+            raise ImportError(f"{fullname} is not imported while SciPy's expm kernels load alone")
+        return None
+
+
+def _load_alone(name: str, path: str):
+    """The module ``name`` run from the file ``path`` without its parent
+    package, or None where it does not load.  While it loads, this thread
+    may not import ``scipy.linalg``: an extension whose init imports it, as
+    a Cython build that cimports ``scipy.linalg.cython_lapack`` would, would
+    import the package around a half-made module of its own.  Its init
+    fails instead, leaving nothing in ``sys.modules``, and the caller
+    imports ``scipy.linalg`` as usual.  The loaded module is entered in
+    ``sys.modules`` under ``name``, so a later import takes the same one."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    refuse = _RefuseScipyLinalg()
+    sys.meta_path.insert(0, refuse)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    finally:
+        sys.meta_path.remove(refuse)
+    sys.modules[name] = module
+    return module
+
+
+# Held while the kernels' module is looked up and loaded: the import
+# system's per-module lock does not cover a load by file.
+_LOADING = threading.Lock()
+
+
+def _load_pade_kernels():
+    """``(pick_pade_structure, pade_UV_calc)`` of SciPy's compiled
+    ``scipy.linalg._matfuncs_expm``, loaded from its file alone
+    (:func:`_load_alone`), or None where the file is not found or does not
+    load so.  The file is found from the spec of the top-level package, so
+    neither ``scipy/__init__.py`` nor ``scipy/linalg/__init__.py`` (whose
+    array-API layer imports ``numpy.f2py`` and ``numpy.testing``) runs; the
+    init of SciPy 1.17's extension imports only numpy's C API."""
+    name = "scipy.linalg._matfuncs_expm"
+    with _LOADING:
+        module = sys.modules.get(name)
+        if module is None:
+            package = importlib.util.find_spec("scipy")
+            paths = [
+                os.path.join(directory, "linalg", "_matfuncs_expm" + suffix)
+                for directory in (package.submodule_search_locations if package else None) or ()
+                for suffix in importlib.machinery.EXTENSION_SUFFIXES
+            ]
+            path = next((path for path in paths if os.path.isfile(path)), None)
+            module = path and _load_alone(name, path)
+    if module is None:
+        return None
+    return getattr(module, "pick_pade_structure", None), getattr(module, "pade_UV_calc", None)
+
+
+def _recorded_admission(kernels) -> Optional[int]:
+    """The smallest n at which the recorded probes admit ``kernels``: 3
+    where they give the recorded bits of the 3 x 3 probe, 2 where they also
+    give those of the 2 x 2 probe and SciPy is 1.12 or later, and None where
+    the recorded bits settle nothing.  SciPy 1.9 to 1.11 took 2 x 2
+    exponentials by a closed form (formula (2.2) of Al-Mohy & Higham 2009),
+    not by the kernels, and 1.12 dropped it (scipy/scipy#19584).  The
+    version is read from the top-level package, which does not import
+    ``scipy.linalg``."""
+    if not _probe_agrees(kernels, 3, _recorded_probe(3)):
+        return None
+    import scipy
+
+    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 12):
+        return 3
+    return 2 if _probe_agrees(kernels, 2, _recorded_probe(2)) else None
+
+
 @functools.cache
 def _pade_kernels():
     """SciPy's compiled expm steps ``(pick_pade_structure, pade_UV_calc)``
     and the smallest n at which they give the bits of ``scipy.linalg.expm``,
-    or None where they do not at n = 3.  The module is private, so its
-    calling convention is tried once at n = 3 and once at n = 2, each on two
-    slices that scale and square: SciPy 1.9 to 1.11 took 2 x 2 exponentials
-    by a closed form (formula (2.2) of Al-Mohy & Higham 2009), not by the
-    kernels."""
-    import scipy.linalg
+    or None where they do not at n = 3.
+
+    The module is private, so its calling convention is tried on a 3 x 3
+    and a 2 x 2 probe stack whose slices scale and square.  The kernels
+    loaded on their own (:func:`_load_pade_kernels`) are admitted where the
+    recorded bits settle it (:func:`_recorded_admission`).  Where the file
+    is missing or a recorded probe differs, as a BLAS that rounds otherwise
+    can make it, ``scipy.linalg`` is imported and the kernels are compared
+    with its ``expm`` on both probes.
+    """
+    kernels = _load_pade_kernels()
+    smallest = kernels and _recorded_admission(kernels)
+    if smallest:
+        return kernels, smallest
     from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
     kernels = pick_pade_structure, pade_UV_calc
-    agrees = []
-    three, two = [[1.0, 2.0, 0.0], [-3.0, 1.0, 4.0], [0.0, -2.0, 5.0]], [[1.0, 2.0], [-3.0, 1.0]]
-    for probe in (three, two):
-        stack = np.array(probe) * [[[1.0]], [[8.0]]]
-        try:
-            agrees.append(np.array_equal(_pade_expm(stack, kernels), scipy.linalg.expm(stack)))
-        except (TypeError, ValueError):
-            agrees.append(False)
+    agrees = [_probe_agrees(kernels, n, _scipy_expm(_probe_stack(n))) for n in (3, 2)]
     return (kernels, 2 if agrees[1] else 3) if agrees[0] else None
 
 
@@ -473,26 +607,36 @@ def _off_diagonal(n: int) -> np.ndarray:
     return flags
 
 
-def _pade_expm(flat: np.ndarray, kernels) -> np.ndarray:
-    """``_expm`` of a C-contiguous float64 ``(S, n, n)`` stack, n >= 2."""
+def _scipy_expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)``: the one call of it, for what :func:`_expm`
+    does not take itself."""
     import scipy.linalg
 
+    return scipy.linalg.expm(a)
+
+
+def _pade_expm(flat: np.ndarray, kernels) -> np.ndarray:
+    """``_expm`` of a C-contiguous float64 ``(S, n, n)`` stack, n >= 2."""
     pick_pade_structure, pade_UV_calc = kernels
     size, n = len(flat), flat.shape[-1]
-    # SciPy's bandwidth test for the whole stack: a slice with no nonzero
-    # entry below the diagonal, or none above it, is triangular.
-    generic = ((flat.reshape(size, -1) != 0) @ _off_diagonal(n)).all(axis=1)
+    # SciPy's bandwidth test for the whole stack: whether a slice has a
+    # nonzero entry below the diagonal, and whether above.  With both it is
+    # generic, with neither diagonal, with one triangular.
+    bands = ((flat.reshape(size, -1) != 0) @ _off_diagonal(n)).tolist()
     # One scratch block per slice, as SciPy's (5, n, n) is for each.
     work = np.empty((size, 5, n, n))
     work[:, 0] = flat
     squarings = [0] * size
-    delegated = []
-    for i, is_generic in enumerate(generic.tolist()):
-        if is_generic:
+    diagonal, delegated = [], []
+    for i, (below, above) in enumerate(bands):
+        if below and above:
             m, s = pick_pade_structure(work[i])  # scales work[i] when s > 0
             if m >= 0 and pade_UV_calc(work[i], m) == 0:
                 squarings[i] = s
                 continue
+        elif not (below or above):
+            diagonal.append(i)
+            continue
         delegated.append(i)
     out = work[:, 0].copy()
     for power in range(max(squarings)):
@@ -501,8 +645,14 @@ def _pade_expm(flat: np.ndarray, kernels) -> np.ndarray:
             out = out @ out
         else:
             out[squared] = out[squared] @ out[squared]
+    if diagonal:
+        # SciPy's np.diag(np.exp(np.diag(a))) for each diagonal slice.
+        rows, d = np.array(diagonal)[:, None], np.arange(n)
+        out[diagonal] = 0.0
+        with np.errstate(over="ignore"):
+            out[rows, d, d] = np.exp(flat[rows, d, d])
     if delegated:
-        out[delegated] = scipy.linalg.expm(flat[delegated])
+        out[delegated] = _scipy_expm(flat[delegated])
     return out
 
 
@@ -510,18 +660,21 @@ def _expm(A) -> np.ndarray:
     """``scipy.linalg.expm(A)``, bit for bit, for a float stack ``(..., n, n)``.
 
     SciPy walks the slices in Python and wraps ``bandwidth`` in its batch
-    machinery on each.  This finds the triangular slices of the whole stack
-    at once, calls the same compiled steps on each other slice (Al-Mohy &
-    Higham 2009: order and scaling, then the Pade approximant) and squares
-    the slices in one stacked product per power, which numpy rounds as it
-    does each slice alone.  Diagonal and triangular slices, whose squaring
-    SciPy corrects by its own formula, slices a kernel reports an error on,
-    and any input but a float64 stack of a size :func:`_pade_kernels`
-    admits, go to SciPy's own call.
+    machinery on each.  This finds the diagonal and triangular slices of
+    the whole stack at once, calls the same compiled steps on each generic
+    slice (Al-Mohy & Higham 2009: order and scaling, then the Pade
+    approximant) and squares the slices in one stacked product per power,
+    which numpy rounds as it does each slice alone.  A 1 x 1 stack is
+    ``np.exp``, and a diagonal slice the exponential of its diagonal, as in
+    SciPy.  Triangular slices, whose squaring SciPy corrects by its own
+    formula, slices a kernel reports an error on, and any input but a
+    float64 stack of a size :func:`_pade_kernels` admits, go to SciPy's own
+    call, and only they import ``scipy.linalg``.
     """
-    import scipy.linalg
-
     a = np.asarray(A)
+    if a.dtype == np.float64 and a.ndim >= 2 and a.size and a.shape[-2:] == (1, 1):
+        with np.errstate(over="ignore"):
+            return np.exp(a)
     admitted = _pade_kernels()
     if (
         admitted is None
@@ -531,7 +684,7 @@ def _expm(A) -> np.ndarray:
         or a.shape[-1] != a.shape[-2]
         or a.size == 0
     ):
-        return scipy.linalg.expm(a)
+        return _scipy_expm(a)
     n = a.shape[-1]
     return _pade_expm(np.ascontiguousarray(a).reshape(-1, n, n), admitted[0]).reshape(a.shape)
 
@@ -539,8 +692,9 @@ def _expm(A) -> np.ndarray:
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:
     """exp(t * B), landing in the group whose algebra ``B`` belongs to.
 
-    Uses ``_expm``: SciPy's scaling-and-squaring Pade kernel, with the bits
-    of ``scipy.linalg.expm``.  Raises
+    Uses ``_expm``, with the bits of ``scipy.linalg.expm``: SciPy's
+    compiled scaling-and-squaring Pade steps on generic slices, and its own
+    ``np.exp`` expressions on 1 x 1 and diagonal ones.  Raises
     :class:`ExponentOverflowError` when ``||t B||`` is large enough that
     the result would overflow double precision.  The exponent ``t B`` is
     kept, read-only, on the result: :func:`principal_log` takes it as the

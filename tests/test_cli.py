@@ -142,6 +142,39 @@ class TestCatalogCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, []]
 
+    def test_cold_commands_load_no_scipy_linalg_and_no_numpy_random(self):
+        # SciPy's compiled expm steps load from their own file, and the
+        # prolong command's probes come from groups' streams, so a fresh
+        # process imports neither scipy.linalg nor numpy.random.
+        kernels = groups._load_pade_kernels()
+        smallest = kernels and groups._recorded_admission(kernels)
+        if not smallest:
+            pytest.skip(
+                "the recorded bits of scipy.linalg.expm admit no kernels here, "
+                "so the live probe imports scipy.linalg"
+            )
+        coords = ",".join(["0.25", "-0.5", "0.125"] * 3)
+        commands = [
+            ["prolong", "--rep", "gl_identity(3)", f"--a-coords={coords}", f"--fiber={coords}"],
+            ["check", "--rep", "so3_standard", "--suite", "all", "--samples", "20"],
+        ]
+        # The report takes 2 x 2 exponentials.
+        if smallest == 2:
+            commands.append(["report", "--samples", "3"])
+        for argv in commands:
+            script = (
+                "import contextlib, io, json, sys\n"
+                "import lieprolong.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = lieprolong.cli.main({argv!r})\n"
+                "print(json.dumps([code, [m for m in ('scipy.linalg', 'numpy.random')"
+                " if m in sys.modules]]))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            code, loaded = json.loads(proc.stdout)
+            assert code in (0, 1) and loaded == [], (argv, code, loaded)
+
     def test_faithfulness_suite_loads_no_scipy_spatial(self):
         # The certificate needs only scipy.linalg; the k-d tree it replaced
         # was the one user of scipy.spatial.

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import subprocess
 import sys
 import weakref
 
@@ -174,12 +175,15 @@ class TestExpmKernel:
         assert min(squarings) == 0 and max(squarings) > 5
         assert groups._pade_kernels() == (kernels, smallest)
 
-    def test_a_closed_form_for_2x2_keeps_2x2_slices_from_the_kernels(self, monkeypatch):
+    @pytest.mark.parametrize("version", ["1.9.0", "1.10.1", "1.11.4"])
+    def test_a_closed_form_for_2x2_keeps_2x2_slices_from_the_kernels(self, monkeypatch, version):
         # SciPy 1.9 to 1.11 took each 2 x 2 exponential by formula (2.2) of
         # Al-Mohy & Higham, "A new scaling and squaring algorithm for the
         # matrix exponential" (SIAM J. Matrix Anal. Appl. 31, 2009), as those
         # releases' scipy/linalg/_matfuncs.py wrote it; SciPy 1.12 dropped it
-        # (scipy/scipy#19584).  Here it stands in for such a SciPy.
+        # (scipy/scipy#19584).  Here it and the version the probe reads stand
+        # in for such a SciPy.
+        import scipy
         from numpy.lib.scimath import sqrt as csqrt
 
         expm, calls = scipy.linalg.expm, []
@@ -209,6 +213,7 @@ class TestExpmKernel:
         twos, threes = rng.normal(size=(50, 2, 2)), rng.normal(size=(50, 3, 3))
         assert not np.array_equal(closed_form_expm(twos), expm(twos))
         monkeypatch.setattr(scipy.linalg, "expm", closed_form_expm)
+        monkeypatch.setattr(scipy, "__version__", version)
         groups._pade_kernels.cache_clear()
         try:
             assert np.array_equal(groups._expm(twos), closed_form_expm(twos))
@@ -245,10 +250,101 @@ class TestExpmKernel:
         def pade_three_arguments(Am, n, m):
             raise AssertionError("never reached")
 
+        # Loaded on their own, kernels that are missing or take other
+        # arguments are refused, and the live probe decides as it would alone.
+        admitted = groups._pade_kernels()
+        for loaded in (None, (kernels.pick_pade_structure, pade_three_arguments)):
+            monkeypatch.setattr(groups, "_load_pade_kernels", lambda: loaded)
+            assert groups._pade_kernels.__wrapped__() == admitted
+        # Where scipy.linalg's own module takes them too, nothing is admitted.
         monkeypatch.setattr(kernels, "pade_UV_calc", pade_three_arguments)
         assert groups._pade_kernels.__wrapped__() is None
         monkeypatch.setattr(groups, "_pade_kernels", lambda: None)
         assert_scipy_bits(structured_stack(4, 0))
+
+    def test_kernels_whose_init_needs_scipy_linalg_are_not_loaded_alone(self, tmp_path):
+        # A Cython build of the kernels that cimports SciPy's LAPACK wrappers
+        # imports scipy.linalg in its init, which would import the kernels
+        # again around the half-made module.  A Python module stands in for
+        # such an extension, in a fresh process.
+        stand_in = tmp_path / "kernels_needing_linalg.py"
+        stand_in.write_text("import scipy.linalg.cython_lapack\n")
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from lieprolong import groups\n"
+            f"module = groups._load_alone('scipy.linalg._matfuncs_expm', {str(stand_in)!r})\n"
+            "state = [module is None, [m for m in sys.modules if m.startswith('scipy.linalg')]]\n"
+            "import scipy.linalg\n"
+            "a = np.arange(9.0).reshape(3, 3) / 9\n"
+            "state.append(np.array_equal(groups._expm(a), scipy.linalg.expm(a)))\n"
+            "print(json.dumps(state))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [True, [], True]
+
+    def test_threads_that_take_the_first_exponential_together_share_one_load(self):
+        # A fresh process, whose first exponential loads the kernels.
+        script = (
+            "import json, sys, threading\n"
+            "import numpy as np\n"
+            "from lieprolong import groups\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "a = np.arange(9.0).reshape(3, 3) / 9\n"
+            "barrier, results = threading.Barrier(8), []\n"
+            "def first_exponential():\n"
+            "    barrier.wait(timeout=30)\n"
+            "    results.append(groups._expm(a))\n"
+            "threads = [threading.Thread(target=first_exponential) for _ in range(8)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=60)\n"
+            "import scipy.linalg\n"
+            "from scipy.linalg._matfuncs_expm import pade_UV_calc\n"
+            "print(json.dumps([\n"
+            "    [thread.is_alive() for thread in threads].count(True),\n"
+            "    sum(np.array_equal(r, scipy.linalg.expm(a)) for r in results),\n"
+            "    groups._pade_kernels()[0][1] is pade_UV_calc,\n"
+            "]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 8, True]
+
+    def test_the_recorded_bits_admit_nothing_scipy_refuses(self):
+        # Wherever the recorded probes admit the kernels loaded on their own
+        # at n, scipy.linalg.expm gives the recorded bits at each size from n,
+        # and so the kernels give its bits there.
+        kernels = groups._load_pade_kernels()
+        smallest = kernels and groups._recorded_admission(kernels)
+        if not smallest:
+            pytest.skip("the recorded bits admit nothing here: the live probe decides")
+        for n in range(smallest, 4):
+            live = scipy.linalg.expm(groups._probe_stack(n))
+            assert np.array_equal(live, groups._recorded_probe(n))
+            assert groups._probe_agrees(kernels, n, live)
+        assert groups._pade_kernels.__wrapped__() == (kernels, smallest)
+
+    def test_zero_diagonal_and_mixed_stacks(self):
+        # Slices SciPy takes by np.exp, generic ones between them, and
+        # entries whose exponential overflows to inf.
+        for n in (1, 2, 3, 6):
+            assert_scipy_bits(np.zeros((3, n, n)))
+            assert_scipy_bits(np.zeros((n, n)))
+            stack = structured_stack(n, 10 + n)
+            generic, diagonal = stack[: len(SCALES)], stack[len(SCALES) : 2 * len(SCALES)]
+            mixed = np.stack([generic, diagonal], axis=1).reshape(-1, n, n)
+            assert_scipy_bits(mixed)
+            assert_scipy_bits(mixed.reshape(2, -1, n, n))
+            # -0.0 off the diagonal is a diagonal slice to SciPy's bandwidth.
+            assert_scipy_bits(np.where(np.eye(n, dtype=bool), diagonal, -0.0))
+            huge = np.diag(np.resize([800.0, -800.0, 1.0, np.inf, -np.inf], n))
+            assert_scipy_bits(np.stack([huge, generic[-1], 1e3 * huge]))
+        assert_scipy_bits(np.array([[[800.0]], [[-800.0]], [[1.0]], [[np.inf]], [[-np.inf]]]))
 
     def test_reports_and_descriptor_checks_get_scipys_bits(self, monkeypatch, tmp_path, capsys):
         kernel, calls, mismatches = groups._expm, [], []
@@ -294,11 +390,7 @@ class TestExpmKernel:
                     ):
                         callers.add((path.name, scope))
                     todo.append((scope, child))
-        assert callers == {
-            ("groups.py", "_expm"),
-            ("groups.py", "_pade_expm"),
-            ("groups.py", "_pade_kernels"),
-        }
+        assert callers == {("groups.py", "_scipy_expm")}
 
 
 class TestMembership:

@@ -1170,9 +1170,8 @@ class TestSampleMemo:
             built.append(seed)
             return default_rng(seed)
 
-        # rep_algebra draws only through groups' streams and imports no _rng.
-        for module in (groups, cli):
-            monkeypatch.setattr(module, "_rng", counted)
+        # rep_algebra and cli draw only through groups' streams and import no _rng.
+        monkeypatch.setattr(groups, "_rng", counted)
         monkeypatch.setattr(np.random, "default_rng", counted)
         self.report(capsys)
         assert built == []
