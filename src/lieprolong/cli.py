@@ -14,7 +14,6 @@ check fails its tolerance, 2 for malformed input.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import io
@@ -178,6 +177,8 @@ def _emit(envelope: dict, config: RunConfig) -> None:
         _write(text + "\n", config.output)
         return
     if config.format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         if "entries" in envelope:

@@ -554,17 +554,22 @@ def _load_pade_kernels():
     return getattr(module, "pick_pade_structure", None), getattr(module, "pade_UV_calc", None)
 
 
-def _recorded_admission(kernels) -> Optional[int]:
-    """The smallest n at which the recorded probes admit ``kernels``: 3
-    where they give the recorded bits of the 3 x 3 probe, 2 where they also
-    give those of the 2 x 2 probe and SciPy is 1.12 or later, and None where
-    the recorded bits settle nothing.  SciPy 1.9 to 1.11 took 2 x 2
-    exponentials by a closed form (formula (2.2) of Al-Mohy & Higham 2009),
-    not by the kernels, and 1.12 dropped it (scipy/scipy#19584).  The
-    version is read from the top-level package, which does not import
-    ``scipy.linalg``."""
+def _recorded_admission(kernels, n: int) -> Optional[int]:
+    """The smallest size from which the recorded probes admit ``kernels``,
+    as far as an n x n stack asks, or None where the recorded bits settle
+    nothing.  None where the kernels do not give the recorded bits of the
+    3 x 3 probe, and otherwise 3 for n >= 3.  For n = 2: 3 where SciPy is
+    older than 1.12, 2 where it is not and the kernels also give the
+    recorded bits of the 2 x 2 probe, None where they do not.  SciPy 1.9 to
+    1.11 took 2 x 2 exponentials by a closed form (formula (2.2) of Al-Mohy
+    & Higham 2009), not by the kernels, and 1.12 dropped it
+    (scipy/scipy#19584).  The version is read from the top-level package,
+    and only for n = 2: no larger stack needs it, and a cold command that
+    takes no 2 x 2 exponential does not pay for that import."""
     if not _probe_agrees(kernels, 3, _recorded_probe(3)):
         return None
+    if n >= 3:
+        return 3
     import scipy
 
     if tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 12):
@@ -573,28 +578,30 @@ def _recorded_admission(kernels) -> Optional[int]:
 
 
 @functools.cache
-def _pade_kernels():
+def _pade_kernels(n: int):
     """SciPy's compiled expm steps ``(pick_pade_structure, pade_UV_calc)``
-    and the smallest n at which they give the bits of ``scipy.linalg.expm``,
-    or None where they do not at n = 3.
+    where they give the bits of ``scipy.linalg.expm`` on n x n stacks, or
+    None where they do not; n is 2, or 3 for every size from 3.
 
-    The module is private, so its calling convention is tried on a 3 x 3
-    and a 2 x 2 probe stack whose slices scale and square.  The kernels
-    loaded on their own (:func:`_load_pade_kernels`) are admitted where the
-    recorded bits settle it (:func:`_recorded_admission`).  Where the file
-    is missing or a recorded probe differs, as a BLAS that rounds otherwise
-    can make it, ``scipy.linalg`` is imported and the kernels are compared
-    with its ``expm`` on both probes.
+    The module is private, so its calling convention is tried on probe
+    stacks whose slices scale and square: the 3 x 3 one, and for n = 2 the
+    2 x 2 one too.  The kernels loaded on their own
+    (:func:`_load_pade_kernels`) are admitted where the recorded bits
+    settle it (:func:`_recorded_admission`).  Where the file is missing or
+    a recorded probe differs, as a BLAS that rounds otherwise can make it,
+    ``scipy.linalg`` is imported and the kernels are compared with its
+    ``expm`` on the same probes.
     """
     kernels = _load_pade_kernels()
-    smallest = kernels and _recorded_admission(kernels)
+    smallest = kernels and _recorded_admission(kernels, n)
     if smallest:
-        return kernels, smallest
+        return kernels if smallest <= n else None
     from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
     kernels = pick_pade_structure, pade_UV_calc
-    agrees = [_probe_agrees(kernels, n, _scipy_expm(_probe_stack(n))) for n in (3, 2)]
-    return (kernels, 2 if agrees[1] else 3) if agrees[0] else None
+    probes = (3, 2) if n == 2 else (3,)
+    agrees = all(_probe_agrees(kernels, m, _scipy_expm(_probe_stack(m))) for m in probes)
+    return kernels if agrees else None
 
 
 @functools.cache
@@ -672,21 +679,16 @@ def _expm(A) -> np.ndarray:
     call, and only they import ``scipy.linalg``.
     """
     a = np.asarray(A)
-    if a.dtype == np.float64 and a.ndim >= 2 and a.size and a.shape[-2:] == (1, 1):
-        with np.errstate(over="ignore"):
-            return np.exp(a)
-    admitted = _pade_kernels()
-    if (
-        admitted is None
-        or a.dtype != np.float64
-        or a.ndim < 2
-        or a.shape[-1] < admitted[1]
-        or a.shape[-1] != a.shape[-2]
-        or a.size == 0
-    ):
+    if a.dtype != np.float64 or a.ndim < 2 or a.size == 0 or a.shape[-1] != a.shape[-2]:
         return _scipy_expm(a)
     n = a.shape[-1]
-    return _pade_expm(np.ascontiguousarray(a).reshape(-1, n, n), admitted[0]).reshape(a.shape)
+    if n == 1:
+        with np.errstate(over="ignore"):
+            return np.exp(a)
+    kernels = _pade_kernels(min(n, 3))
+    if kernels is None:
+        return _scipy_expm(a)
+    return _pade_expm(np.ascontiguousarray(a).reshape(-1, n, n), kernels).reshape(a.shape)
 
 
 def mat_exp(B: AlgebraElement, t: float = 1.0) -> GroupElement:

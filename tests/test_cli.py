@@ -1,12 +1,15 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -145,10 +148,11 @@ class TestCatalogCommand:
     def test_cold_commands_load_no_scipy_linalg_and_no_numpy_random(self):
         # SciPy's compiled expm steps load from their own file, and the
         # prolong command's probes come from groups' streams, so a fresh
-        # process imports neither scipy.linalg nor numpy.random.
+        # process imports neither scipy.linalg nor numpy.random.  SciPy's
+        # version matters only to 2 x 2 exponentials, which neither prolong
+        # nor check takes here, so they load no scipy module but the kernels'.
         kernels = groups._load_pade_kernels()
-        smallest = kernels and groups._recorded_admission(kernels)
-        if not smallest:
+        if not (kernels and groups._recorded_admission(kernels, 3)):
             pytest.skip(
                 "the recorded bits of scipy.linalg.expm admit no kernels here, "
                 "so the live probe imports scipy.linalg"
@@ -159,7 +163,7 @@ class TestCatalogCommand:
             ["check", "--rep", "so3_standard", "--suite", "all", "--samples", "20"],
         ]
         # The report takes 2 x 2 exponentials.
-        if smallest == 2:
+        if groups._recorded_admission(kernels, 2) == 2:
             commands.append(["report", "--samples", "3"])
         for argv in commands:
             script = (
@@ -168,12 +172,15 @@ class TestCatalogCommand:
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    code = lieprolong.cli.main({argv!r})\n"
                 "print(json.dumps([code, [m for m in ('scipy.linalg', 'numpy.random')"
-                " if m in sys.modules]]))\n"
+                " if m in sys.modules],"
+                " sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
             )
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            code, loaded = json.loads(proc.stdout)
+            code, loaded, scipy_modules = json.loads(proc.stdout)
             assert code in (0, 1) and loaded == [], (argv, code, loaded)
+            if argv[0] != "report":
+                assert scipy_modules == ["scipy.linalg._matfuncs_expm"], (argv, scipy_modules)
 
     def test_faithfulness_suite_loads_no_scipy_spatial(self):
         # The certificate needs only scipy.linalg; the k-d tree it replaced
@@ -724,6 +731,57 @@ class TestVersionFlag:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert __version__ in out
+
+
+COLD_CHECK = ["check", "--rep", "so3_standard", "--suite", "all", "--samples", "20"]
+
+
+class TestProcessEntry:
+    """``python -m lieprolong`` and the console script freeze the import-time
+    heap out of the cyclic collector and then run ``cli.main``, which
+    itself freezes nothing."""
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        for argv in (["catalog"], COLD_CHECK, [*COLD_CHECK[:-1], "0"]):
+            main(argv)
+            assert gc.get_freeze_count() == before, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["catalog"], [*COLD_CHECK, "--seed", "4"], [*COLD_CHECK[:-1], "0"]],
+        ids=["catalog", "check", "zero_samples"],
+    )
+    def test_a_process_prints_what_main_prints_in_process(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieprolong", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+        if "--seed" in argv:
+            assert hashlib.sha256(out.encode()).hexdigest().startswith("7094bb0e")
+        if code == 2:
+            assert proc.stderr == err == "error: --samples must be at least 1, got 0\n"
+
+    def test_the_console_script_freezes_before_the_command(self):
+        # The entry pyproject.toml names, run in a fresh process.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        module, function = re.search(
+            r'^lieprolong = "([\w.]+):(\w+)"$', pyproject.read_text(), re.MULTILINE
+        ).groups()
+        script = (
+            "import contextlib, gc, importlib, io, json, sys\n"
+            f"entry = getattr(importlib.import_module({module!r}), {function!r})\n"
+            "before = gc.get_freeze_count()\n"
+            "sys.argv = ['lieprolong', 'catalog']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = entry()\n"
+            "print(json.dumps([code, before, gc.get_freeze_count() > 0]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 0, True]
 
 
 def strict_json(text: str):

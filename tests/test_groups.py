@@ -159,7 +159,7 @@ class TestExpmKernel:
         from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
         kernels = pick_pade_structure, pade_UV_calc
-        smallest = (groups._pade_kernels() or (kernels, 3))[1]
+        smallest = 2 if groups._pade_kernels(2) else 3
         squarings = set()
         for n in range(smallest, 13):
             stack = structured_stack(n, n)
@@ -173,7 +173,7 @@ class TestExpmKernel:
                 work[0] = a
                 squarings.add(pick_pade_structure(work)[1])
         assert min(squarings) == 0 and max(squarings) > 5
-        assert groups._pade_kernels() == (kernels, smallest)
+        assert groups._pade_kernels(smallest) == kernels
 
     @pytest.mark.parametrize("version", ["1.9.0", "1.10.1", "1.11.4"])
     def test_a_closed_form_for_2x2_keeps_2x2_slices_from_the_kernels(self, monkeypatch, version):
@@ -217,7 +217,7 @@ class TestExpmKernel:
         groups._pade_kernels.cache_clear()
         try:
             assert np.array_equal(groups._expm(twos), closed_form_expm(twos))
-            assert groups._pade_kernels()[1] == 3
+            assert groups._pade_kernels(2) is None and groups._pade_kernels(3) is not None
             calls.clear()
             assert np.array_equal(groups._expm(threes), expm(threes))
             assert calls == []
@@ -252,15 +252,21 @@ class TestExpmKernel:
 
         # Loaded on their own, kernels that are missing or take other
         # arguments are refused, and the live probe decides as it would alone.
-        admitted = groups._pade_kernels()
+        admitted = [groups._pade_kernels(n) for n in (2, 3)]
         for loaded in (None, (kernels.pick_pade_structure, pade_three_arguments)):
             monkeypatch.setattr(groups, "_load_pade_kernels", lambda: loaded)
-            assert groups._pade_kernels.__wrapped__() == admitted
-        # Where scipy.linalg's own module takes them too, nothing is admitted.
+            assert [groups._pade_kernels.__wrapped__(n) for n in (2, 3)] == admitted
+        # Where scipy.linalg's own module takes them too, nothing is admitted,
+        # and every stack goes to SciPy's expm.
         monkeypatch.setattr(kernels, "pade_UV_calc", pade_three_arguments)
-        assert groups._pade_kernels.__wrapped__() is None
-        monkeypatch.setattr(groups, "_pade_kernels", lambda: None)
+        assert [groups._pade_kernels.__wrapped__(n) for n in (2, 3)] == [None, None]
+        monkeypatch.setattr(groups, "_pade_kernels", lambda n: None)
+        reached = []
+        monkeypatch.setattr(
+            groups, "_scipy_expm", lambda a: reached.append(a.shape) or scipy.linalg.expm(a)
+        )
         assert_scipy_bits(structured_stack(4, 0))
+        assert reached == [structured_stack(4, 0).shape]
 
     def test_kernels_whose_init_needs_scipy_linalg_are_not_loaded_alone(self, tmp_path):
         # A Cython build of the kernels that cimports SciPy's LAPACK wrappers
@@ -306,7 +312,7 @@ class TestExpmKernel:
             "print(json.dumps([\n"
             "    [thread.is_alive() for thread in threads].count(True),\n"
             "    sum(np.array_equal(r, scipy.linalg.expm(a)) for r in results),\n"
-            "    groups._pade_kernels()[0][1] is pade_UV_calc,\n"
+            "    groups._pade_kernels(3)[1] is pade_UV_calc,\n"
             "]))\n"
         )
         proc = subprocess.run(
@@ -318,16 +324,19 @@ class TestExpmKernel:
     def test_the_recorded_bits_admit_nothing_scipy_refuses(self):
         # Wherever the recorded probes admit the kernels loaded on their own
         # at n, scipy.linalg.expm gives the recorded bits at each size from n,
-        # and so the kernels give its bits there.
+        # and so the kernels give its bits there.  The 3 x 3 probe admits
+        # every larger size on its own, whatever the 2 x 2 one settles.
         kernels = groups._load_pade_kernels()
-        smallest = kernels and groups._recorded_admission(kernels)
+        smallest = kernels and (
+            groups._recorded_admission(kernels, 2) or groups._recorded_admission(kernels, 3)
+        )
         if not smallest:
             pytest.skip("the recorded bits admit nothing here: the live probe decides")
         for n in range(smallest, 4):
             live = scipy.linalg.expm(groups._probe_stack(n))
             assert np.array_equal(live, groups._recorded_probe(n))
             assert groups._probe_agrees(kernels, n, live)
-        assert groups._pade_kernels.__wrapped__() == (kernels, smallest)
+            assert groups._pade_kernels.__wrapped__(n) == kernels
 
     def test_zero_diagonal_and_mixed_stacks(self):
         # Slices SciPy takes by np.exp, generic ones between them, and
