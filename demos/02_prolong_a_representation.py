@@ -18,6 +18,7 @@ from lieprolong import (
     TangentVector,
     apply_prolonged,
     catalog_entry,
+    check_action_oracle,
     circle,
     identity_element,
     prolong,
@@ -52,6 +53,12 @@ print()
 print("block formula:", direct.coordinates)
 print("oracle:       ", oracle.coordinates)
 print("gap:          ", np.max(np.abs(direct.coordinates - oracle.coordinates)))
+
+# The two agree whenever the representation is a homomorphism whose images
+# of exp(tB) are expm(t K): then the curve is expm(tK) R (p + tv), and its
+# derivative at t = 0 is the block action.  The sampled check reads those
+# two hypotheses instead of differencing, and reports the worse.
+print("sampled oracle check:", check_action_oracle(rotation, 100, seed=11).verdict.value)
 
 # The same machinery runs on any representation.  The angle-doubling map
 # has an analytic derivative (twice the generator), so its blocks show

@@ -58,13 +58,10 @@ from .prolongation import (
     tangent_action_oracle,
 )
 from .rep_algebra import (
-    _ORACLE_TOL,
     CheckReport,
     Verdict,
-    _homomorphism_checks,
+    _Scans,
     _verdict,
-    check_action_oracle,
-    check_equivalence_transfer,
     check_invariance_transfer,
     faithfulness_probe,
 )
@@ -85,6 +82,10 @@ _SUITE_NAMES = (
 # Default tolerance of `prolong`'s differential_consistency row: an absolute
 # max-abs gap between the analytic and the central-difference differential.
 _DIFFERENTIAL_TOL = 1e-5
+
+# Default tolerance of `prolong`'s action_oracle row: the relative residual
+# of the block action against a central difference of the action curve.
+_ORACLE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -245,25 +246,26 @@ def _finish(config: RunConfig, checks: list[CheckReport], **extra) -> int:
 
 
 def _run_suite(
-    suite: str,
-    rep: Representation,
-    entry: Optional[CatalogEntry],
-    config: RunConfig,
+    suite: str, scans: _Scans, entry: Optional[CatalogEntry], config: RunConfig
 ) -> list[CheckReport]:
-    samples, seed = config.samples, config.seed
+    """The rows of one suite on ``scans.rep``.  ``scans`` holds what the
+    homomorphism, oracle and equivalence rows sample: a command keeps one
+    per representation, so each scan runs once however many of those
+    suites it runs."""
+    rep, samples, seed = scans.rep, config.samples, config.seed
     # Without --tol every check applies the default in its own signature.
     tol = {} if config.tol is None else {"tol": config.tol}
     rename = dataclasses.replace
     if suite == "homomorphism":
-        base, lifted = _homomorphism_checks(rep, samples, seed, **tol)
+        base, lifted = scans.homomorphism_rows(**tol)
         return [
             rename(base, name="homomorphism(base)"),
             rename(lifted, name="homomorphism(prolonged)"),
         ]
     if suite == "oracle":
-        return [check_action_oracle(rep, samples, seed, **tol)]
+        return [scans.oracle_row(**tol)]
     if suite == "equivalence":
-        return [check_equivalence_transfer(rep, samples, seed, **tol)]
+        return [scans.equivalence_row(**tol)]
     if suite == "invariance":
         checks = []
         subspaces = entry.known_invariant_subspaces if entry is not None else ()
@@ -289,10 +291,11 @@ def _run_suite(
 def cmd_check(config: RunConfig) -> int:
     rep, entry = _resolve_rep(config.rep_source)
     suites = _SUITE_NAMES if config.suite == "all" else (config.suite,)
+    scans = _Scans(rep, config.samples, config.seed)
     checks: list[CheckReport] = []
     try:
         for suite in suites:
-            checks.extend(_run_suite(suite, rep, entry, config))
+            checks.extend(_run_suite(suite, scans, entry, config))
     except (ExponentOverflowError, NonFiniteImageError) as exc:
         raise _InputError(f"cannot evaluate the representation: {exc}") from None
     return _finish(config, checks)
@@ -373,8 +376,9 @@ def cmd_catalog(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     checks: list[CheckReport] = []
     for entry in catalog_list():
+        scans = _Scans(entry.rep, config.samples, config.seed)
         for suite in _SUITE_NAMES:
-            for report in _run_suite(suite, entry.rep, entry, config):
+            for report in _run_suite(suite, scans, entry, config):
                 checks.append(
                     dataclasses.replace(report, name=f"{entry.name}::{report.name}")
                 )

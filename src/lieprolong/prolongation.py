@@ -19,6 +19,11 @@ Two independent ways to compute the action are provided.  The direct one,
     t  |->  rep.apply(exp(t B) a) @ (p + t v)
 
 at t = 0 with a central difference and never looks at the block formula.
+The `prolong` command compares the two at its one element, and acceptance
+criterion 03 on every catalog entry.  The sampled checks of
+:mod:`lieprolong.rep_algebra` use neither: the block action is the
+derivative of the curve whenever ``rep`` is a homomorphism tied to its
+differential, which they sample instead.
 
 Both act on :class:`TangentVector`, held here: a point (base, fiber) of the
 trivial bundle TR^n, whose stacked coordinates in R^{2n} carry its vector
@@ -158,6 +163,19 @@ def rep_image(rep: Representation, a: GroupElement) -> np.ndarray:
     return _evaluate(rep.apply, a, rep.target_dim, "apply")
 
 
+def _require_invertible_image(R: np.ndarray, a: GroupElement, what: str) -> np.ndarray:
+    """``R``, the image of ``a``, refused as a :class:`NonFiniteImageError`
+    naming ``what`` when a slice is singular or too ill-conditioned to
+    invert.  When ``apply`` returned ``a``'s own read-only matrix, as an
+    identity map does, ``a``'s own gate has already certified it."""
+    if R is not a.matrix:
+        try:
+            _require_invertible(R)
+        except MembershipError as exc:
+            raise NonFiniteImageError(f"{what}: {exc}", exc.position) from None
+    return R
+
+
 @dataclass(frozen=True, eq=False)
 class ProlongedMatrix:
     """The lower block-triangular image of a prolonged representation.
@@ -255,22 +273,15 @@ def prolong(rep: Representation, X) -> ProlongedMatrix:
     """Image of the tangent pair [a, B] under the prolonged representation.
 
     R = rep.apply(a) fills both diagonal blocks and K R fills the bottom
-    left, with K the differential of ``rep`` in direction B.  This is the
-    one place that checks that representation images are invertible.
-    Finite images can still over- or underflow, as ``K R`` or as a singular
-    ``R``; both are refused.  When ``apply`` returned the base's own
-    read-only matrix, as an identity map does, the base's own gate has
-    already certified it.
+    left, with K the differential of ``rep`` in direction B.  Finite images
+    can still over- or underflow, as ``K R`` or as a singular ``R``; both
+    are refused.
     """
     R = rep_image(rep, X.base)  # the one spec check: X.algebra shares X.base's spec
     K = _evaluate(rep.differential, X.algebra, rep.target_dim, "differential")
     with np.errstate(over="ignore", invalid="ignore"):
         L = _require_finite(K @ R, "prolonged image K R has")
-    if R is not X.base.matrix:
-        try:
-            _require_invertible(R)
-        except MembershipError as exc:
-            raise NonFiniteImageError(f"prolonged image: {exc}", exc.position) from None
+    _require_invertible_image(R, X.base, "prolonged image")
     return _trusted(ProlongedMatrix, top_left=np.array(R), bottom_left=L)
 
 
@@ -325,14 +336,8 @@ def tangent_action_oracle(rep: Representation, X, Y: TangentVector) -> TangentVe
         raise ValueError(
             f"vector dimension {Y.dim} does not match target dim {rep.target_dim}"
         )
-    # The curve points exp(t B) a depend on the tangent pair alone, so they
-    # are kept on it: every representation checked on one sample stack
-    # differentiates through the same points.
     steps = (_FD_STEP, -_FD_STEP)
-    points = X._kept(
-        ("curve", steps),
-        lambda: tuple(group_multiply(mat_exp(X.algebra, t), X.base) for t in steps),
-    )
+    points = [group_multiply(mat_exp(X.algebra, t), X.base) for t in steps]
     p, v = Y.base[..., None], Y.fiber[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         base = _require_finite(rep_image(rep, X.base) @ p, "prolonged action has")

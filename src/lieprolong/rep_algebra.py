@@ -22,17 +22,26 @@ zero samples raises instead of passing.
 
 Claims that hold for any matrices ``R`` and ``K`` in ``[[R, 0], [K R,
 R]]`` are not sampled at all.  ``tests/test_acceptance.py`` proves them in
-sympy on symbolic blocks: the transfer of an equivalence to the
-prolongations (criterion 04), the transfer of an invariant subspace to
-its lift and back (criterion 05), the invariance of the fiber directions,
-and the prolongation of a :func:`direct_sum` as the sum of the
-prolongations (criterion 07).  A check samples what such a proof assumes
-of the map: :func:`check_equivalence_transfer` scores ``rho(exp B_0)``
-against ``expm(d rho(B_0))``, at the exponent each sample was drawn from,
-which ties ``apply`` to ``differential``, and
-:func:`check_invariance_transfer` scores ``U`` under ``rho(a)`` and under
-``d rho(B)`` at sampled tangent elements, and never forms the lift: a
-nonlinear ``d rho`` can keep ``U`` invariant on a basis and not elsewhere.
+sympy on symbolic blocks: the prolongation is a homomorphism when ``rho``
+is and the fiber identity holds (criterion 02), the block action is the
+derivative of the action curve when ``rho`` is a homomorphism tied to its
+differential (criterion 03), the transfer of an equivalence to the
+prolongations (criterion 04), the transfer of an invariant subspace to its
+lift and back (criterion 05), the invariance of the fiber directions, and
+the prolongation of a :func:`direct_sum` as the sum of the prolongations
+(criterion 07).  A check samples what such a proof assumes of the map, and
+never forms a prolonged image or a tangent product: two scans
+(:class:`_Scans`) hold the hypotheses.  The homomorphism scan scores
+``rho(a a')`` against ``rho(a) rho(a')`` and the fiber identity ``d rho(B
++ a B' a^-1) R = d rho(B) R + R d rho(B')`` on sampled pairs; the tie
+scan scores ``rho(exp B_0)`` against ``expm(d rho(B_0))``, at the exponent
+each sample was drawn from, which ties ``apply`` to ``differential``.
+:func:`check_homomorphism` reads the first, :func:`check_equivalence_transfer`
+the second, and :func:`check_action_oracle` the base part of the first and
+the second.  :func:`check_invariance_transfer` scores ``U`` under ``rho(a)``
+and under ``d rho(B)`` at sampled tangent elements, and never forms the
+lift: a nonlinear ``d rho`` can keep ``U`` invariant on a basis and not
+elsewhere.
 
 Checks return a :class:`CheckReport` with a three-way verdict.  ``FAIL``
 always comes with a witness.  ``INCONCLUSIVE`` is reserved for probes
@@ -71,24 +80,22 @@ from .groups import (
     algebra_coordinates,
     algebra_from_coordinates,
     block_diag,
+    group_multiply,
     identity_element,
     relative_residual,
     sample_tangent_elements,
     special_orthogonal,
-    tg_multiply,
 )
 from .prolongation import (
     NonFiniteImageError,
     ProlongedRepresentation,
     Representation,
-    TangentVector,
     _dense,
     _require_finite,
-    apply_prolonged,
+    _require_invertible_image,
     differential_rep,
     prolong,
     rep_image,
-    tangent_action_oracle,
 )
 
 __all__ = [
@@ -124,18 +131,14 @@ _EIGEN_CLUSTER = 1e-6
 # 3 x 3 group an element is 18 floats, 27 with the exponent B_0 its base
 # was drawn as, 36 with its base's coordinates, and 58 with the streams it
 # was drawn from (4 words of seeded state and 18 draws); what checks keep
-# on it adds at most 63 more (a product with a partner and two curve
-# points, all with coordinates): 15.9 MB in all, plus the oracle's probe
-# stream, 4 words of state and 2m draws per element for the largest target
-# dimension m probed on it.
+# on it adds at most 18 more (the group product with a partner, with its
+# coordinates): 10.0 MB in all.
 _CHUNK = 256
 _SAMPLE_MEMO = 64
 
-# Default tolerance of the homomorphism checks, plain and prolonged.
+# Default tolerance of the homomorphism checks, plain and prolonged, and of
+# the action oracle, which samples the same hypotheses.
 _HOMOMORPHISM_TOL = 1e-9
-
-# Default tolerance of the action oracle, a relative residual.
-_ORACLE_TOL = 1e-5
 
 RepLike = Union[Representation, ProlongedRepresentation]
 
@@ -192,11 +195,10 @@ def _keys(seed, indices, *prefix: int) -> tuple[tuple[int, ...], ...]:
 # read-only, so checks that draw the same keys (the same check over the
 # catalog entries of one group, or checks sharing a seed prefix) share
 # one draw within a process, and with it what is kept on the draw: the
-# exponential coordinates, the homomorphism check's products, the oracle's
-# curve points, and the seeded streams, with the rows drawn from them, of
-# the draw's keys and of the probes' keys.
-# Clearing the memo drops them all.  The public samplers stay unmemoized:
-# their stacks can be any size.
+# exponential coordinates, the homomorphism scan's group products with
+# their coordinates, and the seeded streams of the draw's keys, with the
+# rows drawn from them.  Clearing the memo drops them all.  The public
+# samplers stay unmemoized: their stacks can be any size.
 @functools.lru_cache(maxsize=_SAMPLE_MEMO)
 def _tangent_sample(
     spec: GroupSpec, keys: tuple[tuple[int, ...], ...]
@@ -249,13 +251,15 @@ def _chunks(samples: int) -> Iterator[np.ndarray]:
 def _scan(
     name: str, samples: int, seed, residuals: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Worst residual over all samples and the first index attaining it.
+    """Worst residual over all samples and the first index attaining it,
+    as 1-D arrays with one entry per part.
 
     ``residuals(indices)`` returns an array whose last axis runs over
-    ``indices``; leading axes, if any, are scanned independently.  Images
-    that cannot be evaluated raise a :class:`NonFiniteImageError` naming
-    the check, the seed and the first sample that fails on its own, with
-    that sample's own message, so the failure replays.
+    ``indices``; a leading axis, if any, runs over parts scanned
+    independently.  Images that cannot be evaluated raise a
+    :class:`NonFiniteImageError` naming the check, the seed and the first
+    sample that fails on its own, with that sample's own message, so the
+    failure replays.
     """
     worst = index = None
     for indices in _chunks(samples):
@@ -280,7 +284,7 @@ def _scan(
         else:
             better = top > worst
             worst, index = np.where(better, top, worst), np.where(better, indices[k], index)
-    return worst, index
+    return np.ravel(worst), np.ravel(index)
 
 
 def _verdict(name: str, worst: float, tol: float, witness: dict) -> CheckReport:
@@ -296,6 +300,20 @@ def _witness(seed, index, residual) -> dict:
     return {"seed": _payload(seed), "sample_index": int(index), "residual": float(residual)}
 
 
+def _worst_part(
+    name: str, tol: float, seeds, worst, index, parts: tuple[str, ...] = ()
+) -> CheckReport:
+    """:func:`_verdict` on the worst of one or more scanned parts: ``worst``
+    and ``index`` hold one entry per part, as :func:`_scan` gives them, and
+    ``seeds`` the seed each part's indices were drawn under.  With
+    ``parts``, the witness names the worst part."""
+    k = int(np.argmax(worst))
+    witness = _witness(seeds[k], index[k], worst[k])
+    if parts:
+        witness = {"part": parts[k], **witness}
+    return _verdict(name, float(worst[k]), tol, witness)
+
+
 def _sampled_check(
     name: str,
     samples: int,
@@ -308,42 +326,128 @@ def _sampled_check(
     returns one row per part: the residual is the worst part's, and the
     witness names that ``part``."""
     _require_gate(tol, samples)
-    worst, index = (np.ravel(a) for a in _scan(name, samples, seed, residuals))
-    k = int(np.argmax(worst))
-    witness = _witness(seed, index[k], worst[k])
-    if parts:
-        witness = {"part": parts[k], **witness}
-    return _verdict(name, float(worst[k]), tol, witness)
+    worst, index = _scan(name, samples, seed, residuals)
+    return _worst_part(name, tol, [seed] * len(worst), worst, index, parts)
 
 
-def _homomorphism_checks(
-    rep: Representation, samples: int, seed, tol: float = _HOMOMORPHISM_TOL
-) -> tuple[CheckReport, CheckReport]:
-    """The homomorphism check of ``rep`` and of its prolongation, on the same
-    pairs of tangent elements.  The prolonged image ``[[R, 0], [K R, R]]``
-    carries the plain image ``R`` on its diagonal, so each product and each
-    factor is prolonged once and both residuals are read off it.
+@dataclass(frozen=True, eq=False)
+class _Scans:
+    """The two scans that the homomorphism, oracle and equivalence rows of
+    ``rep`` read, each :func:`_scan`'s worst residual and index per part,
+    run once and only when a row reads it: a command keeps one per
+    representation it checks, so its rows share them.  A scan that raises
+    is not kept.
+
+    - :attr:`homomorphism`, on the pairs ``X = [a, B]`` and ``Y = [a', B']``
+      drawn under the keys ``(seed, 2i)`` and ``(seed, 2i + 1)``, with ``R =
+      rho(a)`` and ``R' = rho(a')``, scores ``base``, ``rho(a a')`` against
+      ``R R'``, and ``fiber``, the fiber identity ``d rho(C) R`` against ``d
+      rho(B) R + R d rho(B')``, where ``C = B + a B' a^-1`` is the fiber of
+      ``XY``.
+    - :attr:`tie` scores ``rho(exp B_0)`` against ``expm(d rho(B_0))`` on
+      the stack drawn under the keys ``(seed, 1, i)``, at the exponent each
+      base was drawn as: no logarithm is taken.
     """
-    _require_gate(tol, samples)
 
-    def residuals(indices):
-        X = _tangent_sample(rep.group, _keys(seed, 2 * indices))
-        Y = _tangent_sample(rep.group, _keys(seed, 2 * indices + 1))
-        # Kept on X with Y in its key: every representation checked on
-        # these stacks takes the same product.
-        product = X._kept(("product", Y), lambda: tg_multiply(X, Y))
-        xy, x, y = (prolong(rep, Z) for Z in (product, X, Y))
-        return np.stack(
-            [
-                relative_residual(xy.top_left, x.top_left @ y.top_left, axis=(-2, -1)),
-                relative_residual(xy.dense(), x.dense() @ y.dense(), axis=(-2, -1)),
-            ]
+    rep: Representation
+    samples: int
+    seed: object
+
+    @property
+    def tie_seed(self) -> tuple[int, ...]:
+        """The seed of the tie's keys ``(seed, 1, i)``."""
+        return _derive(self.seed, 1)
+
+    @functools.cached_property
+    def homomorphism(self) -> tuple[np.ndarray, np.ndarray]:
+        # The factors pass the invertibility gate that prolong puts on a
+        # diagonal block; the product's image is scored, not gated.  Products
+        # of images that overflow are refused, as images floating point
+        # cannot hold.
+        rep, spec, seed = self.rep, self.rep.group, self.seed
+
+        def residuals(indices):
+            X = _tangent_sample(spec, _keys(seed, 2 * indices))
+            Y = _tangent_sample(spec, _keys(seed, 2 * indices + 1))
+            # Kept on X with Y in its key: every representation checked on
+            # these stacks takes the same product, and it keeps its
+            # logarithm, which a descriptor's apply then takes once.
+            product = X._kept(("product", Y), lambda: group_multiply(X.base, Y.base))
+            image = rep_image(rep, product)
+            R, R2 = (
+                _require_invertible_image(rep_image(rep, Z.base), Z.base, "apply image")
+                for Z in (X, Y)
+            )
+            B, B2, a = X.algebra.matrix, Y.algebra.matrix, X.base.matrix
+            fibers = AlgebraElement(np.stack([B, B2, B + a @ B2 @ np.linalg.inv(a)]), spec)
+            K, K2, KC = differential_rep(rep, fibers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                RR, left, right = R @ R2, KC @ R, K @ R + R @ K2
+            _require_finite(RR, "product rho(a) rho(a') has")
+            _require_finite(left, "product d rho(C) R has")
+            _require_finite(right, "product d rho(B) R + R d rho(B') has")
+            return np.stack(
+                [
+                    relative_residual(image, RR, axis=(-2, -1)),
+                    relative_residual(left, right, axis=(-2, -1)),
+                ]
+            )
+
+        return _scan("homomorphism", self.samples, seed, residuals)
+
+    @functools.cached_property
+    def tie(self) -> tuple[np.ndarray, np.ndarray]:
+        rep, seed = self.rep, self.tie_seed
+
+        def residuals(indices):
+            X = _tangent_sample(rep.group, _keys(seed, indices))
+            image = rep_image(rep, X.base)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tied = _expm(differential_rep(rep, AlgebraElement(X.base._exponent, rep.group)))
+            _require_finite(tied, "exponential expm(d rho(B_0)) has")
+            return relative_residual(image, tied, axis=(-2, -1))
+
+        return _scan("equivalence_transfer", self.samples, seed, residuals)
+
+    def homomorphism_rows(
+        self, tol: float = _HOMOMORPHISM_TOL
+    ) -> tuple[CheckReport, CheckReport]:
+        """The homomorphism row of ``rep`` and of its prolongation.
+
+        The block defect ``rho~(XY) - rho~(X) rho~(Y)`` of the prolongation
+        has the base defect ``D`` on its diagonal and ``d rho(C) D + F R'``
+        below it, with ``F`` the fiber identity's defect: block algebra,
+        proved in sympy by ``tests/test_acceptance.py``, criterion 02.  So
+        the prolonged row is the worse of the ``base`` and ``fiber`` parts,
+        and its witness names the part.
+        """
+        _require_gate(tol, self.samples)
+        worst, index = self.homomorphism
+        seeds = [self.seed] * 2
+        return (
+            _worst_part("homomorphism", tol, seeds, worst[:1], index[:1]),
+            _worst_part("homomorphism", tol, seeds, worst, index, ("base", "fiber")),
         )
 
-    worst, index = _scan("homomorphism", samples, seed, residuals)
-    return tuple(
-        _verdict("homomorphism", float(w), tol, _witness(seed, i, w)) for w, i in zip(worst, index)
-    )
+    def oracle_row(self, tol: float = _HOMOMORPHISM_TOL) -> CheckReport:
+        """The action oracle row: the worse of ``base``, the homomorphism's
+        base part, and ``tie``.  A ``tie`` witness carries the tie's seed."""
+        _require_gate(tol, self.samples)
+        (base, base_index), (tie, tie_index) = self.homomorphism, self.tie
+        return _worst_part(
+            "action_oracle",
+            tol,
+            [self.seed, self.tie_seed],
+            [base[0], tie[0]],
+            [base_index[0], tie_index[0]],
+            ("base", "tie"),
+        )
+
+    def equivalence_row(self, tol: float = 1e-9) -> CheckReport:
+        """The equivalence row, read off the tie."""
+        _require_gate(tol, self.samples)
+        worst, index = self.tie
+        return _worst_part("equivalence_transfer", tol, [self.tie_seed], worst, index)
 
 
 def check_homomorphism(
@@ -353,45 +457,35 @@ def check_homomorphism(
     tol: float = _HOMOMORPHISM_TOL,
 ) -> CheckReport:
     """Sample pairs and compare the image of the product with the product
-    of the images.  Works on plain representations and on prolongations;
-    for a prolongation the pairs are tangent elements composed with the
-    tangent group law, and for a plain representation their base points.
+    of the images.  Works on plain representations and on prolongations:
+    a prolongation's row is the worse of its base's row and the fiber
+    identity on the same pairs (:meth:`_Scans.homomorphism_rows`).
     """
     if isinstance(rep, ProlongedRepresentation):
-        return _homomorphism_checks(rep.base, samples, seed, tol)[1]
-    return _homomorphism_checks(rep, samples, seed, tol)[0]
+        return _Scans(rep.base, samples, seed).homomorphism_rows(tol)[1]
+    return _Scans(rep, samples, seed).homomorphism_rows(tol)[0]
 
 
 def check_action_oracle(
     rep: Representation,
     samples: int = 200,
     seed: int = 0,
-    tol: float = _ORACLE_TOL,
+    tol: float = _HOMOMORPHISM_TOL,
 ) -> CheckReport:
-    """Compare the block-matrix action with the differentiated action curve.
+    """The block action ``(p, v) |-> (R p, K R p + R v)`` is the derivative
+    at ``t = 0`` of the action curve ``t |-> rho(exp(tB) a) (p + t v)``.
 
-    The two sides share only the representation itself: one goes through
-    the prolonged blocks, the other through a central difference of the
-    full action.  The default tolerance reflects the finite-difference
-    error floor.
+    With the homomorphism ``rho(exp(tB) a) = rho(exp tB) rho(a)`` and the
+    tie ``rho(exp tB) = expm(t d rho(B))``, the curve is ``expm(tK) R (p +
+    t v)``, whose derivative is the block action: proved in sympy by
+    ``tests/test_acceptance.py``, criterion 03, which also compares the two
+    sides numerically.  So the check samples the two hypotheses: ``base``,
+    the homomorphism's base part under the keys ``(seed, 2i)`` and ``(seed,
+    2i + 1)``, and ``tie``, the equivalence row's tie under ``(seed, 1,
+    i)``.  The residual is the worse part's, and the witness names it.  The
+    default tolerance is the hypotheses' own.
     """
-    n = rep.target_dim
-
-    def residuals(indices):
-        X = _tangent_sample(rep.group, _keys(seed, indices, 53))
-        # The probes depend on the seed and the indices, as X does: their
-        # stream is kept on X, so it is seeded once for every target
-        # dimension probed on X, and the probes are read off the rows it
-        # keeps.
-        probe_keys = _keys(seed, indices, 59)
-        stream = X._kept(("probe stream", probe_keys), lambda: _stream(probe_keys))
-        draws = stream.draws(2 * n).reshape(-1, 2, n)
-        Y = TangentVector(draws[:, 0], draws[:, 1])
-        direct = apply_prolonged(prolong(rep, X), Y)
-        oracle = tangent_action_oracle(rep, X, Y)
-        return relative_residual(direct.coordinates, oracle.coordinates, axis=-1)
-
-    return _sampled_check("action_oracle", samples, seed, tol, residuals)
+    return _Scans(rep, samples, seed).oracle_row(tol)
 
 
 def _intertwiner_matrix(A) -> np.ndarray:
@@ -506,17 +600,7 @@ def check_equivalence_transfer(
     scored against ``expm(d rho(B_0))``, with no logarithm.  An exponential
     that overflows is refused as a :class:`NonFiniteImageError`.
     """
-    sample_seed = _derive(seed, 1)
-
-    def residuals(indices):
-        X = _tangent_sample(rep.group, _keys(sample_seed, indices))
-        image = rep_image(rep, X.base)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tied = _expm(differential_rep(rep, AlgebraElement(X.base._exponent, rep.group)))
-        _require_finite(tied, "exponential expm(d rho(B_0)) has")
-        return relative_residual(image, tied, axis=(-2, -1))
-
-    return _sampled_check("equivalence_transfer", samples, sample_seed, tol, residuals)
+    return _Scans(rep, samples, seed).equivalence_row(tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,9 @@ FAIL on them with an explicit witness, and that failure is what the
 criterion requires.
 """
 
+import functools
 import json
+import operator
 import subprocess
 import sys
 import time
@@ -22,9 +24,9 @@ import pytest
 from lieprolong import (
     SubspaceBasis,
     TangentVector,
+    apply_prolonged,
     catalog_entry,
     catalog_list,
-    check_action_oracle,
     check_equivalence_transfer,
     check_homomorphism,
     check_invariance_transfer,
@@ -34,10 +36,13 @@ from lieprolong import (
     general_linear,
     is_invariant_subspace,
     jn_embed,
+    prolong,
     prolonged,
     reducibility_probe,
     relative_residual,
     sample_tangent_element,
+    sample_tangent_elements,
+    tangent_action_oracle,
     tg_multiply,
 )
 
@@ -73,8 +78,68 @@ def test_criterion_01_jn_embedding_is_a_homomorphism():
     )
 
 
+def total(terms):
+    """The sum of a list of matrix expressions."""
+    return functools.reduce(operator.add, terms)
+
+
+def homomorphism_proof(conjugate) -> tuple[bool, bool]:
+    """The prolongation is a homomorphism when rho is and the fiber
+    identity holds, proved in sympy on symbolic n x n blocks, for the group
+    law whose product of X = [a, B] and Y = [a', B'] has the fiber C = B +
+    conjugate(a, B').
+
+    With R = rho(a), R' = rho(a'), rho(a a') = R R' + D (D the base
+    defect), K = d rho(B), K' = d rho(B') and KC = d rho(C), the block
+    defect rho~(XY) - rho~(X) rho~(Y) is [[D, 0], [KC D + F R', D]] with F =
+    KC R - K R - R K', whatever the blocks are.  With d rho linear and
+    equivariant, d rho(g Y g^-1) = rho(g) d rho(Y) rho(g)^-1, F reduces to
+    0 under the tangent group law C = B + a B' a^-1.  Returns whether the
+    block identity holds and whether F reduces to 0.  check_homomorphism
+    samples the base defect and F on prolonged(rep).
+    """
+    from sympy import BlockMatrix, MatrixSymbol, ZeroMatrix, block_collapse, symbols
+
+    n = symbols("n", integer=True, positive=True)
+    names = ("a", "B", "B'", "R", "R'", "K", "K'", "KC", "D")
+    a, B, B2, R, R2, K, K2, KC, D = (MatrixSymbol(name, n, n) for name in names)
+    zero = ZeroMatrix(n, n)
+
+    def prolonged_block(R, K):
+        return BlockMatrix([[R, zero], [K * R, R]])
+
+    # Products of sums are written out term by term.
+    image = [R * R2, D]
+    XY = BlockMatrix([[total(image), zero], [total([KC * t for t in image]), total(image)]])
+    defect = block_collapse(XY - prolonged_block(R, K) * prolonged_block(R2, K2))
+    F = [KC * R, -K * R, -R * K2]
+    expected = [D, zero, total([KC * D] + [f * R2 for f in F]), D]
+    identity = [defect.blocks[i, j] for i in (0, 1) for j in (0, 1)] == expected
+
+    # The base homomorphism sends a^-1 to R^-1.
+    rho, d_rho = {a: R, a.I: R.I}, {B: K, B2: K2}
+
+    def d_rho_of(Y):
+        """d rho of a fiber term: B, B', or a conjugate g Y g^-1 of one."""
+        if Y in d_rho:
+            return d_rho[Y]
+        g, inner, g_inverse = Y.args
+        assert g_inverse == g.I
+        return rho[g] * d_rho_of(inner) * rho[g].I
+
+    # d rho(C) R, by linearity one term of C at a time.
+    reduced = total([d_rho_of(Y) * R for Y in (B, conjugate(a, B2))] + F[1:])
+    return identity, reduced == zero
+
+
 def test_criterion_02_prolongation_is_a_homomorphism_on_every_catalog_rep():
+    # A proof and a sample.  The sympy proof on symbolic blocks, which fails
+    # on the group law with a^-1 B' a in place of a B' a^-1; then, on every
+    # catalog entry, the sampled row that reads the proof's two hypotheses.
     start = time.perf_counter()
+    identity, proved = homomorphism_proof(lambda a, Y: a * Y * a.I)
+    wrong_identity, wrong_law = homomorphism_proof(lambda a, Y: a.I * Y * a)
+    elapsed = time.perf_counter() - start
     worst = 0.0
     worst_name = ""
     for entry in catalog_list():
@@ -82,29 +147,71 @@ def test_criterion_02_prolongation_is_a_homomorphism_on_every_catalog_rep():
         assert report.passed, (entry.name, report)
         if report.max_residual > worst:
             worst, worst_name = report.max_residual, entry.name
-    elapsed = time.perf_counter() - start
     record(
         2,
         "prolongation_homomorphism",
-        worst < 1e-9 and elapsed < 30.0,
-        f"worst {worst:.2e} on {worst_name}, {elapsed:.1f}s, 1000 pairs x "
-        f"{len(catalog_list())} reps",
+        identity and proved and wrong_identity and not wrong_law and elapsed < 5.0
+        and worst < 1e-9,
+        f"sympy proof on symbolic n x n blocks, {elapsed:.2f}s, F != 0 under a^-1 B' a; "
+        f"sampled worst {worst:.2e} on {worst_name}, 1000 pairs x {len(catalog_list())} reps",
     )
 
 
+def action_proof(tied: bool) -> bool:
+    """The block action is the derivative of the action curve, proved in
+    sympy on symbolic blocks: n x n matrices R = rho(a) and K = d rho(B),
+    and n x 1 vectors p and v.
+
+    By the homomorphism, rho(exp(tB) a) = rho(exp tB) R, and rho(exp tB) =
+    I + t V + t^2 H + ..., with V its velocity at t = 0.  The tie
+    rho(exp tB) = expm(t K) gives V = K; without it V is any matrix J.  The
+    action curve rho(exp(tB) a) (p + t v) is then a power series in t,
+    whose value and derivative at t = 0 are its coefficients of 1 and t.
+    Returns whether they are the blocks of [[R, 0], [K R, R]] (p, v).
+    check_action_oracle samples the homomorphism and the tie.
+    """
+    from sympy import BlockMatrix, Identity, MatrixSymbol, ZeroMatrix, block_collapse, symbols
+
+    n = symbols("n", integer=True, positive=True)
+    R, K, J, H = (MatrixSymbol(name, n, n) for name in "RKJH")
+    p, v = MatrixSymbol("p", n, 1), MatrixSymbol("v", n, 1)
+    curve, point = [Identity(n), K if tied else J, H], [p, v]
+
+    def coefficient(k):
+        return total([curve[i] * R * point[k - i] for i in range(3) if 0 <= k - i < 2])
+
+    action = block_collapse(
+        BlockMatrix([[R, ZeroMatrix(n, n)], [K * R, R]]) * BlockMatrix([[p], [v]])
+    )
+    return [action.blocks[0, 0], action.blocks[1, 0]] == [coefficient(0), coefficient(1)]
+
+
 def test_criterion_03_block_action_matches_the_differentiated_action():
+    # A proof, which fails once the tie is dropped, and the two sides
+    # compared numerically: the block action against a central difference of
+    # the action curve, on every catalog entry at 1000 sampled triples.
+    start = time.perf_counter()
+    proved, untied = action_proof(tied=True), action_proof(tied=False)
+    elapsed = time.perf_counter() - start
     worst = 0.0
     worst_name = ""
     for entry in catalog_list():
-        report = check_action_oracle(entry.rep, 1000, SEED, 1e-5)
-        assert report.passed, (entry.name, report)
-        if report.max_residual > worst:
-            worst, worst_name = report.max_residual, entry.name
+        rep, m = entry.rep, entry.rep.target_dim
+        X = sample_tangent_elements(rep.group, [(SEED, 53, i) for i in range(1000)])
+        probes = np.random.default_rng(SEED).uniform(-1.0, 1.0, (1000, 2, m))
+        Y = TangentVector(probes[:, 0], probes[:, 1])
+        direct = apply_prolonged(prolong(rep, X), Y).coordinates
+        oracle = tangent_action_oracle(rep, X, Y).coordinates
+        residual = float(np.max(relative_residual(direct, oracle, axis=-1)))
+        assert residual < 1e-5, (entry.name, residual)
+        if residual > worst:
+            worst, worst_name = residual, entry.name
     record(
         3,
         "action_oracle_equivalence",
-        worst < 1e-5,
-        f"worst {worst:.2e} on {worst_name}, 1000 triples per rep",
+        proved and not untied and elapsed < 5.0 and worst < 1e-5,
+        f"sympy proof, {elapsed:.2f}s, fails without the tie; central difference worst "
+        f"{worst:.2e} on {worst_name}, 1000 triples per rep",
     )
 
 

@@ -21,6 +21,7 @@ from lieprolong import (
     GroupElement,
     Verdict,
     __version__,
+    catalog_entry,
     check_action_oracle,
     check_equivalence_transfer,
     check_homomorphism,
@@ -31,7 +32,7 @@ from lieprolong import (
     load_representation,
     sample_tangent_elements,
 )
-from lieprolong import cli, groups, rep_algebra
+from lieprolong import cli, groups, prolongation, rep_algebra
 from lieprolong.cli import SEED_ENV_VAR, main
 
 REPORT_SCHEMA = {
@@ -281,7 +282,7 @@ class TestProlongCommand:
 # subspace, keeps the contract.
 SUITE_CHECKS = [
     ("homomorphism", check_homomorphism, 1e-9),
-    ("oracle", check_action_oracle, 1e-5),
+    ("oracle", check_action_oracle, 1e-9),
     ("equivalence", check_equivalence_transfer, 1e-9),
     ("invariance", check_invariance_transfer, 1e-9),
     ("invariance", is_invariant_subspace, 1e-9),
@@ -524,6 +525,74 @@ class TestCheckCommand:
         assert any(c["verdict"] == "fail" for c in document["checks"])
 
 
+# What a sampled suite of check or report never calls: a prolonged image, a
+# tangent product or the finite-difference action oracle.
+PROLONGED_PATH = ("tg_multiply", "prolong", "apply_prolonged", "tangent_action_oracle")
+
+
+def count_calls(monkeypatch, names) -> dict:
+    """Calls of the package functions ``names``, under whatever module name
+    the package imported each one."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(groups, name, None) or getattr(prolongation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("lieprolong") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestCheckPath:
+    """The homomorphism, oracle and equivalence rows read two scans, which
+    sample the hypotheses of the block algebra that tests/test_acceptance.py
+    proves, and no prolonged image."""
+
+    def test_check_all_forms_no_prolonged_image(self, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, PROLONGED_PATH)
+        code, document, _ = run_json(
+            capsys, "check", "--rep", "so3_standard", "--suite", "all", "--samples", "20"
+        )
+        assert code == 0 and len(document["checks"]) == 7
+        assert counts == dict.fromkeys(PROLONGED_PATH, 0)
+
+    def test_report_prolongs_only_its_faithfulness_witnesses(self, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, PROLONGED_PATH)
+        code, document, _ = run_json(capsys, "report", "--samples", "10", "--seed", "5")
+        assert code == 1
+        # faithfulness_probe prolongs its witness [I, B] when the kernel of
+        # d rho holds B: on trivial(1) and trivial(2).
+        witnesses = [
+            c["name"] for c in document["checks"]
+            if c.get("witness", {}).get("part") == "infinitesimal"
+        ]
+        assert witnesses == ["trivial(1)::faithfulness_probe", "trivial(2)::faithfulness_probe"]
+        assert counts == {**dict.fromkeys(PROLONGED_PATH, 0), "prolong": 2}
+
+    def test_the_oracle_row_adds_no_apply_evaluation(self, monkeypatch, capsys):
+        entry = catalog_entry("so3_standard")
+        calls = []
+        rep = dataclasses.replace(
+            entry.rep, apply=lambda a: calls.append(a.matrix.shape) or entry.rep.apply(a)
+        )
+        monkeypatch.setattr(cli, "_resolve_rep", lambda source: (rep, entry))
+
+        def evaluations(suite: str) -> int:
+            calls.clear()
+            run_json(capsys, "check", "--rep", "so3_standard", "--suite", suite, "--samples", "20")
+            return len(calls)
+
+        # Within one command the oracle row reads the homomorphism and
+        # equivalence rows' scans; on its own it runs both.
+        others = sum(evaluations(suite) for suite in cli._SUITE_NAMES if suite != "oracle")
+        assert evaluations("all") == others
+        assert evaluations("oracle") == evaluations("homomorphism") + evaluations("equivalence")
+
+
 class TestSeeds:
     def test_env_seed_matches_flag_seed(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "9")
@@ -760,7 +829,7 @@ class TestProcessEntry:
         )
         assert (proc.returncode, proc.stdout) == (code, out)
         if "--seed" in argv:
-            assert hashlib.sha256(out.encode()).hexdigest().startswith("7094bb0e")
+            assert hashlib.sha256(out.encode()).hexdigest().startswith("655f6659")
         if code == 2:
             assert proc.stderr == err == "error: --samples must be at least 1, got 0\n"
 
@@ -991,7 +1060,8 @@ class TestMalformedInput:
         ("suite", "failure"),
         [
             ("homomorphism", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
-            ("oracle", "action_oracle check, seed 5, sample index 1: " + NON_FINITE),
+            # The oracle row reads the homomorphism scan first.
+            ("oracle", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
             ("equivalence", "equivalence_transfer check, seed [5, 1], sample index 1: " + NON_FINITE),
             ("all", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
         ],

@@ -574,7 +574,7 @@ class TestExponentialCertificate:
         X = sample_tangent_elements(spec, [(37, i) for i in range(50)])
         Y = sample_tangent_elements(spec, [(41, i) for i in range(50)])
         product = group_multiply(X.base, Y.base)
-        # The oracle's curve points.
+        # tangent_action_oracle's curve points.
         for t in (1e-6, -1e-6):
             group_multiply(mat_exp(X.algebra, t), X.base)
         group_multiply(product, mat_exp(Y.algebra, 2.0))
@@ -1203,8 +1203,9 @@ class TestStackedLogarithm:
                 argv = ["check", "--rep", str(path), "--suite", suite, "--samples", "30"]
                 assert main([*argv, "--seed", str(seed)]) == 0
         capsys.readouterr()
-        # 30 products and 60 curve points per seed.
-        assert len(taken) == 900
+        # 30 products per seed: the oracle suite reads the products that the
+        # homomorphism suite keeps on the sample memo, with their logarithms.
+        assert len(taken) == 300
         assert fallbacks == []
 
     def test_no_slice_falls_back_on_the_sampled_descriptor_suites(

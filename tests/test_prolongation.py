@@ -360,14 +360,22 @@ class TestActionOracle:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_overflow_on_the_checked_path_names_its_sample(self):
-        # The cusp's images, difference quotients and prolonged actions
-        # overflow in turn across these seeds; each is refused by the check
-        # with a replayable seed and sample index, never warned.
+        # The cusp's images, and the products of two of them, overflow in
+        # turn across these seeds; each is refused by the homomorphism scan
+        # the check reads first, with a replayable seed and sample index,
+        # never warned.
         rep = cusp(1.5e308)
+        failures = set()
         for seed in range(30):
             with pytest.raises(NonFiniteImageError) as info:
                 check_action_oracle(rep, 200, seed)
-            assert str(info.value).startswith(f"action_oracle check, seed {seed}, sample index ")
+            prefix = f"homomorphism check, seed {seed}, sample index "
+            assert str(info.value).startswith(prefix)
+            failures.add(str(info.value).partition(": ")[2])
+        assert failures == {
+            "apply returned non-finite entries",
+            "product rho(a) rho(a') has non-finite entries",
+        }
 
     def test_rejects_mismatches(self):
         rep = catalog_entry("circle_rotation").rep

@@ -25,12 +25,12 @@ from elements import broken_circle_plus_trivial
 from lieprolong import (
     AlgebraElement,
     CheckReport,
+    GroupElement,
     NonFiniteImageError,
     ProlongedMatrix,
     Representation,
     SpecMismatchError,
     SubspaceBasis,
-    TangentGroupElement,
     Verdict,
     algebra_from_coordinates,
     block_diag,
@@ -49,6 +49,7 @@ from lieprolong import (
     faithfulness_probe,
     general_linear,
     group_coordinates,
+    group_multiply,
     is_intertwiner,
     is_invariant_subspace,
     load_representation,
@@ -912,19 +913,35 @@ class TestSharedDriver:
     """The stacked checks against plain loops over single elements."""
 
     def test_homomorphism_matches_a_per_pair_loop(self):
-        rep = prolonged(skewed_identity(general_linear(2)))
+        # Per pair x = [a, B], y = [a', B']: the base part scores rho(a a')
+        # against R R', and the fiber part the fiber identity, with C = B +
+        # a B' a^-1 the fiber of the tangent product.
+        rep = skewed_identity(general_linear(2))
         seed, count = 31, 300
         residuals = []
         for i in range(count):
             x = sample_tangent_element(rep.group, (seed, 2 * i))
             y = sample_tangent_element(rep.group, (seed, 2 * i + 1))
-            residuals.append(
-                relative_residual(rep.apply(tg_multiply(x, y)), rep.apply(x) @ rep.apply(y))
+            R, R2 = rep_image(rep, x.base), rep_image(rep, y.base)
+            K, K2, KC = (
+                differential_rep(rep, B) for B in (x.algebra, y.algebra, tg_multiply(x, y).algebra)
             )
-        report = check_homomorphism(rep, count, seed)
-        assert report.verdict is Verdict.FAIL
-        assert report.max_residual == max(residuals)
-        assert report.witness["sample_index"] == int(np.argmax(residuals))
+            residuals.append(
+                (
+                    relative_residual(rep_image(rep, group_multiply(x.base, y.base)), R @ R2),
+                    relative_residual(KC @ R, K @ R + R @ K2),
+                )
+            )
+        base = check_homomorphism(rep, count, seed)
+        lifted = check_homomorphism(prolonged(rep), count, seed)
+        assert base.verdict is lifted.verdict is Verdict.FAIL
+        worst = np.max(residuals, axis=0)
+        assert base.max_residual == worst[0]
+        assert base.witness["sample_index"] == int(np.argmax([r[0] for r in residuals]))
+        part = int(np.argmax(worst))
+        assert lifted.max_residual == worst[part]
+        assert lifted.witness["part"] == ("base", "fiber")[part]
+        assert lifted.witness["sample_index"] == int(np.argmax([r[part] for r in residuals]))
 
     def test_unevaluable_image_names_the_first_failing_sample(self):
         # The stack fails first at the product image of a later pair; sample
@@ -932,7 +949,7 @@ class TestSharedDriver:
         rep = load_representation(gl1_power(800.0))
         message = "homomorphism check, seed 10, sample index 0: apply returned non-finite entries"
         with pytest.raises(NonFiniteImageError) as info:
-            rep_algebra._homomorphism_checks(rep, 256, 10)
+            rep_algebra._Scans(rep, 256, 10).homomorphism
         assert str(info.value) == message
 
     def test_failing_equivalence_names_its_sample(self):
@@ -1080,13 +1097,10 @@ class TestSampleMemo:
         assert main(argv) == 0
         capsys.readouterr()
         # The product of each pair: x and y keep the exponents they were
-        # drawn as, and the plain and prolonged rows are read off one
-        # prolonged evaluation.
+        # drawn as, and the plain and prolonged rows are read off one scan.
         assert len(calls) == 30
 
-    def test_oracle_suite_takes_a_logarithm_per_curve_point(
-        self, monkeypatch, capsys, tmp_path
-    ):
+    def test_oracle_suite_takes_a_logarithm_per_product(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "so3_doubled.json"
         path.write_text(json.dumps(so3_doubled()))
         self.clear()
@@ -1094,8 +1108,9 @@ class TestSampleMemo:
         argv = ["check", "--rep", str(path), "--suite", "oracle", "--samples", "30"]
         assert main(argv) == 0
         capsys.readouterr()
-        # exp(+-hB) a per sample: products keep no exponent.
-        assert len(calls) == 60
+        # The oracle row reads the homomorphism scan, which takes the
+        # logarithm of each pair's product, and the tie, which takes none.
+        assert len(calls) == 30
 
     def test_prolong_takes_no_logarithm_of_the_element_it_prolongs(
         self, monkeypatch, capsys, tmp_path
@@ -1178,15 +1193,14 @@ class TestSampleMemo:
 
     @pytest.mark.parametrize("name", CIRCLE_ENTRIES)
     def test_circle_reports_do_not_depend_on_the_entries_before(self, monkeypatch, name):
-        # The other circle entries leave products, curve points and probe
-        # streams on the memo that this entry then reads.
+        # The other circle entries leave products with their coordinates on
+        # the memo that this entry then reads.
         config = cli.RunConfig("check", samples=40, seed=8)
 
         def reports(entry_name):
             entry = catalog_entry(entry_name)
-            return [
-                repr(cli._run_suite(suite, entry.rep, entry, config)) for suite in cli._SUITE_NAMES
-            ]
+            scans = rep_algebra._Scans(entry.rep, config.samples, config.seed)
+            return [repr(cli._run_suite(suite, scans, entry, config)) for suite in cli._SUITE_NAMES]
 
         self.clear()
         cold = reports(name)
@@ -1196,7 +1210,7 @@ class TestSampleMemo:
                 reports(other)
         products = []
         monkeypatch.setattr(
-            rep_algebra, "tg_multiply", lambda X, Y: products.append(X) or tg_multiply(X, Y)
+            rep_algebra, "group_multiply", lambda a, b: products.append(a) or group_multiply(a, b)
         )
         assert reports(name) == cold
         assert products == []
@@ -1208,18 +1222,15 @@ class TestSampleMemo:
         assert check_action_oracle(rep, 10, seed=2).passed
         X, Y, Z = (
             rep_algebra._tangent_sample(rep.group, rep_algebra._keys(2, *args))
-            for args in ((2 * indices,), (2 * indices + 1,), (indices, 53))
+            for args in ((2 * indices,), (2 * indices + 1,), (indices, 1))
         )
+        # The only value kept on a stack is the group product of a pair,
+        # which the oracle row read again.
         [product] = X._kept_values.values()
-        stream, (plus, minus) = Z._kept_values.values()
-        # The probe vectors are read off the rows the probe stream keeps.
-        probes = stream._rows
-        assert isinstance(product, TangentGroupElement)
-        assert isinstance(stream, groups._Stream)
-        assert probes.shape == (10, 4)
-        refs = [weakref.ref(obj) for obj in (X, Y, Z, product, plus, minus, probes)]
-        refs += [weakref.ref(obj) for obj in (X._stream, Y._stream, Z._stream, stream)]
-        del X, Y, Z, product, plus, minus, probes, stream
+        assert isinstance(product, GroupElement)
+        assert not hasattr(Y, "_kept_values") and not hasattr(Z, "_kept_values")
+        refs = [weakref.ref(obj) for obj in (X, Y, Z, product, X._stream, Y._stream, Z._stream)]
+        del X, Y, Z, product
         assert all(ref() is not None for ref in refs)
         rep_algebra._tangent_sample.cache_clear()
         assert [ref() for ref in refs] == [None] * len(refs)
@@ -1234,8 +1245,9 @@ class TestSampleMemo:
         assert len(groups._STREAMS) == 0
 
     def test_report_seeds_each_key_set_once(self, monkeypatch, capsys):
-        # The six groups draw under the same keys, and so do the oracle's
-        # probes for each target dimension.  No conjugator is drawn.
+        # The six groups draw under the same keys: the homomorphism pairs', the
+        # tie's and the invariance transfer's.  No conjugator and no probe
+        # vector is drawn.
         seed, calls = groups._seed, []
         monkeypatch.setattr(groups, "_seed", lambda keys: calls.append(keys) or seed(keys))
         self.clear()
@@ -1243,7 +1255,7 @@ class TestSampleMemo:
         capsys.readouterr()
         assert set(collections.Counter(calls).values()) == {1}
         assert ((5, 2, 0),) not in calls
-        assert len(calls) <= 6
+        assert len(calls) == 4
 
     def test_memo_stays_bounded(self):
         self.clear()

@@ -170,9 +170,9 @@ MATRIX = {
     "d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
     "d rho x 2": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
     "d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
-    # The oracle should fail: its residual, 9.2e-7, sits under its
-    # finite-difference tolerance of 1e-5 (item 8, an exact oracle).
-    "d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-", "-"),
+    # The oracle samples the tie rho(exp B) = expm(d rho(B)) at its own
+    # tolerance, 1e-9, and fails at 1.2e-6.
+    "d rho x (1 + 1e-6)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
     # The same seven maps on GL(2), which is neither compact nor semisimple:
     # the cells match SO(3)'s, except that GL(2) holds -I = exp(pi J), and
     # exp(pi d rho(J)) = I at d rho x 2.
@@ -182,26 +182,32 @@ MATRIX = {
     "gl2: d rho = 0": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
     "gl2: d rho x 2": ("pass", "pass", "fail", "fail", "fail", "-", "-", "-"),
     "gl2: d rho x (1 + 1e-3)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
-    # The oracle should fail, as on SO(3) (item 8, an exact oracle).
-    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "pass", "fail", "pass", "-", "-", "-"),
-    # Valid: every cell should pass.  The max(1, max|reference|) scale
-    # ignores cancellation in the conjugated products, and the residuals
-    # land at 6.4e-10 (base, just under 1e-9: the samples' logarithms are
-    # their drawn exponents) and 1.2e-9 to 8.5e-5 (item 9, residuals scaled
-    # by their operands).  The equivalence row forms no product: a
-    # descriptor's apply is expm(d rho(B_0)), and it reads 0.
-    "gl3_dense_conjugated": ("pass", "fail", "fail", "pass", "pass", "-", "-", "-"),
+    # The oracle fails on the tie at 1.3e-6, as on SO(3).
+    "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
+    # Valid: every cell passes.  The max(1, max|reference|) scale ignores
+    # cancellation in the conjugated products, and the base row lands at
+    # 6.0e-10, just under 1e-9 (the samples' logarithms are their drawn
+    # exponents), the fiber identity at 7.8e-10 and the oracle, base and
+    # tie, at 6.0e-10.  The equivalence row forms no product: a
+    # descriptor's apply is expm(d rho(B_0)), and it reads 0.  At the CLI
+    # defaults the base row fails at 7.3e-9 (item 8, residuals scaled by
+    # their operands).
+    "gl3_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
     "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
     "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-", "-"),
     # Valid: every sampled cell should pass.  cond(Sym^n a) = cond(a)^n, and
-    # the invertibility gate of prolong refuses cond > 1e12 (item 9,
-    # evidence in place of refusal); the equivalence row prolongs nothing,
-    # so no gate refuses it.  The faithfulness cells fail rightly: Sym^n
-    # sends -I to (-1)^n = I when n is even.
-    "symmetric_power(10)": ("refused", "refused", "pass", "pass", "fail", "-", "-", "-"),
+    # the homomorphism scan gates each factor image as prolong gates its
+    # diagonal block, refusing cond > 1e12 (item 8, evidence in place of
+    # refusal).  Sym^10's factors stay under 2.7e9 and its rows pass at
+    # 2.3e-11; its product images, which reach 3.9e15, are scored, not
+    # gated.  Sym^20's and Sym^40's factors reach 1.7e19 and 7.9e34, and
+    # the oracle row, which reads the homomorphism scan, is refused with
+    # them.  The equivalence row gates nothing.  The faithfulness cells
+    # fail rightly: Sym^n sends -I to (-1)^n = I when n is even.
+    "symmetric_power(10)": ("pass", "pass", "pass", "pass", "fail", "-", "-", "-"),
     "symmetric_power(20)": ("refused", "refused", "refused", "pass", "fail", "-", "-", "-"),
-    # Valid: every sampled cell should pass, as for symmetric_power(10)
-    # (item 9).
+    # Valid: every sampled cell should pass, as symmetric_power(10)'s do
+    # (item 8).
     "symmetric_power(40)": ("refused", "refused", "refused", "pass", "fail", "-", "-", "-"),
     # Not representations: apply = expm(d rho(log a)) with loops that do not
     # close, weight 3/2 and weight 1 + 1e-6 on the circle, and exp(2 pi D) = -I
@@ -216,10 +222,10 @@ MATRIX = {
     "circle: collapse": ("fail", "fail", "fail", "fail", "fail", "-", "-", "-"),
     # Not a representation: d rho is not linear.  Every cell should fail.
     # The homomorphism(base) and faithfulness cells read d rho only on the
-    # basis or not at all, and pass; the oracle's residual, 8.2e-8, sits
-    # under its tolerance.  The prolonged homomorphism (1.4e-7) and the
-    # equivalence row's tie (1.2e-7) fail (item 2, a linearity certificate).
-    "so3: d rho = B + 1e-7 B^2": ("pass", "fail", "pass", "fail", "pass", "-", "-", "-"),
+    # basis or not at all, and pass (item 2, a linearity certificate).  The
+    # prolonged homomorphism's fiber identity (1.4e-7) and the tie (1.2e-7),
+    # which the equivalence and oracle rows read, fail.
+    "so3: d rho = B + 1e-7 B^2": ("pass", "fail", "fail", "fail", "pass", "-", "-", "-"),
     # A broken d rho with a true claim about apply: span(e_2) is invariant
     # under every image, so is_invariant_subspace passes, but d rho(B) sends
     # e_2 out of it.  The plain subspace check cannot see d rho; the
@@ -268,11 +274,14 @@ def test_cell(row, column):
 
 
 def test_so4_dense_conjugated_oracle_at_the_cli_defaults():
-    # A second seed for one cell: at 50 samples and seed 3 it passes, but at
-    # the CLI defaults (200 samples, seed 0) the valid representation fails
-    # the finite-difference oracle at 1.2e-5, as on 10 of seeds 0-11.  It
-    # should pass (item 6, a descriptor verified by its load certificate;
-    # item 8, an exact oracle).
-    report = check_action_oracle(representation("so4_dense_conjugated"), 200, 0)
-    assert report.verdict.value == "fail"
-    assert 1e-5 < report.max_residual < 2e-5
+    # A second seed for one cell: at the CLI defaults (200 samples, seed 0)
+    # a central difference of the action curve fails this valid
+    # representation at 1.2e-5.  The oracle reads its two hypotheses, and
+    # both pass: the base homomorphism at 2.0e-10 and the tie exactly,
+    # since a descriptor's apply is expm(d rho(B_0)).
+    rep = representation("so4_dense_conjugated")
+    report = check_action_oracle(rep, 200, 0)
+    assert report.verdict.value == "pass"
+    assert report.max_residual == check_homomorphism(rep, 200, 0).max_residual
+    assert 1e-10 < report.max_residual < 1e-9
+    assert check_equivalence_transfer(rep, 200, 0).max_residual == 0.0
