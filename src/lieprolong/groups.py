@@ -738,10 +738,14 @@ def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def tg_multiply(X: TangentGroupElement, Y: TangentGroupElement) -> TangentGroupElement:
     """Group law on tangent pairs: [a, B] * [a', B'] = [a a', B + a B' a^{-1}]."""
-    a = X.base.matrix
     base = group_multiply(X.base, Y.base)  # rejects mismatched specs
-    fiber = X.algebra.matrix + a @ Y.algebra.matrix @ np.linalg.inv(a)
-    return TangentGroupElement(base, AlgebraElement(fiber, X.spec))
+    return TangentGroupElement(base, AlgebraElement(_tg_fiber(X, Y), X.spec))
+
+
+def _tg_fiber(X: TangentGroupElement, Y: TangentGroupElement) -> np.ndarray:
+    """The fiber B + a B' a^{-1} of the product [a, B] * [a', B'], as a matrix."""
+    a = X.base.matrix
+    return X.algebra.matrix + a @ Y.algebra.matrix @ np.linalg.inv(a)
 
 
 def tg_inverse(X: TangentGroupElement) -> TangentGroupElement:

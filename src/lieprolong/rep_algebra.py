@@ -76,6 +76,7 @@ from .groups import (
     _real,
     _require_invertible,
     _stream,
+    _tg_fiber,
     algebra_basis,
     algebra_coordinates,
     algebra_from_coordinates,
@@ -378,8 +379,9 @@ class _Scans:
                 _require_invertible_image(rep_image(rep, Z.base), Z.base, "apply image")
                 for Z in (X, Y)
             )
-            B, B2, a = X.algebra.matrix, Y.algebra.matrix, X.base.matrix
-            fibers = AlgebraElement(np.stack([B, B2, B + a @ B2 @ np.linalg.inv(a)]), spec)
+            fibers = AlgebraElement(
+                np.stack([X.algebra.matrix, Y.algebra.matrix, _tg_fiber(X, Y)]), spec
+            )
             K, K2, KC = differential_rep(rep, fibers)
             with np.errstate(over="ignore", invalid="ignore"):
                 RR, left, right = R @ R2, KC @ R, K @ R + R @ K2
