@@ -13,8 +13,12 @@ External descriptors are plain JSON documents of generator images; see
 load time, by two exact tests that sample nothing, if its images do not
 define a representation.
 
-SciPy is imported inside the functions that call it, so importing the
-package or listing the catalog loads none of it.
+The metadata of the entries is a table of rows in :mod:`lieprolong._spec`,
+which imports no numpy; each entry is built from its row.  The
+``catalog`` command reads the rows alone, so listing the catalog loads
+neither numpy nor SciPy.  SciPy is imported inside the functions that
+call it, so building the entries with :func:`catalog_list` loads none of
+it either.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import numpy as np
 
+from ._spec import CATALOG_ROWS, DescriptorError, catalog_names
 from .groups import (
     AlgebraElement,
     GroupElement,
@@ -37,10 +42,7 @@ from .groups import (
     algebra_basis,
     algebra_coordinates,
     circle,
-    general_linear,
     group_coordinates,
-    special_linear,
-    special_orthogonal,
 )
 from .prolongation import Representation, differential_rep
 from .rep_algebra import SubspaceBasis, direct_sum
@@ -54,17 +56,6 @@ __all__ = [
     "load_representation",
     "read_descriptor",
 ]
-
-class DescriptorError(ValueError):
-    """A representation descriptor is malformed or inconsistent.
-
-    ``witness`` holds machine-readable details when the rejection came
-    from a failed numerical check.
-    """
-
-    def __init__(self, message: str, witness: Optional[dict] = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,52 +84,41 @@ def _trivial(n: int) -> Representation:
     )
 
 
-def _span(ambient: int, indices: list[int]) -> SubspaceBasis:
-    return SubspaceBasis(ambient, np.eye(ambient)[indices])
+def _span(ambient: int, indices: tuple[int, ...]) -> SubspaceBasis:
+    return SubspaceBasis(ambient, np.eye(ambient)[list(indices)])
 
 
 @lru_cache(maxsize=1)
 def _entries() -> tuple[CatalogEntry, ...]:
-    def defining(name: str, spec: GroupSpec, notes: str) -> CatalogEntry:
-        return CatalogEntry(name, _identity_map_rep(spec, name), notes)
-
     rotation = _identity_map_rep(circle(), "circle_rotation")
     trivial = {n: _trivial(n) for n in (1, 2)}
-    winding = Representation(
-        circle(), 2, lambda a: a.matrix @ a.matrix, lambda B: 2.0 * B.matrix, "circle_winding_2"
-    )
-    return (
-        CatalogEntry("circle_rotation", rotation,
-                     "rotation action on the plane; no invariant lines over the reals"),
-        CatalogEntry("circle_winding_2", winding,
-                     "doubles the angle; the half turn maps to the identity",
-                     known_faithful=False),
-        *(defining(f"gl_identity({n})", general_linear(n),
-                   "defining representation of the general linear group") for n in (1, 2, 3)),
-        defining("sl2_standard", special_linear(2),
-                 "defining representation of the unimodular group on the plane"),
-        defining("so3_standard", special_orthogonal(3),
-                 "rotations of three-space acting on themselves"),
-        *(CatalogEntry(f"trivial({n})", rep,
-                       "constant identity map over the circle; every subspace is invariant",
-                       known_faithful=False, known_invariant_subspaces=(_span(n, [0]),))
-          for n, rep in trivial.items()),
-        CatalogEntry("circle_double", direct_sum(rotation, rotation),
-                     "two copies of the rotation action; the block subspaces are invariant",
-                     known_invariant_subspaces=(_span(4, [0, 1]), _span(4, [2, 3]))),
-        CatalogEntry("circle_plus_trivial", direct_sum(rotation, trivial[1]),
-                     "rotation block plus a fixed line",
-                     known_invariant_subspaces=(_span(3, [0, 1]), _span(3, [2]))),
+    maps = {
+        "circle_rotation": rotation,
+        "circle_winding_2": Representation(
+            circle(), 2, lambda a: a.matrix @ a.matrix, lambda B: 2.0 * B.matrix,
+            "circle_winding_2",
+        ),
+        "trivial(1)": trivial[1],
+        "trivial(2)": trivial[2],
+        "circle_double": direct_sum(rotation, rotation),
+        "circle_plus_trivial": direct_sum(rotation, trivial[1]),
+    }
+    return tuple(
+        CatalogEntry(
+            row.name,
+            # Every other row is its group's defining representation.
+            maps[row.name] if row.name in maps else _identity_map_rep(row.group, row.name),
+            row.notes,
+            row.known_faithful,
+            tuple(_span(row.target_dim, span) for span in row.invariant_spans),
+        )
+        for row in CATALOG_ROWS.values()
     )
 
 
 def catalog_list() -> list[CatalogEntry]:
     """All built-in entries, built on first access and cached after."""
     return list(_entries())
-
-
-def catalog_names() -> list[str]:
-    return [entry.name for entry in _entries()]
 
 
 def catalog_entry(name: str) -> CatalogEntry:

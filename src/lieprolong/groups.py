@@ -37,10 +37,13 @@ decided per slice and no random draw, and a Newton step where it only
 polishes the last bits.  A slice the pass cannot certify, near or on the
 branch cut, goes to SciPy's ``logm``.
 
-SciPy is imported inside the functions that call it, so importing the
-package or listing the catalog loads none of it.  The exponential loads
-only SciPy's compiled Pade steps, from their own extension file, and
-``scipy.linalg`` only for what those steps do not take.
+Group kinds and specs are defined in :mod:`lieprolong._spec`, which
+imports no numpy, so the command line parses and lists without loading
+this module.  SciPy is imported inside the functions that call it, so
+importing this module or building the catalog loads none of it.  The
+exponential loads only SciPy's compiled Pade steps, from their own
+extension file, and ``scipy.linalg`` only for what those steps do not
+take.
 """
 
 from __future__ import annotations
@@ -55,10 +58,19 @@ import threading
 import warnings
 import weakref
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+
+from ._spec import (
+    ChartError,
+    GroupKind,
+    GroupSpec,
+    circle,
+    general_linear,
+    special_linear,
+    special_orthogonal,
+)
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -124,59 +136,6 @@ class SpecMismatchError(ValueError):
 
 class ExponentOverflowError(OverflowError):
     """The requested matrix exponential would overflow double precision."""
-
-
-class ChartError(ValueError):
-    """A group element lies outside the principal exponential chart."""
-
-
-class GroupKind(str, Enum):
-    GENERAL_LINEAR = "GeneralLinear"
-    SPECIAL_LINEAR = "SpecialLinear"
-    SPECIAL_ORTHOGONAL = "SpecialOrthogonal"
-    CIRCLE = "Circle"
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Names a matrix group: a kind plus the matrix dimension.
-
-    ``dim`` is the size of the square matrices realizing the group.  The
-    circle group is realized by 2x2 rotation matrices, so its ``dim`` is
-    always 2.
-    """
-
-    kind: GroupKind
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, GroupKind):
-            object.__setattr__(self, "kind", GroupKind(self.kind))
-        if self.dim < 1:
-            raise ValueError(f"group dimension must be positive, got {self.dim}")
-        if self.kind is GroupKind.CIRCLE and self.dim != 2:
-            raise ValueError("the circle group is realized by 2x2 rotation matrices")
-        if self.dim == 1 and self.kind in (GroupKind.SPECIAL_LINEAR, GroupKind.SPECIAL_ORTHOGONAL):
-            raise ValueError(f"{self.describe()} is the trivial group, whose Lie algebra is zero")
-
-    def describe(self) -> str:
-        return f"{self.kind.value}({self.dim})"
-
-
-def general_linear(n: int) -> GroupSpec:
-    return GroupSpec(GroupKind.GENERAL_LINEAR, n)
-
-
-def special_linear(n: int) -> GroupSpec:
-    return GroupSpec(GroupKind.SPECIAL_LINEAR, n)
-
-
-def special_orthogonal(n: int) -> GroupSpec:
-    return GroupSpec(GroupKind.SPECIAL_ORTHOGONAL, n)
-
-
-def circle() -> GroupSpec:
-    return GroupSpec(GroupKind.CIRCLE, 2)
 
 
 def _float(values, what: str) -> np.ndarray:

@@ -49,8 +49,8 @@ that are allowed to give up, such as :func:`reducibility_probe` when its
 commutant is neither a division algebra nor split by a verified kernel,
 or :func:`faithfulness_probe` when a positive scalar may lie in the kernel.
 
-SciPy is imported inside the functions that call it, so importing the
-package or listing the catalog loads none of it.
+SciPy is imported inside the functions that call it, so importing this
+module or building the catalog loads none of it.
 """
 
 from __future__ import annotations

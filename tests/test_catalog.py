@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ from lieprolong import (
     rep_image,
     sample_tangent_element,
 )
-from lieprolong import groups, rep_algebra
+import lieprolong
+from lieprolong import _spec, catalog, groups, prolongation, rep_algebra
 from lieprolong.cli import main
 
 
@@ -157,6 +160,41 @@ class TestEntries:
     def test_entries_carry_notes(self):
         for entry in catalog_list():
             assert entry.notes
+
+
+class TestRows:
+    """The catalog's metadata is one table of rows, numpy-free, which the
+    built entries and the ``catalog`` command both read."""
+
+    @pytest.mark.parametrize("position", range(11))
+    def test_each_entry_is_built_from_its_row(self, position):
+        row = list(_spec.CATALOG_ROWS.values())[position]
+        entry = catalog_list()[position]
+        assert entry.name == row.name == catalog_names()[position]
+        assert (entry.rep.group, entry.rep.target_dim) == (row.group, row.target_dim)
+        assert (entry.notes, entry.known_faithful) == (row.notes, row.known_faithful)
+        assert len(entry.known_invariant_subspaces) == len(row.invariant_spans)
+        for subspace, span in zip(entry.known_invariant_subspaces, row.invariant_spans):
+            assert subspace.ambient_dim == row.target_dim
+            np.testing.assert_array_equal(subspace.vectors, np.eye(row.target_dim)[list(span)])
+
+    def test_importing_the_package_loads_no_numpy(self):
+        script = (
+            "import json, sys\n"
+            "import lieprolong\n"
+            "print(json.dumps('numpy' in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) is False
+
+    def test_each_public_name_is_its_modules_own_object(self):
+        owners = [catalog, groups, prolongation, rep_algebra]
+        assert lieprolong.__all__ == [name for m in owners for name in m.__all__]
+        for module in owners:
+            assert getattr(lieprolong, module.__name__.rpartition(".")[2]) is module
+            for name in module.__all__:
+                assert getattr(lieprolong, name) is getattr(module, name), name
 
 
 def winding_generator_descriptor(scale: float = 2.0) -> dict:

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -182,6 +183,47 @@ class TestCatalogCommand:
             assert code in (0, 1) and loaded == [], (argv, code, loaded)
             if argv[0] != "report":
                 assert scipy_modules == ["scipy.linalg._matfuncs_expm"], (argv, scipy_modules)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog"],
+            ["catalog", "--format", "text"],
+            ["catalog", "--format", "csv"],
+            ["catalog", "--kind", "Circle"],
+            ["--version"],
+            ["--help"],
+            ["check", "--suite", "all"],
+            ["catalog", "--output", "{missing}/catalog.json"],
+        ],
+        ids=["json", "text", "csv", "kind", "version", "help", "usage_error", "unwritable"],
+    )
+    def test_commands_that_evaluate_nothing_load_no_numpy(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # Listing reads the catalog's rows, and parsing and refusing need
+        # no representation, so none of these processes imports numpy.
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        out, err = capsys.readouterr()
+        # -X importtime writes a line to stderr for each module imported.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lieprolong", *argv],
+            capture_output=True,
+            text=True,
+        )
+        timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        imported = {line.rsplit("|", 1)[1].strip() for line in timed}
+        assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert proc.stderr.splitlines()[len(timed):] == err.splitlines()
+        if argv == ["catalog"]:
+            assert hashlib.sha256(out.encode()).hexdigest().startswith("150f9b8d")
 
     def test_faithfulness_suite_loads_no_scipy_spatial(self):
         # The certificate needs only scipy.linalg; the k-d tree it replaced
@@ -806,9 +848,10 @@ COLD_CHECK = ["check", "--rep", "so3_standard", "--suite", "all", "--samples", "
 
 
 class TestProcessEntry:
-    """``python -m lieprolong`` and the console script freeze the import-time
-    heap out of the cyclic collector and then run ``cli.main``, which
-    itself freezes nothing."""
+    """``python -m lieprolong`` and the console script parse the command
+    line, import what the command evaluates with, freeze the heap out of
+    the cyclic collector and then run the command; ``cli.main`` itself
+    freezes nothing."""
 
     def test_main_in_process_freezes_nothing(self, capsys):
         before = gc.get_freeze_count()
@@ -851,6 +894,55 @@ class TestProcessEntry:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, 0, True]
+
+    @pytest.mark.parametrize(
+        "argv, numpy_frozen", [(["catalog"], False), (COLD_CHECK, True)], ids=["catalog", "check"]
+    )
+    def test_the_entry_freezes_after_the_commands_imports(self, argv, numpy_frozen):
+        # A command that evaluates a representation has numpy's objects
+        # frozen with the rest of its imports; catalog never loads numpy.
+        script = (
+            "import contextlib, gc, io, json, sys\n"
+            "from lieprolong.__main__ import run\n"
+            "seen, freeze = [], gc.freeze\n"
+            "gc.freeze = lambda: seen.append('numpy' in sys.modules) or freeze()\n"
+            f"sys.argv = ['lieprolong', *{argv!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run()\n"
+            "print(json.dumps([code, seen, 'numpy' in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [numpy_frozen], numpy_frozen]
+
+    BLAS_THREADS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    @pytest.mark.parametrize(
+        "preset, code, expected",
+        [
+            ({}, "import lieprolong.__main__ as m; m.run()", ["1", "1", "1"]),
+            ({"OPENBLAS_NUM_THREADS": "2"}, "import lieprolong.__main__ as m; m.run()",
+             ["2", "1", "1"]),
+            ({}, "import lieprolong; lieprolong.mat_exp", [None, None, None]),
+        ],
+        ids=["unset", "preset", "library"],
+    )
+    def test_the_entry_alone_runs_blas_on_one_thread(self, preset, code, expected):
+        # The entry sets what the caller left unset, before numpy loads; a
+        # library import sets nothing.
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_THREADS}
+        script = (
+            "import contextlib, io, json, os, sys\n"
+            "sys.argv = ['lieprolong', 'catalog']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {code}\n"
+            f"print(json.dumps([os.environ.get(v) for v in {self.BLAS_THREADS!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env={**env, **preset}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
 
 
 def strict_json(text: str):
