@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Mapping
@@ -201,9 +202,17 @@ def _generator_representation(
     )
 
 
-def _reject_inconsistent_generators(
+def _generator_certificate(
     rep: Representation, spec: GroupSpec, images: list[np.ndarray]
-) -> None:
+) -> tuple[float, dict]:
+    """The load's two exact tests of generator images: on compact kinds each
+    loop ``exp(2 pi D_k)`` closes, and the images keep the brackets of the
+    basis.  Returns the worst scaled defect, a loop residual or a bracket
+    defect, with its witness, or ``(0.0, {})`` where neither test applies.
+    Raises :class:`DescriptorError` with the witness of the first open loop
+    past 1e-8, of the worst bracket past 1e-12, or of an image too large to
+    verify.
+    """
     D = np.stack(images)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(D, axis=(-2, -1))
@@ -216,20 +225,24 @@ def _reject_inconsistent_generators(
             f"generator image {k} is too large to verify: |D|_F = {norms[k]:.3e}",
             witness={"generator_index": k, "norm": float(norms[k])},
         )
+    defects = [(0.0, {})]
     if spec.kind in _COMPACT_KINDS:
-        for k, image in enumerate(images):
-            # expm(2 pi D) rounds by about eps * |2 pi D|_F, so the gap from
-            # the identity is scaled by that norm.  A NaN gap fails.
-            turn = 2.0 * math.pi * image
-            with np.errstate(over="ignore", invalid="ignore"):
-                gap = np.max(np.abs(_expm(turn) - np.eye(rep.target_dim)))
-            residual = float(gap / max(1.0, 2.0 * math.pi * norms[k]))
-            if not residual <= 1e-8:
-                raise DescriptorError(
-                    f"generator image {k} does not close its one-parameter loop: "
-                    f"exp(2*pi*D) differs from the identity by {residual:.3e}",
-                    witness={"generator_index": k, "loop_residual": residual},
-                )
+        # expm(2 pi D) rounds by about eps * |2 pi D|_F, so the gap from the
+        # identity is scaled by that norm.  A NaN gap fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            turns = _expm(2.0 * math.pi * D)
+            gaps = np.max(np.abs(turns - np.eye(rep.target_dim)), axis=(-2, -1))
+        loops = gaps / np.maximum(1.0, 2.0 * math.pi * norms)
+        open_loops = np.flatnonzero(~(loops <= 1e-8))
+        k = int(open_loops[0]) if open_loops.size else int(np.argmax(loops))
+        residual = float(loops[k])
+        if not residual <= 1e-8:
+            raise DescriptorError(
+                f"generator image {k} does not close its one-parameter loop: "
+                f"exp(2*pi*D) differs from the identity by {residual:.3e}",
+                witness={"generator_index": k, "loop_residual": residual},
+            )
+        defects.append((residual, {"generator_index": k, "loop_residual": residual}))
     basis = np.stack(algebra_basis(spec))
     i, j = np.triu_indices(len(images), 1)
     if len(i):
@@ -239,15 +252,22 @@ def _reject_inconsistent_generators(
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         lhs = differential_rep(rep, AlgebraElement(brackets, spec))
         gaps = np.max(np.abs(lhs - (D[i] @ D[j] - D[j] @ D[i])), axis=(-2, -1))
-        defects = gaps / np.maximum(1.0, norms[i] * norms[j])
-        worst = int(np.argmax(defects))  # the first NaN, if any
-        if not defects[worst] <= 1e-12:
-            pair, defect = [int(i[worst]), int(j[worst])], float(defects[worst])
+        scaled = gaps / np.maximum(1.0, norms[i] * norms[j])
+        worst = int(np.argmax(scaled))  # the first NaN, if any
+        pair, defect = [int(i[worst]), int(j[worst])], float(scaled[worst])
+        if not defect <= 1e-12:
             raise DescriptorError(
                 f"generator images {pair[0]} and {pair[1]} do not keep their "
                 f"bracket: [D_i, D_j] differs from d rho([B_i, B_j]) by {defect:.3e}",
                 witness={"generator_pair": pair, "bracket_defect": defect},
             )
+        defects.append((defect, {"generator_pair": pair, "bracket_defect": defect}))
+    return max(defects, key=lambda defect: defect[0])
+
+
+# The load certificate of each representation load_representation returned,
+# kept while the representation lives, for the check command to report.
+_CERTIFICATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 _DESCRIPTOR_KEYS = ("name", "group", "target_dim", "map")
@@ -270,12 +290,17 @@ def load_representation(document: Mapping[str, Any]) -> Representation:
     evaluated through its exponential coordinates, ``exp(sum c_k D_k)``,
     and the differential is ``sum c_k D_k``.  The load runs two exact
     tests and samples nothing: on compact kinds each loop ``exp(2 pi D_k)``
-    must close, and the images must keep the brackets of the basis.  A
-    failure, or an image with ``|2 pi D_k|_F >= 1e8``, too large for the
-    tests to decide, is rejected with a witness.  Images whose exponential
-    overflows are reported by the check that evaluates them there.
-    Built-in representations are named with ``--rep <name>``, not through
-    a descriptor.
+    must close within 1e-8, and the images must keep the brackets of the
+    basis within 1e-12, each gap scaled by the images' norms.  A failure,
+    or an image with ``|2 pi D_k|_F >= 1e8``, too large for the tests to
+    decide, is rejected with a witness.  The worst defect of a load that
+    passes is its certificate: with the loops closed and the brackets kept,
+    ``exp(X) -> exp(d rho(X))`` is a homomorphism tied to its differential
+    (Hall 2015, Thm 5.6), so the ``check`` command reports it as the
+    homomorphism, action oracle and equivalence rows and samples none of
+    them.  Images whose exponential overflows are refused by the sampled
+    checks that evaluate them there.  Built-in representations are named
+    with ``--rep <name>``, not through a descriptor.
     """
     if not isinstance(document, Mapping):
         raise DescriptorError("descriptor must be a JSON object")
@@ -306,7 +331,7 @@ def load_representation(document: Mapping[str, Any]) -> Representation:
     rep = _generator_representation(
         spec, target_dim, images, str(document.get("name", "descriptor"))
     )
-    _reject_inconsistent_generators(rep, spec, images)
+    _CERTIFICATES[rep] = _generator_certificate(rep, spec, images)
     return rep
 
 

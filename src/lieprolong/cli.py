@@ -50,6 +50,16 @@ _SUITE_NAMES = (
     "faithfulness",
 )
 
+# The rows of a descriptor's suites that its load certificate decides:
+# images whose loops close and whose brackets hold define a homomorphism
+# tied to its differential, so its prolongation is one too and acts as the
+# derivative of its action curve.
+_CERTIFIED_ROWS = {
+    "homomorphism": ("homomorphism(base)", "homomorphism(prolonged)"),
+    "oracle": ("action_oracle",),
+    "equivalence": ("equivalence_transfer",),
+}
+
 # Default tolerance of `prolong`'s differential_consistency row: an absolute
 # max-abs gap between the analytic and the central-difference differential.
 _DIFFERENTIAL_TOL = 1e-5
@@ -222,18 +232,26 @@ def _finish(config: RunConfig, checks: list[CheckReport], **extra) -> int:
 
 
 def _run_suite(
-    suite: str, scans: _Scans, entry: Optional[CatalogEntry], config: RunConfig
+    suite: str, scans: _Scans, entry: Optional[CatalogEntry], config: RunConfig,
+    certificate: Optional[tuple[float, dict]] = None,
 ) -> list[CheckReport]:
     """The rows of one suite on ``scans.rep``.  ``scans`` holds what the
     homomorphism, oracle and equivalence rows sample: a command keeps one
     per representation, so each scan runs once however many of those
-    suites it runs."""
-    from .rep_algebra import CheckReport, Verdict, check_invariance_transfer, faithfulness_probe
+    suites it runs.  With a descriptor's load ``certificate``, its worst
+    defect and witness, those rows report it and sample nothing."""
+    from .rep_algebra import _HOMOMORPHISM_TOL, CheckReport, Verdict, _verdict
+    from .rep_algebra import check_invariance_transfer, faithfulness_probe
 
     rep, samples, seed = scans.rep, config.samples, config.seed
     # Without --tol every check applies the default in its own signature.
     tol = {} if config.tol is None else {"tol": config.tol}
     rename = dataclasses.replace
+    if certificate is not None and suite in _CERTIFIED_ROWS:
+        # 1e-9 without --tol, as in each of these rows' sampled checks.
+        worst, witness = certificate
+        limit = tol.get("tol", _HOMOMORPHISM_TOL)
+        return [_verdict(name, worst, limit, witness) for name in _CERTIFIED_ROWS[suite]]
     if suite == "homomorphism":
         base, lifted = scans.homomorphism_rows(**tol)
         return [
@@ -267,17 +285,20 @@ def _run_suite(
 
 
 def cmd_check(config: RunConfig) -> int:
+    from .catalog import _CERTIFICATES
     from .groups import ExponentOverflowError
     from .prolongation import NonFiniteImageError
     from .rep_algebra import _Scans
 
     rep, entry = _resolve_rep(config.rep_source)
+    # Only a descriptor's load leaves a certificate; a catalog entry is sampled.
+    certificate = _CERTIFICATES[rep] if entry is None else None
     suites = _SUITE_NAMES if config.suite == "all" else (config.suite,)
     scans = _Scans(rep, config.samples, config.seed)
     checks: list[CheckReport] = []
     try:
         for suite in suites:
-            checks.extend(_run_suite(suite, scans, entry, config))
+            checks.extend(_run_suite(suite, scans, entry, config, certificate))
     except (ExponentOverflowError, NonFiniteImageError) as exc:
         raise _InputError(f"cannot evaluate the representation: {exc}") from None
     return _finish(config, checks)

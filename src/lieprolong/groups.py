@@ -31,11 +31,7 @@ so they pass the invertibility gate without inverting anything while
 the bound stays well inside the limit.  An exponential also keeps its
 exponent, the principal logarithm of each slice inside ``||tB||_F < pi``,
 so the logarithm of a drawn element is not computed.  Any other slice's
-is, by one inverse scaling and squaring pass over the whole stack
-(:func:`_logm`): products, inverses and solves, with every parameter
-decided per slice and no random draw, and a Newton step where it only
-polishes the last bits.  A slice the pass cannot certify, near or on the
-branch cut, goes to SciPy's ``logm``.
+is SciPy's ``logm``, one slice at a time (:func:`_logm`).
 
 Group kinds and specs are defined in :mod:`lieprolong._spec`, which
 imports no numpy, so the command line parses and lists without loading
@@ -43,7 +39,7 @@ this module.  SciPy is imported inside the functions that call it, so
 importing this module or building the catalog loads none of it.  The
 exponential loads only SciPy's compiled Pade steps, from their own
 extension file, and ``scipy.linalg`` only for what those steps do not
-take.
+take and for a logarithm taken from a matrix.
 """
 
 from __future__ import annotations
@@ -975,160 +971,12 @@ def algebra_from_coordinates(coords, spec: GroupSpec) -> AlgebraElement:
     return AlgebraElement(matrix, spec)
 
 
-# The stacked logarithm (Al-Mohy & Higham 2012, inverse scaling and
-# squaring).  theta_16 of their Table 2.1: where ||E||_1 <= theta_16, the
-# degree-16 Pade approximant of log(I + E) has backward error at most the
-# unit roundoff.
-_LOG_THETA_16 = 0.749
-# Square roots per slice, and Denman-Beavers steps per root, before the
-# slice is handed to SciPy.
-_LOG_MAX_ROOTS = 64
-_SQRT_MAX_STEPS = 40
-# A logarithm from the stacked pass is kept only where its exponential
-# reconstructs the slice this closely, and the error its square roots'
-# rounding may add stays this small; another slice is handed to SciPy.
-_LOG_CERTIFIED = 1e-12
-# The largest Newton step, in units in the last place of a logarithm's
-# largest entry, that polishes it rather than reads the exponential's
-# rounding through an ill-conditioned logarithm.
-_LOG_POLISH = 4.0
+def _logm(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The principal logarithm of each slice of a real ``(S, n, n)`` stack,
+    complex where a slice has no real one, and the relative residual of
+    its real part's exponential against the slice.
 
-
-def _one_norms(stack: np.ndarray) -> np.ndarray:
-    """The 1-norm of each slice, its column sums added row by row, so that
-    a slice's norm does not depend on the stack it is in."""
-    entries = np.abs(stack)
-    sums = entries[:, 0].copy()
-    for row in range(1, stack.shape[-1]):
-        sums += entries[:, row]
-    return sums.max(axis=-1)
-
-
-def _solved(stack: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """``np.linalg.solve(stack, rhs)`` per slice, or ``np.linalg.inv`` of
-    each slice without ``rhs``; NaN where a slice is singular: numpy
-    refuses the whole stack for one, so then each slice is taken alone."""
-    solve = np.linalg.inv if rhs is None else np.linalg.solve
-    stacks = (stack,) if rhs is None else (stack, rhs)
-    try:
-        return solve(*stacks)
-    except np.linalg.LinAlgError:
-        out = np.full(stacks[-1].shape, np.nan)
-        for i, slices in enumerate(zip(*stacks)):
-            try:
-                out[i] = solve(*slices)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _square_roots(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The principal square root of each slice of an ``(S, n, n)`` stack, by
-    the scaled Denman-Beavers iteration (Higham, Functions of Matrices,
-    2008, (6.28)); which slices converged within the step cap; and, per
-    slice, a first-order bound on the relative error its rounding added,
-    in units of eps.
-
-    ``X -> (mu X + Y^-1 / mu) / 2`` and ``Y -> (mu Y + X^-1 / mu) / 2``
-    from ``X = A``, ``Y = I`` take ``X`` to ``A^(1/2)``; the determinantal
-    scaling ``mu = |det X det Y|^(-1/2n)`` applies while ``||XY - I||_1 >
-    1e-2``.  One step from ``||XY - I||_1 <= 1e-8`` leaves ``X`` within
-    about ``(1e-8)^2 / 8`` of the root, and is a slice's last.  Each step
-    adds to the bound the 1-norm condition number of each matrix it
-    inverts and the cancellation of each sum it forms.  The product form,
-    one inverse a step, inverts ``(A + I)^2 A^-1 / 4`` on its first: near
-    the branch cut that squares the conditioning, and the error of a
-    rotation by ``pi - e`` grew as ``eps / e^2``.
-    """
-    size, n = stack.shape[0], stack.shape[-1]
-    eye = np.eye(n)
-    pairs = np.concatenate([stack, np.broadcast_to(eye, stack.shape)])
-    converged = np.zeros(size, dtype=bool)
-    growth = np.zeros(size)
-    active = np.arange(size)
-    for _ in range(_SQRT_MAX_STEPS):
-        count = len(active)
-        pair = pairs[np.concatenate([active, active + size])]
-        gap = _one_norms(pair[:count] @ pair[count:] - eye)
-        logdet = np.linalg.slogdet(pair)[1]
-        mu = np.where(gap > 1e-2, np.exp(-(logdet[:count] + logdet[count:]) / (2 * n)), 1.0)
-        mu = np.concatenate([mu, mu])
-        other = np.arange(2 * count).reshape(2, count)[::-1].ravel()  # X's Y, Y's X
-        swapped = _solved(pair)[other]
-        new = 0.5 * (mu[:, None, None] * pair + swapped / mu[:, None, None])
-        norms = _one_norms(np.concatenate([pair, swapped, new])).reshape(3, -1)
-        step = norms[0] * norms[1][other]
-        step += (mu * norms[0] + norms[1] / mu) / (2.0 * norms[2])
-        growth[active] += step[:count] + step[count:]
-        pairs[active], pairs[active + size] = new[:count], new[count:]
-        converged[active[gap <= 1e-8]] = True
-        active = active[~(gap <= 1e-8)]
-        if not active.size:
-            break
-    return pairs[:size], converged, growth
-
-
-@functools.cache
-def _log_pade_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of degree 16 on [0, 1]: the Pade
-    approximant of ``log(I + E) = int_0^1 E (I + t E)^-1 dt`` in partial
-    fractions (Higham 2008, (11.18)), and the quadrature of the logarithm's
-    Frechet derivative in :func:`_log_newton_step`."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    return (nodes + 1.0) / 2.0, weights / 2.0
-
-
-def _stacked_log(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The principal logarithm of each slice of a real ``(S, n, n)`` stack
-    by inverse scaling and squaring, and which slices it is certain of.
-
-    Each slice takes square roots until ``||X - I||_1 <= theta_16``, then
-    ``log A = 2^s r_16(X - I)``, with ``r_16`` the Pade approximant in
-    partial fractions: products, inverses and solves, each on the whole
-    stack.  ``X - I`` is not formed by subtraction, which leaves it the
-    absolute rounding of ``X`` that ``2^s`` then multiplies, but as ``(A -
-    I) (I + A^(1/2))^-1 ... (I + X)^-1``, whose rounding is relative to
-    ``X - I``.  The number of roots, and of steps per root, is decided per
-    slice from that slice alone, so a stack's logarithm is its slices' bit
-    for bit; norms are exact and nothing is drawn.  A slice is uncertain
-    where a root does not converge (a real iteration cannot, from an
-    eigenvalue on the closed negative real axis), an inverse is singular,
-    a value is not finite, or the square roots' error bound exceeds
-    ``_LOG_CERTIFIED``: near the branch cut it grows as the inverse of the
-    eigenvalues' distance from the cut.  An uncertain slice's logarithm is
-    zero.
-    """
-    size, n = slices.shape[0], slices.shape[-1]
-    eye = np.eye(n)
-    roots = np.array(slices, dtype=float)
-    offsets = roots - eye
-    squarings, growth = np.zeros(size), np.zeros(size)
-    certified = np.ones(size, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(_LOG_MAX_ROOTS):
-            todo = np.flatnonzero(certified & ~(_one_norms(offsets) <= _LOG_THETA_16))
-            if not todo.size:
-                break
-            roots[todo], certified[todo], added = _square_roots(roots[todo])
-            # sqrt(Y) - I = (Y - I) (I + sqrt(Y))^-1, by a transposed solve.
-            factor, offset = eye + roots[todo], offsets[todo]
-            right = _solved(np.swapaxes(factor, -1, -2), np.swapaxes(offset, -1, -2))
-            offsets[todo] = np.swapaxes(right, -1, -2)
-            growth[todo] += added
-            squarings[todo] += 1
-        certified &= _one_norms(offsets) <= _LOG_THETA_16
-        certified &= _EPS * growth <= _LOG_CERTIFIED
-        E = np.where(certified[:, None, None], offsets, 0.0)
-        nodes, weights = _log_pade_nodes()
-        terms = np.linalg.solve(eye + nodes[:, None, None] * E[:, None], E[:, None])
-        log = weights[0] * terms[:, 0]
-        for j in range(1, len(weights)):
-            log += weights[j] * terms[:, j]
-    return log * (2.0**squarings)[:, None, None], certified
-
-
-def _scipy_logm(slices: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.logm`` per slice (the oldest supported SciPy takes one
+    ``scipy.linalg.logm`` per slice (the oldest supported SciPy takes one
     matrix), the same bits on every call.  Its randomized 1-norm estimator
     draws from numpy's global RNG, which is reseeded before each slice and
     restored afterwards; not safe if other threads use that RNG meanwhile.
@@ -1145,68 +993,12 @@ def _scipy_logm(slices: np.ndarray) -> np.ndarray:
             for m in slices:
                 np.random.seed(0)
                 logs.append(scipy.linalg.logm(m))
-        return np.stack(logs)
     finally:
         np.random.set_state(state)
-
-
-def _log_newton_step(slices: np.ndarray, log: np.ndarray, rebuilt: np.ndarray) -> np.ndarray:
-    """Each logarithm ``L`` of a slice ``A`` after one Newton step for
-    ``e^L = A`` from ``rebuilt = e^L``: ``L + Dlog(A)[A - e^L]``, where the
-    step is finite and moves ``L`` by at most ``_LOG_POLISH`` units in the
-    last place of its largest entry.
-
-    The Frechet derivative ``Dlog(A)[R] = int_0^1 M(t)^-1 R M(t)^-1 dt``,
-    ``M(t) = I + t (A - I)``, is summed over the nodes of
-    :func:`_log_pade_nodes`: the step is of the order of the rounding and
-    needs few digits.  A step leaves ``L`` as accurate as :func:`_expm`
-    read through the logarithm's condition number.  Where that number is
-    small the step takes ``L`` to within about an ulp of the exact
-    logarithm.  A larger step is the exponential's rounding amplified, as
-    near the branch cut, and is not taken.
-    """
-    n = slices.shape[-1]
-    eye = np.eye(n)
-    nodes, weights = _log_pade_nodes()
+    log = np.stack(logs)
     with np.errstate(all="ignore"):
-        inverses = _solved(eye + nodes[:, None, None] * (slices - eye)[:, None])
-        terms = inverses @ (slices - rebuilt)[:, None] @ inverses
-        step = weights[0] * terms[:, 0]
-        for j in range(1, len(weights)):
-            step += weights[j] * terms[:, j]
-        size = np.abs(step).max(axis=(-2, -1))
-        polish = size <= _LOG_POLISH * _EPS * np.abs(log).max(axis=(-2, -1))
-    return np.where(polish[:, None, None], log + step, log)
-
-
-def _logm(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The principal logarithm of each slice of a real ``(S, n, n)`` stack,
-    complex where a slice has no real one, and the relative residual of
-    its real part's exponential against the slice.
-
-    :func:`_stacked_log` takes the stack in one pass, and each slice it
-    is certain of may take one Newton step (:func:`_log_newton_step`) from
-    the exponential its residual is measured on; the residual is that of
-    the logarithm before the step.  A slice it is not certain of, or
-    whose residual exceeds ``_LOG_CERTIFIED``, goes to
-    :func:`_scipy_logm`, as :func:`_expm` hands triangular slices to
-    SciPy: near the branch cut, where the Newton square roots lose
-    accuracy, and wherever an eigenvalue lies on the negative real axis.
-    """
-    log, certified = _stacked_log(slices)
-    residual = np.full(len(slices), np.inf)
-    rebuilt = _expm(log[certified])
-    residual[certified] = relative_residual(rebuilt, slices[certified], axis=(-2, -1))
-    log[certified] = _log_newton_step(slices[certified], log[certified], rebuilt)
-    fallback = ~(residual <= _LOG_CERTIFIED)
-    if fallback.any():
-        logs = _scipy_logm(slices[fallback])
-        log = log.astype(logs.dtype)
-        log[fallback] = logs
-        with np.errstate(all="ignore"):
-            rebuilt = _expm(np.real(logs))
-        residual[fallback] = relative_residual(rebuilt, slices[fallback], axis=(-2, -1))
-    return log, residual
+        rebuilt = _expm(np.real(log))
+    return log, relative_residual(rebuilt, slices, axis=(-2, -1))
 
 
 def _chart_log(spec: GroupSpec, slices: np.ndarray) -> np.ndarray:
@@ -1234,8 +1026,8 @@ def principal_log(a: GroupElement) -> AlgebraElement:
     A slice of ``mat_exp(B, t)`` with ``||tB||_F < pi`` takes ``tB``: its
     eigenvalues lie in the strip ``|Im z| < pi``, so it is the principal
     logarithm (Higham, Functions of Matrices, 2008, Thm 1.31).  Other
-    slices take it from the matrix, so a stack's logarithm is its slices'
-    bit for bit.  The circle group is handled by angle extraction, so the
+    slices take SciPy's ``logm`` of the matrix, one at a time, so a stack's
+    logarithm is its slices' bit for bit.  The circle group is handled by angle extraction, so the
     full chart (-pi, pi] is available including the boundary.  For other
     kinds the principal logarithm must be real and reconstruct the slice;
     elements outside that chart raise :class:`ChartError`.

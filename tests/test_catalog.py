@@ -329,9 +329,14 @@ class TestGeneratorDescriptors:
         assert faithfulness_probe(rep).passed
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(document))
-        assert main(["check", "--rep", str(path), "--suite", "homomorphism"]) == 2
+        # check reads the homomorphism rows off the load certificate and
+        # evaluates no image; prolong and the sampled checks evaluate them.
+        assert main(["check", "--rep", str(path), "--suite", "homomorphism"]) == 0
+        assert main(["prolong", "--rep", str(path), "--a-coords", "5", "--fiber", "0"]) == 2
         err = capsys.readouterr().err
-        assert "homomorphism check, seed 0, sample index 0: apply returned non-finite" in err
+        assert err == (
+            "error: cannot evaluate the prolongation there: apply returned non-finite entries\n"
+        )
         with pytest.raises(NonFiniteImageError, match="seed 3, sample index"):
             check_homomorphism(rep, 50, seed=3)
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import gc
 import hashlib
 import inspect
@@ -15,7 +16,21 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from descriptors import gl1_power, gl2_perturbed, gl3_units, so3_repeated_image
+from descriptors import (
+    adjoint,
+    circle_winding,
+    determinant,
+    gl1_power,
+    gl2_det_power,
+    gl2_perturbed,
+    gl3_dense_conjugated,
+    gl3_units,
+    sl2_conjugated,
+    so3_doubled,
+    so3_repeated_image,
+    so4_dense_conjugated,
+    symmetric_power,
+)
 
 from lieprolong import (
     CheckReport,
@@ -33,7 +48,7 @@ from lieprolong import (
     load_representation,
     sample_tangent_elements,
 )
-from lieprolong import cli, groups, prolongation, rep_algebra
+from lieprolong import catalog, cli, groups, prolongation, rep_algebra
 from lieprolong.cli import SEED_ENV_VAR, main
 
 REPORT_SCHEMA = {
@@ -147,12 +162,14 @@ class TestCatalogCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [0, []]
 
-    def test_cold_commands_load_no_scipy_linalg_and_no_numpy_random(self):
+    def test_cold_commands_load_no_scipy_linalg_and_no_numpy_random(self, tmp_path):
         # SciPy's compiled expm steps load from their own file, and the
         # prolong command's probes come from groups' streams, so a fresh
         # process imports neither scipy.linalg nor numpy.random.  SciPy's
         # version matters only to 2 x 2 exponentials, which neither prolong
         # nor check takes here, so they load no scipy module but the kernels'.
+        # A descriptor's check takes no logarithm: one SciPy logm would
+        # import scipy.linalg, about 11 MB of a cold check's peak memory.
         kernels = groups._load_pade_kernels()
         if not (kernels and groups._recorded_admission(kernels, 3)):
             pytest.skip(
@@ -160,9 +177,12 @@ class TestCatalogCommand:
                 "so the live probe imports scipy.linalg"
             )
         coords = ",".join(["0.25", "-0.5", "0.125"] * 3)
+        descriptor = tmp_path / "so3_doubled.json"
+        descriptor.write_text(json.dumps(so3_doubled()))
         commands = [
             ["prolong", "--rep", "gl_identity(3)", f"--a-coords={coords}", f"--fiber={coords}"],
             ["check", "--rep", "so3_standard", "--suite", "all", "--samples", "20"],
+            ["check", "--rep", str(descriptor), "--suite", "all"],
         ]
         # The report takes 2 x 2 exponentials.
         if groups._recorded_admission(kernels, 2) == 2:
@@ -952,9 +972,6 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-NON_FINITE = "apply returned non-finite entries"
-
-
 class TestMalformedInput:
     @pytest.mark.parametrize("suite", ["homomorphism", "oracle"])
     def test_zero_samples_exit_2(self, capsys, suite):
@@ -1024,7 +1041,6 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "document",
         [
-            gl1_power(1000.0),
             {
                 "group": {"kind": "GeneralLinear", "dim": 1},
                 "target_dim": True,
@@ -1084,7 +1100,6 @@ class TestMalformedInput:
             gl2_perturbed(),
         ],
         ids=[
-            "overflowing_images",
             "boolean_target_dim",
             "boolean_group_dim",
             "unhashable_group_kind",
@@ -1134,60 +1149,16 @@ class TestMalformedInput:
         assert out == ""
         assert err == f"error: {kind}(1) is the trivial group, whose Lie algebra is zero\n"
 
-    @pytest.mark.parametrize(("image", "samples"), [(380.0, "3000"), (500.0, "200")])
-    def test_images_overflowing_during_a_check_exit_2(self, capsys, tmp_path, image, samples):
-        # Both load; the images of some draws, or of some products of
-        # two draws, overflow.
-        path = tmp_path / "rep.json"
-        path.write_text(json.dumps(gl1_power(image)))
-        code, out, err = run_cli(
-            capsys, "check", "--rep", str(path), "--suite", "homomorphism", "--samples", samples
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        ("suite", "failure"),
-        [
-            ("homomorphism", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
-            # The oracle row reads the homomorphism scan first.
-            ("oracle", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
-            ("equivalence", "equivalence_transfer check, seed [5, 1], sample index 1: " + NON_FINITE),
-            ("all", "homomorphism check, seed 5, sample index 0: " + NON_FINITE),
-        ],
-    )
-    def test_overflowing_images_name_the_check_seed_and_sample(
-        self, capsys, tmp_path, suite, failure
-    ):
-        # The images load; every sampled suite reaches elements where they
-        # overflow or underflow and reports the first sample that fails on
-        # its own, with its own message, so the failure can be replayed.
-        path = tmp_path / "rep.json"
-        path.write_text(json.dumps(gl1_power(1000.0)))
-        code, out, err = run_cli(
-            capsys, "check", "--rep", str(path), "--suite", suite, "--seed", "5"
-        )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: cannot evaluate the representation: {failure}\n"
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_equivalence_row_forms_no_product_of_its_images(self, capsys, tmp_path):
+    def test_equivalence_row_forms_no_product_of_its_images(self):
         # Every image at sample 44 is finite, K R = 1.66e308 among them, and
         # diag(A, A) times it would overflow for any A of norm above 1.08.
-        # The row scores rho(x) against expm(d rho(B_0)) alone, which a
-        # generator descriptor meets exactly.
-        path = tmp_path / "rep.json"
-        path.write_text(json.dumps(gl1_power(710.0)))
-        code, document, err = run_json(
-            capsys, "check", "--rep", str(path), "--suite", "equivalence",
-            "--samples", "200", "--seed", "317",
-        )
-        assert (code, err) == (0, "")
-        [row] = document["checks"]
-        assert (row["verdict"], row["max_residual"]) == ("pass", 0.0)
+        # The sampled row scores rho(x) against expm(d rho(B_0)) alone, which
+        # a generator descriptor meets exactly.  (The check command reads a
+        # descriptor's row off its load certificate.)
+        rep = load_representation(gl1_power(710.0))
+        report = check_equivalence_transfer(rep, 200, seed=317)
+        assert (report.verdict.value, report.max_residual) == ("pass", 0.0)
 
     def test_overflowing_images_exit_2_in_prolong_at_large_coordinates(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
@@ -1260,3 +1231,82 @@ class TestStrictReports:
         assert strict_json(cell) == row["witness"]
         assert cli._finish(dataclasses.replace(config, format="text"), [report]) == 1
         assert capsys.readouterr().out == f"equivalence_transfer: FAIL (max residual {residual})\n"
+
+
+CERTIFIED = (
+    "homomorphism(base)", "homomorphism(prolonged)", "action_oracle", "equivalence_transfer"
+)
+
+# Every descriptor of tests/descriptors.py that loads.
+LOADABLE = {
+    "so3_doubled": so3_doubled,
+    "circle_winding": circle_winding,
+    "sl2_conjugated": sl2_conjugated,
+    "gl3_units": gl3_units,
+    "determinant": determinant,
+    "adjoint_sl2": lambda: adjoint("SpecialLinear", 2),
+    "adjoint_so4": lambda: adjoint("SpecialOrthogonal", 4),
+    **{f"symmetric_power({n})": functools.partial(symmetric_power, n) for n in (4, 10, 20, 40)},
+    "gl3_dense_conjugated": gl3_dense_conjugated,
+    "so4_dense_conjugated": so4_dense_conjugated,
+    "gl1_power(1000)": functools.partial(gl1_power, 1000.0),
+    "gl2_det_power(14)": functools.partial(gl2_det_power, 14.0),
+}
+
+
+class TestDescriptorCertificate:
+    """A descriptor's homomorphism, oracle and equivalence rows report its
+    load certificate, the worst scaled loop residual or bracket defect, and
+    sample nothing."""
+
+    @pytest.mark.parametrize(
+        ("document", "flags", "codes", "verdict"),
+        [
+            # Sampled at the defaults, these failed on every seed.
+            (gl3_dense_conjugated(), [], {0}, "pass"),
+            # Sampled, these were refused: cond(Sym^n a) = cond(a)^n.  Their
+            # faithfulness rows fail rightly, since Sym^n(-I) = I for even n.
+            (symmetric_power(20), [], {1}, "pass"),
+            (symmetric_power(40), [], {1}, "pass"),
+            # The loops close within 2.07e-10: the echoed tolerance applies.
+            (so4_dense_conjugated(), ["--tol", "1e-12"], {1}, "fail"),
+            # Images that overflow at sampled elements, which were refused.
+            (gl1_power(1000.0), ["--samples", "3000"], {0}, "pass"),
+        ],
+        ids=["gl3_dense_conjugated", "symmetric_power(20)", "symmetric_power(40)",
+             "so4_dense_conjugated-tol", "gl1_power(1000)"],
+    )
+    def test_rows_are_the_load_certificate_on_every_seed(
+        self, capsys, tmp_path, document, flags, codes, verdict
+    ):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(document))
+        residual, witness = catalog._CERTIFICATES[load_representation(document)]
+        for seed in range(12):
+            argv = ["check", "--rep", str(path), "--suite", "all", "--seed", str(seed), *flags]
+            code, report, err = run_json(capsys, *argv)
+            assert code in codes and err == "", seed
+            rows = {row["name"]: row for row in report["checks"]}
+            for name in CERTIFIED:
+                assert rows[name]["verdict"] == verdict, (seed, name)
+                assert rows[name]["max_residual"] == residual, (seed, name)
+                assert rows[name].get("witness") == (witness if verdict == "fail" else None)
+        if verdict == "fail":
+            assert report["config"]["tol"] == 1e-12
+            assert witness["generator_index"] == 2
+            assert witness["loop_residual"] == pytest.approx(2.07e-10, rel=1e-2)
+
+    def test_no_suite_takes_a_logarithm_on_a_loadable_descriptor(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def refuse(slices):
+            raise AssertionError("check took a logarithm")
+
+        monkeypatch.setattr(groups, "_logm", refuse)
+        path = tmp_path / "rep.json"
+        for name, make in LOADABLE.items():
+            path.write_text(json.dumps(make()))
+            for suite in [*cli._SUITE_NAMES, "all"]:
+                rep_algebra._tangent_sample.cache_clear()
+                code, _, err = run_cli(capsys, "check", "--rep", str(path), "--suite", suite)
+                assert code in (0, 1) and err == "", (name, suite)

@@ -11,13 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from descriptors import (
-    GENERATOR_DESCRIPTORS,
-    gl2_det_power,
-    gl3_dense_conjugated,
-    so3_doubled,
-    so4_dense_conjugated,
-)
+from descriptors import gl2_det_power, so3_doubled
 from elements import circle_element
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +29,8 @@ from lieprolong import (
     algebra_from_coordinates,
     algebra_membership_residual,
     block_diag,
+    check_action_oracle,
+    check_equivalence_transfer,
     circle,
     general_linear,
     group_coordinates,
@@ -370,15 +366,17 @@ class TestExpmKernel:
         for module in list(sys.modules.values()):
             if module.__name__.startswith("lieprolong") and getattr(module, "_expm", None) is kernel:
                 monkeypatch.setattr(module, "_expm", checked)
-        path = tmp_path / "so3_doubled.json"
-        path.write_text(json.dumps(so3_doubled()))
-        for argv in (
-            ["report", "--samples", "50", "--seed", "5"],
-            ["check", "--rep", str(path), "--suite", "all", "--samples", "50"],
+        # The check command reads a descriptor's sampled rows off its load
+        # certificate, so the descriptor is sampled through the library.
+        rep = load_representation(so3_doubled())
+        for run in (
+            lambda: main(["report", "--samples", "50", "--seed", "5"]) in (0, 1),
+            lambda: check_action_oracle(rep, 50).passed
+            and check_equivalence_transfer(rep, 50).passed,
         ):
             rep_algebra._tangent_sample.cache_clear()
             calls.clear()
-            assert main(argv) in (0, 1)
+            assert run()
             assert sum(math.prod(shape[:-2]) for shape in calls) > 50
         assert not mismatches
         capsys.readouterr()
@@ -1067,9 +1065,9 @@ def benchmark_descriptor(seed: int) -> dict:
     return worker.descriptor_document(seed)
 
 
-class TestStackedLogarithm:
-    """``groups._logm`` against 40-digit logarithms and against SciPy's
-    ``logm``, to which it hands the slices it cannot certify."""
+class TestMatrixLogarithm:
+    """``principal_log`` where it takes SciPy's ``logm`` of the matrix: every
+    slice that is not a kept exponent."""
 
     @staticmethod
     def error(log, exact) -> float:
@@ -1110,17 +1108,16 @@ class TestStackedLogarithm:
         ids=lambda s: s.describe(),
     )
     def test_products_match_forty_digits(self, monkeypatch, spec):
-        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        # A product of two drawn elements keeps no exponent, so each of its
+        # slices goes to SciPy.
+        taken = self.count(monkeypatch, scipy.linalg, "logm")
         x = sample_tangent_elements(spec, range(20)).base.matrix
         y = sample_tangent_elements(spec, range(20, 40)).base.matrix
         products = x @ y
         logs, _ = groups._logm(products)
-        assert fallbacks == []
+        assert len(taken) == 20
         exact = [self.forty_digits(p) for p in products]
-        ours = [self.error(log, e) for log, e in zip(logs, exact)]
-        theirs = [self.error(log, e) for log, e in zip(groups._scipy_logm(products), exact)]
-        assert np.median(ours) <= 2.0 * np.median(theirs)
-        assert max(ours) <= 1e-14
+        assert max(self.error(log, e) for log, e in zip(logs, exact)) <= 1e-14
 
     @pytest.mark.parametrize(
         "spec",
@@ -1129,61 +1126,58 @@ class TestStackedLogarithm:
     )
     def test_curve_difference_quotients_match_forty_digits(self, spec):
         # The action oracle differentiates log(exp(+-hB) a) by a central
-        # difference, which divides the two logarithms' rounding by 2h:
-        # that quotient is no further from its 40-digit value than SciPy's.
+        # difference, which divides the two logarithms' rounding by 2h.  Each
+        # is within 1e-14 of its scale, as products are above, so the
+        # quotient is within 1e-14 of that scale over h.
         h = _FD_STEP
         X = sample_tangent_elements(spec, range(40, 60))
         a, B = X.base.matrix, X.algebra.matrix
         plus, minus = groups._expm(h * B) @ a, groups._expm(-h * B) @ a
         with mpmath.workdps(40):
-            exact = [
-                np.array(
-                    ((mpmath.logm(mpmath.matrix(p.tolist())) - mpmath.logm(mpmath.matrix(m.tolist())))
-                     / (2 * h)).apply(mpmath.re).tolist(),
-                    dtype=float,
-                )
+            pairs = [
+                (mpmath.logm(mpmath.matrix(p.tolist())), mpmath.logm(mpmath.matrix(m.tolist())))
                 for p, m in zip(plus, minus)
             ]
-
-        def errors(logm):
-            quotients = (np.real(logm(plus)) - np.real(logm(minus))) / (2 * h)
-            return [float(np.max(np.abs(q - e))) for q, e in zip(quotients, exact)]
-
-        ours, theirs = errors(lambda s: groups._logm(s)[0]), errors(groups._scipy_logm)
-        assert np.median(ours) <= np.median(theirs)
-        assert max(ours) <= max(theirs)
+            exact = [
+                np.array(((lp - lm) / (2 * h)).apply(mpmath.re).tolist(), dtype=float)
+                for lp, lm in pairs
+            ]
+            scale = max(
+                1.0,
+                *(np.max(np.abs(np.array(log.apply(mpmath.re).tolist(), dtype=float)))
+                  for pair in pairs for log in pair),
+            )
+        quotients = (np.real(groups._logm(plus)[0]) - np.real(groups._logm(minus)[0])) / (2 * h)
+        errors = [float(np.max(np.abs(q - e))) for q, e in zip(quotients, exact)]
+        assert max(errors) <= 1e-14 * scale / h
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rotations_near_the_branch_cut(self, n):
-        # A rotation by pi - 10^-k: the square roots lose accuracy as k
-        # grows, and from some k the slice goes to SciPy.
+        # A rotation by pi - 10^-k: the logarithm's condition number grows
+        # as 10^k, and SciPy's error with it (3.4e-11 at k = 5).
         q, r = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
         q = q * np.sign(np.diag(r))
-        for k in range(1, 9):
+        for k in range(1, 6):
             B = np.zeros((n, n))
             B[0, 1] = math.pi - 10.0**-k
             if n == 4:
                 B[2, 3] = 0.7
             rotation = q @ scipy.linalg.expm(B - B.T) @ q.T
+            log = principal_log(GroupElement(rotation, special_orthogonal(n))).matrix
             exact = self.forty_digit_eigenlog(rotation)
-            ours = self.error(groups._logm(rotation[None])[0][0], exact)
-            theirs = self.error(groups._scipy_logm(rotation[None])[0], exact)
-            assert ours <= 2.0 * theirs, k
+            assert self.error(log, exact) <= np.finfo(float).eps * 10.0 ** (k + 2), k
 
     @pytest.mark.parametrize("exponent", [650.0, -650.0])
-    def test_gl1_near_the_overflow_guard(self, monkeypatch, exponent):
-        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+    def test_gl1_near_the_overflow_guard(self, exponent):
         a = GroupElement([[math.exp(exponent)]], general_linear(1))
         assert principal_log(a).matrix[0, 0] == pytest.approx(exponent, rel=1e-15)
-        assert fallbacks == []
 
-    def test_a_fallback_slice_is_reproducible_and_leaves_the_global_rng(self, monkeypatch):
-        # A rotation by pi - 1e-6 goes to SciPy, whose estimator draws from
-        # the global RNG; the other slice stays on the stacked pass.
+    def test_a_scipy_slice_is_reproducible_and_leaves_the_global_rng(self, monkeypatch):
+        # SciPy's estimator draws from the global RNG, once per slice.
         B = np.zeros((3, 3))
         B[0, 1], B[1, 0] = math.pi - 1e-6, -(math.pi - 1e-6)
         stack = np.stack([scipy.linalg.expm(B), scipy.linalg.expm(0.5 * B)])
-        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+        taken = self.count(monkeypatch, scipy.linalg, "logm")
         np.random.seed(17)
         expected = np.random.random(4)
         np.random.seed(17)
@@ -1191,10 +1185,12 @@ class TestStackedLogarithm:
         np.testing.assert_array_equal(np.random.random(4), expected)
         np.random.seed(3)
         np.testing.assert_array_equal(groups._logm(stack)[0], first)
-        assert [np.array_equal(m, stack[0]) for m in fallbacks] == [True, True]
+        assert [np.array_equal(m, s) for m, s in zip(taken, [*stack, *stack])] == [True] * 4
 
-    def test_no_slice_falls_back_on_the_benchmark_descriptor(self, monkeypatch, capsys, tmp_path):
-        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
+    def test_no_slice_is_taken_on_the_benchmark_descriptor(self, monkeypatch, capsys, tmp_path):
+        # The check command reads a descriptor's homomorphism and oracle rows
+        # off its load certificate, so descriptor_sweep's documents take no
+        # logarithm, and import no scipy.linalg, on any seed.
         taken = self.count(monkeypatch, groups, "_logm")
         path = tmp_path / "descriptor.json"
         for seed in range(10):
@@ -1203,25 +1199,4 @@ class TestStackedLogarithm:
                 argv = ["check", "--rep", str(path), "--suite", suite, "--samples", "30"]
                 assert main([*argv, "--seed", str(seed)]) == 0
         capsys.readouterr()
-        # 30 products per seed: the oracle suite reads the products that the
-        # homomorphism suite keeps on the sample memo, with their logarithms.
-        assert len(taken) == 300
-        assert fallbacks == []
-
-    def test_no_slice_falls_back_on_the_sampled_descriptor_suites(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        # The (samples, seed) at which the reference and verdict-matrix
-        # tests run them.
-        fallbacks = self.count(monkeypatch, scipy.linalg, "logm")
-        taken = self.count(monkeypatch, groups, "_logm")
-        runs = [(make(), 20, 4) for make in GENERATOR_DESCRIPTORS.values()]
-        runs += [(make(), 50, 3) for make in (gl3_dense_conjugated, so4_dense_conjugated)]
-        path = tmp_path / "descriptor.json"
-        for document, samples, seed in runs:
-            path.write_text(json.dumps(document))
-            for suite in ("homomorphism", "oracle"):
-                argv = ["check", "--rep", str(path), "--suite", suite]
-                main([*argv, "--samples", str(samples), "--seed", str(seed)])
-        capsys.readouterr()
-        assert taken and fallbacks == []
+        assert taken == []

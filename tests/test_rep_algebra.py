@@ -952,6 +952,47 @@ class TestSharedDriver:
             rep_algebra._Scans(rep, 256, 10).homomorphism
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(("image", "samples"), [(380.0, 3000), (500.0, 200)])
+    def test_images_overflowing_during_a_check_raise(self, image, samples):
+        # Both load; the images of some draws, or of some products of two
+        # draws, overflow.
+        rep = load_representation(gl1_power(image))
+        with pytest.raises(NonFiniteImageError, match="apply returned non-finite entries"):
+            check_homomorphism(rep, samples)
+
+    @pytest.mark.parametrize(
+        ("run", "failure"),
+        [
+            (
+                lambda rep: check_homomorphism(rep, 200, 5),
+                "homomorphism check, seed 5, sample index 0",
+            ),
+            (
+                lambda rep: check_homomorphism(prolonged(rep), 200, 5),
+                "homomorphism check, seed 5, sample index 0",
+            ),
+            # The oracle row reads the homomorphism scan first.
+            (
+                lambda rep: check_action_oracle(rep, 200, 5),
+                "homomorphism check, seed 5, sample index 0",
+            ),
+            (
+                lambda rep: check_equivalence_transfer(rep, 200, 5),
+                "equivalence_transfer check, seed [5, 1], sample index 1",
+            ),
+        ],
+        ids=["homomorphism", "prolonged", "oracle", "equivalence"],
+    )
+    def test_overflowing_images_name_the_check_seed_and_sample(self, run, failure):
+        # The images load; every sampled check reaches elements where they
+        # overflow or underflow and reports the first sample that fails on
+        # its own, with its own message, so the failure can be replayed.
+        # (The check command reads these four rows off the load certificate.)
+        rep = load_representation(gl1_power(1000.0))
+        with pytest.raises(NonFiniteImageError) as info:
+            run(rep)
+        assert str(info.value) == f"{failure}: apply returned non-finite entries"
+
     def test_failing_equivalence_names_its_sample(self):
         report = check_equivalence_transfer(rep_of("circle_winding_2"), 300, seed=6, tol=1e-17)
         assert report.verdict is Verdict.FAIL
@@ -1086,28 +1127,21 @@ class TestSampleMemo:
         assert check_equivalence_transfer(rep, 20, seed=0).passed
         assert calls == []
 
-    def test_homomorphism_suite_takes_each_product_logarithm_once(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        path = tmp_path / "so3_doubled.json"
-        path.write_text(json.dumps(so3_doubled()))
+    def test_homomorphism_rows_take_each_product_logarithm_once(self, monkeypatch):
+        rep = load_representation(so3_doubled())
         self.clear()
         calls = self.count_logm(monkeypatch)
-        argv = ["check", "--rep", str(path), "--suite", "homomorphism", "--samples", "30"]
-        assert main(argv) == 0
-        capsys.readouterr()
+        base, lifted = rep_algebra._Scans(rep, 30, 0).homomorphism_rows()
+        assert base.passed and lifted.passed
         # The product of each pair: x and y keep the exponents they were
         # drawn as, and the plain and prolonged rows are read off one scan.
         assert len(calls) == 30
 
-    def test_oracle_suite_takes_a_logarithm_per_product(self, monkeypatch, capsys, tmp_path):
-        path = tmp_path / "so3_doubled.json"
-        path.write_text(json.dumps(so3_doubled()))
+    def test_oracle_takes_a_logarithm_per_product(self, monkeypatch):
+        rep = load_representation(so3_doubled())
         self.clear()
         calls = self.count_logm(monkeypatch)
-        argv = ["check", "--rep", str(path), "--suite", "oracle", "--samples", "30"]
-        assert main(argv) == 0
-        capsys.readouterr()
+        assert check_action_oracle(rep, 30, seed=0).passed
         # The oracle row reads the homomorphism scan, which takes the
         # logarithm of each pair's product, and the tie, which takes none.
         assert len(calls) == 30
@@ -1130,14 +1164,9 @@ class TestSampleMemo:
         assert len(calls) == 2
         assert not any(np.array_equal(m, a.matrix) for m in calls)
 
-    @pytest.mark.parametrize("source", ["so3_standard", "circle_plus_trivial", "so3_doubled"])
-    def test_homomorphism_suite_rows_are_the_public_checks(self, capsys, tmp_path, source):
-        if source == "so3_doubled":
-            rep = load_representation(so3_doubled())
-            source = tmp_path / "so3_doubled.json"
-            source.write_text(json.dumps(so3_doubled()))
-        else:
-            rep = rep_of(source)
+    @pytest.mark.parametrize("source", ["so3_standard", "circle_plus_trivial"])
+    def test_homomorphism_suite_rows_are_the_public_checks(self, capsys, source):
+        rep = rep_of(source)
         # At this tolerance every row with a non-zero residual fails and shows
         # its witness: the prolonged rows all do, the plain rows of the exact
         # catalog entries pass at 0.

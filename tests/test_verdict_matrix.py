@@ -1,9 +1,11 @@
 """What each gate catches: its verdict on broken maps, on valid but hard
 representations and on claims beside a map, at 50 samples and seed 3.  One cell
-is pinned at the CLI defaults as well, where that seed hides a failure.
+is pinned at 200 samples and seed 0 as well, where that seed hides a failure.
 
-A cell is ``pass``, ``fail`` or ``refused`` (the check raises, and the CLI
-exits 2), or ``-`` where the row makes no claim for the column to check.
+A cell is ``pass``, ``fail`` or ``refused`` (the check raises), or ``-``
+where the row makes no claim for the column to check.  The cells are the
+library's sampled checks; on a descriptor the check command reports the
+load certificate in place of the first four columns.
 A cell that differs from what the theory predicts says so, with the
 ROADMAP item meant to bring it there.  A change that flips a cell edits it
 here and says why in CHANGES.md.
@@ -186,12 +188,14 @@ MATRIX = {
     "gl2: d rho x (1 + 1e-6)": ("pass", "pass", "fail", "fail", "pass", "-", "-", "-"),
     # Valid: every cell passes.  The max(1, max|reference|) scale ignores
     # cancellation in the conjugated products, and the base row lands at
-    # 6.0e-10, just under 1e-9 (the samples' logarithms are their drawn
-    # exponents), the fiber identity at 7.8e-10 and the oracle, base and
-    # tie, at 6.0e-10.  The equivalence row forms no product: a
-    # descriptor's apply is expm(d rho(B_0)), and it reads 0.  At the CLI
-    # defaults the base row fails at 7.3e-9 (item 8, residuals scaled by
-    # their operands).
+    # 6.4e-10, just under 1e-9 (the samples' logarithms are their drawn
+    # exponents, and each product's is SciPy's logm), the fiber identity at
+    # 7.8e-10 and the oracle, base and tie, at 6.4e-10.  The equivalence
+    # row forms no product: a descriptor's apply is expm(d rho(B_0)), and
+    # it reads 0.  The sampled base row fails on 13 of seeds 0-15, and at
+    # 200 samples and seed 0 at 7.3e-9 (item 8, residuals scaled by their
+    # operands).  The check command samples none of these rows on a
+    # descriptor: it reports the load certificate, 1.8e-16, and passes.
     "gl3_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
     "so4_dense_conjugated": ("pass", "pass", "pass", "pass", "pass", "-", "-", "-"),
     "symmetric_power(4)": ("pass", "pass", "pass", "pass", "fail", "-", "-", "-"),
@@ -274,9 +278,9 @@ def test_cell(row, column):
 
 
 def test_so4_dense_conjugated_oracle_at_the_cli_defaults():
-    # A second seed for one cell: at the CLI defaults (200 samples, seed 0)
-    # a central difference of the action curve fails this valid
-    # representation at 1.2e-5.  The oracle reads its two hypotheses, and
+    # A second seed for one cell: at 200 samples and seed 0 a central
+    # difference of the action curve fails this valid representation at
+    # 1.2e-5.  The oracle reads its two hypotheses, and
     # both pass: the base homomorphism at 2.0e-10 and the tie exactly,
     # since a descriptor's apply is expm(d rho(B_0)).
     rep = representation("so4_dense_conjugated")
